@@ -11,7 +11,6 @@ Production flags::
     --baseline PATH      filter findings already in the committed baseline
     --update-baseline    rewrite the baseline with the current findings
     --cache PATH         incremental cache keyed by file content hash
-    --no-engine          lexical per-file pass only (the PR-4 behavior)
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.engine import analyze_paths
-from repro.analysis.lint import lint_paths
 from repro.analysis.report import human_report, json_report
 from repro.analysis.sarif import render_sarif
 from repro.util.atomicio import atomic_write_text
@@ -52,9 +50,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                              "and exit 0")
     parser.add_argument("--cache", default=None, metavar="PATH",
                         help="incremental cache file (content-hash keyed)")
-    parser.add_argument("--no-engine", action="store_true",
-                        help="per-file lexical rules only; skips the "
-                             "interprocedural engine, baseline and SARIF")
     args = parser.parse_args(argv)
 
     paths = args.paths or (["src"] if Path("src").is_dir() else ["."])
@@ -67,15 +62,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
     try:
-        if args.no_engine:
-            findings = lint_paths(paths, rules=rules)
-            fingerprints: dict = {}
-        else:
-            result = analyze_paths(
-                paths, rules=rules, cache_path=args.cache,
-                baseline_path=args.baseline,
-                update_baseline=args.update_baseline)
-            findings, fingerprints = result.findings, result.fingerprints
+        result = analyze_paths(
+            paths, rules=rules, cache_path=args.cache,
+            baseline_path=args.baseline,
+            update_baseline=args.update_baseline)
+        findings, fingerprints = result.findings, result.fingerprints
     except FileNotFoundError as exc:
         print(f"repro.analysis: {exc}", file=sys.stderr)
         return 2
@@ -85,7 +76,7 @@ def main(argv: Sequence[str] | None = None) -> int:
               f"finding(s) -> {args.baseline}")
         return 0
 
-    if args.sarif is not None and not args.no_engine:
+    if args.sarif is not None:
         sarif = render_sarif(findings, fingerprints)
         if args.sarif == "-":
             print(sarif, end="")

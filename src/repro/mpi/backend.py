@@ -11,9 +11,7 @@ ChainerMN and friends):
 * ``"thread"`` — the classic in-process thread cohort (default);
 * ``"mp-shm"`` — rank *processes* exchanging payloads through
   ``multiprocessing.shared_memory`` ring buffers
-  (:mod:`repro.mpi.mpshm`), for real-parallel scaling runs;
-* ``"mpi4py"`` — a gated adapter that maps the simulator API onto a real
-  MPI library when one is installed (:mod:`repro.mpi.mpi4py_backend`).
+  (:mod:`repro.mpi.mpshm`), for real-parallel scaling runs.
 
 Every backend launches the same ``fn(comm, *args)`` on every rank and
 returns per-rank results plus a *world view*: an object duck-typed like a
@@ -33,7 +31,7 @@ from repro.mpi.network import NetworkModel
 
 #: backend names accepted by :func:`create_backend` (import-cheap constant;
 #: the heavyweight modules load lazily on first use)
-BACKEND_NAMES = ("thread", "mp-shm", "mpi4py")
+BACKEND_NAMES = ("thread", "mp-shm")
 
 
 @dataclass(frozen=True)
@@ -220,7 +218,7 @@ def create_backend(name: str = "thread") -> CommBackend:
     """Instantiate a communicator backend by name.
 
     Heavy backends import lazily so ``thread``-only users never pay for
-    (or require) multiprocessing / mpi4py machinery.
+    (or require) multiprocessing machinery.
     """
     if name == "thread":
         return ThreadBackend()
@@ -228,9 +226,5 @@ def create_backend(name: str = "thread") -> CommBackend:
         from repro.mpi.mpshm import MpShmBackend
 
         return MpShmBackend()
-    if name == "mpi4py":
-        from repro.mpi.mpi4py_backend import Mpi4pyBackend
-
-        return Mpi4pyBackend()
     raise ValueError(
         f"unknown communicator backend {name!r}; expected one of {BACKEND_NAMES}")

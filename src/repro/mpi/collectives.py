@@ -6,7 +6,7 @@ values.  That is simple and correct, but it serializes 2(P-1) transfers
 through a single coordinator — fine at the paper's 3 ranks, hopeless at
 64.  This module provides the standard tree algorithms of switched-cluster
 MPI implementations, expressed purely over the world's point-to-point
-primitives (``deliver``/``match``) so the same code moves data between
+primitives (``deliver``/``wait_recvs``) so the same code moves data between
 rank *threads* (thread backend) and rank *processes* (mp-shm backend):
 
 * **binomial-tree broadcast / gather** — ``ceil(log2 P)`` stages, each
@@ -56,8 +56,9 @@ def _tsend(world, context: str, source: int, dest: int, tag: int,
 
 
 def _trecv(world, context: str, rank: int, source: int, tag: int) -> Any:
-    """Blocking transport receive (deadlock-timeout bounded like any match)."""
-    return world.match(context, rank, source, tag).payload
+    """Blocking transport receive: the world's wait engine with one want
+    and no policy (transport envelopes are never dropped)."""
+    return world.wait_recvs(rank, [(context, source, tag)])[0].payload
 
 
 def _vrank(rank: int, root: int, nranks: int) -> int:

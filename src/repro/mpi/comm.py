@@ -12,7 +12,6 @@ Figure 3 profile and the ghost-cell timings of Figure 9.
 from __future__ import annotations
 
 import copy
-import time as _time
 from contextlib import nullcontext
 from typing import Any, Callable, ContextManager, Sequence
 
@@ -20,14 +19,12 @@ import numpy as np
 
 from repro.faults.plan import DROP as FAULT_DROP
 from repro.faults.plan import DUPLICATE as FAULT_DUPLICATE
-from repro.faults.policy import CommFailure
 from repro.mpi import collectives as coll
 from repro.mpi.message import ANY_SOURCE, ANY_TAG, Envelope, Status
 from repro.mpi.network import payload_nbytes
 from repro.mpi.request import RecvRequest, Request, SendRequest
 from repro.mpi.world import WORLD_CONTEXT, SimMPIError, SimWorld
 from repro.obs.span import CAT_MPI, CAT_MPI_WAIT, Span
-from repro.util.timebase import now_us
 
 # Reduction operators accepted by reduce/allreduce/scan, by name.
 _OPS: dict[str, Callable[[Any, Any], Any]] = {
@@ -197,87 +194,11 @@ class SimComm:
         self.world.deliver(self.context, env)
         return nbytes
 
-    def _mark_retry(self, span: Span | None, t_retry_us: float | None) -> None:
-        """Accumulate bounded-retry wall time on the enclosing span.
-
-        The critical-path analyzer splits ``retry_us`` out of an mpi_wait
-        span into the retry bucket of its attribution.
-        """
-        if span is not None and t_retry_us is not None:
-            span.attrs["retry_us"] = (
-                span.attrs.get("retry_us", 0.0) + (now_us() - t_retry_us))
-
-    def _match_resilient(self, source: int, tag: int,
-                         span: Span | None = None) -> Envelope:
-        """Blocking match with bounded retry + recovery when a resilience
-        policy is attached (plain deadlock-bounded match otherwise).
-
-        Each empty retry round triggers retransmission of matching dropped
-        envelopes (charged ``retransmit_cost_us`` apiece under
-        ``MPI_Retransmit``); the per-attempt timeout grows exponentially.
-        Exhausting the budget raises a typed :class:`CommFailure` only when
-        the message is provably lost (a tombstone matches) — a healthy but
-        slow peer falls back to the ordinary deadlock timeout.
-        """
-        world = self.world
-        policy = world.policy
-        if policy is None or world.injector is None:
-            return world.match(self.context, self.rank, source, tag)
-        stats = world.resilience[self.rank]
-        metrics = self._obs.metrics if self._obs is not None else None
-        t_retry: float | None = None
-        for attempt in range(policy.max_attempts):
-            env = world.match_timeout(self.context, self.rank, source, tag,
-                                      policy.attempt_timeout_s(attempt))
-            if env is not None:
-                self._mark_retry(span, t_retry)
-                return env
-            stats.retry_rounds += 1
-            if t_retry is None:
-                t_retry = now_us()
-            if metrics is not None:
-                metrics.counter("mpi_retry_rounds_total",
-                                "bounded receive retry rounds").inc()
-            recovered = world.recover_dropped(self.context, self.rank, source, tag)
-            if recovered:
-                self.charge("MPI_Retransmit", recovered * policy.retransmit_cost_us)
-                env = world.try_match(self.context, self.rank, source, tag)
-                if env is not None:
-                    self._mark_retry(span, t_retry)
-                    return env
-        self._mark_retry(span, t_retry)
-        if world.lost_forever(self.context, self.rank, source, tag):
-            stats.failures += 1
-            if metrics is not None:
-                metrics.counter("mpi_comm_failures_total",
-                                "typed communication failures raised").inc()
-            raise CommFailure(
-                f"rank {self.rank}: no message (source={source}, tag={tag}, "
-                f"context={self.context!r}) after {policy.max_attempts} retry "
-                "round(s); a matching message was unrecoverably dropped"
-            )
-        # Healthy but slow: fall back to the deadlock-timeout-bounded wait,
-        # still recovering opportunistically — process backends deliver drop
-        # records asynchronously, so a recoverable drop can land in the
-        # stash after the counted rounds ran dry (on the thread backend the
-        # stash is already empty here and recovery never fires).
-        deadline = _time.monotonic() + world.timeout_s
-        while True:
-            env = world.match_timeout(self.context, self.rank, source, tag,
-                                      min(0.5, world.timeout_s))
-            if env is not None:
-                return env
-            recovered = world.recover_dropped(self.context, self.rank,
-                                              source, tag)
-            if recovered:
-                self.charge("MPI_Retransmit",
-                            recovered * policy.retransmit_cost_us)
-            if _time.monotonic() >= deadline:
-                raise SimMPIError(
-                    f"rank {self.rank} timed out after {world.timeout_s}s "
-                    f"waiting for message (source={source}, tag={tag}, "
-                    f"context={self.context!r}) — likely deadlock"
-                )
+    def _wait_recv(self, routine: str, source: int, tag: int) -> Envelope:
+        """Block in ``routine`` until one (source, tag) message matches."""
+        return self.world.wait_recvs(
+            self.rank, [(self.context, source, tag)], op=routine,
+            charge=self.charge)[0]
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Blocking (buffered) send: copy, deliver, charge injection cost."""
@@ -297,7 +218,7 @@ class SimComm:
     ) -> Any:
         """Blocking receive; charged the message's modeled transfer cost."""
         with self._span_ctx("MPI_Recv", CAT_MPI_WAIT, source=source, tag=tag) as sp:
-            env = self._match_resilient(source, tag, span=sp)
+            env = self._wait_recv("MPI_Recv", source, tag)
             if self._obs is not None:
                 self._obs.tracer.flow_in(env.seq, sp)
             self.charge("MPI_Recv", env.cost_us)
@@ -341,8 +262,8 @@ class SimComm:
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
               status: Status | None = None) -> None:
         """Blocking probe: wait until a matching message is available."""
-        with self._span_ctx("MPI_Probe", CAT_MPI_WAIT, source=source, tag=tag) as sp:
-            env = self._match_resilient(source, tag, span=sp)
+        with self._span_ctx("MPI_Probe", CAT_MPI_WAIT, source=source, tag=tag):
+            env = self._wait_recv("MPI_Probe", source, tag)
             # No flow_in here: the probe does not consume the message, the
             # eventual receive anchors the causal edge.
             self.world.deliver(self.context, env)
@@ -356,7 +277,7 @@ class SimComm:
         """Combined send+receive (deadlock-free under the buffered model)."""
         with self._span_ctx("MPI_Sendrecv", CAT_MPI_WAIT, dest=dest) as sp:
             self._post_send(obj, dest, sendtag, span=sp)
-            env = self._match_resilient(source, recvtag, span=sp)
+            env = self._wait_recv("MPI_Sendrecv", source, recvtag)
             if self._obs is not None:
                 self._obs.tracer.flow_in(env.seq, sp)
             self.charge("MPI_Sendrecv", env.cost_us + self.world.network.min_cost_us)
@@ -414,13 +335,8 @@ class SimComm:
             value = (san.collective_token(self.rank, self.context, seq,
                                           routine), value)
         with self._span_ctx(routine, CAT_MPI_WAIT, coll_seq=seq) as sp:
-            if self.world.policy is not None:
-                vals = self.world.exchange_resilient(
-                    self.context, seq, self.rank, value, self.world.policy,
-                    routine=routine)
-            else:
-                vals = self.world.exchange(self.context, seq, self.rank,
-                                           value, routine=routine)
+            vals = self.world.exchange(self.context, seq, self.rank, value,
+                                       routine=routine)
             if check_order:
                 san.collective_check(self.rank, self.context, seq,
                                      [v[0] for v in vals])

@@ -36,10 +36,11 @@ Collectives: the rendezvous-slot exchange of the thread world cannot span
 processes, so :meth:`ShmWorld.exchange` reuses the tree machinery of
 :mod:`repro.mpi.collectives` (binomial gather + broadcast over transport
 frames).  Sanitizer tokens piggyback through the exchanged values exactly
-as on the thread backend.  The bounded-retry semantics of
-``exchange_resilient`` degrade to the plain deadlock-timeout-bounded tree
-(documented limitation; p2p bounded retry/recovery is unaffected because
-drop/tombstone frames are routed to the destination's local stores).
+as on the thread backend.  The rendezvous' bounded collective rounds do
+not apply here: the tree's hops are transport receives bounded by the
+deadlock timeout (documented limitation; p2p bounded retry/recovery is
+unaffected because drop/tombstone frames are routed to the destination's
+local stores).
 
 Failure handling: any rank's exception raises the shared abort flag; every
 blocked ring operation and every mailbox wait then raises, workers ship
@@ -174,11 +175,11 @@ class ShmWorld(SimWorld):
     * :meth:`deliver` / :meth:`stash_dropped` route envelopes addressed to
       remote ranks through the destination's ring, coalescing small
       frames per destination;
-    * every blocking entry point (:meth:`match`, :meth:`match_timeout`,
-      :meth:`try_match`) flushes the coalescing buffers first, so queued
-      frames are always on the wire before this rank can stall;
-    * :meth:`exchange` / :meth:`exchange_resilient` replace the
-      shared-slot rendezvous with tree transport;
+    * :meth:`flush_frames`, the hook the base class runs before it blocks
+      or polls, puts the coalescing buffers on the wire, so queued frames
+      are always out before this rank can stall;
+    * :meth:`exchange` replaces the shared-slot rendezvous with tree
+      transport;
     * :meth:`abort` raises the cross-process abort flag;
     * the sanitizer (when on) is the shared-wait-table variant.
 
@@ -257,9 +258,11 @@ class ShmWorld(SimWorld):
     def flush_frames(self) -> None:
         """Put every queued frame on the wire.
 
-        Called before any operation that can block this rank: a rank
-        registered as waiting in the deadlock table then provably has
-        nothing buffered (its frames are visible to peers and to the
+        The base class calls this before any operation that can block
+        or poll this rank (``wait_recvs``, ``try_match``), outside the
+        mailbox lock — a blocking ring write must never run under it.  A
+        rank registered as waiting in the deadlock table then provably
+        has nothing buffered (its frames are visible to peers and to the
         detector via ``undeposited()``), and a rank that is *not*
         waiting cannot be part of a stuck cycle — so coalescing is
         invisible to deadlock detection and to liveness.
@@ -286,31 +289,6 @@ class ShmWorld(SimWorld):
         self._enqueue_frame(
             env.dest, codec.encode(kind, context, env, recoverable))
 
-    # -------------------------------------------- flush-before-blocking
-    def match(self, context: str, rank: int, source: int, tag: int) -> Envelope:
-        self.flush_frames()
-        return super().match(context, rank, source, tag)
-
-    def match_timeout(self, context: str, rank: int, source: int, tag: int,
-                      timeout_s: float) -> Envelope | None:
-        self.flush_frames()
-        return super().match_timeout(context, rank, source, tag, timeout_s)
-
-    def try_match(self, context: str, rank: int, source: int, tag: int) -> Envelope | None:
-        self.flush_frames()
-        return super().try_match(context, rank, source, tag)
-
-    def mailbox_cond(self, rank: int) -> threading.Condition:
-        # The waitsome/waitall loop blocks on the raw condition rather
-        # than through match(); it fetches the condition exactly once,
-        # before acquiring it, and generates no outbound frames while
-        # waiting — so flushing here keeps the nothing-queued-while-
-        # blocked invariant (and means the flush inside try_match() is a
-        # no-op when the wait loop re-tests under the held lock, which a
-        # blocking ring write must never run under).
-        self.flush_frames()
-        return super().mailbox_cond(rank)
-
     # --------------------------------------------------------- collectives
     def exchange(self, context: str, seq: int, rank: int, value: Any,
                  routine: str = "MPI_Exchange") -> list[Any]:
@@ -318,14 +296,6 @@ class ShmWorld(SimWorld):
         # Stride 4: tree_allgather consumes two tags per call.
         return coll.tree_allgather(
             self, ctx, self.myrank, self.nranks, seq * 4, value)
-
-    def exchange_resilient(self, context: str, seq: int, rank: int, value: Any,
-                           policy, routine: str = "MPI_Exchange") -> list[Any]:
-        # Documented limitation: across processes the rendezvous is a tree
-        # of point-to-point transfers bounded by the deadlock timeout; the
-        # per-round bounded-retry accounting of the thread backend does not
-        # apply (p2p retry/recovery is unaffected).
-        return self.exchange(context, seq, rank, value, routine=routine)
 
     # -------------------------------------------------------------- abort
     def abort(self, reason: str) -> None:

@@ -15,14 +15,11 @@ the individual costs, not the sum.
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.faults.policy import CommFailure
 from repro.mpi.message import ANY_SOURCE, ANY_TAG, Status
 from repro.mpi.world import SimMPIError
 from repro.obs.span import CAT_MPI_WAIT
-from repro.util.timebase import now_us
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.comm import SimComm
@@ -108,26 +105,20 @@ class RecvRequest(Request):
     def wait(self, status: Status | None = None) -> Any:
         if not self._complete:
             with self._comm._span_ctx("MPI_Wait", CAT_MPI_WAIT,
-                                      source=self.source, tag=self.tag) as sp:
-                env = self._comm._match_resilient(self.source, self.tag, span=sp)
-                self._absorb(env, status)
+                                      source=self.source, tag=self.tag):
+                self._absorb(
+                    self._comm._wait_recv("MPI_Wait", self.source, self.tag),
+                    status)
                 self._comm.charge("MPI_Wait", self._cost_us)
         return self._payload
 
 
-def _poll_until_some(requests: Sequence[Request], want_all: bool) -> list[int]:
-    """Block until some (or all) requests complete; return newly completed indices.
+def _wait(requests: Sequence[Request], want_all: bool, op: str) -> list[int]:
+    """Block in ``op`` until some (or all) requests complete; return the
+    newly completed indices in completion order.
 
-    All requests must belong to the same rank's communicators.  Uses the
-    rank's mailbox condition to sleep between matching attempts.
-
-    Under a resilience policy the wait runs in bounded retry rounds: an
-    empty round recovers matching dropped envelopes for every pending
-    receive (charging ``MPI_Retransmit``), and after ``max_attempts``
-    rounds a pending receive whose message is provably lost (tombstoned)
-    raises a typed :class:`CommFailure`.  With no evidence of loss the
-    wait falls back to the ordinary deadlock timeout — slow peers are not
-    failures.
+    All requests must belong to the same rank's communicators; the
+    blocking itself is :meth:`SimWorld.wait_recvs`.
     """
     if not requests:
         return []
@@ -138,132 +129,14 @@ def _poll_until_some(requests: Sequence[Request], want_all: bool) -> list[int]:
     pending = [i for i, r in enumerate(requests) if not r.complete]
     if not pending:
         return []
-    world = comm.world
-    policy = world.policy
-    resilient = policy is not None and world.injector is not None
-    cond = world.mailbox_cond(comm.rank)
-    deadline = time.monotonic() + world.timeout_s
-    attempt = 0
-    next_retry = (time.monotonic() + policy.attempt_timeout_s(0)) if resilient else None
-    completed: list[int] = []
-    obs = comm.obs
-    wait_span = obs.tracer.current() if obs is not None else None
-    t_retry = None
-    san = world.sanitizer
-    try:
-        return _wait_loop(requests, comm, world, cond, deadline, resilient,
-                          policy, next_retry, attempt, completed, pending,
-                          obs, wait_span, t_retry, want_all, san)
-    finally:
-        if san is not None:
-            san.exit_wait(comm.rank)
-
-
-def _wait_loop(requests, comm, world, cond, deadline, resilient, policy,
-               next_retry, attempt, completed, pending, obs, wait_span,
-               t_retry, want_all, san):
-    fault_run = resilient
-    with cond:
-        while True:
-            if world.aborted:
-                raise SimMPIError("simulated MPI job aborted during wait")
-            still = []
-            for i in pending:
-                if requests[i].test():
-                    completed.append(i)
-                else:
-                    still.append(i)
-            pending = still
-            done = (not pending) if want_all else bool(completed)
-            if done:
-                comm._mark_retry(wait_span, t_retry)
-                return completed
-            now = time.monotonic()
-            remaining = deadline - now
-            if remaining <= 0:
-                raise SimMPIError(
-                    f"rank {comm.rank} timed out waiting on {len(pending)} "
-                    "request(s) — likely deadlock"
-                )
-            if resilient and now >= next_retry:
-                world.resilience[comm.rank].retry_rounds += 1
-                if t_retry is None:
-                    t_retry = now_us()
-                if obs is not None:
-                    obs.metrics.counter("mpi_retry_rounds_total",
-                                        "bounded receive retry rounds").inc()
-                recovered = 0
-                receives = [requests[i] for i in pending
-                            if isinstance(requests[i], RecvRequest)]
-                for r in receives:
-                    recovered += world.recover_dropped(
-                        r._comm.context, comm.rank, r.source, r.tag)
-                if recovered:
-                    comm.charge("MPI_Retransmit",
-                                recovered * policy.retransmit_cost_us)
-                attempt += 1
-                if attempt >= policy.max_attempts:
-                    lost = [r for r in receives if world.lost_forever(
-                        r._comm.context, comm.rank, r.source, r.tag)]
-                    if lost:
-                        world.resilience[comm.rank].failures += 1
-                        comm._mark_retry(wait_span, t_retry)
-                        if obs is not None:
-                            obs.metrics.counter(
-                                "mpi_comm_failures_total",
-                                "typed communication failures raised").inc()
-                        r = lost[0]
-                        raise CommFailure(
-                            f"rank {comm.rank}: receive (source={r.source}, "
-                            f"tag={r.tag}) unmatched after {attempt} retry "
-                            "round(s); a matching message was unrecoverably "
-                            "dropped"
-                        )
-                    resilient = False  # healthy but slow: plain timeout only
-                else:
-                    next_retry = now + policy.attempt_timeout_s(attempt)
-                continue  # re-test immediately after any recovery
-            if fault_run and not resilient:
-                # Retry budget exhausted with no evidence of loss.  Keep
-                # recovering opportunistically: process backends deliver drop
-                # records asynchronously, so a recoverable drop may land in
-                # the stash only after the counted rounds ran dry.  On the
-                # thread backend (synchronous drops) the stash is empty here
-                # and this is a no-op, preserving the counted semantics.
-                recovered = 0
-                for i in pending:
-                    r = requests[i]
-                    if isinstance(r, RecvRequest):
-                        recovered += world.recover_dropped(
-                            r._comm.context, comm.rank, r.source, r.tag)
-                if recovered:
-                    comm.charge("MPI_Retransmit",
-                                recovered * policy.retransmit_cost_us)
-                    continue
-            wait_s = min(remaining, 0.5)
-            if resilient:
-                wait_s = min(wait_s, max(next_retry - now, 0.0))
-            # In a fault run the retry/recovery machinery owns liveness: a
-            # pending recv may be blocked on a dropped-but-recoverable
-            # message the wait-for graph cannot see (and on process
-            # backends the drop record itself may still be in flight), so
-            # both registration and verdicts are suspended; the hard
-            # ``timeout_s`` deadline above remains the backstop.
-            if san is not None and san.config.deadlock and not fault_run:
-                waits_on: set[int] = set()
-                pends = []
-                for i in pending:
-                    r = requests[i]
-                    if isinstance(r, RecvRequest):
-                        waits_on |= world.recv_waits_on(comm.rank, r.source)
-                        pends.append(f"(source={r.source}, tag={r.tag})")
-                san.enter_wait(
-                    comm.rank, "MPI_Wait",
-                    f"({len(pends)} pending recv(s): {', '.join(pends)})",
-                    waits_on)
-                san.check_deadlock(comm.rank)
-                wait_s = min(wait_s, san.config.deadlock_poll_s)
-            cond.wait(wait_s)
+    got = comm.world.wait_recvs(
+        comm.rank,
+        [(requests[i]._comm.context, requests[i].source, requests[i].tag)
+         for i in pending],
+        want_all, op, comm.charge)
+    for j, env in got.items():
+        requests[pending[j]]._absorb(env, None)
+    return [pending[j] for j in got]
 
 
 def waitsome(requests: Sequence[Request]) -> list[int]:
@@ -274,10 +147,10 @@ def waitsome(requests: Sequence[Request]) -> list[int]:
     already complete (MPI's ``MPI_UNDEFINED`` case).
     """
     if not any(not r.complete for r in requests):
-        return _poll_until_some(requests, want_all=False)
+        return _wait(requests, False, "MPI_Waitsome")
     comm = requests[0]._comm
     with comm._span_ctx("MPI_Waitsome", CAT_MPI_WAIT, n=len(requests)):
-        done = _poll_until_some(requests, want_all=False)
+        done = _wait(requests, False, "MPI_Waitsome")
         comm.charge("MPI_Waitsome", max(requests[i].cost_us for i in done))
     return done
 
@@ -288,7 +161,7 @@ def waitall(requests: Sequence[Request]) -> None:
         return
     comm = requests[0]._comm
     with comm._span_ctx("MPI_Waitall", CAT_MPI_WAIT, n=len(requests)):
-        done = _poll_until_some(requests, want_all=True)
+        done = _wait(requests, True, "MPI_Waitall")
         cost = max((requests[i].cost_us for i in done), default=0.0)
         comm.charge("MPI_Waitall", cost)
 
@@ -301,7 +174,7 @@ def waitany(requests: Sequence[Request]) -> int:
         raise SimMPIError("waitany: all requests already complete")
     comm = requests[0]._comm
     with comm._span_ctx("MPI_Waitany", CAT_MPI_WAIT, n=len(requests)):
-        done = _poll_until_some(requests, want_all=False)
+        done = _wait(requests, False, "MPI_Waitany")
         idx = done[0]
         comm.charge("MPI_Waitany", requests[idx].cost_us)
     return idx

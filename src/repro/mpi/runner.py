@@ -8,8 +8,7 @@ processors, with MPI between the cohort instances.
 Where the ranks actually execute is pluggable
 (:mod:`repro.mpi.backend`): ``backend="thread"`` (default) runs them as
 threads in this process, ``backend="mp-shm"`` as real processes wired
-through shared-memory rings, ``backend="mpi4py"`` on a real MPI library
-when one is installed.
+through shared-memory rings.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ class ParallelRunner:
         self.obs_config = obs_config
         #: optional SanitizerConfig enabling runtime MPI correctness checks
         self.sanitize = sanitize
-        #: communicator backend name ("thread", "mp-shm", "mpi4py")
+        #: communicator backend name ("thread", "mp-shm")
         self.backend = backend
         #: collective-algorithm family (None, "flat", "hier")
         self.collectives = collectives

@@ -20,9 +20,10 @@ A :class:`SimWorld` holds, for a job of P ranks:
 
 from __future__ import annotations
 
+import math
 import threading
 import time
-from typing import Any
+from typing import Any, Callable, Sequence
 
 from repro.analysis.sanitize import Sanitizer, SanitizerConfig
 from repro.faults.policy import CommFailure, ResiliencePolicy, ResilienceStats
@@ -31,6 +32,7 @@ from repro.mpi.message import ANY_SOURCE, Envelope
 from repro.mpi.network import NetworkModel
 from repro.obs.runtime import ObsConfig, build_obs
 from repro.util.rng import spawn_rngs
+from repro.util.timebase import now_us
 from repro.util.validation import check_positive
 
 WORLD_CONTEXT = "world"
@@ -50,6 +52,62 @@ class _CollectiveSlot:
         self.deposited = 0
         self.readers = 0
         self.ready = False
+
+
+class _Rounds:
+    """Clock of one blocking call: the hard deadline every blocking
+    operation is capped by from entry, plus the bounded retry rounds a
+    resilience policy adds on top.
+
+    Shared by the mailbox wait and the rendezvous wait so round counting,
+    the ``mpi_retry_rounds_total`` metric and the ``retry_us`` span stamp
+    (which the critical-path analyzer splits into its retry bucket) are
+    done once for both kinds.  ``round_s`` maps a round index to its
+    length in seconds; ``None`` means the only round is the hard deadline.
+    """
+
+    def __init__(self, world: "SimWorld", rank: int,
+                 round_s: Callable[[int], float] | None) -> None:
+        now = time.monotonic()
+        self.deadline = now + world.timeout_s
+        self.attempt = 0
+        self._round_s = round_s
+        self._next = now + round_s(0) if round_s is not None else math.inf
+        self._stats = world.resilience[rank]
+        self._obs = world.obs[rank] if world.obs is not None else None
+        self._t_retry_us: float | None = None
+
+    def expired(self, now: float) -> bool:
+        """Count one retry round if the current one ran out."""
+        if now < self._next:
+            return False
+        self.attempt += 1
+        self._stats.retry_rounds += 1
+        if self._t_retry_us is None:
+            self._t_retry_us = now_us()
+        if self._obs is not None:
+            self._obs.metrics.counter(
+                "mpi_retry_rounds_total", "bounded retry rounds").inc()
+        self._next = now + self._round_s(self.attempt)
+        return True
+
+    def stop(self) -> None:
+        """Budget spent without evidence of loss: a slow peer is not a
+        failure, only the hard deadline remains."""
+        self._next = math.inf
+
+    def wait_s(self, now: float) -> float:
+        return max(0.0, min(self.deadline - now, self._next - now, 0.5))
+
+    def stamp(self) -> None:
+        """Accumulate the time spent past the first round on the
+        enclosing span (call on every way out)."""
+        if self._t_retry_us is None or self._obs is None:
+            return
+        span = self._obs.tracer.current()
+        if span is not None:
+            span.attrs["retry_us"] = (span.attrs.get("retry_us", 0.0)
+                                      + now_us() - self._t_retry_us)
 
 
 class SimWorld:
@@ -182,8 +240,14 @@ class SimWorld:
                 self.sanitizer.notify_progress(dest)
             cond.notify_all()
 
+    def flush_frames(self) -> None:
+        """Hook run before this rank can block or poll: a transport that
+        queues outbound envelopes (mp-shm coalescing) puts them on the wire
+        here.  Thread deliveries are synchronous, so nothing to do."""
+
     def try_match(self, context: str, rank: int, source: int, tag: int) -> Envelope | None:
         """Non-blocking: pop the first mailbox envelope matching (source, tag)."""
+        self.flush_frames()
         cond = self._mail_conds[rank]
         with cond:
             return self._pop_locked(context, rank, source, tag)
@@ -194,43 +258,125 @@ class SimWorld:
             return set(range(self.nranks)) - {rank}
         return {source}
 
-    def _sanitize_blocked_recv(self, rank: int, source: int, tag: int,
-                               context: str, wait_s: float) -> float:
-        """Register a blocked receive with the deadlock detector and run a
-        detection pass; returns the (possibly shortened) wait timeout."""
+    def _detector(self) -> Sanitizer | None:
+        """The sanitizer, when it runs deadlock detection."""
         san = self.sanitizer
-        if san is None or not san.config.deadlock:
-            return wait_s
-        san.enter_wait(rank, "MPI_Recv",
-                       f"(source={source}, tag={tag}, context={context!r})",
-                       self.recv_waits_on(rank, source))
-        san.check_deadlock(rank)
-        return min(wait_s, san.config.deadlock_poll_s)
+        return san if san is not None and san.config.deadlock else None
 
-    def match(self, context: str, rank: int, source: int, tag: int) -> Envelope:
-        """Blocking receive match with deadlock timeout."""
+    def wait_recvs(self, rank: int, wants: Sequence[tuple[str, int, int]],
+                   want_all: bool = True, op: str = "MPI_Recv",
+                   charge: Callable[[str, float], None] | None = None,
+                   ) -> dict[int, Envelope]:
+        """Block ``rank`` until some (or all) of its posted receives match.
+
+        The one place that knows how a rank blocks on its mailbox; every
+        blocking receive, probe, wait and collective transport hop comes
+        through here.  ``wants`` are ``(context, source, tag)`` triples;
+        returns ``{index: envelope}`` in completion order — every want when
+        ``want_all``, else at least one.  ``op`` names the blocked routine
+        in deadlock reports.  ``charge`` is the rank's
+        :meth:`~repro.mpi.comm.SimComm.charge`; passing it puts the wait
+        under the world's resilience policy (transport hops pass none:
+        their envelopes bypass fault injection).
+
+        Always: an aborted job raises, and the whole call is capped by
+        ``timeout_s`` from entry.  Under a policy with an injector
+        attached, the wait runs in bounded retry rounds: each expired round
+        retransmits matching dropped envelopes for every pending want (one
+        ``MPI_Retransmit`` charge per recovered batch), and after
+        ``max_attempts`` rounds a want whose message is tombstoned raises a
+        typed :class:`CommFailure`.  Without evidence of loss the rounds
+        stop and the wait goes on to the deadline, still recovering (and
+        looking for a tombstone) on each wake-up — process backends deliver
+        drop records asynchronously, so one may land after the counted
+        rounds ran dry.
+
+        Deadlock detection is suspended for the whole of such a fault run:
+        a receive may be blocked on a dropped-but-recoverable message the
+        wait-for graph cannot see, so the retry machinery owns liveness.
+        Otherwise each sleep registers the pending wants and runs a
+        detection pass.
+        """
+        # Before the lock: a ring write must never run under it, and a
+        # rank registered as blocked must have nothing queued.
+        self.flush_frames()
+        policy = (self.policy if charge is not None
+                  and self.injector is not None else None)
+        rounds = _Rounds(self, rank,
+                         policy.attempt_timeout_s if policy else None)
+        san = self._detector() if policy is None else None
+        got: dict[int, Envelope] = {}
+        pending = dict(enumerate(wants))
         cond = self._mail_conds[rank]
-        deadline = time.monotonic() + self.timeout_s
         try:
             with cond:
                 while True:
                     self._check_abort()
-                    env = self._pop_locked(context, rank, source, tag)
-                    if env is not None:
-                        return env
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
+                    for i, (context, source, tag) in pending.items():
+                        env = self._pop_locked(context, rank, source, tag)
+                        if env is not None:
+                            got[i] = env
+                    pending = {i: w for i, w in pending.items() if i not in got}
+                    if not pending or (got and not want_all):
+                        return got
+                    now = time.monotonic()
+                    if now >= rounds.deadline:
                         raise SimMPIError(
-                            f"rank {rank} timed out after {self.timeout_s}s waiting for "
-                            f"message (source={source}, tag={tag}, context={context!r}) — "
-                            "likely deadlock"
-                        )
-                    wait_s = self._sanitize_blocked_recv(
-                        rank, source, tag, context, min(remaining, 0.5))
+                            f"rank {rank} timed out after {self.timeout_s}s in "
+                            f"{op} waiting for {self._describe(pending)} — "
+                            "likely deadlock")
+                    if policy is not None:
+                        counted = rounds.expired(now)
+                        spent = rounds.attempt >= policy.max_attempts
+                        if counted or spent:
+                            recovered = sum(
+                                self.recover_dropped(context, rank, source, tag)
+                                for context, source, tag in pending.values())
+                            if recovered:
+                                charge("MPI_Retransmit",
+                                       recovered * policy.retransmit_cost_us)
+                            if spent:
+                                self._raise_if_lost(rank, pending, rounds.attempt)
+                                rounds.stop()
+                            if counted or recovered:
+                                continue  # re-test before sleeping
+                    wait_s = rounds.wait_s(now)
+                    if san is not None:
+                        waits_on: set[int] = set()
+                        for _, source, _ in pending.values():
+                            waits_on |= self.recv_waits_on(rank, source)
+                        san.enter_wait(rank, op, self._describe(pending),
+                                       waits_on)
+                        san.check_deadlock(rank)
+                        wait_s = min(wait_s, san.config.deadlock_poll_s)
                     cond.wait(wait_s)
         finally:
-            if self.sanitizer is not None:
-                self.sanitizer.exit_wait(rank)
+            rounds.stamp()
+            if san is not None:
+                san.exit_wait(rank)
+
+    @staticmethod
+    def _describe(pending: dict[int, tuple[str, int, int]]) -> str:
+        recvs = ", ".join(f"(source={s}, tag={t}, context={c!r})"
+                          for c, s, t in pending.values())
+        return f"({len(pending)} pending recv(s): {recvs})"
+
+    def _raise_if_lost(self, rank: int,
+                       pending: dict[int, tuple[str, int, int]],
+                       attempts: int) -> None:
+        """Retry budget spent: a pending want whose message is provably
+        lost (tombstoned) is a typed failure."""
+        for context, source, tag in pending.values():
+            if self.lost_forever(context, rank, source, tag):
+                self.resilience[rank].failures += 1
+                if self.obs is not None:
+                    self.obs[rank].metrics.counter(
+                        "mpi_comm_failures_total",
+                        "typed communication failures raised").inc()
+                raise CommFailure(
+                    f"rank {rank}: receive (source={source}, tag={tag}, "
+                    f"context={context!r}) unmatched after {attempts} retry "
+                    "round(s); a matching message was unrecoverably dropped")
 
     def _pop_locked(self, context: str, rank: int, source: int, tag: int) -> Envelope | None:
         box = self._mailboxes.get((context, rank))
@@ -270,10 +416,6 @@ class SimWorld:
         cond = self._mail_conds[rank]
         with cond:
             self._consumed.get((context, rank), set()).discard(seq)
-
-    def mailbox_cond(self, rank: int) -> threading.Condition:
-        """Condition variable guarding ``rank``'s mailbox (for waitsome)."""
-        return self._mail_conds[rank]
 
     def pending_count(self, context: str, rank: int) -> int:
         """Number of undelivered envelopes waiting for ``rank`` (testing aid)."""
@@ -338,46 +480,7 @@ class SimWorld:
             stones = self._tombstones.get((context, rank), [])
             return any(env.matches(source, tag) for env in stones)
 
-    def match_timeout(self, context: str, rank: int, source: int, tag: int,
-                      timeout_s: float) -> Envelope | None:
-        """Like :meth:`match`, but give up after ``timeout_s`` (one bounded
-        retry round) and return None instead of raising.
-
-        Deadlock verdicts are suspended here: a receive inside a bounded
-        retry round may be blocked on a *dropped-but-recoverable* message,
-        which the wait-for graph cannot see — the retry machinery (which
-        calls this) owns liveness until its rounds are exhausted, after
-        which the caller falls back to :meth:`match` and detection resumes.
-        """
-        cond = self._mail_conds[rank]
-        deadline = time.monotonic() + timeout_s
-        with cond:
-            while True:
-                self._check_abort()
-                env = self._pop_locked(context, rank, source, tag)
-                if env is not None:
-                    return env
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return None
-                cond.wait(min(remaining, 0.5))
-
     # ---------------------------------------------------------- collective
-    def _sanitize_blocked_collective(self, rank: int, key: tuple[str, int],
-                                     slot: "_CollectiveSlot", routine: str,
-                                     wait_s: float) -> float:
-        """Register a rank blocked in a collective with the deadlock
-        detector (waiting on the ranks that have not deposited yet)."""
-        san = self.sanitizer
-        if san is None or not san.config.deadlock:
-            return wait_s
-        missing = set(range(self.nranks)) - set(slot.values)
-        san.enter_wait(rank, routine,
-                       f"(collective #{key[1]}, context={key[0]!r}, "
-                       f"waiting on ranks {sorted(missing)})", missing)
-        san.check_deadlock(rank)
-        return min(wait_s, san.config.deadlock_poll_s)
-
     def exchange(self, context: str, seq: int, rank: int, value: Any,
                  routine: str = "MPI_Exchange") -> list[Any]:
         """All-to-all rendezvous: every rank deposits, all read all values.
@@ -388,9 +491,19 @@ class SimWorld:
         rank.  Returns values ordered by rank.  The last reader frees the
         slot so the table stays bounded.  ``routine`` is diagnostic only
         (deadlock reports name the blocked operation).
+
+        The wait is capped by ``timeout_s`` from entry.  Under a resilience
+        policy it additionally runs in ``max_attempts`` rounds of
+        ``collective_timeout_s`` (growing by the backoff factor): an
+        incomplete round counts a collective retry, and exhausting the
+        budget raises a typed :class:`~repro.faults.policy.CommFailure`
+        instead of hanging until the deadline.
         """
         key = (context, seq)
-        deadline = time.monotonic() + self.timeout_s
+        policy = self.policy
+        rounds = _Rounds(self, rank, None if policy is None else (
+            lambda k: policy.collective_timeout_s * policy.backoff_factor ** k))
+        san = self._detector()
         try:
             with self._coll_cond:
                 slot = self._coll_slots.get(key)
@@ -413,86 +526,29 @@ class SimWorld:
                     self._coll_cond.notify_all()
                 while not slot.ready:
                     self._check_abort()
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise SimMPIError(
-                            f"rank {rank} timed out in collective {key}: only "
-                            f"{slot.deposited}/{self.nranks} ranks arrived — likely "
-                            "mismatched collective calls"
-                        )
-                    wait_s = self._sanitize_blocked_collective(
-                        rank, key, slot, routine, min(remaining, 0.5))
-                    self._coll_cond.wait(wait_s)
-                result = [slot.values[r] for r in range(self.nranks)]
-                slot.readers += 1
-                if slot.readers == self.nranks:
-                    del self._coll_slots[key]
-                return result
-        finally:
-            if self.sanitizer is not None:
-                self.sanitizer.exit_wait(rank)
-
-    def exchange_resilient(self, context: str, seq: int, rank: int, value: Any,
-                           policy: ResiliencePolicy,
-                           routine: str = "MPI_Exchange") -> list[Any]:
-        """Bounded-retry variant of :meth:`exchange`.
-
-        Waits in ``policy.max_attempts`` rounds of
-        ``policy.collective_timeout_s`` (growing by the backoff factor);
-        an incomplete round counts a collective retry, and exhausting the
-        budget raises a typed :class:`~repro.faults.policy.CommFailure`
-        instead of hanging until the world's deadlock timeout.  The overall
-        wait is additionally capped by ``timeout_s`` like the plain path.
-        """
-        key = (context, seq)
-        hard_deadline = time.monotonic() + self.timeout_s
-        try:
-            with self._coll_cond:
-                slot = self._coll_slots.get(key)
-                if slot is None:
-                    slot = _CollectiveSlot()
-                    self._coll_slots[key] = slot
-                if rank in slot.values:
-                    raise SimMPIError(
-                        f"rank {rank} deposited twice into collective {key}; "
-                        "collectives must be called in the same order on all ranks"
-                    )
-                slot.values[rank] = value
-                slot.deposited += 1
-                if self.sanitizer is not None:
-                    self.sanitizer.notify_progress_all()
-                if slot.deposited == self.nranks:
-                    slot.ready = True
-                    self._coll_cond.notify_all()
-                attempt = 0
-                round_deadline = time.monotonic() + min(
-                    policy.collective_timeout_s, self.timeout_s)
-                while not slot.ready:
-                    self._check_abort()
+                    arrived = f"{slot.deposited}/{self.nranks} ranks arrived"
                     now = time.monotonic()
-                    if now >= hard_deadline:
+                    if now >= rounds.deadline:
                         raise SimMPIError(
                             f"rank {rank} timed out in collective {key}: only "
-                            f"{slot.deposited}/{self.nranks} ranks arrived — likely "
-                            "mismatched collective calls"
-                        )
-                    if now >= round_deadline:
-                        attempt += 1
-                        self.resilience[rank].retry_rounds += 1
-                        if attempt >= policy.max_attempts:
+                            f"{arrived} — likely mismatched collective calls")
+                    if rounds.expired(now):
+                        if rounds.attempt >= policy.max_attempts:
                             self.resilience[rank].failures += 1
                             raise CommFailure(
-                                f"rank {rank}: collective {key} incomplete after "
-                                f"{attempt} bounded round(s) "
-                                f"({slot.deposited}/{self.nranks} ranks arrived)"
-                            )
+                                f"rank {rank}: collective {key} incomplete "
+                                f"after {rounds.attempt} bounded round(s) "
+                                f"({arrived})")
                         self.resilience[rank].collective_retries += 1
-                        round_deadline = now + policy.collective_timeout_s * (
-                            policy.backoff_factor ** attempt)
-                        continue
-                    wait_s = self._sanitize_blocked_collective(
-                        rank, key, slot, routine,
-                        min(round_deadline - now, 0.5))
+                    wait_s = rounds.wait_s(now)
+                    if san is not None:
+                        missing = set(range(self.nranks)) - set(slot.values)
+                        san.enter_wait(
+                            rank, routine,
+                            f"(collective #{seq}, context={context!r}, "
+                            f"waiting on ranks {sorted(missing)})", missing)
+                        san.check_deadlock(rank)
+                        wait_s = min(wait_s, san.config.deadlock_poll_s)
                     self._coll_cond.wait(wait_s)
                 result = [slot.values[r] for r in range(self.nranks)]
                 slot.readers += 1
@@ -500,5 +556,6 @@ class SimWorld:
                     del self._coll_slots[key]
                 return result
         finally:
-            if self.sanitizer is not None:
-                self.sanitizer.exit_wait(rank)
+            rounds.stamp()
+            if san is not None:
+                san.exit_wait(rank)

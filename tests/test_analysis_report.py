@@ -78,12 +78,12 @@ class TestExitCodes:
         assert "repro.analysis" in capsys.readouterr().err
 
     def test_suppression_only_run_exits_zero_without_engine(self, tmp_path):
-        """Every finding suppressed -> clean exit under the lexical pass
-        (no RA012 without the engine)."""
+        """Every finding suppressed -> clean exit under a rule subset
+        (which runs no RA012)."""
         f = tmp_path / "s.py"
         f.write_text("import time\ndef g():\n"
                      "    return time.time()  # ra: noqa[RA002]\n")
-        assert main([str(f), "--no-engine"]) == 0
+        assert main([str(f), "--rules", "RA002"]) == 0
 
     def test_suppression_only_run_exits_zero_with_engine(self, tmp_path):
         """The engine agrees when every suppression is actually used."""
@@ -95,7 +95,7 @@ class TestExitCodes:
     def test_unused_suppression_fails_engine_run_only(self, tmp_path, capsys):
         f = tmp_path / "s.py"
         f.write_text("def g():\n    return 1  # ra: noqa[RA002]\n")
-        assert main([str(f), "--no-engine"]) == 0
+        assert main([str(f), "--rules", "RA002"]) == 0
         assert main([str(f)]) == 1
         assert "RA012" in capsys.readouterr().out
 

@@ -1,14 +1,16 @@
 """MPI-layer fault injection and recovery (drops, duplicates, delays, stalls)."""
 
+import time
+
 import pytest
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (DELAY, DROP, DUPLICATE, FaultPlan, MessageFault,
                                RankStall)
 from repro.faults.policy import CommFailure, ResiliencePolicy
-from repro.mpi.request import waitall, waitsome
+from repro.mpi.request import waitall, waitany, waitsome
 from repro.mpi.runner import ParallelRunner, RankFailure
-from repro.mpi.world import SimMPIError
+from repro.obs import ObsConfig
 
 #: fast-retry policy so recovery tests run in milliseconds
 FAST = ResiliencePolicy(max_attempts=4, retry_timeout_s=0.02,
@@ -16,10 +18,11 @@ FAST = ResiliencePolicy(max_attempts=4, retry_timeout_s=0.02,
 
 
 def run_with(plan: FaultPlan | None, fn, nranks: int = 2,
-             policy: ResiliencePolicy | None = FAST, timeout_s: float = 20.0):
+             policy: ResiliencePolicy | None = FAST, timeout_s: float = 20.0,
+             **runner_kw):
     injector = FaultInjector(plan, nranks) if plan is not None else None
     runner = ParallelRunner(nranks, seed=0, timeout_s=timeout_s,
-                            injector=injector, policy=policy)
+                            injector=injector, policy=policy, **runner_kw)
     results = runner.run(fn)
     return results, runner.last_world
 
@@ -102,6 +105,98 @@ def test_drop_without_policy_deadlocks_with_plain_timeout():
         run_with(drop_first_send_plan(), fn, policy=None, timeout_s=0.5)
     assert "SimMPIError" in str(exc.value)
     assert "CommFailure" not in str(exc.value)
+
+
+# ------------------------------------------- every blocking entry point
+def _via_request(wait):
+    def entry(comm):
+        reqs = [comm.irecv(source=0, tag=5)]
+        wait(reqs)
+        return reqs[0].payload
+    return entry
+
+
+def _probe_then_recv(comm):
+    comm.probe(source=0, tag=5)
+    return comm.recv(source=0, tag=5)
+
+
+#: receiver side of every operation that can block on a mailbox, each
+#: written to return the payload of the (source=0, tag=5) message
+BLOCKING_ENTRIES = {
+    "recv": lambda comm: comm.recv(source=0, tag=5),
+    "probe+recv": _probe_then_recv,
+    "sendrecv": lambda comm: comm.sendrecv("ack", dest=0, sendtag=6,
+                                           source=0, recvtag=5),
+    "Request.wait": lambda comm: comm.irecv(source=0, tag=5).wait(),
+    "waitany": _via_request(waitany),
+    "waitsome": _via_request(waitsome),
+    "waitall": _via_request(waitall),
+}
+
+
+def _drop_then_enter(entry):
+    """Rank 0's first send is dropped; its second ("go") is delivered after
+    the drop record, so rank 1 enters the blocking op with the record
+    already stashed on every backend."""
+    def fn(comm):
+        if comm.rank == 0:
+            comm.send({"x": 41}, 1, tag=5)
+            comm.send("go", 1, tag=9)
+            return None
+        comm.recv(source=0, tag=9)
+        return entry(comm)
+    return fn
+
+
+@pytest.mark.parametrize("backend", ["thread", "mp-shm"])
+@pytest.mark.parametrize("entry", BLOCKING_ENTRIES)
+class TestEveryBlockingEntryPoint:
+    def test_recoverable_drop_is_recovered(self, entry, backend):
+        results, world = run_with(
+            drop_first_send_plan(), _drop_then_enter(BLOCKING_ENTRIES[entry]),
+            backend=backend)
+        assert results[1] == {"x": 41}
+        assert world.resilience[1].recovered == 1
+        assert world.accounting[1].calls("MPI_Retransmit") == 1
+
+    def test_tombstone_raises_typed_failure(self, entry, backend):
+        with pytest.raises(RankFailure, match="unrecoverably dropped") as exc:
+            run_with(drop_first_send_plan(recoverable=False),
+                     _drop_then_enter(BLOCKING_ENTRIES[entry]),
+                     backend=backend)
+        assert "CommFailure" in str(exc.value)
+
+    def test_drop_without_policy_is_a_plain_timeout(self, entry, backend):
+        with pytest.raises(RankFailure) as exc:
+            run_with(drop_first_send_plan(),
+                     _drop_then_enter(BLOCKING_ENTRIES[entry]),
+                     policy=None, timeout_s=0.3, backend=backend)
+        assert "SimMPIError" in str(exc.value)
+        assert "CommFailure" not in str(exc.value)
+
+
+@pytest.mark.parametrize("entry", ["recv", "waitall"])
+def test_one_hard_deadline_caps_rounds_and_fallback(entry):
+    """Retry rounds run inside ``timeout_s``, not in front of a fresh one:
+    a silent peer fails the op at the deadline counted from entry."""
+    policy = ResiliencePolicy(max_attempts=4, retry_timeout_s=0.3,
+                              backoff_factor=1.0)
+    elapsed = {}
+
+    def fn(comm):
+        if comm.rank == 0:
+            return None
+        t0 = time.monotonic()
+        try:
+            BLOCKING_ENTRIES[entry](comm)
+        finally:
+            elapsed[entry] = time.monotonic() - t0
+
+    with pytest.raises(RankFailure, match="timed out after 0.5s") as exc:
+        run_with(FaultPlan(), fn, policy=policy, timeout_s=0.5)
+    assert "SimMPIError" in str(exc.value)
+    assert elapsed[entry] < 0.9
 
 
 # --------------------------------------------------------------- duplicate
@@ -206,6 +301,28 @@ def test_collective_abandonment_raises_comm_failure():
 
     with pytest.raises(RankFailure, match="CommFailure"):
         run_with(FaultPlan(), fn, policy=policy, timeout_s=5.0)
+
+
+def test_collective_retry_rounds_reach_observability():
+    """Rounds a collective sat through count in the retry metric and are
+    stamped on the stalled rank's collective span."""
+    policy = ResiliencePolicy(max_attempts=50, collective_timeout_s=0.03,
+                              backoff_factor=1.0)
+
+    def fn(comm):
+        if comm.rank == 0:
+            time.sleep(0.2)
+        return comm.allreduce(1)
+
+    results, world = run_with(None, fn, policy=policy, obs_config=ObsConfig())
+    assert results == [2, 2]
+    assert world.resilience[1].collective_retries >= 2
+    for rank in range(2):
+        counter = world.obs[rank].metrics.counter("mpi_retry_rounds_total")
+        assert counter.value == world.resilience[rank].retry_rounds
+    stalled, = [s for s in world.obs[1].tracer.spans()
+                if s.name == "MPI_Allreduce"]
+    assert stalled.attrs["retry_us"] > 0
 
 
 # ------------------------------------------------------------- determinism
