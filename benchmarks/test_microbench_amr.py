@@ -1,14 +1,16 @@
 """Microbenchmarks of the AMR substrate.
 
-Characterizes the Berger-Rigoutsos clustering and the ghost-exchange
-planning/execution path at case-study-like sizes.
+Characterizes the Berger-Rigoutsos clustering, the cost of compiling a
+ghost-exchange plan (paid once per regrid) and of executing a compiled
+one (paid on every ghost update) at case-study-like sizes.
 """
 
 import numpy as np
 from conftest import write_out
 
 from repro.amr import Box, GridHierarchy, cluster_flags
-from repro.amr.ghost import execute_transfers, plan_same_level_exchange
+from repro.amr.ghost import (ExchangePlan, execute_transfers,
+                             plan_same_level_exchange)
 
 
 def _shock_flags(n=256):
@@ -51,8 +53,14 @@ def test_microbench_ghost_plan(benchmark):
 
 def test_microbench_ghost_execute_local(benchmark):
     h = _build_level()
-    plan = plan_same_level_exchange(h.levels[0])
+    plan = ExchangePlan(plan_same_level_exchange(h.levels[0]))
     benchmark(lambda: execute_transfers(plan, h.fields, comm=None))
+
+
+def test_microbench_ghost_update_compiled(benchmark):
+    h = _build_level()
+    h.ghost_update(0)  # compiles the level's plans
+    benchmark(lambda: h.ghost_update(0))
 
 
 def test_microbench_regrid(benchmark):

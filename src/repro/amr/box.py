@@ -8,15 +8,18 @@ are the geometry language of patches, clustering and ghost exchange.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
 
 
 @dataclass(frozen=True, order=True)
 class Box:
     """Inclusive integer rectangle: ``lo=(ilo, jlo)``, ``hi=(ihi, jhi)``.
 
-    The i index varies along x (array axis 1 is j?  No — see Patch: arrays
-    are indexed ``[i, j]`` with i the row / x index and j the column / y
-    index; this keeps clustering and interpolation axis handling uniform).
+    Patch arrays are indexed ``[i, j]``: i is the row index (array axis 0,
+    the y direction) and j the column index (array axis 1, the contiguous
+    x direction); see :meth:`GridHierarchy.dx` for the physical mapping.
     """
 
     ilo: int
@@ -86,14 +89,7 @@ class Box:
         """Index box of the coarse cells covering this region (floor/ceil)."""
         if r < 1:
             raise ValueError(f"refinement factor must be >= 1, got {r}")
-        import math
-
-        return Box(
-            math.floor(self.ilo / r),
-            math.floor(self.jlo / r),
-            math.floor(self.ihi / r),
-            math.floor(self.jhi / r),
-        )
+        return Box(self.ilo // r, self.jlo // r, self.ihi // r, self.jhi // r)
 
     def slices(self, origin: "Box") -> tuple[slice, slice]:
         """NumPy slices of this box inside an array laid out over ``origin``."""
@@ -106,3 +102,23 @@ class Box:
 
     def __str__(self) -> str:
         return f"[{self.ilo}:{self.ihi},{self.jlo}:{self.jhi}]"
+
+
+def box_array(boxes: Iterable[Box]) -> np.ndarray:
+    """``(n, 4)`` int64 array of ``(ilo, jlo, ihi, jhi)`` rows."""
+    return np.array([(b.ilo, b.jlo, b.ihi, b.jhi) for b in boxes],
+                    dtype=np.int64).reshape(-1, 4)
+
+
+def pairwise_overlaps(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every non-empty ``a[i] & b[j]`` of two ``(n, 4)`` box arrays.
+
+    Returns ``(ia, ib, overlap)``: index arrays into ``a`` and ``b`` and
+    the ``(k, 4)`` overlap boxes, in the order of the nested loop
+    ``for i in a: for j in b`` — the order transfer plans (and so message
+    tags) are numbered in.
+    """
+    lo = np.maximum(a[:, None, :2], b[None, :, :2])
+    hi = np.minimum(a[:, None, 2:], b[None, :, 2:])
+    ia, ib = np.nonzero((lo <= hi).all(axis=2))
+    return ia, ib, np.hstack([lo[ia, ib], hi[ia, ib]])

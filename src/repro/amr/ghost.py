@@ -11,23 +11,34 @@ pattern of the paper's Figure 3.
 
 Plans are computed from replicated metadata (every rank knows all patch
 boxes and owners), so all ranks enumerate identical transfer lists and tag
-assignment needs no negotiation.
+assignment needs no negotiation.  A plan only changes when the patches do,
+so it is compiled once (:class:`ExchangePlan`) and executed many times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.amr.box import Box
+from repro.amr.box import Box, box_array, pairwise_overlaps
 from repro.amr.patch import Patch
 from repro.mpi.comm import SimComm
 from repro.mpi.request import RecvRequest, waitsome
 
-#: signature of a source-side data transform (e.g. prolong/restrict)
+#: signature of a source-side data transform (e.g. prolong/restrict) of
+#: an ``(nfields, ni, nj)`` block; it acts on the last two axes
 Transform = Callable[[np.ndarray], np.ndarray]
+
+
+def _whole_block(patch: Patch, fields: Sequence[str]) -> np.ndarray:
+    """The patch's storage block, given that ``fields`` is all of it."""
+    if patch.names != tuple(fields):
+        raise ValueError(
+            f"transfer of fields {list(fields)} on patch {patch.uid} holding "
+            f"{list(patch.names)}: a transfer moves the whole block")
+    return patch.block
 
 
 @dataclass
@@ -36,7 +47,9 @@ class Transfer:
 
     Regions are boxes in each patch's own level index space; after the
     optional ``transform`` the source block's shape must equal the
-    destination region's shape.
+    destination region's shape.  The storage slices of both regions are
+    resolved once, here, so executing the transfer is one slice copy of
+    the patch's whole ``(nfields, ni, nj)`` block.
     """
 
     src_patch: Patch
@@ -45,27 +58,30 @@ class Transfer:
     dst_region: Box
     transform: Transform | None = None
 
+    def __post_init__(self) -> None:
+        self._src = (slice(None), *self.src_region.slices(self.src_patch.ghost_box))
+        self._dst = (slice(None), *self.dst_region.slices(self.dst_patch.ghost_box))
+        self._dst_shape = self.dst_region.shape
+
     def extract(self, fields: Sequence[str]) -> np.ndarray:
-        """Stack the source data block for all fields (at the source rank)."""
-        blocks = []
-        for f in fields:
-            block = np.ascontiguousarray(self.src_patch.view(f, self.src_region))
-            if self.transform is not None:
-                block = self.transform(block)
-            blocks.append(block)
-        data = np.stack(blocks)
-        expected = self.dst_region.shape
-        if data.shape[1:] != expected:
+        """The ``(nfields, ...)`` source block (at the source rank).
+
+        A view of the patch's storage unless a transform made a new array;
+        ``fields`` must be the patch's own field list.
+        """
+        data = _whole_block(self.src_patch, fields)[self._src]
+        if self.transform is not None:
+            data = self.transform(data)
+        if data.shape[1:] != self._dst_shape:
             raise ValueError(
                 f"transfer block shape {data.shape[1:]} != destination region "
-                f"shape {expected} ({self.src_region} -> {self.dst_region})"
+                f"shape {self._dst_shape} ({self.src_region} -> {self.dst_region})"
             )
         return data
 
     def insert(self, data: np.ndarray, fields: Sequence[str]) -> None:
         """Write a received block into the destination patch."""
-        for k, f in enumerate(fields):
-            self.dst_patch.view(f, self.dst_region)[...] = data[k]
+        _whole_block(self.dst_patch, fields)[self._dst] = data
         self.dst_patch.mark_written()
 
 
@@ -77,35 +93,64 @@ def plan_same_level_exchange(patches: Sequence[Patch]) -> list[Transfer]:
     Deterministic: patches are traversed in uid order.
     """
     ordered = sorted(patches, key=lambda p: p.uid)
-    plan: list[Transfer] = []
-    for dst in ordered:
-        gbox = dst.box.grow(dst.nghost)
-        for src in ordered:
-            if src.uid == dst.uid:
-                continue
-            overlap = gbox.intersection(src.box)
-            if overlap is None:
-                continue
-            # Exclude the destination interior; only true ghost cells.
-            if dst.box.contains_box(overlap):
-                continue
-            plan.append(Transfer(src_patch=src, dst_patch=dst,
-                                 src_region=overlap, dst_region=overlap))
+    boxes = box_array(p.box for p in ordered)
+    nghost = np.array([p.nghost for p in ordered], dtype=np.int64)[:, None]
+    grown = boxes + np.hstack([-nghost, -nghost, nghost, nghost])
+    idst, isrc, overlap = pairwise_overlaps(grown, boxes)
+    # Exclude the destination interior; only true ghost cells.
+    inside = ((overlap[:, :2] >= boxes[idst, :2])
+              & (overlap[:, 2:] <= boxes[idst, 2:])).all(axis=1)
+    keep = (idst != isrc) & ~inside
+    plan = []
+    for d, s, ov in zip(idst[keep].tolist(), isrc[keep].tolist(),
+                        overlap[keep].tolist()):
+        region = Box(*ov)
+        plan.append(Transfer(src_patch=ordered[s], dst_patch=ordered[d],
+                             src_region=region, dst_region=region))
     return plan
 
 
-@dataclass
+_LOCAL, _SEND, _RECV = range(3)
+
+
 class ExchangePlan:
-    """A reusable transfer plan plus its bookkeeping."""
+    """A compiled, reusable transfer plan.
 
-    transfers: list[Transfer]
+    ``transfers`` is the full replicated list: its length and the index of
+    each transfer fix the message tags, identically on every rank.  What
+    one rank does with it — local copies, sends and receives, in plan
+    order — is split out once per rank, so executing the plan walks only
+    the transfers that rank takes part in.
+    """
 
-    def nbytes_estimate(self, nfields: int) -> int:
-        return sum(t.dst_region.ncells * 8 * nfields for t in self.transfers)
+    def __init__(self, transfers: Sequence[Transfer]) -> None:
+        self.transfers = list(transfers)
+        self._ops: dict[int, list[tuple[int, int, Transfer]]] = {}
+
+    def __len__(self) -> int:
+        return len(self.transfers)
+
+    def __iter__(self) -> Iterator[Transfer]:
+        return iter(self.transfers)
+
+    def ops(self, rank: int) -> list[tuple[int, int, Transfer]]:
+        """``(kind, index, transfer)`` for every transfer ``rank`` owns an
+        end of, in plan order."""
+        ops = self._ops.get(rank)
+        if ops is None:
+            ops = self._ops[rank] = []
+            for idx, t in enumerate(self.transfers):
+                src_here = t.src_patch.owner == rank
+                dst_here = t.dst_patch.owner == rank
+                if src_here and dst_here:
+                    ops.append((_LOCAL, idx, t))
+                elif src_here or dst_here:
+                    ops.append((_SEND if src_here else _RECV, idx, t))
+        return ops
 
 
 def execute_transfers(
-    transfers: Sequence[Transfer],
+    transfers: Sequence[Transfer] | ExchangePlan,
     fields: Sequence[str],
     comm: SimComm | None,
     rank: int = 0,
@@ -115,49 +160,48 @@ def execute_transfers(
 
     Local transfers (src and dst owned by ``rank``) copy directly.  Remote
     ones post ``isend``/``irecv`` and drain completions with ``waitsome``,
-    the paper's AMRMesh communication pattern.  With ``comm=None`` the plan
-    must be entirely local (serial runs).
+    the paper's AMRMesh communication pattern.  The tag of a transfer is
+    ``tag_base`` plus its index in the full plan.  With ``comm=None`` the
+    plan must be entirely local (serial runs).
     """
-    fields = list(fields)
+    fields = tuple(fields)
     if comm is None:
         for t in transfers:
             t.insert(t.extract(fields), fields)
         return 0.0
 
+    plan = transfers if isinstance(transfers, ExchangePlan) else ExchangePlan(transfers)
     before_us = comm.accounting.total_us()
     san = comm.world.sanitizer
     guard = san.ghost_guard(rank) if san is not None else None
-    recvs: list[tuple[RecvRequest, Transfer, int]] = []
-    for idx, t in enumerate(transfers):
+    pending: list[RecvRequest] = []
+    posted: list[tuple[Transfer, int]] = []
+    for kind, idx, t in plan.ops(rank):
         tag = tag_base + idx
-        src_o, dst_o = t.src_patch.owner, t.dst_patch.owner
-        if src_o == rank and dst_o == rank:
+        if kind == _LOCAL:
             t.insert(t.extract(fields), fields)
-        elif src_o == rank:
-            comm.isend(t.extract(fields), dest=dst_o, tag=tag)
+        elif kind == _SEND:
+            comm.isend(t.extract(fields), dest=t.dst_patch.owner, tag=tag)
             if guard is not None:
                 guard.watch_send(t.src_patch, t.src_region, fields, tag)
-        elif dst_o == rank:
-            recvs.append((comm.irecv(source=src_o, tag=tag), t, tag))
+        else:
+            pending.append(comm.irecv(source=t.src_patch.owner, tag=tag))
+            posted.append((t, tag))
             if guard is not None:
                 guard.watch_recv(t.dst_patch, t.dst_region, fields, tag)
-    pending = [r for r, _t, _tag in recvs]
-    by_req = {id(r): (t, tag) for r, t, tag in recvs}
     while any(not r.complete for r in pending):
-        done = waitsome(pending)
-        for i in done:
-            req = pending[i]
-            t, tag = by_req[id(req)]
+        for i in waitsome(pending):
+            t, tag = posted[i]
             if guard is not None:
                 guard.check_recv(tag)
-            t.insert(req.payload, fields)
+            t.insert(pending[i].payload, fields)
     if guard is not None:
         guard.check_sends()
     return comm.accounting.total_us() - before_us
 
 
 class GhostExchanger:
-    """Stateful per-level ghost-update driver with deterministic tags.
+    """Tag allocator and executor for a mesh's transfer plans.
 
     One instance per mesh; every call advances the shared tag counter the
     same way on every rank (plans are replicated), keeping message matching
@@ -174,13 +218,8 @@ class GhostExchanger:
         self._tag += max(plan_len, 1)
         return base
 
-    def update_level(self, patches: Sequence[Patch], fields: Sequence[str]) -> float:
-        """Same-level ghost-cell update; returns modeled MPI time (us)."""
-        plan = plan_same_level_exchange(patches)
-        base = self.next_tag_base(len(plan))
-        return execute_transfers(plan, fields, self.comm, self.rank, tag_base=base)
-
-    def run(self, transfers: Sequence[Transfer], fields: Sequence[str]) -> float:
-        """Execute an arbitrary pre-computed plan (inter-level motion)."""
+    def run(self, transfers: Sequence[Transfer] | ExchangePlan,
+            fields: Sequence[str]) -> float:
+        """Execute a plan under fresh tags; returns modeled MPI time (us)."""
         base = self.next_tag_base(len(transfers))
         return execute_transfers(transfers, fields, self.comm, self.rank, tag_base=base)

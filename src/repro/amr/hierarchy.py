@@ -16,6 +16,11 @@ Responsibilities:
   zero-gradient physical boundaries), returning the modeled MPI time each
   call consumed — the per-level samples of the paper's Figure 9;
 * conservative fine-to-coarse synchronization (restriction).
+
+The transfer pattern of a level is fixed between regrids, so its plans are
+compiled on first use and kept until :meth:`GridHierarchy.set_level`
+replaces that level or a coarser one; ``ghost_update`` and ``sync_down``
+only execute them.
 """
 
 from __future__ import annotations
@@ -24,12 +29,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.amr.box import Box
+from repro.amr import ghost
+from repro.amr.box import Box, box_array, pairwise_overlaps
 from repro.amr.clustering import cluster_flags
 from repro.amr.decomposition import (DecompositionStats, assign_knapsack,
                                      assign_round_robin)
 from repro.amr.flagging import buffer_flags, flag_gradient
-from repro.amr.ghost import GhostExchanger, Transfer
+from repro.amr.ghost import ExchangePlan, GhostExchanger, Transfer
 from repro.amr.interpolation import prolong, restrict
 from repro.amr.patch import Patch
 from repro.mpi.comm import SimComm
@@ -55,6 +61,11 @@ def ghost_strips(box: Box, nghost: int, clip: Box) -> list[Box]:
         if ov is not None:
             out.append(ov)
     return out
+
+
+def _refined(boxes: np.ndarray, r: int) -> np.ndarray:
+    """:meth:`Box.refine` over an ``(n, 4)`` box array."""
+    return np.hstack([boxes[:, :2] * r, (boxes[:, 2:] + 1) * r - 1])
 
 
 class GridHierarchy:
@@ -102,7 +113,12 @@ class GridHierarchy:
         self.max_patch_cells = int(max_patch_cells)
         self.min_width = int(min_width)
         self.balancer = _BALANCERS[balancer]
+        #: patches per level; replaced only through :meth:`set_level`
         self.levels: list[list[Patch]] = [[] for _ in range(self.max_levels)]
+        #: compiled plans, each filed under the finest level it reads:
+        #: the exchanges of ``ghost_update(k)`` and of ``sync_down(k - 1)``
+        self._ghost_plans: list[list[ExchangePlan] | None] = [None] * self.max_levels
+        self._sync_plans: list[ExchangePlan | None] = [None] * self.max_levels
         self.exchanger = GhostExchanger(comm=comm, rank=self.rank)
         self._uid = 0
         #: number of completed regrids (decomposition generation, Figure 9)
@@ -156,11 +172,21 @@ class GridHierarchy:
     def local_patches(self, level: int) -> list[Patch]:
         return [p for p in self.levels[level] if self.is_local(p)]
 
+    def set_level(self, level: int, patches: list[Patch]) -> None:
+        """Replace the patches of ``level``.
+
+        The one write to ``levels``: it drops every compiled plan that
+        reads this level — its own and those of all finer levels — so a
+        plan built for a previous decomposition can never be executed.
+        """
+        self.levels[level] = patches
+        for k in range(level, self.max_levels):
+            self._ghost_plans[k] = self._sync_plans[k] = None
+
     def _allocate_local(self, patches: Sequence[Patch]) -> None:
         for p in patches:
             if self.is_local(p):
-                for f in self.fields:
-                    p.allocate(f)
+                p.allocate(self.fields)
 
     def total_cells(self, level: int | None = None) -> int:
         levels = range(self.max_levels) if level is None else [level]
@@ -184,7 +210,7 @@ class GridHierarchy:
                 patches.append(self._new_patch(box, 0))
         stats = self.balancer(patches, self.nranks)
         self.decomposition_stats.append(stats)
-        self.levels[0] = patches
+        self.set_level(0, patches)
         self._allocate_local(patches)
 
     def fill(self, level: int, fn: Callable[[np.ndarray, np.ndarray], dict[str, np.ndarray]]) -> None:
@@ -209,6 +235,35 @@ class GridHierarchy:
                 p.data(f)[...] = arr
 
     # ------------------------------------------------------ ghost update
+    def _prolong_transfers(self, targets: Sequence[tuple[Patch, Box]],
+                           src_level: int, dst_level: int) -> list[Transfer]:
+        """Transfers filling each ``(fine patch, region)`` target on
+        ``dst_level`` by prolongation from the patches of ``src_level``."""
+        power = self.r ** (dst_level - src_level)
+        sources = self.levels[src_level]
+        regions = box_array(region for _fp, region in targets)
+        itarget, isrc, coarse = pairwise_overlaps(
+            regions // power, box_array(cp.box for cp in sources))
+        cover = _refined(coarse, power)
+        # Every coarse cell under a region holds a cell of it, so the
+        # fine cover always meets the region.
+        dst = np.hstack([np.maximum(cover[:, :2], regions[itarget, :2]),
+                         np.minimum(cover[:, 2:], regions[itarget, 2:])])
+        crop = np.hstack([dst[:, :2], dst[:, 2:] + 1]) - np.tile(cover[:, :2], 2)
+        plan = []
+        for k, s, ov_c, d, (i0, j0, i1, j1) in zip(
+                itarget.tolist(), isrc.tolist(), coarse.tolist(),
+                dst.tolist(), crop.tolist()):
+            window = (slice(None), slice(i0, i1), slice(j0, j1))
+            plan.append(Transfer(
+                src_patch=sources[s],
+                dst_patch=targets[k][0],
+                src_region=Box(*ov_c),
+                dst_region=Box(*d),
+                transform=(lambda b, p=power, w=window: prolong(b, p)[w]),
+            ))
+        return plan
+
     def _interlevel_ghost_phases(self, level: int) -> list[list[Transfer]]:
         """Coarse->fine prolongation transfers covering fine ghost strips.
 
@@ -220,32 +275,11 @@ class GridHierarchy:
         land *on top of* finer data (a write-after-write race the ghost
         sanitizer flags).
         """
-        phases: list[list[Transfer]] = []
         lbox = self.level_box(level)
-        for src_level in range(level):
-            power = self.r ** (level - src_level)
-            plan: list[Transfer] = []
-            for fp in self.levels[level]:
-                for strip in ghost_strips(fp.box, self.nghost, lbox):
-                    cov = strip.coarsen(power)
-                    for cp in self.levels[src_level]:
-                        ov_c = cov.intersection(cp.box)
-                        if ov_c is None:
-                            continue
-                        fine_cover = ov_c.refine(power)
-                        dst = fine_cover.intersection(strip)
-                        if dst is None:
-                            continue
-                        crop = dst.slices(fine_cover)
-                        plan.append(Transfer(
-                            src_patch=cp,
-                            dst_patch=fp,
-                            src_region=ov_c,
-                            dst_region=dst,
-                            transform=(lambda b, p=power, c=crop: prolong(b, p)[c]),
-                        ))
-            phases.append(plan)
-        return phases
+        strips = [(fp, strip) for fp in self.levels[level]
+                  for strip in ghost_strips(fp.box, self.nghost, lbox)]
+        return [self._prolong_transfers(strips, src_level, level)
+                for src_level in range(level)]
 
     def _fill_physical_bc(self, level: int) -> None:
         """Zero-gradient extrapolation into ghosts outside the domain."""
@@ -254,16 +288,30 @@ class GridHierarchy:
             return
         lbox = self.level_box(level)
         for p in self.local_patches(level):
-            for f in self.fields:
-                arr = p.data(f)
-                if p.box.ilo == lbox.ilo:
-                    arr[:g, :] = arr[g : g + 1, :]
-                if p.box.ihi == lbox.ihi:
-                    arr[-g:, :] = arr[-g - 1 : -g, :]
-                if p.box.jlo == lbox.jlo:
-                    arr[:, :g] = arr[:, g : g + 1]
-                if p.box.jhi == lbox.jhi:
-                    arr[:, -g:] = arr[:, -g - 1 : -g]
+            arr = p.block
+            if p.box.ilo == lbox.ilo:
+                arr[:, :g, :] = arr[:, g : g + 1, :]
+            if p.box.ihi == lbox.ihi:
+                arr[:, -g:, :] = arr[:, -g - 1 : -g, :]
+            if p.box.jlo == lbox.jlo:
+                arr[:, :, :g] = arr[:, :, g : g + 1]
+            if p.box.jhi == lbox.jhi:
+                arr[:, :, -g:] = arr[:, :, -g - 1 : -g]
+
+    def ghost_plans(self, level: int) -> list[ExchangePlan]:
+        """The exchanges of one ghost update, in execution order: one per
+        coarser source level, then the same-level exchange."""
+        plans = self._ghost_plans[level]
+        if plans is None:
+            plans = [ExchangePlan(phase)
+                     for phase in self._interlevel_ghost_phases(level)]
+            # Looked up on the module at call time, like ``execute_transfers``
+            # in ``GhostExchanger.run``: a tracer that wraps the module's
+            # functions must see every plan build.
+            plans.append(ExchangePlan(
+                ghost.plan_same_level_exchange(self.levels[level])))
+            self._ghost_plans[level] = plans
+        return plans
 
     def ghost_update(self, level: int) -> float:
         """Fill ghost cells on ``level``; returns modeled MPI time (us).
@@ -272,33 +320,38 @@ class GridHierarchy:
         overwrites where true neighbors exist), then physical boundaries.
         """
         comm_us = 0.0
-        if level > 0:
-            for phase in self._interlevel_ghost_phases(level):
-                comm_us += self.exchanger.run(phase, self.fields)
-        comm_us += self.exchanger.update_level(self.levels[level], self.fields)
+        for plan in self.ghost_plans(level):
+            comm_us += self.exchanger.run(plan, self.fields)
         self._fill_physical_bc(level)
         return comm_us
 
     # ---------------------------------------------------------- sync down
+    def sync_plan(self, level: int) -> ExchangePlan:
+        """Restriction of level+1 interiors onto ``level``."""
+        plan = self._sync_plans[level + 1]
+        if plan is None:
+            coarse, fine = self.levels[level], self.levels[level + 1]
+            icoarse, ifine, ov_f = pairwise_overlaps(
+                _refined(box_array(cp.box for cp in coarse), self.r),
+                box_array(fp.box for fp in fine))
+            plan = self._sync_plans[level + 1] = ExchangePlan([
+                Transfer(
+                    src_patch=fine[f],
+                    dst_patch=coarse[c],
+                    src_region=Box(*src),
+                    dst_region=Box(*dst),
+                    transform=(lambda b, r=self.r: restrict(b, r)),
+                )
+                for c, f, src, dst in zip(icoarse.tolist(), ifine.tolist(),
+                                          ov_f.tolist(), (ov_f // self.r).tolist())
+            ])
+        return plan
+
     def sync_down(self, level: int) -> float:
         """Restrict level+1 interiors onto ``level``; returns MPI time (us)."""
         if level + 1 >= self.max_levels or not self.levels[level + 1]:
             return 0.0
-        plan: list[Transfer] = []
-        for cp in self.levels[level]:
-            fine_span = cp.box.refine(self.r)
-            for fp in self.levels[level + 1]:
-                ov_f = fine_span.intersection(fp.box)
-                if ov_f is None:
-                    continue
-                plan.append(Transfer(
-                    src_patch=fp,
-                    dst_patch=cp,
-                    src_region=ov_f,
-                    dst_region=ov_f.coarsen(self.r),
-                    transform=(lambda b, r=self.r: restrict(b, r)),
-                ))
-        return self.exchanger.run(plan, self.fields)
+        return self.exchanger.run(self.sync_plan(level), self.fields)
 
     # ----------------------------------------------------------- invariants
     def check_nesting(self, buffer: int = 0) -> list[str]:
@@ -419,37 +472,22 @@ class GridHierarchy:
             # levels overlap on purpose (finer overwrites coarser), and a
             # concurrent drain inserts in arrival order, so batching the
             # cascade into one plan would be a write-after-write race.
+            whole = [(fp, fp.box) for fp in new_fine]
             for src_level in range(lev + 1):
-                power = self.r ** (lev + 1 - src_level)
-                plan: list[Transfer] = []
-                for fp in new_fine:
-                    cov = fp.box.coarsen(power)
-                    for cp in self.levels[src_level]:
-                        ov_c = cov.intersection(cp.box)
-                        if ov_c is None:
-                            continue
-                        fine_cover = ov_c.refine(power)
-                        dst = fine_cover.intersection(fp.box)
-                        if dst is None:
-                            continue
-                        crop = dst.slices(fine_cover)
-                        plan.append(Transfer(
-                            src_patch=cp, dst_patch=fp, src_region=ov_c,
-                            dst_region=dst,
-                            transform=(lambda b, p=power, c=crop: prolong(b, p)[c]),
-                        ))
+                plan = self._prolong_transfers(whole, src_level, lev + 1)
                 comm_us += self.exchanger.run(plan, self.fields)
             # Then preserve old fine data where it existed — again as a
             # separate exchange so it lands after every cascade write.
+            inew, iold, kept = pairwise_overlaps(
+                box_array(fp.box for fp in new_fine),
+                box_array(op.box for op in old_fine))
             plan = []
-            for fp in new_fine:
-                for op in old_fine:
-                    ov = fp.box.intersection(op.box)
-                    if ov is not None:
-                        plan.append(Transfer(src_patch=op, dst_patch=fp,
-                                             src_region=ov, dst_region=ov))
+            for n, o, ov in zip(inew.tolist(), iold.tolist(), kept.tolist()):
+                region = Box(*ov)
+                plan.append(Transfer(src_patch=old_fine[o], dst_patch=new_fine[n],
+                                     src_region=region, dst_region=region))
             comm_us += self.exchanger.run(plan, self.fields)
-            self.levels[lev + 1] = new_fine
+            self.set_level(lev + 1, new_fine)
             comm_us += self.ghost_update(lev + 1)
         self.regrid_count += 1
         return comm_us

@@ -1,8 +1,10 @@
 """Patches: rectangular Cartesian meshes with ghost cells.
 
 "Patches can be of any size or aspect ratio" (paper Section 5).  A
-:class:`Patch` stores named cell-centered fields as 2-D arrays including a
-``nghost``-wide ghost frame; the interior corresponds to the patch's
+:class:`Patch` stores its named cell-centered fields in one
+``(nfields, ni, nj)`` block including a ``nghost``-wide ghost frame, so a
+transfer or a kernel moves every field with one slice; ``fields[name]`` is
+a 2-D view of its plane.  The interior corresponds to the patch's
 :class:`~repro.amr.box.Box` in the level's global index space.
 """
 
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -27,11 +30,16 @@ class Patch:
     level: int
     owner: int = 0
     nghost: int = 2
-    fields: dict[str, np.ndarray] = field(default_factory=dict)
     uid: int = field(default_factory=lambda: next(_patch_ids))
     #: write-generation stamp; the ghost-race sanitizer compares it across
     #: a nonblocking exchange to localize which writer dirtied a region
     version: int = 0
+    #: field names in block order (empty until :meth:`allocate`)
+    names: tuple[str, ...] = field(default=(), init=False)
+    #: all field data, ``(len(names), ni, nj)``; None on non-owning ranks
+    block: np.ndarray | None = field(default=None, init=False, compare=False)
+    #: ``name -> block[k]`` views
+    fields: dict[str, np.ndarray] = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
         check_non_negative("level", self.level)
@@ -55,11 +63,18 @@ class Patch:
         return self.box.ncells
 
     # ------------------------------------------------------------ fields
-    def allocate(self, name: str, fill: float = 0.0) -> np.ndarray:
-        """Create (or reset) a named field, returning its array."""
-        arr = np.full(self.array_shape, fill, dtype=np.float64)
-        self.fields[name] = arr
-        return arr
+    def allocate(self, names: Sequence[str], fill: float = 0.0) -> np.ndarray:
+        """Create (or reset) the field block for ``names``, returning it."""
+        if isinstance(names, str):
+            raise TypeError(f"allocate takes the list of field names, got {names!r}")
+        block = np.full((len(names), *self.array_shape), fill, dtype=np.float64)
+        self._bind(tuple(names), block)
+        return block
+
+    def _bind(self, names: tuple[str, ...], block: np.ndarray) -> None:
+        self.names = names
+        self.block = block
+        self.fields = dict(zip(names, block))
 
     def data(self, name: str) -> np.ndarray:
         """Full storage array of a field (interior + ghosts)."""
@@ -95,15 +110,11 @@ class Patch:
 
     def copy(self) -> "Patch":
         """Deep copy (fresh uid is *not* assigned; identity is preserved)."""
-        return Patch(
-            box=self.box,
-            level=self.level,
-            owner=self.owner,
-            nghost=self.nghost,
-            fields={k: v.copy() for k, v in self.fields.items()},
-            uid=self.uid,
-            version=self.version,
-        )
+        twin = Patch(box=self.box, level=self.level, owner=self.owner,
+                     nghost=self.nghost, uid=self.uid, version=self.version)
+        if self.block is not None:
+            twin._bind(self.names, self.block.copy())
+        return twin
 
     def __repr__(self) -> str:
         return (

@@ -31,9 +31,11 @@ def stack_fields(patch) -> np.ndarray:
     """Conserved stack ``(4, Ni, Nj)`` (a copy) of one patch.
 
     The single gather point for patch-to-kernel data marshalling: the
-    stacked array is what the batched sweep kernels consume.
+    stacked array is what the batched sweep kernels consume.  The mesh
+    allocates every patch with ``FIELDS``, so the stack is the patch's
+    storage block.
     """
-    return np.stack([patch.data(f) for f in FIELDS])
+    return patch.block.copy()
 
 
 class AMRMeshComponent(Component, MeshPort):

@@ -87,9 +87,10 @@ def restore_hierarchy(h, state: dict[str, Any]) -> None:
         for p in patches:
             if h.is_local(p):
                 saved = local_fields[p.uid]
+                p.allocate(h.fields)
                 for f in h.fields:
-                    p.fields[f] = saved[f].copy()
-        h.levels[lev] = patches
+                    p.fields[f][...] = saved[f]
+        h.set_level(lev, patches)
     h._uid = state["uid_counter"]
     h.regrid_count = state["regrid_count"]
     h.exchanger._tag = state["exchanger_tag"]

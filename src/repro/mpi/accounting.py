@@ -31,7 +31,8 @@ class MPIAccounting:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._stats: dict[str, RoutineStats] = {}
-        self._listeners: list = []
+        #: replaced, never mutated, so ``record`` reads it without a copy
+        self._listeners: tuple = ()
 
     def __getstate__(self) -> dict:
         """Pickle the ledger contents only.
@@ -48,7 +49,7 @@ class MPIAccounting:
         self._lock = threading.Lock()
         self._stats = {k: RoutineStats(total_us=t, calls=c)
                        for k, (t, c) in state["stats"].items()}
-        self._listeners = []
+        self._listeners = ()
 
     def record(self, routine: str, cost_us: float) -> None:
         """Charge ``cost_us`` to ``routine`` (one call)."""
@@ -58,8 +59,7 @@ class MPIAccounting:
             st = self._stats.setdefault(routine, RoutineStats())
             st.total_us += cost_us
             st.calls += 1
-            listeners = list(self._listeners)
-        for fn in listeners:
+        for fn in self._listeners:
             fn(routine, cost_us)
 
     def add_listener(self, fn) -> None:
@@ -69,7 +69,7 @@ class MPIAccounting:
         profile (Figure 3's MPI_* rows).
         """
         with self._lock:
-            self._listeners.append(fn)
+            self._listeners = (*self._listeners, fn)
 
     def total_us(self) -> float:
         """Summation of the times of all MPI routines (paper's 'MPI time')."""

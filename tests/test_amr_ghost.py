@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.amr.box import Box
-from repro.amr.ghost import (GhostExchanger, Transfer, execute_transfers,
+from repro.amr.ghost import (ExchangePlan, GhostExchanger, Transfer,
+                             execute_transfers,
                              plan_same_level_exchange)
 from repro.amr.hierarchy import ghost_strips
 from repro.amr.interpolation import prolong
@@ -18,7 +19,7 @@ def two_abutting_patches(nghost=2, owners=(0, 0)):
     a = Patch(box=Box(0, 0, 3, 7), level=0, nghost=nghost, owner=owners[0])
     b = Patch(box=Box(4, 0, 7, 7), level=0, nghost=nghost, owner=owners[1])
     for p, val in ((a, 1.0), (b, 2.0)):
-        p.allocate("f", fill=np.nan)
+        p.allocate(["f"], fill=np.nan)
         p.interior("f")[...] = val
     return a, b
 
@@ -60,10 +61,10 @@ class TestLocalExecution:
 
     def test_transform_applied_at_source(self):
         coarse = Patch(box=Box(0, 0, 3, 3), level=0, nghost=0)
-        coarse.allocate("f")
+        coarse.allocate(["f"])
         coarse.interior("f")[...] = np.arange(16.0).reshape(4, 4)
         fine = Patch(box=Box(0, 0, 7, 7), level=1, nghost=0)
-        fine.allocate("f")
+        fine.allocate(["f"])
         t = Transfer(
             src_patch=coarse, dst_patch=fine,
             src_region=Box(0, 0, 3, 3), dst_region=Box(0, 0, 7, 7),
@@ -107,9 +108,10 @@ class TestDistributedExecution:
         def job(comm):
             ex = GhostExchanger(comm=comm)
             a, b = two_abutting_patches(owners=(0, 1))
-            ex.update_level([a, b], ["f"])
+            plan = ExchangePlan(plan_same_level_exchange([a, b]))
+            ex.run(plan, ["f"])
             # second exchange must not collide with the first
-            ex.update_level([a, b], ["f"])
+            ex.run(plan, ["f"])
             mine = a if comm.rank == 0 else b
             return np.isnan(mine.interior("f")).any()
 

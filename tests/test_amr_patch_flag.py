@@ -11,15 +11,15 @@ from repro.amr.patch import Patch
 class TestPatch:
     def test_allocation_shapes(self):
         p = Patch(box=Box(0, 0, 7, 3), level=0, nghost=2)
-        arr = p.allocate("rho", fill=1.5)
-        assert arr.shape == (12, 8)
+        arr = p.allocate(["rho"], fill=1.5)
+        assert arr.shape == (1, 12, 8)
         assert p.array_shape == (12, 8)
         assert p.ncells == 32
         assert np.all(arr == 1.5)
 
     def test_interior_view_writes_through(self):
         p = Patch(box=Box(0, 0, 3, 3), level=0, nghost=2)
-        p.allocate("f")
+        p.allocate(["f"])
         p.interior("f")[...] = 7.0
         full = p.data("f")
         assert np.all(full[2:-2, 2:-2] == 7.0)
@@ -27,19 +27,19 @@ class TestPatch:
 
     def test_zero_ghost(self):
         p = Patch(box=Box(0, 0, 3, 3), level=0, nghost=0)
-        p.allocate("f")
+        p.allocate(["f"])
         assert p.interior("f").shape == (4, 4)
 
     def test_view_by_region(self):
         p = Patch(box=Box(4, 4, 7, 7), level=1, nghost=1)
-        p.allocate("f")
+        p.allocate(["f"])
         region = Box(5, 5, 6, 6)
         p.view("f", region)[...] = 3.0
         assert p.data("f")[2:4, 2:4].sum() == 12.0
 
     def test_view_outside_ghost_box_rejected(self):
         p = Patch(box=Box(0, 0, 3, 3), level=0, nghost=1)
-        p.allocate("f")
+        p.allocate(["f"])
         with pytest.raises(ValueError):
             p.view("f", Box(-3, 0, 0, 0))
 
@@ -50,7 +50,7 @@ class TestPatch:
 
     def test_copy_is_deep(self):
         p = Patch(box=Box(0, 0, 1, 1), level=0, nghost=0)
-        p.allocate("f", fill=1.0)
+        p.allocate(["f"], fill=1.0)
         q = p.copy()
         q.data("f")[...] = 9.0
         assert p.data("f")[0, 0] == 1.0

@@ -197,7 +197,7 @@ def test_channel_type_instability_warns_but_never_raises():
 # ------------------------------------------------------------- ghost races
 def _patch(box, owner, fill, nghost=0):
     p = Patch(box=box, level=0, owner=owner, nghost=nghost)
-    p.allocate("rho", fill)
+    p.allocate(["rho"], fill)
     return p
 
 
