@@ -2,9 +2,11 @@
 
 The simulator originally hard-wired one execution model: P rank *threads*
 sharing a :class:`~repro.mpi.world.SimWorld` inside one process.  That is
-the right default — tests want determinism and cheap startup — but it
-serializes all rank compute behind the GIL, which caps the scaling study at
-a handful of ranks.  This module factors the execution model out behind a
+the right default — tests want determinism and cheap startup — but the
+ranks share one interpreter: they run one at a time (handing a run
+token over where they block, rather than fighting for the GIL
+mid-kernel), which caps the scaling study at a handful of ranks.  This
+module factors the execution model out behind a
 named-backend registry (the ``create_communicator(name, ...)`` pattern of
 ChainerMN and friends):
 
@@ -86,6 +88,11 @@ class ThreadBackend(CommBackend):
 
     Deterministic, cheap to start, debuggable with one pdb — the default
     and the reference semantics every other backend must reproduce.
+
+    The world of a launch carries one *run token* (a plain lock): a rank
+    thread holds it while it executes and releases it only where it blocks
+    (:meth:`SimWorld.off_token`), so a kernel timer holds kernel time, not
+    GIL hand-offs (DESIGN section 17).
     """
 
     name = "thread"
@@ -103,18 +110,18 @@ class ThreadBackend(CommBackend):
                          timeout_s=spec.timeout_s, injector=spec.injector,
                          policy=spec.policy, obs_config=spec.obs_config,
                          sanitize=spec.sanitize, collectives=spec.collectives)
+        token = world.run_token = threading.Lock()
         results: list[Any] = [None] * spec.nranks
         failures: dict[int, str] = {}
-        lock = threading.Lock()
 
         def target(rank: int) -> None:
             comm = SimComm(world, rank)
-            try:
-                results[rank] = fn(comm, *args, **kwargs)
-            except BaseException:  # ra: noqa[RA005] — rank isolation barrier
-                with lock:
+            with token:
+                try:
+                    results[rank] = fn(comm, *args, **kwargs)
+                except BaseException:  # ra: noqa[RA005] — rank isolation barrier
                     failures[rank] = traceback.format_exc()
-                world.abort(f"rank {rank} raised")
+                    world.abort(f"rank {rank} raised")
 
         threads = [
             threading.Thread(target=target, args=(r,),

@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 import threading
 import time
-from typing import Any, Callable, Sequence
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.analysis.sanitize import Sanitizer, SanitizerConfig
 from repro.faults.policy import CommFailure, ResiliencePolicy, ResilienceStats
@@ -52,6 +53,14 @@ class _CollectiveSlot:
         self.deposited = 0
         self.readers = 0
         self.ready = False
+
+
+def _stamp(obs: Any, attr: str, since_us: float) -> None:
+    """Add the time elapsed since ``since_us`` to ``attr`` of the span the
+    rank is in (the critical-path analyzer splits such attributes out)."""
+    span = obs.tracer.current()
+    if span is not None:
+        span.attrs[attr] = span.attrs.get(attr, 0.0) + now_us() - since_us
 
 
 class _Rounds:
@@ -102,12 +111,8 @@ class _Rounds:
     def stamp(self) -> None:
         """Accumulate the time spent past the first round on the
         enclosing span (call on every way out)."""
-        if self._t_retry_us is None or self._obs is None:
-            return
-        span = self._obs.tracer.current()
-        if span is not None:
-            span.attrs["retry_us"] = (span.attrs.get("retry_us", 0.0)
-                                      + now_us() - self._t_retry_us)
+        if self._t_retry_us is not None and self._obs is not None:
+            _stamp(self._obs, "retry_us", self._t_retry_us)
 
 
 class SimWorld:
@@ -177,6 +182,58 @@ class SimWorld:
 
         self._aborted = False
         self._abort_reason: str | None = None
+
+        #: the job's run token, attached by ``ThreadBackend.launch`` only:
+        #: a rank thread holds it whenever it executes and gives it up only
+        #: inside :meth:`off_token`.  ``None`` (a world built by hand, a
+        #: ``ShmWorld``) means ranks are not serialised.
+        self.run_token: threading.Lock | None = None
+
+    # --------------------------------------------------------- run token
+    @contextmanager
+    def off_token(self, rank: int) -> Iterator[None]:
+        """Run the body with ``rank``'s run token released.
+
+        Everything a rank blocks in goes through here (the park seam
+        below, a failed poll, and rank code that sleeps outside
+        ``repro.mpi``), so a blocked rank lets its peers run instead of
+        freezing them.  With observability on, the time spent queued to
+        get the token back is added to the enclosing span's ``sched_us``,
+        which the critical-path analyzer reports as what the thread
+        scheduler cost.  The body must hold no lock a running rank may
+        take: the lock order is token before condition.  A no-op on a
+        world without a token.
+        """
+        token = self.run_token
+        if token is None:
+            yield
+            return
+        token.release()
+        try:
+            yield
+        finally:
+            t_queued = now_us() if self.obs is not None else None
+            token.acquire()
+            if t_queued is not None:
+                _stamp(self.obs[rank], "sched_us", t_queued)
+
+    def _park(self, rank: int, cond: threading.Condition,
+              wait_s: float) -> None:
+        """Sleep on ``cond`` (held exactly once) for at most ``wait_s``:
+        the one place a rank blocks on the world."""
+        if self.run_token is None:
+            cond.wait(wait_s)
+            return
+        try:
+            with self.off_token(rank):
+                try:
+                    cond.wait(wait_s)
+                finally:
+                    # Token before condition: the token's holder takes
+                    # conditions to deliver, so queue with none held.
+                    cond.release()
+        finally:
+            cond.acquire()
 
     # ------------------------------------------------------------- abort
     def abort(self, reason: str) -> None:
@@ -250,7 +307,13 @@ class SimWorld:
         self.flush_frames()
         cond = self._mail_conds[rank]
         with cond:
-            return self._pop_locked(context, rank, source, tag)
+            env = self._pop_locked(context, rank, source, tag)
+        if env is None and self.run_token is not None:
+            # A poll loop gets no pre-emption under the token: give a
+            # queued rank the interpreter before reporting "nothing yet".
+            with self.off_token(rank):
+                time.sleep(0)
+        return env
 
     def recv_waits_on(self, rank: int, source: int) -> set[int]:
         """Ranks whose progress could satisfy a receive from ``source``."""
@@ -349,7 +412,7 @@ class SimWorld:
                                        waits_on)
                         san.check_deadlock(rank)
                         wait_s = min(wait_s, san.config.deadlock_poll_s)
-                    cond.wait(wait_s)
+                    self._park(rank, cond, wait_s)
         finally:
             rounds.stamp()
             if san is not None:
@@ -549,7 +612,7 @@ class SimWorld:
                             f"waiting on ranks {sorted(missing)})", missing)
                         san.check_deadlock(rank)
                         wait_s = min(wait_s, san.config.deadlock_poll_s)
-                    self._coll_cond.wait(wait_s)
+                    self._park(rank, self._coll_cond, wait_s)
                 result = [slot.values[r] for r in range(self.nranks)]
                 slot.readers += 1
                 if slot.readers == self.nranks:

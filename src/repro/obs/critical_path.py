@@ -18,7 +18,12 @@ one that actually gated progress.  Each hop contributes the time slice
 it was critical for, so the path's length can never exceed the run's
 wall-clock window, and its decomposition (compute / mpi / mpi_wait /
 retry / checkpoint / untraced gaps) says where a faster component would
-actually shorten the run.
+actually shorten the run.  Time a hop's rank sat runnable but
+descheduled (queued for the thread backend's run token, stamped on the
+span as ``sched_us``) is named in the report's ``sched`` bucket, what
+the thread scheduler cost; in the decomposition it counts as compute,
+because the token's holder is executing, never waiting: a queued rank's
+time on the path is a peer's work.
 
 :func:`crosscheck_records` and :func:`crosscheck_ledger` tie the span
 view back to the paper's measurement stack: span durations must agree
@@ -32,8 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from repro.obs.span import (CAT_RETRY, CAT_STEP, FLOW_COLL, FLOW_IN,
-                            FLOW_OUT, FlowPoint, Span)
+from repro.obs.span import (CAT_COMPUTE, CAT_RETRY, CAT_STEP, FLOW_COLL,
+                            FLOW_IN, FLOW_OUT, FlowPoint, Span)
 
 #: breakdown bucket for time not inside any categorized leaf span
 UNTRACED = "untraced"
@@ -62,6 +67,11 @@ class CriticalPathReport:
     breakdown: dict[str, float] = field(default_factory=dict)
     #: number of cross-rank hops the chain took
     cross_rank_hops: int = 0
+    #: the ``sched`` bucket: how much of the path its ranks sat queued for
+    #: the run token while a peer executed.  ``breakdown`` holds it under
+    #: compute (as an OS-preempted process rank's kernel span holds its
+    #: lost time), so this is an "of which", not another addend
+    sched_us: float = 0.0
 
     @property
     def total_wall_us(self) -> float:
@@ -79,7 +89,9 @@ class CriticalPathReport:
         head = (f"{title}: {self.path_us:,.1f} us of {self.total_wall_us:,.1f} us "
                 f"wall ({self.cross_rank_hops} cross-rank hop(s))\n"
                 + "  breakdown: "
-                + ", ".join(f"{k}={v:,.1f}us" for k, v in sorted(self.breakdown.items())))
+                + ", ".join(f"{k}={v:,.1f}us" for k, v in sorted(self.breakdown.items()))
+                + f"\n  sched: {self.sched_us:,.1f}us of compute is time queued "
+                  "for the run token")
         return head + "\n" + format_table(
             ["rank", "span", "category", "critical us"], rows)
 
@@ -148,8 +160,16 @@ def _enclosing_category(span: Span, by_id: Mapping[int, Span], t: float) -> str:
     return UNTRACED
 
 
-def _segment_breakdown(breakdown: dict[str, float], span: Span, take: float) -> None:
-    """Attribute one hop's critical time, splitting out recorded retry time."""
+def _segment_breakdown(report: CriticalPathReport, span: Span, take: float) -> None:
+    """Attribute one hop's critical time, splitting out the time its rank
+    sat descheduled (a peer's work: compute, and the report's sched bucket)
+    and recorded retry time."""
+    breakdown = report.breakdown
+    sched = min(float(span.attrs.get("sched_us", 0.0)), take)
+    if sched > 0.0:
+        report.sched_us += sched
+        breakdown[CAT_COMPUTE] = breakdown.get(CAT_COMPUTE, 0.0) + sched
+        take -= sched
     retry = float(span.attrs.get("retry_us", 0.0))
     if retry > 0.0:
         r = min(retry, take)
@@ -220,7 +240,7 @@ def critical_path(spans: Sequence[Span], flows: Sequence[FlowPoint],
             take = max(0.0, cursor - p_end)
             report.segments.append(PathSegment(
                 s.span_id, s.rank, s.name, s.category, take))
-            _segment_breakdown(report.breakdown, s, take)
+            _segment_breakdown(report, s, take)
             if p.rank != s.rank:
                 report.cross_rank_hops += 1
             cursor = min(cursor, p_end)
@@ -229,7 +249,7 @@ def critical_path(spans: Sequence[Span], flows: Sequence[FlowPoint],
         take = max(0.0, cursor - seg_lo)
         report.segments.append(PathSegment(
             s.span_id, s.rank, s.name, s.category, take))
-        _segment_breakdown(report.breakdown, s, take)
+        _segment_breakdown(report, s, take)
         if p is None:
             # Leading time before the first reachable leaf: attribute to
             # whatever enclosing span covers it, or "untraced".

@@ -86,7 +86,9 @@ def _make_forwarder(
             action = None
             ctx = self._fault_ctx() if self._fault_ctx is not None else None
             if ctx is not None:
-                injector, policy, rank, stats = ctx
+                world, rank = ctx
+                injector, policy = world.injector, world.policy
+                stats = world.resilience[rank]
                 attempt = 0
                 while True:
                     action = injector.on_component_call(rank, self._label, method)
@@ -111,12 +113,16 @@ def _make_forwarder(
                             "component_retries_total",
                             "transient component failures retried",
                             label=self._label).inc()
-                    time.sleep(policy.component_backoff_s * 2 ** (attempt - 1))
+                    # Off the run token: a stalled rank makes its peers
+                    # wait for it, it does not freeze them.
+                    with world.off_token(rank):
+                        time.sleep(policy.component_backoff_s * 2 ** (attempt - 1))
             monitor = self._monitor()
             token = monitor.begin_invocation(self._label, method, params)
             try:
                 if action is not None and action.kind == COMPONENT_DELAY:
-                    time.sleep(action.delay_us / 1e6)
+                    with world.off_token(rank):
+                        time.sleep(action.delay_us / 1e6)
                 return getattr(self._target(), method)(*args, **kwargs)
             finally:
                 monitor.end_invocation(token)
@@ -148,9 +154,9 @@ def make_proxy_port(
     ``extractors`` override/augment the interface's ``perf_params`` mark-up.
     ``target_getter``/``monitor_getter`` defer port resolution until first
     call, since framework connections happen after component creation.
-    ``fault_getter``, when provided, returns ``(injector, policy, rank,
-    stats)`` for the running world (or None when no faults are attached);
-    monitored methods then consult the injector at the call boundary.
+    ``fault_getter``, when provided, returns ``(world, rank)`` for the
+    running world (or None when no faults are attached); monitored methods
+    then consult the world's injector at the call boundary.
     ``obs_getter`` returns the rank's observability state (or None) so
     retry metrics land in the metrics registry.
     """
@@ -220,9 +226,7 @@ class ProxyComponent(Component):
             comm = getattr(services.framework, "comm", None)
             if comm is None or comm.world.injector is None:
                 return None
-            world = comm.world
-            return (world.injector, world.policy, comm.rank,
-                    world.resilience[comm.rank])
+            return comm.world, comm.rank
 
         proxy = make_proxy_port(
             self.port_type,

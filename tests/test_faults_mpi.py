@@ -311,7 +311,8 @@ def test_collective_retry_rounds_reach_observability():
 
     def fn(comm):
         if comm.rank == 0:
-            time.sleep(0.2)
+            with comm.world.off_token(comm.rank):
+                time.sleep(0.2)
         return comm.allreduce(1)
 
     results, world = run_with(None, fn, policy=policy, obs_config=ObsConfig())

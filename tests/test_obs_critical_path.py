@@ -83,6 +83,24 @@ def test_retry_time_split_out():
     assert rep.path_us == pytest.approx(120.0)  # total unchanged
 
 
+def test_sched_time_counts_as_compute_and_is_named():
+    """Time a hop's rank sat queued for the run token is a peer's work:
+    compute on the path, and reported as the sched bucket."""
+    spans, flows = two_rank_dag()
+    spans[3].attrs["sched_us"] = 6.0
+    rep = critical_path(spans, flows)
+    assert rep.sched_us == pytest.approx(6.0)
+    assert rep.breakdown == pytest.approx(
+        {"mpi_wait": 4.0, "mpi": 10.0, "compute": 106.0})
+    assert rep.path_us == pytest.approx(120.0)  # total unchanged
+    assert "sched: 6.0us" in rep.format()
+    # Never more than the hop was critical for.
+    spans[3].attrs["sched_us"] = 500.0
+    rep = critical_path(spans, flows)
+    assert rep.sched_us == pytest.approx(10.0)
+    assert "mpi_wait" not in rep.breakdown
+
+
 def test_untraced_gap_attribution():
     # Two sequential leaves with a hole between them on one rank.
     spans = [
