@@ -5,7 +5,7 @@ plan with the resilient MPI layer enabled: dropped ghost-exchange
 messages time out at the receiver and are recovered by retransmission,
 and the run completes cleanly.  The recovery statistics and the injected
 fault schedule are printed, and the rank-0 timeline (faults and
-recoveries as instant events) is dumped as a Chrome/Perfetto trace.
+recoveries as instant spans) is dumped as a Chrome/Perfetto trace.
 
 Part 2 demonstrates checkpoint/restart: the same application is killed
 mid-run by a ``kill_at_step`` crash point, then resumed from the latest
@@ -24,7 +24,7 @@ from repro.faults.plan import FaultPlan, canned_plans
 from repro.faults.policy import ResiliencePolicy
 from repro.harness.casestudy import CaseStudyConfig, run_case_study
 from repro.mpi.runner import RankFailure
-from repro.tau.trace import dump_chrome_trace
+from repro.obs.export import dump_chrome_trace_spans
 
 
 def merged_resilience(result) -> dict[str, int]:
@@ -59,8 +59,8 @@ def main() -> None:
     print(f"injected faults: {result.world.injector.total_counts()}")
     print(f"recovery stats:  {merged_resilience(result)}")
 
-    dump_chrome_trace(result.world.injector.tracers[0].records(),
-                      args.trace_out)
+    dump_chrome_trace_spans(result.world.injector.tracers[0].spans(), [],
+                            args.trace_out)
     print(f"rank-0 fault/recovery timeline written to {args.trace_out} "
           "(load in chrome://tracing or ui.perfetto.dev)")
 

@@ -129,7 +129,7 @@ def run_scmd(
     def rank_main(comm) -> tuple[Any, dict, dict, dict, Any]:
         obs = comm.obs
         profiler = Profiler(rank=comm.rank, cache=cache,
-                            span_tracer=obs.tracer if obs is not None else None)
+                            tracer=obs.tracer if obs is not None else None)
         fw = Framework(rank=comm.rank, comm=comm, profiler=profiler,
                        repository=repository, obs=obs)
         with profiler.timer(MAIN_TIMER):

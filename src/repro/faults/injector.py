@@ -12,9 +12,10 @@ performance proxies consult it at well-defined boundaries:
 
 All mutable state is partitioned by rank and touched only from that rank's
 thread, so no locking is needed and the schedule cannot depend on thread
-interleaving.  Every injected fault is also recorded as an instant event in
-the rank's :class:`~repro.tau.trace.Tracer`, which the Chrome-trace
-exporter renders on a timeline.
+interleaving.  Every injected fault is also recorded as an instant span
+(``value`` in its attributes) in the rank's own
+:class:`~repro.obs.span.SpanTracer`, which the one trace exporter
+(:func:`repro.obs.export.dump_chrome_trace_spans`) renders on a timeline.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from repro.faults.plan import (COMPONENT_DELAY, DELAY, DROP, DUPLICATE,
                                RAISE, FaultPlan)
-from repro.tau.trace import Tracer
+from repro.obs.span import SpanTracer
 from repro.util.rng import rng_from_key
 
 
@@ -89,7 +90,7 @@ class FaultInjector:
             raise ValueError(f"nranks must be positive, got {nranks}")
         self.plan = plan
         self.nranks = int(nranks)
-        self.tracers = [Tracer(rank=r) for r in range(self.nranks)]
+        self.tracers = [SpanTracer(rank=r) for r in range(self.nranks)]
         self._message = [self._matchers(plan.messages, "m", r) for r in range(nranks)]
         self._stall = [self._matchers(plan.stalls, "s", r) for r in range(nranks)]
         self._component = [self._matchers(plan.components, "c", r) for r in range(nranks)]
@@ -109,7 +110,7 @@ class FaultInjector:
 
     # ------------------------------------------------------------- hooks
     def _record(self, rank: int, name: str, value: float = 0.0) -> None:
-        self.tracers[rank].event(name, value)
+        self.tracers[rank].instant(name, value=value)
         counts = self.counts[rank]
         counts[name] = counts.get(name, 0) + 1
 
@@ -182,7 +183,7 @@ class FaultInjector:
         interleaving depends on real-time thread scheduling.
         """
         return [
-            [rec.name for rec in tr.records() if rec.name.startswith("fault.")]
+            [sp.name for sp in tr.spans() if sp.name.startswith("fault.")]
             for tr in self.tracers
         ]
 

@@ -11,7 +11,6 @@ Figure 3 profile and the ghost-cell timings of Figure 9.
 
 from __future__ import annotations
 
-import copy
 from contextlib import nullcontext
 from typing import Any, Callable, ContextManager, Sequence
 
@@ -20,7 +19,8 @@ import numpy as np
 from repro.faults.plan import DROP as FAULT_DROP
 from repro.faults.plan import DUPLICATE as FAULT_DUPLICATE
 from repro.mpi import collectives as coll
-from repro.mpi.message import ANY_SOURCE, ANY_TAG, Envelope, Status
+from repro.mpi.message import (ANY_SOURCE, ANY_TAG, Envelope, Status,
+                               copy_payload)
 from repro.mpi.network import payload_nbytes
 from repro.mpi.request import RecvRequest, Request, SendRequest
 from repro.mpi.world import WORLD_CONTEXT, SimMPIError, SimWorld
@@ -33,15 +33,6 @@ _OPS: dict[str, Callable[[Any, Any], Any]] = {
     "min": lambda a, b: np.minimum(a, b) if isinstance(a, np.ndarray) else min(a, b),
     "max": lambda a, b: np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b),
 }
-
-
-def _copy_payload(obj: Any) -> Any:
-    """Value-semantics copy of a message payload."""
-    if isinstance(obj, np.ndarray):
-        return obj.copy()
-    if obj is None or isinstance(obj, (int, float, complex, str, bytes, bool)):
-        return obj
-    return copy.deepcopy(obj)
 
 
 #: MPI routine -> hierarchical algorithm used when ``collectives="hier"``
@@ -154,7 +145,7 @@ class SimComm:
             source=self.rank,
             dest=dest,
             tag=tag,
-            payload=_copy_payload(obj),
+            payload=copy_payload(obj),
             nbytes=nbytes,
             cost_us=net.p2p_cost(nbytes, self.rng),
         )
@@ -185,7 +176,7 @@ class SimComm:
                 # message, exactly like a retransmission race.
                 self.world.deliver(self.context, Envelope(
                     source=env.source, dest=env.dest, tag=env.tag,
-                    payload=_copy_payload(env.payload), nbytes=env.nbytes,
+                    payload=copy_payload(env.payload), nbytes=env.nbytes,
                     cost_us=env.cost_us, seq=env.seq, trace_ctx=env.trace_ctx,
                 ))
                 return nbytes
@@ -396,11 +387,11 @@ class SimComm:
                     obj if self.rank == root else None, root))
             self._charge_collective("MPI_Bcast", payload_nbytes(result))
             return result if self.rank != root else obj
-        vals = self._exchange(_copy_payload(obj) if self.rank == root else None,
+        vals = self._exchange(copy_payload(obj) if self.rank == root else None,
                               "MPI_Bcast")
         result = vals[root]
         self._charge_collective("MPI_Bcast", payload_nbytes(result))
-        return _copy_payload(result) if self.rank != root else obj
+        return copy_payload(result) if self.rank != root else obj
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         """Gather one value per rank at ``root`` (None elsewhere)."""
@@ -414,7 +405,7 @@ class SimComm:
             self._charge_collective("MPI_Gather", payload_nbytes(obj))
             return ([acc[r] for r in range(self.size)]
                     if self.rank == root else None)
-        vals = self._exchange(_copy_payload(obj), "MPI_Gather")
+        vals = self._exchange(copy_payload(obj), "MPI_Gather")
         self._charge_collective("MPI_Gather", payload_nbytes(obj))
         return vals if self.rank == root else None
 
@@ -429,7 +420,7 @@ class SimComm:
             self._charge_collective("MPI_Allgather", payload_nbytes(obj),
                                     algo="ring")
             return vals
-        vals = self._exchange(_copy_payload(obj), "MPI_Allgather")
+        vals = self._exchange(copy_payload(obj), "MPI_Allgather")
         self._charge_collective("MPI_Allgather", payload_nbytes(obj))
         return vals
 
@@ -439,7 +430,7 @@ class SimComm:
         if self.rank == root:
             if objs is None or len(objs) != self.size:
                 raise ValueError(f"scatter at root needs a length-{self.size} sequence")
-            vals = self._exchange([_copy_payload(o) for o in objs], "MPI_Scatter")
+            vals = self._exchange([copy_payload(o) for o in objs], "MPI_Scatter")
         else:
             vals = self._exchange(None, "MPI_Scatter")
         items = vals[root]
@@ -450,7 +441,7 @@ class SimComm:
         """Each rank sends item j to rank j; returns the column addressed to it."""
         if len(objs) != self.size:
             raise ValueError(f"alltoall needs a length-{self.size} sequence")
-        vals = self._exchange([_copy_payload(o) for o in objs], "MPI_Alltoall")
+        vals = self._exchange([copy_payload(o) for o in objs], "MPI_Alltoall")
         self._charge_collective("MPI_Alltoall", sum(payload_nbytes(o) for o in objs))
         return [vals[src][self.rank] for src in range(self.size)]
 
@@ -477,7 +468,7 @@ class SimComm:
             # Combine in rank order: identical floating-point association
             # to the rendezvous path, so results match bit-for-bit.
             return self._reduce_values([acc[r] for r in range(self.size)], op)
-        vals = self._exchange(_copy_payload(obj), "MPI_Reduce")
+        vals = self._exchange(copy_payload(obj), "MPI_Reduce")
         self._charge_collective("MPI_Reduce", payload_nbytes(obj))
         return self._reduce_values(vals, op) if self.rank == root else None
 
@@ -491,13 +482,13 @@ class SimComm:
                     w, ctx, self.rank, self.size, base, obj))
             self._charge_collective("MPI_Allreduce", payload_nbytes(obj))
             return self._reduce_values(vals, op)
-        vals = self._exchange(_copy_payload(obj), "MPI_Allreduce")
+        vals = self._exchange(copy_payload(obj), "MPI_Allreduce")
         self._charge_collective("MPI_Allreduce", payload_nbytes(obj))
         return self._reduce_values(vals, op)
 
     def scan(self, obj: Any, op: str | Callable[[Any, Any], Any] = "sum") -> Any:
         """Inclusive prefix reduction over ranks 0..self.rank."""
-        vals = self._exchange(_copy_payload(obj), "MPI_Scan")
+        vals = self._exchange(copy_payload(obj), "MPI_Scan")
         self._charge_collective("MPI_Scan", payload_nbytes(obj))
         return self._reduce_values(vals[: self.rank + 1], op)
 

@@ -29,7 +29,9 @@ from repro.obs.critical_path import (
 from repro.obs.export import (
     ObsDump,
     SpanDropWarning,
+    chrome_trace_from_spans,
     collect,
+    dump_chrome_trace_spans,
     live_metrics,
     validate_chrome_payload,
     validate_trace_file,
@@ -90,10 +92,12 @@ __all__ = [
     "SpanDropWarning",
     "SpanTracer",
     "build_obs",
+    "chrome_trace_from_spans",
     "collect",
     "critical_path",
     "crosscheck_ledger",
     "crosscheck_records",
+    "dump_chrome_trace_spans",
     "dump_flight_recorders",
     "flow_edges",
     "live_metrics",

@@ -8,6 +8,11 @@ run (a :class:`~repro.cca.scmd.ScmdResult`'s world, or a bare list of
 :func:`validate_chrome_payload` is the schema gate CI fails on — it
 round-trips the JSON and checks the invariants a viewer relies on
 (monotone timestamps, balanced B/E per track, resolvable flow ids).
+
+This is the only module that knows the Chrome/Perfetto trace-event
+format: :func:`chrome_trace_from_spans` / :func:`dump_chrome_trace_spans`
+render any span list (a run's merged trace, a flight-recorder window, a
+fault injector's timeline) and the validator reads the same format back.
 """
 
 from __future__ import annotations
@@ -15,12 +20,12 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
+from repro.obs.critical_path import flow_edges
 from repro.obs.metrics import MetricsRegistry, merge_registries
 from repro.obs.runtime import RankObs
 from repro.obs.span import FlowPoint, Span
-from repro.tau.trace import dump_chrome_trace_spans
 from repro.util.atomicio import atomic_write_text
 
 
@@ -113,6 +118,124 @@ def collect(source: Any) -> ObsDump:
     return dump
 
 
+# ----------------------------------------------------------------- exporter
+def _truncation_events(dropped_counts: Mapping[int, int] | None) -> list[dict]:
+    """Loud per-rank instant events announcing dropped history."""
+    events: list[dict] = []
+    for rank, n in sorted((dropped_counts or {}).items()):
+        if n:
+            events.append({
+                "name": f"TRACE TRUNCATED: rank {rank} dropped {n} record(s)",
+                "ph": "i", "s": "g", "pid": 0, "tid": rank, "ts": 0.0,
+                "args": {"dropped": n},
+            })
+    return events
+
+
+def _span_depth(span: Span, by_id: Mapping[int, Span]) -> int:
+    depth, pid = 0, span.parent_id
+    while pid is not None and depth < 64:
+        anc = by_id.get(pid)
+        if anc is None:
+            break
+        depth, pid = depth + 1, anc.parent_id
+    return depth
+
+
+def chrome_trace_from_spans(spans: Sequence[Span],
+                            flows: Sequence[FlowPoint] = (),
+                            process_name: str = "repro",
+                            dropped_counts: Mapping[int, int] | None = None,
+                            ) -> list[dict]:
+    """Render spans + causal flow edges as Chrome/Perfetto trace events.
+
+    The produced JSON loads directly into ``chrome://tracing`` or Perfetto
+    (https://ui.perfetto.dev); timestamps are microseconds, Chrome's
+    native trace unit.  Spans become balanced ``"B"``/``"E"`` duration
+    pairs on their rank's thread track (an instant mark — an injected
+    fault, a recovery, a checkpoint — is a zero-length span and renders
+    as a 1 ns slice with its attributes in ``args``).  Flow points become
+    Perfetto flow events: each matched p2p pair is an ``"s"``(send span)
+    → ``"f"``(recv span) arrow, and each collective draws arrows from the
+    last-arriving participant (the rank whose arrival unblocked the
+    rendezvous) to every other participant.  Events are sorted so
+    timestamps are globally monotone and same-timestamp events close
+    inner-before-outer and open outer-before-inner, keeping every
+    track's B/E stream balanced.
+    """
+    by_id = {s.span_id: s for s in spans}
+    meta: list[dict] = [{
+        "name": "process_name", "ph": "M", "pid": 0, "tid": 0,
+        "args": {"name": process_name},
+    }]
+    meta.extend(_truncation_events(dropped_counts))
+    for rank in sorted({s.rank for s in spans}):
+        meta.append({"name": "thread_name", "ph": "M", "pid": 0, "tid": rank,
+                     "args": {"name": f"rank {rank}"}})
+
+    # Sort keys: (ts, kind) with kind ordering E(0) < s/f flows(1) < B(2);
+    # among E's, deeper spans close first; among B's, shallower open first.
+    keyed: list[tuple[float, int, int, dict]] = []
+    for s in spans:
+        depth = _span_depth(s, by_id)
+        t_end = s.t_end_us if s.t_end_us > s.t_start_us else s.t_start_us + 1e-3
+        args = {"span_id": s.span_id, "category": s.category}
+        if s.attrs:
+            args.update(s.attrs)
+        base = {"name": s.name, "cat": s.category, "pid": 0, "tid": s.rank}
+        keyed.append((s.t_start_us, 2, depth, {**base, "ph": "B",
+                                               "ts": s.t_start_us, "args": args}))
+        keyed.append((t_end, 0, -depth, {**base, "ph": "E", "ts": t_end}))
+
+    # Causal edges, derived exactly as the critical-path analyzer sees them.
+    edge_seq = 0
+    for sink_id, srcs in sorted(flow_edges(flows).items()):
+        sink = by_id.get(sink_id)
+        if sink is None:
+            continue
+        for src_id in srcs:
+            src = by_id.get(src_id)
+            if src is None:
+                continue  # dropped by the bounded buffer
+            edge_seq += 1
+            fid = f"flow{edge_seq}"
+            ts_out = max(src.t_start_us,
+                         (src.t_end_us or src.t_start_us + 1e-3) - 1e-3)
+            ts_in = max(sink.t_start_us,
+                        (sink.t_end_us or sink.t_start_us + 1e-3) - 1e-3)
+            keyed.append((ts_out, 1, 0, {
+                "name": "dep", "cat": "flow", "ph": "s", "id": fid,
+                "pid": 0, "tid": src.rank, "ts": ts_out}))
+            keyed.append((ts_in, 1, 1, {
+                "name": "dep", "cat": "flow", "ph": "f", "bp": "e", "id": fid,
+                "pid": 0, "tid": sink.rank, "ts": ts_in}))
+    keyed.sort(key=lambda kv: (kv[0], kv[1], kv[2]))
+    return meta + [ev for _, _, _, ev in keyed]
+
+
+def dump_chrome_trace_spans(spans: Sequence[Span],
+                            flows: Sequence[FlowPoint],
+                            path: str,
+                            process_name: str = "repro",
+                            dropped_counts: Mapping[int, int] | None = None,
+                            sampled_out: Mapping[int, int] | None = None) -> str:
+    """Atomically write a span trace (with flows) as Chrome/Perfetto JSON."""
+    payload: dict = {
+        "traceEvents": chrome_trace_from_spans(
+            spans, flows, process_name=process_name,
+            dropped_counts=dropped_counts),
+        "displayTimeUnit": "ms",
+        "otherData": {},
+    }
+    if dropped_counts and any(dropped_counts.values()):
+        payload["otherData"]["dropped_spans"] = {
+            str(r): n for r, n in sorted(dropped_counts.items()) if n}
+    if sampled_out and any(sampled_out.values()):
+        payload["otherData"]["sampled_out_spans"] = {
+            str(r): n for r, n in sorted(sampled_out.items()) if n}
+    return atomic_write_text(path, json.dumps(payload, indent=1))
+
+
 # ------------------------------------------------------------------ writers
 def write_trace(source: Any, path: str, process_name: str = "repro") -> ObsDump:
     """Write the merged Perfetto trace; returns the dump it came from."""
@@ -124,36 +247,46 @@ def write_trace(source: Any, path: str, process_name: str = "repro") -> ObsDump:
     return dump
 
 
+def _fold_tracer_accounting(merged: MetricsRegistry, rank: int,
+                            rep: Mapping[str, float],
+                            rates: Mapping[str, int]) -> None:
+    """Fold one rank's tracer self-accounting and live sampling rates in.
+
+    The tracers' own accounting rides along as metrics so a snapshot is
+    self-describing about truncation and tracing cost.
+    """
+    merged.counter("tracer_spans_total",
+                   "spans recorded by the tracer").inc(rep["spans"])
+    merged.counter("tracer_dropped_total",
+                   "spans dropped by the bounded buffer").inc(rep["dropped"])
+    merged.counter("tracer_sampled_out_total",
+                   "spans skipped by 1-in-N sampling").inc(rep["sampled_out"])
+    merged.counter("tracer_self_overhead_us_total",
+                   "tracer-measured cost of tracing itself").inc(
+                       rep["self_overhead_us"])
+    if rep["dropped"]:
+        merged.gauge("tracer_dropped_spans",
+                     "spans lost to buffer overflow on one rank",
+                     dropped_rank=str(rank)).set(rep["dropped"])
+    for category, rate in sorted(rates.items()):
+        g = merged.gauge(
+            "obs_sample_every",
+            "live 1-in-N sampling rate chosen by the adaptive "
+            "controller", category=category)
+        # Merged gauges answer "largest per-rank value"; keep that
+        # contract when folding in the controllers' live rates.
+        g.set(max(g.value, rate))
+
+
 def write_metrics(source: Any, json_path: str | None = None,
                   prometheus_path: str | None = None) -> MetricsRegistry:
     """Write the cross-rank merged metrics snapshot(s); returns the merge."""
     dump = source if isinstance(source, ObsDump) else collect(source)
     merged = dump.merged_metrics()
-    # The tracers' own accounting rides along as metrics so a snapshot is
-    # self-describing about truncation and tracing cost.
     for rank, rep in sorted(dump.overhead_by_rank.items()):
-        merged.counter("tracer_spans_total",
-                       "spans recorded by the tracer").inc(rep["spans"])
-        merged.counter("tracer_dropped_total",
-                       "spans dropped by the bounded buffer").inc(rep["dropped"])
-        merged.counter("tracer_sampled_out_total",
-                       "spans skipped by 1-in-N sampling").inc(rep["sampled_out"])
-        merged.counter("tracer_self_overhead_us_total",
-                       "tracer-measured cost of tracing itself").inc(
-                           rep["self_overhead_us"])
-    for rank, rep in sorted(dump.dropped_by_rank.items()):
-        merged.gauge("tracer_dropped_spans",
-                     "spans lost to buffer overflow on one rank",
-                     dropped_rank=str(rank)).set(rep)
-    for rank, sampler in sorted(dump.sampler_by_rank.items()):
-        for category, rate in sorted(sampler.get("rates", {}).items()):
-            g = merged.gauge(
-                "obs_sample_every",
-                "live 1-in-N sampling rate chosen by the adaptive "
-                "controller", category=category)
-            # Merged gauges answer "largest per-rank value"; keep that
-            # contract when folding in the controllers' live rates.
-            g.set(max(g.value, rate))
+        sampler = dump.sampler_by_rank.get(rank, {})
+        _fold_tracer_accounting(merged, rank, rep, sampler.get("rates", {}))
+    for sampler in dump.sampler_by_rank.values():
         merged.counter(
             "obs_sampler_decisions_total",
             "adaptive sampling rate changes recorded").inc(
@@ -181,28 +314,10 @@ def live_metrics(obs: Sequence[RankObs]) -> MetricsRegistry:
             if attempt == 2:
                 raise
     for ro in obs:
-        rep = ro.tracer.overhead_report()
-        merged.counter("tracer_spans_total",
-                       "spans recorded by the tracer").inc(rep["spans"])
-        merged.counter("tracer_dropped_total",
-                       "spans dropped by the bounded buffer").inc(rep["dropped"])
-        merged.counter("tracer_sampled_out_total",
-                       "spans skipped by 1-in-N sampling").inc(rep["sampled_out"])
-        merged.counter("tracer_self_overhead_us_total",
-                       "tracer-measured cost of tracing itself").inc(
-                           rep["self_overhead_us"])
-        if rep["dropped"]:
-            merged.gauge("tracer_dropped_spans",
-                         "spans lost to buffer overflow on one rank",
-                         dropped_rank=str(ro.rank)).set(rep["dropped"])
         controller = getattr(ro, "controller", None)
-        if controller is not None:
-            for category, rate in sorted(controller.rates.items()):
-                g = merged.gauge(
-                    "obs_sample_every",
-                    "live 1-in-N sampling rate chosen by the adaptive "
-                    "controller", category=category)
-                g.set(max(g.value, rate))
+        _fold_tracer_accounting(
+            merged, ro.rank, ro.tracer.overhead_report(),
+            controller.rates if controller is not None else {})
     return merged
 
 

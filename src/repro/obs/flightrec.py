@@ -27,6 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from repro.obs.export import dump_chrome_trace_spans, validate_chrome_payload
 from repro.obs.span import CAT_STEP, Span
 from repro.util.atomicio import atomic_write_text
 from repro.util.timebase import now_us
@@ -213,9 +214,6 @@ def merge_flight_recordings(directory: str = os.path.join("out", "flightrec"),
     written, so a "timeline exists" check in CI really means "loads in
     ui.perfetto.dev".
     """
-    from repro.obs.export import validate_chrome_payload
-    from repro.tau.trace import dump_chrome_trace_spans
-
     files = sorted(glob.glob(os.path.join(directory, "rank*.json")))
     if not files:
         raise FileNotFoundError(

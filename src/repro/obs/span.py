@@ -1,10 +1,13 @@
 """Distributed span tracing: nested spans with causal cross-rank links.
 
-The flat ENTER/EXIT streams of :mod:`repro.tau.trace` answer "what ran
-when on rank r" but not "what *unblocked* what": a send on rank 0 and the
-receive it satisfies on rank 3 are unrelated records.  This module adds
-the span model (ScALPEL-style always-on monitoring over Cactus-style
-hierarchical timer trees):
+This is the repo's one timeline recorder: the TAU component's tracing
+measurement option (paper Section 4.1; :class:`~repro.tau.profiler.Profiler`
+brackets become spans), the MPI layer's operation trace and the fault
+injector's timeline all record into a :class:`SpanTracer`.  A flat
+ENTER/EXIT stream would answer "what ran when on rank r" but not "what
+*unblocked* what": a send on rank 0 and the receive it satisfies on rank 3
+would be unrelated records.  Hence the span model (ScALPEL-style always-on
+monitoring over Cactus-style hierarchical timer trees):
 
 * a :class:`Span` is a named interval with a unique id, a parent id (the
   enclosing span on the same rank) and a category used by the
@@ -112,9 +115,10 @@ class SpanTracer:
     ``sampled=False`` — the MPI ops — are always recorded, because a
     sampled-out send would orphan the receive edge on another rank.
 
-    The buffer is bounded like :class:`repro.tau.trace.Tracer`: overflow
-    drops the oldest half of the *closed* spans and ``dropped_count``
-    says so; exporters must surface it loudly.
+    The buffer is bounded — a tracer must never grow without limit inside
+    a long simulation: overflow drops the oldest half of the *closed*
+    spans together with the flow points anchored on them, and
+    ``dropped_count`` says so; exporters must surface it loudly.
 
     Self-accounting: every ``_OVERHEAD_STRIDE``-th begin/end measures its
     own duration with two extra clock reads and scales by the stride, so
@@ -174,11 +178,6 @@ class SpanTracer:
     def current(self) -> Span | None:
         """The innermost open span (None outside any span)."""
         return self._open[-1] if self._open else None
-
-    def context(self) -> tuple[int, int] | None:
-        """(rank, span_id) of the innermost open span, for envelope stamping."""
-        cur = self.current()
-        return (self.rank, cur.span_id) if cur is not None else None
 
     # ------------------------------------------------------------- spans
     def start(self, name: str, category: str = CAT_OTHER, *,
@@ -246,8 +245,10 @@ class SpanTracer:
     def _append(self, span: Span) -> None:
         if len(self._spans) >= self.max_spans:
             keep = self.max_spans // 2
-            self.dropped_count += len(self._spans) - keep
+            evicted = {s.span_id for s in self._spans[:-keep]}
+            self.dropped_count += len(evicted)
             self._spans = self._spans[-keep:]
+            self._flows = [f for f in self._flows if f.span_id not in evicted]
         self._spans.append(span)
         if self.recorder is not None:
             self.recorder.on_span(span)

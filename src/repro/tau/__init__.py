@@ -12,6 +12,10 @@ MeasurementPort:
 * **query** — read current cumulative metric values so the Mastermind can
   difference before/after snapshots (:class:`MeasurementSnapshot`).
 
+The tracing measurement option is a :class:`~repro.obs.span.SpanTracer`
+handed to the :class:`Profiler` (``Profiler(tracer=...)``); it exports
+through :mod:`repro.obs.export` like every other timeline.
+
 Hardware metrics come from :mod:`repro.tau.hardware`, a PAPI-like layer
 backed by an explicit cache model (see DESIGN.md substitutions).  Profiles
 dump to TAU-style ``profile.<rank>`` files, and
@@ -20,7 +24,6 @@ dump to TAU-style ``profile.<rank>`` files, and
 """
 
 from repro.tau.timer import TimerStats
-from repro.tau.trace import Tracer, TraceRecord, TraceKind, merge_traces, region_durations
 from repro.tau.events import AtomicEvent, EventRegistry
 from repro.tau.hardware import CacheModel, HardwareCounters, AccessPattern
 from repro.tau.profiler import Profiler
@@ -29,11 +32,6 @@ from repro.tau.summary import function_summary, merge_snapshots
 
 __all__ = [
     "TimerStats",
-    "Tracer",
-    "TraceRecord",
-    "TraceKind",
-    "merge_traces",
-    "region_durations",
     "AtomicEvent",
     "EventRegistry",
     "CacheModel",

@@ -20,11 +20,11 @@ from __future__ import annotations
 import contextlib
 from typing import Callable, Iterator
 
-from repro.obs.span import CAT_COMPUTE
+from repro.obs.span import CAT_COMPUTE, SpanTracer
 from repro.tau.events import EventRegistry
 from repro.tau.hardware import CacheModel, HardwareCounters
 from repro.tau.timer import TimerStats, _Frame
-from repro.tau.trace import Tracer
+from repro.util.atomicio import atomic_write_text
 from repro.util.timebase import now_us
 
 MPI_GROUP = "MPI"
@@ -33,9 +33,12 @@ MPI_GROUP = "MPI"
 class Profiler:
     """Timing + events + hardware counters for one rank.
 
-    Pass a :class:`~repro.tau.trace.Tracer` to additionally record the
-    timestamped ENTER/EXIT/EVENT timeline (TAU's tracing option); profiling
-    aggregates are always collected.
+    Pass a :class:`~repro.obs.span.SpanTracer` to additionally record the
+    timeline (TAU's tracing option): every start/stop bracketing opens and
+    closes a compute-category span (subject to the tracer's 1-in-N
+    sampling), so proxied component invocations are traced for free via
+    the Mastermind's existing timer path.  Profiling aggregates are always
+    collected.
     """
 
     def __init__(
@@ -43,8 +46,7 @@ class Profiler:
         rank: int = 0,
         cache: CacheModel | None = None,
         clock: Callable[[], float] = now_us,
-        tracer: Tracer | None = None,
-        span_tracer=None,
+        tracer: SpanTracer | None = None,
     ) -> None:
         self.rank = int(rank)
         self._clock = clock
@@ -54,11 +56,6 @@ class Profiler:
         self.events = EventRegistry()
         self.counters = HardwareCounters(cache)
         self.tracer = tracer
-        #: optional repro.obs.span.SpanTracer: every start/stop bracketing
-        #: also opens/closes a compute-category span (subject to the
-        #: tracer's 1-in-N sampling), so proxied component invocations are
-        #: traced for free via the Mastermind's existing timer path.
-        self.span_tracer = span_tracer
 
     # ------------------------------------------------------------ timers
     def _get_timer(self, name: str, group: str) -> TimerStats:
@@ -79,31 +76,31 @@ class Profiler:
         self._disabled_groups.add(group)
 
     def start(self, name: str, group: str = "default") -> None:
-        """Start (push) the named timer; no-op if its group is disabled.
+        """Start (push) the named timer.
 
-        The timer is registered (at zero) even when disabled so the
-        matching ``stop`` can recognize it and no-op too.
+        Whether the bracketing is live is decided once, here: a frame is
+        always pushed, and marked suppressed when the group is disabled,
+        so the matching ``stop`` pops the same frame whatever the control
+        interface did to the group in between.
         """
         self._get_timer(name, group)
         if not self.group_enabled(group):
+            self._stack.append(_Frame(name=name, start_us=0.0, suppressed=True))
             return
-        if self.tracer is not None:
-            self.tracer.enter(name)
         span = None
-        if self.span_tracer is not None:
-            span = self.span_tracer.start(name, CAT_COMPUTE, sampled=True)
-        reentrant = any(f.name == name for f in self._stack)
+        if self.tracer is not None:
+            span = self.tracer.start(name, CAT_COMPUTE, sampled=True)
+        reentrant = any(f.name == name and not f.suppressed for f in self._stack)
         self._stack.append(_Frame(name=name, start_us=self._clock(),
                                   reentrant=reentrant, span=span))
 
     def stop(self, name: str) -> float:
         """Stop the named timer (must be the innermost started one).
 
-        Returns the elapsed inclusive microseconds for this bracketing.
+        Returns the elapsed inclusive microseconds for this bracketing
+        (0.0 for one started while its group was disabled, which records
+        nothing).
         """
-        timer = self._timers.get(name)
-        if timer is not None and not self.group_enabled(timer.group):
-            return 0.0
         if not self._stack:
             raise RuntimeError(f"stop({name!r}) with no timer running")
         frame = self._stack[-1]
@@ -112,12 +109,16 @@ class Profiler:
                 f"stop({name!r}) does not match innermost running timer {frame.name!r}"
             )
         self._stack.pop()
+        if frame.suppressed:
+            # Time nested under a suppressed frame still belongs to the
+            # enclosing live region's children.
+            if self._stack:
+                self._stack[-1].child_us += frame.child_us
+            return 0.0
         if self.tracer is not None:
-            self.tracer.exit(name)
-        if self.span_tracer is not None:
-            self.span_tracer.end(frame.span)
+            self.tracer.end(frame.span)
         elapsed = self._clock() - frame.start_us
-        assert timer is not None  # created at start()
+        timer = self._timers[name]
         timer.calls += 1
         timer.exclusive_us += elapsed - frame.child_us
         if not frame.reentrant:
@@ -148,8 +149,6 @@ class Profiler:
             raise ValueError(f"negative charge {duration_us} for {name!r}")
         if not self.group_enabled(group):
             return
-        if self.tracer is not None:
-            self.tracer.event(name, duration_us)
         t = self._get_timer(name, group)
         t.calls += 1
         t.inclusive_us += duration_us
@@ -171,10 +170,7 @@ class Profiler:
     # ----------------------------------------------------------- queries
     def running(self) -> list[str]:
         """Names of currently running timers, outermost first."""
-        return [f.name for f in self._stack]
-
-    def timer_names(self) -> list[str]:
-        return sorted(self._timers)
+        return [f.name for f in self._stack if not f.suppressed]
 
     def get(self, name: str) -> TimerStats:
         """Cumulative stats for one timer (KeyError if unknown)."""
@@ -194,7 +190,7 @@ class Profiler:
 
     # -------------------------------------------------------------- dump
     def dump(self, path: str) -> None:
-        """Write a TAU-style text profile (one file per rank)."""
+        """Atomically write a TAU-style text profile (one file per rank)."""
         lines = [f"# TAU-style profile, rank {self.rank}", "# name group calls incl_us excl_us"]
         for name in sorted(self._timers):
             t = self._timers[name]
@@ -210,5 +206,4 @@ class Profiler:
         lines.append("# hardware counters")
         for name, v in sorted(self.counters.read().items()):
             lines.append(f"{name} {v}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        atomic_write_text(path, "\n".join(lines) + "\n")

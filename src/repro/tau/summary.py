@@ -17,8 +17,9 @@ from repro.util.tabular import format_table
 def merge_snapshots(snapshots: Sequence[Mapping[str, TimerStats]]) -> dict[str, TimerStats]:
     """Mean-over-ranks merge of per-rank timer snapshots.
 
-    Timers absent on a rank contribute zero (divisor is always the number
-    of ranks, as TAU's mean profile does).
+    Times are means; timers absent on a rank contribute zero (divisor is
+    always the number of ranks, as TAU's mean profile does).  ``calls``
+    stays the total across ranks.
     """
     if not snapshots:
         raise ValueError("no snapshots to merge")
@@ -33,10 +34,6 @@ def merge_snapshots(snapshots: Sequence[Mapping[str, TimerStats]]) -> dict[str, 
     for stats in merged.values():
         stats.inclusive_us /= n
         stats.exclusive_us /= n
-        # Keep calls an int: mean calls rounded like TAU's fractional
-        # "#Call" column would show; we preserve the fractional value in
-        # usec/call by dividing inclusive first.
-        stats.calls = stats.calls  # total calls across ranks
     return merged
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.obs.span import Span
+
 
 @dataclass
 class TimerStats:
@@ -48,6 +50,8 @@ class _Frame:
     start_us: float
     child_us: float = 0.0
     reentrant: bool = False
-    #: the observability span opened for this frame (None when tracing is
-    #: off or the span was sampled out)
-    span: object | None = None
+    #: started while its group was disabled: stop pops it, records nothing
+    suppressed: bool = False
+    #: the span opened for this frame (None when tracing is off or the
+    #: span was sampled out)
+    span: Span | None = None

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+from repro.obs.export import validate_trace_file
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
 
@@ -49,7 +50,10 @@ def test_fault_tolerance_small(tmp_path):
     assert "'recovered': 3" in out
     assert "run killed as planned" in out
     assert "BITWISE IDENTICAL" in out
-    assert (tmp_path / "trace.json").exists()
+    trace = tmp_path / "trace.json"
+    assert validate_trace_file(str(trace)) == []
+    names = trace.read_text()
+    assert '"fault.drop"' in names and '"mpi.recovered"' in names
 
 
 def test_observability_small(tmp_path):

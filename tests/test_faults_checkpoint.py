@@ -14,9 +14,16 @@ from repro.euler.setup import shock_interface_ic
 from repro.faults.checkpoint import (CheckpointConfig, Checkpointer,
                                      hierarchy_state, hierarchy_states_equal,
                                      latest_step, load_rank_state)
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, MessageFault
+from repro.faults.policy import ResiliencePolicy
+from repro.mpi import create_world
+from repro.obs.export import (chrome_trace_from_spans,
+                              dump_chrome_trace_spans,
+                              validate_chrome_payload, validate_trace_file)
+from repro.obs.span import SpanTracer
 from repro.perf.records import InvocationRecord, MethodRecord
 from repro.tau.query import InvocationMeasurement
-from repro.tau.trace import Tracer, chrome_trace_events, dump_chrome_trace
 from repro.util.atomicio import (atomic_pickle, atomic_write_bytes,
                                  atomic_write_text)
 
@@ -184,12 +191,12 @@ def test_mastermind_restore_refuses_open_invocations():
 # ------------------------------------------------------------ chrome trace
 def test_chrome_trace_events_shapes():
     clock = iter(range(100))
-    tr = Tracer(rank=2, clock=lambda: float(next(clock)))
-    tr.enter("region")
-    tr.event("fault.drop", 1.0)
-    tr.event("checkpoint.save", 3.0)
-    tr.exit("region")
-    events = chrome_trace_events(tr.records(), process_name="proc")
+    tr = SpanTracer(rank=2, clock=lambda: float(next(clock)))
+    with tr.span("region"):
+        tr.instant("fault.drop", value=1.0)
+        tr.instant("checkpoint.save", value=3.0)
+    events = chrome_trace_from_spans(tr.spans(), process_name="proc")
+    assert validate_chrome_payload({"traceEvents": events}) == []
 
     meta = [e for e in events if e["ph"] == "M"]
     assert {e["name"] for e in meta} == {"process_name", "thread_name"}
@@ -198,20 +205,61 @@ def test_chrome_trace_events_shapes():
 
     begins = [e for e in events if e["ph"] == "B"]
     ends = [e for e in events if e["ph"] == "E"]
-    instants = [e for e in events if e["ph"] == "i"]
-    assert [e["name"] for e in begins] == ["region"]
-    assert [e["name"] for e in ends] == ["region"]
-    assert [e["name"] for e in instants] == ["fault.drop", "checkpoint.save"]
-    assert all(e["tid"] == 2 and e["s"] == "t" for e in instants)
-    assert instants[1]["args"]["value"] == 3.0
+    assert all(e["tid"] == 2 for e in begins + ends)
+    # Marks are zero-length spans nested in the region that was open.
+    assert [e["name"] for e in begins] == ["region", "fault.drop",
+                                           "checkpoint.save"]
+    assert [e["name"] for e in ends] == ["fault.drop", "checkpoint.save",
+                                         "region"]
+    assert begins[2]["args"]["value"] == 3.0
+    assert ends[1]["ts"] > begins[2]["ts"]
 
 
 def test_dump_chrome_trace_is_loadable_json(tmp_path):
-    tr = Tracer(rank=0)
-    tr.event("fault.stall", 2.5)
+    tr = SpanTracer(rank=0)
+    tr.instant("fault.stall", value=2.5)
     path = str(tmp_path / "trace.json")
-    dump_chrome_trace(tr.records(), path)
+    dump_chrome_trace_spans(tr.spans(), [], path)
+    assert validate_trace_file(path) == []
     payload = json.load(open(path, encoding="utf-8"))
     assert payload["displayTimeUnit"] == "ms"
+    assert validate_chrome_payload(payload) == []
     names = [e["name"] for e in payload["traceEvents"]]
     assert "fault.stall" in names
+
+
+def test_mpshm_fault_timeline_comes_home_and_exports(tmp_path):
+    """The injector's per-rank tracers ride back from the mp-shm workers:
+    same ``fault.*`` marks in the same per-rank order as on the thread
+    backend, and the merged timeline is a valid trace."""
+    plan = FaultPlan(name="ring-drops", seed=3, messages=(
+        MessageFault(kind="drop", source=0, index=1, count=2),
+        MessageFault(kind="delay", source=1, index=0, delay_us=50.0),
+        MessageFault(kind="drop", source=2, index=3),
+    ))
+
+    def ring(comm):
+        nxt, prv = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
+        for i in range(5):
+            comm.send((comm.rank, i), dest=nxt, tag=10 + i)
+        return [comm.recv(source=prv, tag=10 + i) for i in range(5)]
+
+    marks = {}
+    for backend in ("thread", "mp-shm"):
+        world = create_world(backend, nranks=3, seed=5,
+                             injector=FaultInjector(plan, 3),
+                             policy=ResiliencePolicy())
+        world.run(ring)
+        tracers = world.last_world.injector.tracers
+        assert [tr.rank for tr in tracers] == [0, 1, 2]
+        marks[backend] = [[s.name for s in tr.spans()
+                           if s.name.startswith("fault.")] for tr in tracers]
+        spans = sorted((s for tr in tracers for s in tr.spans()),
+                       key=lambda s: (s.t_start_us, s.rank, s.span_id))
+        assert {s.name for s in spans} >= {"fault.drop", "mpi.recovered"}
+        path = str(tmp_path / f"faults-{backend}.json")
+        dump_chrome_trace_spans(spans, [], path)
+        assert validate_trace_file(path) == []
+    assert marks["thread"] == marks["mp-shm"]
+    assert marks["thread"] == [["fault.drop"] * 2, ["fault.delay"],
+                               ["fault.drop"]]

@@ -10,8 +10,9 @@ import json
 import pytest
 
 from repro.mpi.runner import ParallelRunner
-from repro.obs.export import (collect, validate_chrome_payload,
-                              validate_trace_file, write_metrics, write_trace)
+from repro.obs.export import (chrome_trace_from_spans, collect,
+                              validate_chrome_payload, validate_trace_file,
+                              write_metrics, write_trace)
 from repro.obs.runtime import ObsConfig, RankObs
 from repro.obs.span import CAT_COMPUTE, CAT_MPI, SpanTracer
 
@@ -137,7 +138,6 @@ def _valid_payload():
         tr2.flow_in("1", r)
     spans = tr.spans() + tr2.spans()
     flows = tr.flows() + tr2.flows()
-    from repro.tau.trace import chrome_trace_from_spans
     return {"traceEvents": chrome_trace_from_spans(spans, flows)}
 
 

@@ -108,6 +108,22 @@ def test_overflow_drops_oldest_and_counts():
     assert tr.dropped_count + len(tr.spans()) == 25
     assert tr.overhead_report()["dropped"] == float(tr.dropped_count)
 
+    # Flow points are evicted with the spans they are anchored on.
+    tr = make_tracer(max_spans=10)
+    with tr.span("step") as still_open:
+        for i in range(1000):
+            with tr.span("MPI_Isend", CAT_MPI) as sp:
+                tr.flow_out(str(i), sp)
+        tr.flow_collective("c:0:1", still_open)
+        assert len(tr.spans()) <= 10
+        assert tr.dropped_count + len(tr.spans()) == 1000
+        # The flow list is bounded with the spans it points into ...
+        assert len(tr.flows()) <= len(tr.spans()) + 1
+        # ... and every kept flow resolves to a kept or still-open span.
+        live = {s.span_id for s in tr.spans()} | {still_open.span_id}
+        assert {f.span_id for f in tr.flows()} <= live
+        assert tr.flows()[-1].flow_id == "c:0:1"
+
 
 # -------------------------------------------------------------------- flows
 def test_flow_points_record_endpoints():

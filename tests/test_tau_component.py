@@ -1,11 +1,13 @@
 """The TAU component's MeasurementPort and profiler/tracer integration."""
 
+import importlib
+
 import pytest
 
 from repro.cca import Component, Framework
+from repro.obs.span import CAT_COMPUTE, SpanTracer
 from repro.tau.component import MeasurementPort, TauMeasurementComponent
 from repro.tau.profiler import Profiler
-from repro.tau.trace import TraceKind, Tracer
 
 
 class Inspector(Component):
@@ -81,34 +83,121 @@ class TestMeasurementPort:
 
 
 class TestProfilerTracing:
+    """TAU's tracing option: the profiler records into a SpanTracer."""
+
     def test_timer_brackets_traced(self):
-        tracer = Tracer(rank=0)
+        tracer = SpanTracer(rank=0)
         p = Profiler(tracer=tracer)
-        with p.timer("region"):
-            pass
-        kinds = [(r.kind, r.name) for r in tracer.records()]
-        assert kinds == [(TraceKind.ENTER, "region"), (TraceKind.EXIT, "region")]
+        with p.timer("outer"):
+            with p.timer("inner"):
+                pass
+        inner, outer = tracer.spans()  # closed inner-first
+        assert (inner.name, outer.name) == ("inner", "outer")
+        assert inner.category == outer.category == CAT_COMPUTE
+        assert outer.parent_id is None
+        assert inner.parent_id == outer.span_id
+        assert outer.t_start_us <= inner.t_start_us <= inner.t_end_us <= outer.t_end_us
+        assert tracer.open_depth() == 0
 
     def test_charge_traced_as_event(self):
-        tracer = Tracer(rank=0)
+        # A modeled charge has no wall-clock footprint of its own: it lands
+        # as ``virtual_us`` on every enclosing span (and on none outside).
+        tracer = SpanTracer(rank=0)
         p = Profiler(tracer=tracer)
-        p.charge("MPI_Waitsome", 33.0)
-        rec = tracer.records()[0]
-        assert rec.kind is TraceKind.EVENT
-        assert rec.name == "MPI_Waitsome"
-        assert rec.value == 33.0
+        p.charge("MPI_Waitsome", 5.0)
+        assert len(tracer) == 0
+        with p.timer("outer"):
+            with p.timer("inner"):
+                p.charge("MPI_Waitsome", 33.0)
+            p.charge("MPI_Waitsome", 1.0)
+        inner, outer = tracer.spans()
+        assert inner.attrs["virtual_us"] == 33.0
+        assert outer.attrs["virtual_us"] == 34.0
+        assert p.get("MPI_Waitsome").inclusive_us == 39.0
 
     def test_disabled_group_not_traced(self):
-        tracer = Tracer(rank=0)
+        tracer = SpanTracer(rank=0)
         p = Profiler(tracer=tracer)
         p.disable_group("MPI")
         p.charge("MPI_Send", 1.0)
         p.start("t", group="MPI")
         p.stop("t")
         assert len(tracer) == 0
+        assert tracer.open_depth() == 0
+        assert p.get("t").calls == 0
 
     def test_no_tracer_is_fine(self):
         p = Profiler()
         with p.timer("t"):
             pass
         assert p.get("t").calls == 1
+
+    def test_one_tracer_parameter(self):
+        with pytest.raises(TypeError):
+            Profiler(span_tracer=SpanTracer(rank=0))
+
+    def test_flat_trace_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.tau.trace")
+
+
+@pytest.mark.parametrize("traced", [False, True])
+class TestGroupToggledInsideBracket:
+    """The control interface flips groups at runtime; liveness of a
+    bracketing is decided once, at ``start``."""
+
+    def make(self, traced):
+        tracer = SpanTracer(rank=0) if traced else None
+        return Profiler(tracer=tracer), tracer
+
+    def test_disabled_between_start_and_stop(self, traced):
+        p, tracer = self.make(traced)
+        p.start("outer")
+        p.start("t", "g")
+        p.disable_group("g")
+        p.stop("t")
+        assert p.running() == ["outer"]
+        p.stop("outer")
+        assert p.running() == []
+        assert p.get("t").calls == 1
+        assert p.get("outer").calls == 1
+        if tracer is not None:
+            t, outer = tracer.spans()
+            assert (t.name, t.parent_id) == ("t", outer.span_id)
+            assert tracer.open_depth() == 0
+            # Later spans are not parented under a leaked ``t``.
+            with p.timer("later"):
+                pass
+            assert tracer.spans()[-1].parent_id is None
+
+    def test_enabled_between_start_and_stop(self, traced):
+        p, tracer = self.make(traced)
+        p.disable_group("g")
+        p.start("outer")
+        p.start("t", "g")
+        assert p.running() == ["outer"]
+        p.enable_group("g")
+        assert p.stop("t") == 0.0
+        p.stop("outer")
+        assert p.running() == []
+        assert p.get("t").calls == 0
+        assert p.get("outer").calls == 1
+        if tracer is not None:
+            assert [s.name for s in tracer.spans()] == ["outer"]
+            assert tracer.open_depth() == 0
+
+    def test_time_under_a_suppressed_frame_is_child_time(self, traced):
+        clock = iter(range(0, 1000, 10))
+        p = Profiler(clock=lambda: float(next(clock)),
+                     tracer=SpanTracer(rank=0) if traced else None)
+        p.disable_group("g")
+        p.start("outer")         # t=0
+        p.start("mid", "g")      # suppressed: no clock read
+        p.start("leaf")          # t=10
+        p.stop("leaf")           # t=20
+        p.stop("mid")
+        p.stop("outer")          # t=30
+        assert p.get("leaf").inclusive_us == 10.0
+        assert p.get("outer").inclusive_us == 30.0
+        assert p.get("outer").exclusive_us == 20.0
+        assert p.get("mid").calls == 0
