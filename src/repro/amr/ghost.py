@@ -32,15 +32,6 @@ from repro.mpi.request import RecvRequest, waitsome
 Transform = Callable[[np.ndarray], np.ndarray]
 
 
-def _whole_block(patch: Patch, fields: Sequence[str]) -> np.ndarray:
-    """The patch's storage block, given that ``fields`` is all of it."""
-    if patch.names != tuple(fields):
-        raise ValueError(
-            f"transfer of fields {list(fields)} on patch {patch.uid} holding "
-            f"{list(patch.names)}: a transfer moves the whole block")
-    return patch.block
-
-
 @dataclass
 class Transfer:
     """One region move: src_patch.src_region -> dst_patch.dst_region.
@@ -48,8 +39,9 @@ class Transfer:
     Regions are boxes in each patch's own level index space; after the
     optional ``transform`` the source block's shape must equal the
     destination region's shape.  The storage slices of both regions are
-    resolved once, here, so executing the transfer is one slice copy of
-    the patch's whole ``(nfields, ni, nj)`` block.
+    resolved once, here (``src_slices``/``dst_slices``, each an index
+    into its patch's whole ``(nfields, ni, nj)`` block), so executing the
+    transfer is one slice copy and guarding it hashes one slice.
     """
 
     src_patch: Patch
@@ -59,8 +51,10 @@ class Transfer:
     transform: Transform | None = None
 
     def __post_init__(self) -> None:
-        self._src = (slice(None), *self.src_region.slices(self.src_patch.ghost_box))
-        self._dst = (slice(None), *self.dst_region.slices(self.dst_patch.ghost_box))
+        self.src_slices = (
+            slice(None), *self.src_region.slices(self.src_patch.ghost_box))
+        self.dst_slices = (
+            slice(None), *self.dst_region.slices(self.dst_patch.ghost_box))
         self._dst_shape = self.dst_region.shape
 
     def extract(self, fields: Sequence[str]) -> np.ndarray:
@@ -69,7 +63,7 @@ class Transfer:
         A view of the patch's storage unless a transform made a new array;
         ``fields`` must be the patch's own field list.
         """
-        data = _whole_block(self.src_patch, fields)[self._src]
+        data = self.src_patch.whole_block(fields)[self.src_slices]
         if self.transform is not None:
             data = self.transform(data)
         if data.shape[1:] != self._dst_shape:
@@ -81,7 +75,7 @@ class Transfer:
 
     def insert(self, data: np.ndarray, fields: Sequence[str]) -> None:
         """Write a received block into the destination patch."""
-        _whole_block(self.dst_patch, fields)[self._dst] = data
+        self.dst_patch.whole_block(fields)[self.dst_slices] = data
         self.dst_patch.mark_written()
 
 
@@ -183,12 +177,12 @@ def execute_transfers(
         elif kind == _SEND:
             comm.isend(t.extract(fields), dest=t.dst_patch.owner, tag=tag)
             if guard is not None:
-                guard.watch_send(t.src_patch, t.src_region, fields, tag)
+                guard.watch_send(t.src_patch, t.src_slices, fields, tag)
         else:
             pending.append(comm.irecv(source=t.src_patch.owner, tag=tag))
             posted.append((t, tag))
             if guard is not None:
-                guard.watch_recv(t.dst_patch, t.dst_region, fields, tag)
+                guard.watch_recv(t.dst_patch, t.dst_slices, fields, tag)
     while any(not r.complete for r in pending):
         for i in waitsome(pending):
             t, tag = posted[i]

@@ -76,6 +76,14 @@ class Patch:
         self.block = block
         self.fields = dict(zip(names, block))
 
+    def whole_block(self, fields: Sequence[str]) -> np.ndarray:
+        """The storage block, given that ``fields`` is all of it."""
+        if self.names != tuple(fields):
+            raise ValueError(
+                f"transfer of fields {list(fields)} on patch {self.uid} holding "
+                f"{list(self.names)}: a transfer moves the whole block")
+        return self.block
+
     def data(self, name: str) -> np.ndarray:
         """Full storage array of a field (interior + ghosts)."""
         try:

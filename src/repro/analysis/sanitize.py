@@ -12,7 +12,8 @@ families of checks:
   first divergent operation instead of silently combining a ``bcast`` with
   a ``reduce``;
 * **point-to-point hygiene** — payload type stability per (context, source,
-  dest, tag) channel (warning), plus finalize-time detection of leaked
+  dest, tag) channel among each sender's most recent channels (warning),
+  plus finalize-time detection of leaked
   :class:`~repro.mpi.request.RecvRequest` objects and unconsumed
   :class:`~repro.mpi.message.Envelope` s;
 * **deadlock detection** — blocked ranks register a wait-for edge set
@@ -22,8 +23,9 @@ families of checks:
   :class:`DeadlockError` naming the cycle of ranks and pending ops instead
   of hanging until the world timeout;
 * **ghost-region races** — :class:`GhostGuard` version-stamps and
-  checksums patch regions with outstanding nonblocking sends/recvs and
-  flags any write that lands mid-exchange.
+  checksums the block region behind every outstanding nonblocking
+  send/recv (one CRC over all fields, through the transfer plan's
+  precomputed slices) and flags any write that lands mid-exchange.
 
 Findings are recorded (:attr:`Sanitizer.findings`), emitted through the
 per-rank :class:`~repro.obs.metrics.MetricsRegistry` when observability is
@@ -35,13 +37,15 @@ they exist to prevent.
 
 from __future__ import annotations
 
+import functools
 import threading
 import zlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.amr.box import Box
     from repro.amr.patch import Patch
     from repro.mpi.message import Envelope
     from repro.mpi.request import RecvRequest
@@ -69,6 +73,9 @@ class LeakError(SanitizerError):
 
 #: finding kinds that never raise, regardless of ``strict``
 WARNING_KINDS = frozenset({"p2p-type-instability"})
+
+#: channels remembered per sending rank by the type-stability check
+CHANNEL_TABLE_SIZE = 256
 
 
 @dataclass
@@ -130,14 +137,22 @@ class _WaitState:
     gen: int
 
 
+@functools.lru_cache(maxsize=64)
+def _array_signature(cls: type, dtype: Any, ndim: int) -> str:
+    return f"{cls.__name__}[{dtype},{ndim}d]"
+
+
 def type_signature(obj: Any) -> str:
-    """Compact payload type descriptor used for channel-stability checks."""
-    tname = type(obj).__name__
+    """Compact payload type descriptor used for channel-stability checks.
+
+    Array descriptors are interned per ``(type, dtype, ndim)``: formatting
+    a NumPy dtype's name costs more than the rest of the p2p check.
+    """
     shape = getattr(obj, "shape", None)
     dtype = getattr(obj, "dtype", None)
     if shape is not None and dtype is not None:
-        return f"{tname}[{dtype},{len(shape)}d]"
-    return tname
+        return _array_signature(type(obj), dtype, len(shape))
+    return type(obj).__name__
 
 
 class Sanitizer:
@@ -161,7 +176,13 @@ class Sanitizer:
             deque(maxlen=self.config.history) for _ in range(self.nranks)]
 
         # P2P: channel payload-type stability + per-rank posted receives.
-        self._chan_types: dict[tuple[str, int, int, int], str] = {}
+        # One channel table per sending rank: only that rank's thread
+        # touches it, so it needs no lock; ``_chan_order`` holds its keys
+        # oldest first and evicts beyond CHANNEL_TABLE_SIZE.
+        self._chan_types: list[dict[tuple[str, int, int], str]] = [
+            {} for _ in range(self.nranks)]
+        self._chan_order: list[deque[tuple[str, int, int]]] = [
+            deque() for _ in range(self.nranks)]
         self._requests: list[list["RecvRequest"]] = [[] for _ in range(self.nranks)]
 
         # Deadlock: registered wait states + per-rank progress generations.
@@ -243,15 +264,29 @@ class Sanitizer:
 
     # ------------------------------------------------------ point-to-point
     def on_send(self, rank: int, context: str, env: "Envelope") -> None:
-        """Channel payload-type stability check, recorded at send time."""
+        """Channel payload-type stability check, recorded at send time.
+
+        ``rank`` (the sender) remembers the payload type last carried by
+        each of its CHANNEL_TABLE_SIZE most recently opened (context,
+        dest, tag) channels, so the check sees a channel that is reused
+        while it is still among them: fixed-tag application messages.
+        A ghost exchange never repeats a channel (its tags come from
+        :class:`~repro.amr.ghost.GhostExchanger`'s monotone counter);
+        its entries pass through the table and age out.
+        """
         if not self.config.p2p:
             return
         sig = type_signature(env.payload)
-        key = (context, env.source, env.dest, env.tag)
-        with self._flock:
-            prev = self._chan_types.get(key)
-            self._chan_types[key] = sig
-        if prev is not None and prev != sig:
+        key = (context, env.dest, env.tag)
+        table = self._chan_types[rank]
+        prev = table.get(key)
+        table[key] = sig
+        if prev is None:
+            order = self._chan_order[rank]
+            order.append(key)
+            if len(order) > CHANNEL_TABLE_SIZE:
+                del table[order.popleft()]
+        elif prev != sig:
             self.record(
                 "p2p-type-instability", rank,
                 f"channel (context={context!r}, {env.source}->{env.dest}, "
@@ -391,61 +426,80 @@ class Sanitizer:
         return GhostGuard(self, rank)
 
 
-@dataclass
 class _Watch:
-    """One guarded patch region with an outstanding transfer."""
+    """One guarded block region with an outstanding transfer."""
 
-    patch: "Patch"
-    region: Any
-    fields: tuple[str, ...]
-    tag: int
-    version: int
-    checksum: int
+    __slots__ = ("patch", "slices", "tag", "version", "checksum")
+
+    def __init__(self, patch: "Patch", slices: tuple, tag: int) -> None:
+        self.patch = patch
+        #: index of the region in ``patch.block``: every field, then i, j
+        self.slices = slices
+        self.tag = tag
+        self.version = patch.version
+        self.checksum = self.current()
+
+    def current(self) -> int:
+        """CRC of the region's bytes now, all fields in block order."""
+        return zlib.crc32(self.patch.block[self.slices].tobytes())
+
+    def region(self) -> "Box":
+        """The watched region in level index space (for the report)."""
+        from repro.amr.box import Box
+
+        origin = self.patch.ghost_box
+        _, si, sj = self.slices
+        return Box(origin.ilo + si.start, origin.jlo + sj.start,
+                   origin.ilo + si.stop - 1, origin.jlo + sj.stop - 1)
 
 
-@dataclass
 class GhostGuard:
     """Race detector for one ghost-exchange drain.
 
-    ``watch_send``/``watch_recv`` stamp (version, checksum) of the patch
+    ``watch_send``/``watch_recv`` stamp (version, checksum) of a patch
     region when the nonblocking operation is posted;
     ``check_recv``/``check_sends`` re-hash at completion and flag any
     mid-exchange write.  One guard instance covers one
     :func:`~repro.amr.ghost.execute_transfers` call.
+
+    What is hashed is the region of the patch's whole ``(nfields, ni,
+    nj)`` block - a transfer moves every field, so ``fields`` must be the
+    patch's own field list - in one CRC per checksum.  ``region`` is
+    either the block index a compiled :class:`~repro.amr.ghost.Transfer`
+    already holds (``src_slices``/``dst_slices``: nothing is resolved
+    here) or a :class:`~repro.amr.box.Box` in level index space, resolved
+    once when the watch is made.
     """
 
-    sanitizer: Sanitizer
-    rank: int
-    _sends: list[_Watch] = field(default_factory=list)
-    _recvs: dict[int, _Watch] = field(default_factory=dict)
+    __slots__ = ("sanitizer", "rank", "_sends", "_recvs")
+
+    def __init__(self, sanitizer: Sanitizer, rank: int) -> None:
+        self.sanitizer = sanitizer
+        self.rank = rank
+        self._sends: list[_Watch] = []
+        self._recvs: dict[int, _Watch] = {}
 
     @staticmethod
-    def _checksum(patch: "Patch", region: Any, fields: Sequence[str]) -> int:
-        crc = 0
-        for f in fields:
-            block = patch.view(f, region)
-            crc = zlib.crc32(block.tobytes(), crc)
-        return crc
+    def _watch(patch: "Patch", region: "Box | tuple",
+               fields: Sequence[str], tag: int) -> _Watch:
+        patch.whole_block(fields)
+        if not isinstance(region, tuple):
+            region = (slice(None), *region.slices(patch.ghost_box))
+        return _Watch(patch, region, tag)
 
-    def watch_send(self, patch: "Patch", region: Any, fields: Sequence[str],
-                   tag: int) -> None:
-        self._sends.append(_Watch(
-            patch=patch, region=region, fields=tuple(fields), tag=tag,
-            version=patch.version,
-            checksum=self._checksum(patch, region, fields)))
+    def watch_send(self, patch: "Patch", region: "Box | tuple",
+                   fields: Sequence[str], tag: int) -> None:
+        self._sends.append(self._watch(patch, region, fields, tag))
 
-    def watch_recv(self, patch: "Patch", region: Any, fields: Sequence[str],
-                   tag: int) -> None:
-        self._recvs[tag] = _Watch(
-            patch=patch, region=region, fields=tuple(fields), tag=tag,
-            version=patch.version,
-            checksum=self._checksum(patch, region, fields))
+    def watch_recv(self, patch: "Patch", region: "Box | tuple",
+                   fields: Sequence[str], tag: int) -> None:
+        self._recvs[tag] = self._watch(patch, region, fields, tag)
 
     def _flag(self, w: _Watch, op: str) -> None:
         self.sanitizer.record(
             "ghost-race", self.rank,
-            f"ghost-region race: patch uid={w.patch.uid} region={w.region} "
-            f"fields={list(w.fields)} written while nonblocking {op} "
+            f"ghost-region race: patch uid={w.patch.uid} region={w.region()} "
+            f"fields={list(w.patch.names)} written while nonblocking {op} "
             f"tag={w.tag} was outstanding (patch version "
             f"{w.version} -> {w.patch.version})", GhostRaceError)
 
@@ -453,14 +507,12 @@ class GhostGuard:
         """Verify the destination region was untouched, then release it
         (the matched insert is about to write it legitimately)."""
         w = self._recvs.pop(tag, None)
-        if w is None:
-            return
-        if self._checksum(w.patch, w.region, w.fields) != w.checksum:
+        if w is not None and w.current() != w.checksum:
             self._flag(w, "receive")
 
     def check_sends(self) -> None:
         """Verify every posted send's source region at drain completion."""
         for w in self._sends:
-            if self._checksum(w.patch, w.region, w.fields) != w.checksum:
+            if w.current() != w.checksum:
                 self._flag(w, "send")
         self._sends.clear()

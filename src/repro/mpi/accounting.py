@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import Callable
 
 
 @dataclass
@@ -51,16 +52,30 @@ class MPIAccounting:
                        for k, (t, c) in state["stats"].items()}
         self._listeners = ()
 
-    def record(self, routine: str, cost_us: float) -> None:
-        """Charge ``cost_us`` to ``routine`` (one call)."""
-        if cost_us < 0:
-            raise ValueError(f"negative MPI cost {cost_us} for {routine}")
+    def charger(self, routine: str) -> Callable[[float], None]:
+        """``charge(cost_us)`` for one routine, its ledger row resolved.
+
+        What a communicator keeps per routine it calls, so a charge does
+        not look the row up (or build a spare one) each time.
+        """
         with self._lock:
             st = self._stats.setdefault(routine, RoutineStats())
-            st.total_us += cost_us
-            st.calls += 1
-        for fn in self._listeners:
-            fn(routine, cost_us)
+        lock = self._lock
+
+        def charge(cost_us: float) -> None:
+            if cost_us < 0:
+                raise ValueError(f"negative MPI cost {cost_us} for {routine}")
+            with lock:
+                st.total_us += cost_us
+                st.calls += 1
+            for fn in self._listeners:
+                fn(routine, cost_us)
+
+        return charge
+
+    def record(self, routine: str, cost_us: float) -> None:
+        """Charge ``cost_us`` to ``routine`` (one call)."""
+        self.charger(routine)(cost_us)
 
     def add_listener(self, fn) -> None:
         """Register ``fn(routine, cost_us)`` called after each charge.

@@ -66,10 +66,10 @@ class SimComm:
         self._dup_count = 0
         self._obs = world.obs[self.rank] if world.obs is not None else None
         self._san = world.sanitizer
-        # Registry lookups hash the label dict; at thousands of MPI ops per
-        # step that shows up, so the hot path resolves each routine's
-        # instruments once and reuses the references.
-        self._mpi_metrics: dict[str, tuple] = {}
+        # At thousands of MPI ops per step a ledger or registry lookup per
+        # charge shows up, so the hot path resolves each routine's ledger
+        # row and instruments once and reuses the references.
+        self._routines: dict[str, tuple] = {}
         self._bytes_counter = (
             self._obs.metrics.counter(
                 "mpi_bytes_sent_total", "payload bytes posted for send")
@@ -106,7 +106,9 @@ class SimComm:
         """Span around one MPI op, or a no-op when tracing is off.
 
         MPI spans are never sampled out: a missing send span would orphan
-        the cross-rank edge to its receive.
+        the cross-rank edge to its receive.  The ops a ghost exchange
+        posts by the thousand per step (isend, irecv) call the tracer's
+        ``start``/``end`` themselves, without a context manager.
         """
         if self._obs is None:
             return nullcontext(None)
@@ -122,19 +124,22 @@ class SimComm:
         injector = self.world.injector
         if injector is not None:
             cost_us += injector.on_mpi_op(self.rank, routine)
-        self.accounting.record(routine, cost_us)
-        if self._obs is not None:
-            inst = self._mpi_metrics.get(routine)
-            if inst is None:
+        entry = self._routines.get(routine)
+        if entry is None:
+            calls = hist = None
+            if self._obs is not None:
                 m = self._obs.metrics
-                inst = self._mpi_metrics[routine] = (
-                    m.counter("mpi_calls_total", "MPI calls by routine",
-                              routine=routine),
-                    m.histogram("mpi_cost_us", "modeled MPI cost by routine",
-                                routine=routine),
-                )
-            inst[0].inc()
-            inst[1].observe(cost_us)
+                calls = m.counter("mpi_calls_total", "MPI calls by routine",
+                                  routine=routine)
+                hist = m.histogram("mpi_cost_us", "modeled MPI cost by routine",
+                                   routine=routine)
+            entry = self._routines[routine] = (
+                self.accounting.charger(routine), calls, hist)
+        record, calls, hist = entry
+        record(cost_us)
+        if calls is not None:
+            calls.inc()
+            hist.observe(cost_us)
 
     # ---------------------------------------------------- point-to-point
     def _post_send(self, obj: Any, dest: int, tag: int,
@@ -191,17 +196,25 @@ class SimComm:
             self.rank, [(self.context, source, tag)], op=routine,
             charge=self.charge)[0]
 
+    def _send(self, routine: str, obj: Any, dest: int, tag: int) -> None:
+        """Copy, deliver and charge the injection cost under ``routine``."""
+        obs = self._obs
+        sp = (obs.tracer.start(routine, CAT_MPI, dest=dest, tag=tag)
+              if obs is not None else None)
+        try:
+            self._post_send(obj, dest, tag, span=sp)
+            self.charge(routine, self.world.network.min_cost_us)
+        finally:
+            if sp is not None:
+                obs.tracer.end(sp)
+
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Blocking (buffered) send: copy, deliver, charge injection cost."""
-        with self._span_ctx("MPI_Send", CAT_MPI, dest=dest, tag=tag) as sp:
-            self._post_send(obj, dest, tag, span=sp)
-            self.charge("MPI_Send", self.world.network.min_cost_us)
+        self._send("MPI_Send", obj, dest, tag)
 
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
         """Nonblocking send; complete immediately (payload copied)."""
-        with self._span_ctx("MPI_Isend", CAT_MPI, dest=dest, tag=tag) as sp:
-            self._post_send(obj, dest, tag, span=sp)
-            self.charge("MPI_Isend", self.world.network.min_cost_us)
+        self._send("MPI_Isend", obj, dest, tag)
         return SendRequest(self)
 
     def recv(
@@ -219,8 +232,15 @@ class SimComm:
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
         """Post a nonblocking receive (cost charged at completion)."""
-        with self._span_ctx("MPI_Irecv", CAT_MPI, source=source, tag=tag):
+        obs = self._obs
+        sp = (obs.tracer.start(  # ra: noqa[RA001] — a span, closed by end()
+                  "MPI_Irecv", CAT_MPI, source=source, tag=tag)
+              if obs is not None else None)
+        try:
             self.charge("MPI_Irecv", self.world.network.min_cost_us)
+        finally:
+            if sp is not None:
+                obs.tracer.end(sp)
         req = RecvRequest(self, source, tag)
         if self._san is not None:
             # Registered so a request never waited/tested to completion is

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 from repro.util.timebase import now_us
 
@@ -53,7 +53,7 @@ FLOW_COLL = "coll"  # one participant of a collective rendezvous
 _RANK_SHIFT = 40
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One traced interval on one rank."""
 
@@ -95,8 +95,7 @@ class Span:
         )
 
 
-@dataclass(frozen=True)
-class FlowPoint:
+class FlowPoint(NamedTuple):
     """One endpoint of a causal edge between spans (possibly cross-rank)."""
 
     flow_id: str
@@ -199,15 +198,13 @@ class SpanTracer:
                     self._control_step()
                     return None
         parent = self._open[-1].span_id if self._open else None
-        span = Span(
-            span_id=self._new_id(), parent_id=parent, rank=self.rank,
-            name=name, category=category, t_start_us=self._clock(),
-            attrs=dict(attrs) if attrs else {},
-        )
+        span = Span(self._new_id(), parent, self.rank, name, category,
+                    self._clock(), 0.0, attrs)
         self._open.append(span)
         if t_probe is not None:
             self.self_overhead_us += (self._clock() - t_probe) * self._OVERHEAD_STRIDE
-        self._control_step()
+        if self.controller is not None:
+            self._control_step()
         return span
 
     def end(self, span: Span | None) -> None:
@@ -228,7 +225,8 @@ class SpanTracer:
         self._append(span)
         if t_probe is not None:
             self.self_overhead_us += (self._clock() - t_probe) * self._OVERHEAD_STRIDE
-        self._control_step()
+        if self.controller is not None:
+            self._control_step()
 
     def _control_step(self) -> None:
         """Run the adaptive controller at its op stride.
@@ -270,7 +268,7 @@ class SpanTracer:
             span_id=self._new_id(),
             parent_id=self._open[-1].span_id if self._open else None,
             rank=self.rank, name=name, category=category,
-            t_start_us=t, t_end_us=t, attrs=dict(attrs) if attrs else {},
+            t_start_us=t, t_end_us=t, attrs=attrs,
         )
         self._append(span)
         return span

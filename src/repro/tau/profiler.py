@@ -109,23 +109,34 @@ class Profiler:
                 f"stop({name!r}) does not match innermost running timer {frame.name!r}"
             )
         self._stack.pop()
+        parent = self._stack[-1] if self._stack else None
+        charged = frame.charged_us
+        if parent is not None:
+            parent.charged_us += charged
         if frame.suppressed:
             # Time nested under a suppressed frame still belongs to the
             # enclosing live region's children.
-            if self._stack:
-                self._stack[-1].child_us += frame.child_us
+            if parent is not None:
+                parent.child_us += frame.child_us
             return 0.0
         if self.tracer is not None:
+            if charged and frame.span is not None:
+                # Span timestamps stay real wall clock (cross-rank
+                # ordering depends on it); the attribute makes the modeled
+                # MPI cost visible per region in the exported trace.
+                frame.span.attrs["virtual_us"] = charged
             self.tracer.end(frame.span)
-        elapsed = self._clock() - frame.start_us
+        # Modeled costs have no wall-clock footprint of their own: the
+        # inclusive time is extended to cover them.
+        elapsed = self._clock() - frame.start_us + charged
         timer = self._timers[name]
         timer.calls += 1
         timer.exclusive_us += elapsed - frame.child_us
         if not frame.reentrant:
             # Recursive re-entries would double-count inclusive time.
             timer.inclusive_us += elapsed
-        if self._stack:
-            self._stack[-1].child_us += elapsed
+        if parent is not None:
+            parent.child_us += elapsed
         return elapsed
 
     @contextlib.contextmanager
@@ -154,18 +165,12 @@ class Profiler:
         t.inclusive_us += duration_us
         t.exclusive_us += duration_us
         if self._stack:
-            self._stack[-1].child_us += duration_us
-            # Extend enclosing start times backwards so the enclosing
-            # inclusive time covers the charged duration.  Mirror the
-            # modeled time onto the frames' spans as ``virtual_us`` —
-            # span timestamps stay real wall clock (cross-rank ordering
-            # depends on it); the attribute makes the modeled MPI cost
-            # visible per region in the exported trace.
-            for f in self._stack:
-                f.start_us -= duration_us
-                if f.span is not None:
-                    f.span.attrs["virtual_us"] = (
-                        f.span.attrs.get("virtual_us", 0.0) + duration_us)
+            # Booked on the innermost frame only; ``stop`` hands the sum
+            # up to each enclosing frame, so a charge costs the same at
+            # any nesting depth.
+            top = self._stack[-1]
+            top.child_us += duration_us
+            top.charged_us += duration_us
 
     # ----------------------------------------------------------- queries
     def running(self) -> list[str]:

@@ -42,13 +42,16 @@ class TimerStats:
         self.calls += other.calls
 
 
-@dataclass
+@dataclass(slots=True)
 class _Frame:
     """Live stack frame for a started timer."""
 
     name: str
     start_us: float
     child_us: float = 0.0
+    #: modeled time charged while this frame was innermost, plus what
+    #: frames nested in it handed up when they stopped
+    charged_us: float = 0.0
     reentrant: bool = False
     #: started while its group was disabled: stop pops it, records nothing
     suppressed: bool = False

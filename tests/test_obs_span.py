@@ -1,9 +1,14 @@
 """Span tracer unit tests: nesting, sampling, bounding, flows, overhead."""
 
+import hashlib
+import json
+import pickle
+
 import pytest
 
-from repro.obs.span import (CAT_COMPUTE, CAT_MPI, FLOW_COLL, FLOW_IN,
-                            FLOW_OUT, SpanTracer)
+from repro.obs.export import chrome_trace_from_spans
+from repro.obs.span import (CAT_COMPUTE, CAT_MPI, CAT_MPI_WAIT, FLOW_COLL,
+                            FLOW_IN, FLOW_OUT, FlowPoint, Span, SpanTracer)
 
 
 def make_tracer(**kw):
@@ -173,3 +178,76 @@ def test_constructor_validation():
         SpanTracer(max_spans=1)
     with pytest.raises(ValueError):
         SpanTracer(sample_every=0)
+
+
+# ------------------------------------------------- records survive transport
+class StepClock:
+    """Each read is one microsecond later than the last (picklable)."""
+
+    def __init__(self):
+        self.t = 0.0
+
+    def __call__(self):
+        self.t += 1.0
+        return self.t
+
+
+def _two_rank_trace():
+    """A send/recv edge, a collective, an instant, all under a step span."""
+    a, b = (SpanTracer(rank=r, clock=StepClock()) for r in range(2))
+    with a.span("step", CAT_COMPUTE, step=3):
+        with a.span("MPI_Isend", CAT_MPI, dest=1, tag=7) as send:
+            a.flow_out(41, send)
+        with b.span("MPI_Waitsome", CAT_MPI_WAIT, n=1) as recv:
+            b.flow_in(41, recv)
+        for tr in (a, b):
+            with tr.span("MPI_Barrier", CAT_MPI_WAIT, coll_seq=0) as sp:
+                tr.flow_collective("c:world:0", sp)
+        a.instant("fault", CAT_MPI, kind="drop")
+    return a, b
+
+
+def test_span_round_trips_through_dict():
+    a, _b = _two_rank_trace()
+    for span in a.spans():
+        twin = Span.from_dict(span.to_dict())
+        assert twin == span
+        assert twin.attrs is not span.attrs
+    assert a.spans()[0].to_dict() == {
+        "span_id": 1, "parent_id": 0, "rank": 0, "name": "MPI_Isend",
+        "category": "mpi", "t_start_us": 2.0, "t_end_us": 4.0,
+        "attrs": {"dest": 1, "tag": 7}}
+
+
+def test_flow_point_is_an_immutable_value():
+    a, _b = _two_rank_trace()
+    fp = a.flows()[0]
+    assert fp == FlowPoint("41", FLOW_OUT, 0, 1, 3.0)
+    assert fp == FlowPoint(flow_id="41", kind=FLOW_OUT, rank=0, span_id=1,
+                           t_us=3.0)
+    assert len({fp, FlowPoint("41", FLOW_OUT, 0, 1, 3.0)}) == 1
+    with pytest.raises(AttributeError):
+        fp.t_us = 0.0
+
+
+def test_tracer_pickles_with_spans_and_flows():
+    # The mp-shm worker ships its finished tracer home inside RankObs.
+    for tracer in _two_rank_trace():
+        twin = pickle.loads(pickle.dumps(tracer))
+        assert twin.spans() == tracer.spans()
+        assert twin.flows() == tracer.flows()
+        assert twin.overhead_report() == tracer.overhead_report()
+
+
+def test_chrome_trace_of_the_records_is_unchanged():
+    """The exporter's output for a fixed trace, byte for byte (the digest
+    was taken before Span became a slots record and FlowPoint a tuple)."""
+    a, b = _two_rank_trace()
+    spans, flows = a.spans() + b.spans(), a.flows() + b.flows()
+    events = chrome_trace_from_spans(spans, flows)
+    assert hashlib.sha256(json.dumps(events).encode()).hexdigest() == (
+        "38cc005d185219d890625c6681d8347a5c7e6d715fc27662d35e7426d5071669")
+    shipped = pickle.loads(pickle.dumps((spans, flows)))
+    assert chrome_trace_from_spans(*shipped) == events
+    assert chrome_trace_from_spans(
+        [Span.from_dict(s.to_dict()) for s in spans], flows) == events
