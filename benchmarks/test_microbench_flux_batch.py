@@ -26,7 +26,7 @@ TRAJECTORY = os.path.join(os.path.dirname(__file__), "out",
                           "BENCH_kernels.json")
 
 SIZES = (64, 128, 256, 512)
-EQUIV_TOL = 1.0e-12
+EQUIV_TOL = 0.0
 
 
 def _measure(kernel_batch, kernel_line, WL, WR, mode, repeats):

@@ -76,7 +76,11 @@ class HeatRhsComponent(Component, RhsPort):
         services.add_provides_port(self, self.PORT_NAME, RhsPort)
 
     def flux_divergence(self, U: np.ndarray, dx: float, dy: float) -> np.ndarray:
-        """``nu * laplacian(T)`` on the interior; passive fields get zero."""
+        """``nu * laplacian(T)`` on the interior; passive fields get zero.
+
+        Returns a fresh array every call, which meets the ``RhsPort``
+        lifetime rule (the caller may overwrite the result) trivially.
+        """
         if dx <= 0 or dy <= 0:
             raise ValueError(f"cell sizes must be positive, got dx={dx}, dy={dy}")
         g = self.nghost

@@ -27,7 +27,8 @@ from scipy.special import erf
 from repro.cca.component import Component
 from repro.cca.services import Services
 from repro.euler.eos import GAMMA_DEFAULT
-from repro.euler.kernels import check_mode, flatten_sweep, out_line, scatter_sweep
+from repro.euler.kernels import (IO_ROWS, TileWorkspace, check_mode,
+                                 flux_tiles, out_line)
 from repro.euler.ports import FluxPort
 from repro.tau.hardware import AccessPattern, HardwareCounters
 
@@ -54,13 +55,65 @@ def efm_half_flux(W: np.ndarray, sign: float, gamma: float) -> np.ndarray:
     return np.stack([f_mass, f_momn, f_momt, f_en])
 
 
+def _half_flux_into(W: np.ndarray, sign: float, gamma: float,
+                    out: np.ndarray, scratch: np.ndarray) -> None:
+    """:func:`efm_half_flux` of a ``(4, m)`` tile into ``out``, no temporaries.
+
+    Same operations in the same order on 7 ``scratch`` rows; a term
+    multiplied by ``sign`` there is added or subtracted here, which is the
+    same IEEE operation (negation is exact and commutes with a product).
+    """
+    rho, un, ut, p = W
+    sqb, s, A, D, E, t, x = scratch
+    plus_minus = np.add if sign > 0 else np.subtract
+    np.multiply(p, 2.0, out=sqb)
+    np.divide(rho, sqb, out=sqb)
+    np.sqrt(sqb, out=sqb)
+    np.multiply(un, sqb, out=s)
+    erf(s, out=A)
+    plus_minus(1.0, A, out=A)
+    A *= 0.5
+    np.negative(s, out=D)
+    D *= s
+    np.exp(D, out=D)
+    np.multiply(sqb, 2.0 * np.sqrt(np.pi), out=t)
+    D /= t
+    np.multiply(un, un, out=t)
+    np.multiply(ut, ut, out=x)
+    t += x
+    np.multiply(rho, 0.5, out=x)
+    x *= t
+    np.divide(p, gamma - 1.0, out=E)
+    E += x
+    f_mass, f_momn, f_momt, f_en = out
+    np.multiply(un, A, out=f_mass)
+    plus_minus(f_mass, D, out=f_mass)
+    f_mass *= rho
+    np.multiply(rho, un, out=x)
+    np.multiply(x, un, out=f_momn)
+    f_momn += p
+    f_momn *= A
+    x *= D
+    plus_minus(f_momn, x, out=f_momn)
+    np.multiply(ut, f_mass, out=f_momt)
+    np.add(E, p, out=f_en)
+    f_en *= un
+    f_en *= A
+    np.multiply(p, 0.5, out=x)
+    x += E
+    x *= D
+    plus_minus(f_en, x, out=f_en)
+
+
 class EFMKernel:
     """EFM flux evaluation, batched by default.
 
-    ``batch=True`` evaluates every interface of a sweep in one vectorized
-    call (mode "y" gathers/scatters through strided views, preserving the
-    dual-mode memory behaviour); ``batch=False`` restores the historical
-    line-at-a-time loop for A/B comparison.
+    ``batch=True`` walks a sweep in bounded tiles (:func:`flux_tiles`) and
+    evaluates each with ``out=`` arithmetic on this instance's
+    :class:`TileWorkspace`, so the only array a call allocates is the
+    flux it returns; ``batch=False`` is the historical line-at-a-time
+    loop over the allocating :func:`efm_half_flux`, kept as the bitwise
+    oracle.
     """
 
     def __init__(self, gamma: float = GAMMA_DEFAULT,
@@ -69,6 +122,8 @@ class EFMKernel:
         self.gamma = float(gamma)
         self.counters = counters
         self.batch = bool(batch)
+        #: the tile walk's rows, 7 of scratch and 4 for the F- half flux
+        self.workspace = TileWorkspace(nfloat=IO_ROWS + 11)
 
     def compute(self, WL: np.ndarray, WR: np.ndarray, mode: str = "x") -> np.ndarray:
         """Interface fluxes for patch-oriented state stacks (see States).
@@ -80,13 +135,14 @@ class EFMKernel:
         check_mode(mode)
         if WL.shape != WR.shape or WL.ndim != 3 or WL.shape[0] != 4:
             raise ValueError(f"bad state stacks: {WL.shape} vs {WR.shape}")
-        F = np.empty_like(WL)
+        F = np.empty(WL.shape, dtype=np.float64)
         if self.batch:
-            flux = (
-                efm_half_flux(flatten_sweep(WL, mode), +1.0, self.gamma)
-                + efm_half_flux(flatten_sweep(WR, mode), -1.0, self.gamma)
-            )
-            scatter_sweep(F, flux, mode)
+            ws = self.workspace
+            for _at, wl, wr, f in flux_tiles(WL, WR, F, mode, ws):
+                rows = ws.floats[IO_ROWS:, : f.shape[1]]
+                _half_flux_into(wl, +1.0, self.gamma, f, rows[:7])
+                _half_flux_into(wr, -1.0, self.gamma, rows[7:], rows[:7])
+                f += rows[7:]
         else:
             nlines = WL.shape[1] if mode == "x" else WL.shape[2]
             for ell in range(nlines):

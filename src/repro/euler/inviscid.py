@@ -18,6 +18,7 @@ import numpy as np
 from repro.cca.component import Component
 from repro.cca.ports import Port
 from repro.cca.services import Services
+from repro.euler.kernels import TileWorkspace, sweep_tiles
 from repro.euler.ports import FluxPort, StatesPort
 from repro.perf.proxy import perf_params
 
@@ -34,7 +35,9 @@ class RhsPort(Port):
         """``-dF/dx - dG/dy`` over the interior of a ghosted stack.
 
         ``U`` is ``(4, Ni, Nj)`` including ghosts; the result is
-        ``(4, Ni-2g, Nj-2g)``.
+        ``(4, Ni-2g, Nj-2g)``.  The result may be storage the provider
+        owns and reuses: it is valid until this provider's next call, and
+        the caller may overwrite it.
         """
         raise NotImplementedError
 
@@ -56,6 +59,10 @@ class InviscidFluxComponent(Component, RhsPort):
         #: them (GodunovKernel); empty for iteration-free fluxes (EFM) and
         #: when the flux port is reached through a measurement proxy.
         self.last_iter_counts: dict[str, np.ndarray] = {}
+        #: backing store of the returned ``dU``, grown to the largest
+        #: patch seen, and 4 tile rows for the y-difference
+        self._dU = np.empty(0, dtype=np.float64)
+        self._workspace = TileWorkspace(nfloat=4)
 
     def set_services(self, services: Services) -> None:
         self._services = services
@@ -83,9 +90,23 @@ class InviscidFluxComponent(Component, RhsPort):
         Fy = flux.compute(WLy, WRy, "y")  # (4, nfy, Nj-2g)
         self._capture_iter_counts(flux, "y")
 
-        dU = -(Fx[:, :, 1:] - Fx[:, :, :-1]) / dx
-        dGy = (Fy[:, 1:, :] - Fy[:, :-1, :]) / dy
-        dU -= dGy[_Y_REORDER]
+        _, ni, nj = Fx.shape
+        nj -= 1
+        if self._dU.size < 4 * ni * nj:
+            self._dU = np.empty(4 * ni * nj, dtype=np.float64)
+        dU = self._dU[: 4 * ni * nj].reshape(4, ni, nj)
+        np.subtract(Fx[:, :, 1:], Fx[:, :, :-1], out=dU)
+        np.negative(dU, out=dU)
+        dU /= dx
+        ws = self._workspace
+        ws.reserve(ni * nj)
+        for lines, along in sweep_tiles(ni, nj):
+            upper, lower = Fy[:, 1:][:, lines, along], Fy[:, :-1][:, lines, along]
+            dGy = ws.floats[:, : upper[0].size].reshape(upper.shape)
+            np.subtract(upper, lower, out=dGy)
+            dGy /= dy
+            for k, ky in enumerate(_Y_REORDER):
+                dU[k, lines, along] -= dGy[ky]
         return dU
 
     def _capture_iter_counts(self, flux: FluxPort, mode: str) -> None:

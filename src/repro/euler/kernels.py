@@ -17,20 +17,30 @@ and the strided mode degrades as arrays outgrow the cache — Figures 4-5.
 axis 1 runs along the sweep; for mode "y" that view is a transpose, so
 ``view[ell]`` is a strided column slice.
 
-The batched kernel paths (``batch=True``, the default since the flux
-vectorization) do not loop over lines: :func:`flatten_sweep` gathers every
-line of a sweep into one contiguous ``(K, nlines*npts)`` batch and
-:func:`scatter_sweep` writes a batch back.  For mode "y" the gather reads
-— and the scatter writes — a *strided* view of the patch-oriented array,
-so the dual-mode memory behaviour (Figures 4-5) is exercised by the batch
-copies themselves; mode "x" flattens without copying at all.
+The batched flux kernels (``batch=True``, the default) do not loop over
+lines and do not evaluate a whole sweep at once either: :func:`flux_tiles`
+walks a sweep in tiles of at most :data:`TILE` interfaces and the kernels
+evaluate each tile with ``out=`` arithmetic on the rows of a
+:class:`TileWorkspace` they own, so the scratch a sweep needs is a fixed
+size whatever the array size Q.  A mode "x" tile is a reshape *view* of
+the patch-oriented arrays; a mode "y" tile is gathered from — and its
+flux scattered through — the transposed view, so the strided access of
+the dual-mode figures (4-5, 7-8) is performed by the tile copies.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 MODES = ("x", "y")
+
+#: interfaces per tile of a batched flux sweep.  ~200 ufunc calls per
+#: Godunov tile cost ~0.3 ms of interpreter time whatever the tile holds,
+#: which sets the floor; the ceiling is the workspace staying cache-sized
+#: (DESIGN.md section 7 has the measured curve).
+TILE = 8192
 
 
 def check_mode(mode: str) -> str:
@@ -60,33 +70,93 @@ def unsweep(arr: np.ndarray, mode: str) -> np.ndarray:
     return sweep_view(arr, mode)
 
 
-def flatten_sweep(arr: np.ndarray, mode: str) -> np.ndarray:
-    """All lines of a sweep as one contiguous batch ``(K, nlines*npts)``.
+def sweep_tiles(nlines: int, nf: int) -> Iterator[tuple[slice, slice]]:
+    """``(lines, along)`` slices walking a sweep view in bounded tiles.
 
-    Mode "x": a reshape of the patch-oriented stack — no copy.  Mode "y":
-    a gather through the transposed (strided) view — the copy walks the
-    source with the stride of one row, which is exactly the strided access
-    the per-line path performed.
+    A tile holds at most :data:`TILE` interfaces: as many whole lines as
+    fit, or — when one line alone is longer than the tile — one chunk of
+    one line.
     """
-    view = sweep_view(arr, mode)
-    if arr.ndim == 2:
-        return np.ascontiguousarray(view).reshape(-1)
-    return np.ascontiguousarray(view).reshape(view.shape[0], -1)
+    if nf == 0:
+        return
+    if nf <= TILE:
+        step = TILE // nf
+        for i0 in range(0, nlines, step):
+            yield slice(i0, min(i0 + step, nlines)), slice(0, nf)
+    else:
+        for ell in range(nlines):
+            for j0 in range(0, nf, TILE):
+                yield slice(ell, ell + 1), slice(j0, min(j0 + TILE, nf))
 
 
-def scatter_sweep(dst: np.ndarray, batch: np.ndarray, mode: str) -> None:
-    """Write a flat batch back into a patch-oriented array.
+class TileWorkspace:
+    """Scratch rows one kernel instance reuses for every tile it computes.
 
-    Inverse of :func:`flatten_sweep`; for mode "y" the assignment scatters
-    through the transposed view, i.e. performs strided writes.
+    ``nfloat`` float64 rows (:attr:`floats`), ``nbool`` mask rows
+    (:attr:`bools`) and ``nint`` index rows (:attr:`ints`).  Nothing is
+    allocated until the first :meth:`reserve`; the rows then grow to
+    ``min(n, TILE)`` columns for the largest sweep of ``n`` interfaces
+    seen and never beyond, so the footprint depends neither on Q nor on
+    how many patch shapes went by.  Rows hold stale values between tiles:
+    a kernel writes every row it reads.
     """
-    view = sweep_view(dst, mode)
-    view[...] = batch.reshape(view.shape)
+
+    def __init__(self, nfloat: int, nbool: int = 0, nint: int = 0) -> None:
+        self._rows = (nfloat, nbool, nint)
+        self._allocate(0)
+
+    def _allocate(self, width: int) -> None:
+        nfloat, nbool, nint = self._rows
+        self.floats = np.empty((nfloat, width), dtype=np.float64)
+        self.bools = np.empty((nbool, width), dtype=np.bool_)
+        self.ints = np.empty((nint, width), dtype=np.int64)
+
+    def reserve(self, n: int) -> None:
+        """Make room for the tiles of a sweep of ``n`` interfaces."""
+        width = min(n, TILE)
+        if width > self.floats.shape[1]:
+            self._allocate(width)
+
+    @property
+    def nbytes(self) -> int:
+        return self.floats.nbytes + self.bools.nbytes + self.ints.nbytes
 
 
-def alloc_like_sweep(nvars: int, nlines: int, npts: int) -> np.ndarray:
-    """C-ordered output stack in sweep orientation ``(nvars, nlines, npts)``."""
-    return np.empty((nvars, nlines, npts), dtype=np.float64, order="C")
+#: float rows of its workspace a :func:`flux_tiles` walk keeps for itself
+IO_ROWS = 12
+
+
+def flux_tiles(
+    WL: np.ndarray, WR: np.ndarray, F: np.ndarray, mode: str, ws: TileWorkspace,
+) -> Iterator[tuple[tuple[slice, slice], np.ndarray, np.ndarray, np.ndarray]]:
+    """Walk one flux sweep tile by tile: yields ``(at, wl, wr, f)``.
+
+    ``wl``/``wr`` are the tile's left/right states and ``f`` the array the
+    caller writes the tile's flux into, all flat ``(4, m)``; ``at`` indexes
+    the tile in a :func:`sweep_view` (lines, then along the sweep).  ``ws``
+    is reserved for the sweep first; its float rows from :data:`IO_ROWS`
+    on are the caller's.  Mode "x" tiles are views of ``WL``/``WR``/``F``.
+    Mode "y" tiles live in the first :data:`IO_ROWS` float rows: the
+    states are gathered through the transposed view before the yield and
+    the flux is scattered through it after, which is where the strided
+    access happens.
+    """
+    VL, VR, VF = sweep_view(WL, mode), sweep_view(WR, mode), sweep_view(F, mode)
+    ws.reserve(VL.shape[1] * VL.shape[2])
+    for lines, along in sweep_tiles(VL.shape[1], VL.shape[2]):
+        tl, tr, tf = VL[:, lines, along], VR[:, lines, along], VF[:, lines, along]
+        m = tl.shape[1] * tl.shape[2]
+        if mode == "x":
+            f = tf.reshape(4, m)
+            # A reshape that had to copy would swallow the kernel's writes.
+            assert np.shares_memory(f, F)
+            yield (lines, along), tl.reshape(4, m), tr.reshape(4, m), f
+        else:
+            wl, wr, f = ws.floats[:IO_ROWS, :m].reshape(3, 4, m)
+            np.copyto(wl.reshape(tl.shape), tl)
+            np.copyto(wr.reshape(tr.shape), tr)
+            yield (lines, along), wl, wr, f
+            tf[...] = f.reshape(tf.shape)
 
 
 def sweep_layout(shape: tuple[int, int], nghost: int, mode: str) -> tuple[int, int]:

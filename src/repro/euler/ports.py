@@ -38,7 +38,8 @@ class StatesPort(Port):
         ``U`` is the conserved stack ``(4, Ni, Nj)`` including ghosts;
         ``mode`` selects the sweep direction: ``"x"`` (sequential array
         access) or ``"y"`` (strided).  Returns ``(WL, WR)`` stacks of
-        ``(rho, u_normal, u_tangential, p)`` at the sweep interfaces.
+        ``(rho, u_normal, u_tangential, p)`` at the sweep interfaces,
+        freshly allocated: the caller may keep them across calls.
         """
         raise NotImplementedError
 
@@ -50,7 +51,10 @@ class FluxPort(Port):
     def compute(self, WL: np.ndarray, WR: np.ndarray, mode: str = "x") -> np.ndarray:
         """Interface fluxes ``(mass, mom_normal, mom_tangential, energy)``.
 
-        Shapes follow the States output for the same ``mode``.
+        Shapes follow the States output for the same ``mode``.  The
+        result is freshly allocated (the caller may keep it across calls);
+        whatever scratch an implementation reuses between calls stays
+        inside it.
         """
         raise NotImplementedError
 

@@ -16,7 +16,6 @@ from repro.cca.component import Component
 from repro.cca.services import Services
 from repro.euler.eos import GAMMA_DEFAULT, max_wavespeed
 from repro.euler.inviscid import RhsPort
-from repro.euler.mesh_component import FIELDS, stack_fields
 from repro.euler.ports import IntegratorPort, MeshPort
 
 
@@ -63,7 +62,7 @@ class RK2Component(Component, IntegratorPort):
         smax = 1e-30
         for lev in range(h.max_levels):
             for patch in mesh.local_patches(lev):
-                smax = max(smax, max_wavespeed(stack_fields(patch), self.gamma))
+                smax = max(smax, max_wavespeed(patch.block, self.gamma))
         if h.comm is not None:
             smax = h.comm.allreduce(smax, op="max")
         dx0, dy0 = h.dx(0)
@@ -81,22 +80,28 @@ class RK2Component(Component, IntegratorPort):
         g = h.nghost
 
         mesh.ghost_update(level)
+        # A patch's block is its conserved stack: read it in place, take
+        # the provider's dU (ours to overwrite until its next call) and
+        # update the 4-field interior with one operation.
         saved: dict[int, np.ndarray] = {}
         # Stage 1: U1 = U0 + dt L(U0)
         for patch in mesh.local_patches(level):
-            U0 = stack_fields(patch)
-            saved[patch.uid] = U0[:, g:-g, g:-g].copy()
-            dU = rhs.flux_divergence(U0, dx, dy)
-            for k, f in enumerate(FIELDS):
-                patch.interior(f)[...] += dt * dU[k]
+            interior = patch.block[:, g:-g, g:-g]
+            saved[patch.uid] = interior.copy()
+            dU = rhs.flux_divergence(patch.block, dx, dy)
+            dU *= dt
+            interior += dU
         mesh.ghost_update(level)
         # Stage 2: U = (U0 + U1 + dt L(U1)) / 2
         for patch in mesh.local_patches(level):
-            U1 = stack_fields(patch)
-            dU = rhs.flux_divergence(U1, dx, dy)
-            U_new = 0.5 * (saved[patch.uid] + U1[:, g:-g, g:-g] + dt * dU)
-            for k, f in enumerate(FIELDS):
-                patch.interior(f)[...] = U_new[k]
+            interior = patch.block[:, g:-g, g:-g]
+            dU = rhs.flux_divergence(patch.block, dx, dy)
+            dU *= dt
+            U_new = saved[patch.uid]
+            U_new += interior
+            U_new += dU
+            U_new *= 0.5
+            interior[...] = U_new
         # Subcycle finer level, then synchronize downward.
         if level + 1 < h.max_levels and h.levels[level + 1]:
             sub_dt = dt / h.r
