@@ -80,17 +80,13 @@ CHANNEL_TABLE_SIZE = 256
 
 @dataclass
 class SanitizerConfig:
-    """Which sanitizer families run, and how violations are surfaced.
+    """How the sanitizers surface violations (all four families always run).
 
     ``strict=True`` raises a typed :class:`SanitizerError` at the point of
     detection (deadlocks always raise); ``strict=False`` only records
     findings, for survey runs over known-dirty workloads.
     """
 
-    collective_order: bool = True
-    p2p: bool = True
-    deadlock: bool = True
-    ghost_race: bool = True
     strict: bool = True
     #: how often blocked ranks re-check the wait-for graph (seconds)
     deadlock_poll_s: float = 0.05
@@ -274,8 +270,6 @@ class Sanitizer:
         :class:`~repro.amr.ghost.GhostExchanger`'s monotone counter);
         its entries pass through the table and age out.
         """
-        if not self.config.p2p:
-            return
         sig = type_signature(env.payload)
         key = (context, env.dest, env.tag)
         table = self._chan_types[rank]
@@ -295,8 +289,6 @@ class Sanitizer:
 
     def on_post_recv(self, rank: int, req: "RecvRequest") -> None:
         """Track a posted nonblocking receive for finalize-time leak checks."""
-        if not self.config.p2p:
-            return
         reqs = self._requests[rank]
         reqs.append(req)
         if len(reqs) > 256:
@@ -358,8 +350,6 @@ class Sanitizer:
     def check_deadlock(self, rank: int) -> None:
         """Fixpoint over the wait-for graph; raises :class:`DeadlockError`
         naming the cycle when ``rank`` belongs to a stuck group."""
-        if not self.config.deadlock:
-            return
         waits, gens = self._deadlock_snapshot()
         stuck = self._stuck_set(waits, gens)
         if rank not in stuck:
@@ -393,8 +383,6 @@ class Sanitizer:
 
         Called by the runner after every rank thread joined cleanly.
         """
-        if not self.config.p2p:
-            return
         problems: list[str] = []
         for rank in range(self.nranks):
             leaked = [r for r in self._requests[rank] if not r.complete]
@@ -419,10 +407,8 @@ class Sanitizer:
             raise LeakError("; ".join(problems))
 
     # ---------------------------------------------------------- ghost race
-    def ghost_guard(self, rank: int) -> "GhostGuard | None":
-        """A fresh per-exchange guard, or None when the family is off."""
-        if not self.config.ghost_race:
-            return None
+    def ghost_guard(self, rank: int) -> "GhostGuard":
+        """A fresh per-exchange guard."""
         return GhostGuard(self, rank)
 
 

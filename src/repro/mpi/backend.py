@@ -25,11 +25,14 @@ where the ranks actually ran.
 
 from __future__ import annotations
 
+import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, ClassVar
 
+from repro.mpi.collectives import ALGORITHMS
 from repro.mpi.network import NetworkModel
+from repro.util.validation import check_positive
 
 #: backend names accepted by :func:`create_backend` (import-cheap constant;
 #: the heavyweight modules load lazily on first use)
@@ -38,23 +41,88 @@ BACKEND_NAMES = ("thread", "mp-shm")
 
 @dataclass(frozen=True)
 class JobSpec:
-    """Everything a backend needs to launch one simulated MPI job.
+    """What one simulated MPI job is: the single declaration of a run's
+    options inside :mod:`repro.mpi` (DESIGN section 18).
 
-    This is the constructor signature of the old thread-only
-    :class:`~repro.mpi.runner.ParallelRunner`, lifted into a value object
-    so any backend can consume it (and a process backend can rebuild
-    per-rank state from it on the far side of a fork).
+    :class:`~repro.mpi.runner.ParallelRunner` builds one from its keyword
+    arguments, every backend launches from it, the world of a launch is
+    constructed from it (a process backend rebuilds per-rank state from it
+    on the far side of a fork) and :class:`WorldView` reads it back.  A
+    new launch option is one field here and nothing else in the package.
     """
 
     nranks: int
-    network: NetworkModel = field(default_factory=NetworkModel)
+    #: ``None`` is replaced by the default :class:`NetworkModel` on the way in
+    network: NetworkModel = None  # type: ignore[assignment]
     seed: int | None = 0
+    #: cap on every blocking MPI operation, from its entry (seconds)
     timeout_s: float = 120.0
+    #: optional FaultInjector / ResiliencePolicy attached to the world
     injector: Any = None
     policy: Any = None
+    #: optional ObsConfig enabling per-rank span tracing + metrics
     obs_config: Any = None
+    #: optional SanitizerConfig enabling runtime MPI correctness checks
     sanitize: Any = None
+    #: collective-algorithm family (None, "flat", "hier")
     collectives: str | None = None
+
+    def __post_init__(self) -> None:
+        check_positive("nranks", self.nranks)
+        check_positive("timeout_s", self.timeout_s)
+        if self.collectives not in ALGORITHMS:
+            raise ValueError(f"collectives must be one of {ALGORITHMS}, "
+                             f"got {self.collectives!r}")
+        if self.network is None:
+            object.__setattr__(self, "network", NetworkModel())
+
+
+class RankFailure(RuntimeError):
+    """Raised by a launch when any rank raised or did not terminate.
+
+    Carries per-rank tracebacks; the message includes the first failure so
+    pytest output points straight at the root cause.
+    """
+
+    def __init__(self, failures: dict[int, str]) -> None:
+        self.failures = failures
+        first_rank = min(failures)
+        super().__init__(
+            f"{len(failures)} rank(s) failed; first failure on rank {first_rank}:\n"
+            + failures[first_rank]
+        )
+
+
+#: seconds past ``timeout_s`` the thread launcher waits for its ranks to
+#: unwind: every blocking MPI operation is capped by ``timeout_s`` from its
+#: entry, so a rank still out after the grace is stuck outside MPI
+THREAD_GRACE_S = 10.0
+
+
+def seconds_left(deadline: float) -> float:
+    """What is left of a launcher's one deadline (``time.monotonic()``
+    based): each join or poll waits this long, so P stuck ranks hold the
+    launcher for one deadline, not P of them."""
+    return max(0.0, deadline - time.monotonic())
+
+
+def raise_rank_failures(failures: dict[int, str], stuck: list[int]) -> None:
+    """The one epilogue of a launch, whatever ran the ranks.
+
+    ``failures`` maps a rank to its traceback, ``stuck`` lists the ranks
+    that had not finished by the launcher's deadline; raises
+    :class:`RankFailure` naming all of them, minus the secondary failures
+    a job abort induced in ranks that were merely woken by it when a
+    primary cause exists.
+    """
+    failures = dict(failures)  # a rank woken by the abort may still add its own
+    for r in stuck:
+        failures.setdefault(r, "rank did not terminate by the launcher's "
+                               "deadline (stuck outside MPI?)")
+    if failures:
+        primary = {r: tb for r, tb in failures.items()
+                   if "simulated MPI job aborted" not in tb}
+        raise RankFailure(primary or failures)
 
 
 class BackendRun:
@@ -103,13 +171,9 @@ class ThreadBackend(CommBackend):
         import traceback
 
         from repro.mpi.comm import SimComm
-        from repro.mpi.runner import RankFailure
         from repro.mpi.world import SimWorld
 
-        world = SimWorld(spec.nranks, network=spec.network, seed=spec.seed,
-                         timeout_s=spec.timeout_s, injector=spec.injector,
-                         policy=spec.policy, obs_config=spec.obs_config,
-                         sanitize=spec.sanitize, collectives=spec.collectives)
+        world = SimWorld(spec)
         token = world.run_token = threading.Lock()
         results: list[Any] = [None] * spec.nranks
         failures: dict[int, str] = {}
@@ -128,59 +192,29 @@ class ThreadBackend(CommBackend):
                              name=f"simmpi-rank-{r}", daemon=True)
             for r in range(spec.nranks)
         ]
+        deadline = time.monotonic() + spec.timeout_s + THREAD_GRACE_S
         for t in threads:
             t.start()
         for t in threads:
-            t.join(timeout=spec.timeout_s + 10.0)
-        alive = [t.name for t in threads if t.is_alive()]
-        if alive:
-            world.abort("join timeout")
-            _dump_black_boxes(world, f"join timeout: {alive}")
-            raise RankFailure({-1: f"rank threads did not terminate: {alive}"})
-        if failures:
-            # Drop secondary abort-induced failures when a primary cause exists.
-            primary = {
-                r: tb for r, tb in failures.items()
-                if "simulated MPI job aborted" not in tb
-            }
-            _dump_black_boxes(world, world.abort_reason or "rank failure")
-            raise RankFailure(primary or failures)
+            t.join(seconds_left(deadline))
+        stuck = [r for r, t in enumerate(threads) if t.is_alive()]
+        if stuck:
+            world.abort(f"join timeout: ranks {stuck}")
+        if stuck or failures:
+            # The black boxes first: once RankFailure unwinds the launcher
+            # the world and its flight recorders are unreachable.
+            from repro.obs.flightrec import dump_flight_recorders
+
+            dump_flight_recorders(world.obs,
+                                  world.abort_reason or "rank failure")
+            raise_rank_failures(failures, stuck)
         if world.sanitizer is not None:
             # End-of-job hygiene: leaked requests / unconsumed envelopes.
             world.sanitizer.finalize(world)
         return BackendRun(results, world)
 
 
-def _dump_black_boxes(world: Any, reason: str) -> None:
-    """Flush flight recorders on the failure path (no-op when off).
-
-    The dump must happen *before* :class:`RankFailure` unwinds the
-    launcher — after that the world (and its recorders) is unreachable.
-    """
-    from repro.obs.flightrec import dump_flight_recorders
-
-    dump_flight_recorders(getattr(world, "obs", None), reason)
-
-
 # --------------------------------------------------------------- world view
-class SanitizerView:
-    """Merged sanitizer findings from per-rank worker sanitizers.
-
-    Read-side compatible with :class:`~repro.analysis.sanitize.Sanitizer`
-    (``findings`` / ``findings_by_kind`` / ``config``).
-    """
-
-    def __init__(self, config: Any, findings: list) -> None:
-        self.config = config
-        self.findings = findings
-
-    def findings_by_kind(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for f in self.findings:
-            out[f.kind] = out.get(f.kind, 0) + 1
-        return out
-
-
 class WorldView:
     """Parent-side read handle over a finished multi-process job.
 
@@ -200,19 +234,18 @@ class WorldView:
         accounting: list,
         obs: list | None,
         resilience: list,
-        sanitizer: SanitizerView | None,
-        injector: Any = None,
+        sanitizer: Any,
     ) -> None:
         self.nranks = spec.nranks
         self.network = spec.network
         self.collectives = spec.collectives
         self.timeout_s = spec.timeout_s
+        self.injector = spec.injector
         self.policy = spec.policy
         self.accounting = accounting
         self.obs = obs
         self.resilience = resilience
         self.sanitizer = sanitizer
-        self.injector = injector
 
     def leftover_envelopes(self, rank: int) -> list:
         """Leftovers were checked worker-side at finalize; a view of a

@@ -136,8 +136,10 @@ def tree_allgather(world, context: str, rank: int, nranks: int, tag: int,
 
 
 def recursive_doubling_allgather(world, context: str, rank: int, nranks: int,
-                                 tag: int, value: Any) -> list[Any]:
-    """Allgather by recursive doubling; log2(P) pairwise exchange stages.
+                                 tag: int, value: Any,
+                                 root: int = 0) -> list[Any]:
+    """Allgather by recursive doubling; log2(P) pairwise exchange stages
+    (symmetric: ``root`` is accepted for the common signature and unused).
 
     Non-power-of-two P: the trailing ``P - m`` ranks (m = largest power of
     two ≤ P) fold their values onto partners below m before the doubling
@@ -172,8 +174,9 @@ def recursive_doubling_allgather(world, context: str, rank: int, nranks: int,
 
 
 def ring_allgather(world, context: str, rank: int, nranks: int, tag: int,
-                   value: Any) -> list[Any]:
-    """Allgather around a ring: P-1 stages, each passing one block on.
+                   value: Any, root: int = 0) -> list[Any]:
+    """Allgather around a ring: P-1 stages, each passing one block on
+    (symmetric: ``root`` is accepted for the common signature and unused).
 
     Stage s: send the block that originated at ``rank - s`` to the right
     neighbour, receive the block that originated at ``rank - s - 1`` from
@@ -199,10 +202,3 @@ def ring_allgather(world, context: str, rank: int, nranks: int, tag: int,
 #: rendezvous but charges its honest linear-in-P cost; ``"hier"`` moves
 #: data down real trees and charges the per-algorithm cost.
 ALGORITHMS = (None, "flat", "hier")
-
-
-def check_algorithm(name: str | None) -> str | None:
-    if name not in ALGORITHMS:
-        raise ValueError(
-            f"collectives must be one of {ALGORITHMS}, got {name!r}")
-    return name

@@ -35,15 +35,19 @@ _OPS: dict[str, Callable[[Any, Any], Any]] = {
 }
 
 
-#: MPI routine -> hierarchical algorithm used when ``collectives="hier"``
-#: (everything else keeps the rendezvous movement with the tree cost model)
-HIER_ALGORITHMS = {
-    "MPI_Barrier": "tree",
-    "MPI_Bcast": "tree",
-    "MPI_Reduce": "tree",
-    "MPI_Allreduce": "rdbl",
-    "MPI_Gather": "tree",
-    "MPI_Allgather": "ring",
+#: MPI routine -> the tree movement ``collectives="hier"`` runs for it, as
+#: ``move(world, ctx, rank, size, tag, value, root)`` returning the values
+#: by rank (a list, or a dict holding the entries the routine reads; None
+#: where it reads none).  Every other routine keeps the rendezvous movement
+#: (charged the tree cost model).
+_TREE_MOVES: dict[str, Callable[..., Any]] = {
+    "MPI_Barrier": coll.tree_allgather,
+    # a broadcast moves one value: file it under its root
+    "MPI_Bcast": lambda *move: {move[-1]: coll.binomial_bcast(*move)},
+    "MPI_Reduce": coll.binomial_gather,
+    "MPI_Allreduce": coll.recursive_doubling_allgather,
+    "MPI_Gather": coll.binomial_gather,
+    "MPI_Allgather": coll.ring_allgather,
 }
 
 
@@ -295,63 +299,52 @@ class SimComm:
             return env.payload
 
     # ------------------------------------------------------- collectives
-    def _next_coll_seq(self) -> int:
-        """Advance the per-communicator collective call counter.
+    def _collective(self, routine: str, value: Any = None,
+                    root: int = 0) -> Any:
+        """Move one collective's values; returns them indexable by rank.
 
-        Consumed by both the rendezvous and the hierarchical paths so the
-        (context, seq) identity of the n-th collective is algorithm- and
-        backend-independent.
+        The one body every collective runs: the per-communicator sequence
+        number (so the ``(context, seq)`` identity of the n-th collective
+        is algorithm- and backend-independent), the span, the sanitizer's
+        order check, the movement and the flow event all participants
+        share.  The movement is the routine's entry in ``_TREE_MOVES``
+        under ``collectives="hier"`` and the world's rendezvous otherwise.
+
+        The sanitizer's token (routine, op index, rolling op-sequence
+        hash) rides through the rendezvous with the value; a tree movement
+        is preceded by a token round of its own - before, never after:
+        ranks that issued different routines would run different trees
+        against each other and hang to the deadline instead of raising.
+        Each collective owns the 64-tag block ``[seq*64, seq*64+63)`` of
+        the reserved transport context (data movement uses the low tags,
+        the token round tag 48), so stages never collide.
         """
+        world, rank, san = self.world, self.rank, self._san
         seq = self._coll_seq
         self._coll_seq += 1
-        return seq
-
-    def _use_hier(self, routine: str) -> bool:
-        return (self.world.collectives == "hier" and self.size > 1
-                and routine in HIER_ALGORITHMS)
-
-    def _hier_collective(self, routine: str, seq: int, movement) -> Any:
-        """One tree-structured collective: sanitizer token exchange, the
-        algorithm's data movement, and the shared flow event.
-
-        ``movement(world, ctx, base_tag)`` performs the transfer;
-        each collective owns the 64-tag block ``[seq*64, seq*64+63)`` of
-        the reserved transport context (data movement uses the low tags,
-        the token exchange tag 48), so stages never collide.
-        """
-        world = self.world
-        ctx = coll.coll_context(self.context)
-        base = seq << 6
+        move = (_TREE_MOVES.get(routine)
+                if world.collectives == "hier" and self.size > 1 else None)
         with self._span_ctx(routine, CAT_MPI_WAIT, coll_seq=seq) as sp:
-            san = self._san
-            if san is not None and san.config.collective_order:
-                token = san.collective_token(self.rank, self.context, seq,
-                                             routine)
-                tokens = coll.tree_allgather(world, ctx, self.rank,
-                                             self.size, base + 48, token)
-                san.collective_check(self.rank, self.context, seq, tokens)
-            out = movement(world, ctx, base)
-            if self._obs is not None:
-                self._obs.tracer.flow_collective(f"c:{self.context}:{seq}", sp)
-        return out
-
-    def _exchange(self, value: Any, routine: str | None = None) -> list[Any]:
-        seq = self._next_coll_seq()
-        routine = routine or "MPI_Exchange"
-        san = self._san
-        check_order = san is not None and san.config.collective_order
-        if check_order:
-            # Piggyback (routine, op index, rolling op-sequence hash) so
-            # every rank can verify all P ranks issued the same collective.
-            value = (san.collective_token(self.rank, self.context, seq,
-                                          routine), value)
-        with self._span_ctx(routine, CAT_MPI_WAIT, coll_seq=seq) as sp:
-            vals = self.world.exchange(self.context, seq, self.rank, value,
-                                       routine=routine)
-            if check_order:
-                san.collective_check(self.rank, self.context, seq,
-                                     [v[0] for v in vals])
-                vals = [v[1] for v in vals]
+            token = (san.collective_token(rank, self.context, seq, routine)
+                     if san is not None else None)
+            if move is not None:
+                ctx = coll.coll_context(self.context)
+                if san is not None:
+                    tokens = coll.tree_allgather(
+                        world, ctx, rank, self.size, (seq << 6) + 48, token)
+                    san.collective_check(rank, self.context, seq, tokens)
+                # The hops copy: nothing a rank holds aliases a peer's.
+                vals = move(world, ctx, rank, self.size, seq << 6, value, root)
+            else:
+                # MPI value semantics: what is deposited is a snapshot.
+                value = copy_payload(value)
+                vals = world.exchange(
+                    self.context, seq, rank,
+                    value if san is None else (token, value), routine=routine)
+                if san is not None:
+                    san.collective_check(rank, self.context, seq,
+                                         [v[0] for v in vals])
+                    vals = [v[1] for v in vals]
             if self._obs is not None:
                 # All participants share one flow id; the analyzer draws
                 # edges from the last arriver (who unblocked the slot) to
@@ -359,15 +352,14 @@ class SimComm:
                 self._obs.tracer.flow_collective(f"c:{self.context}:{seq}", sp)
         return vals
 
-    def _charge_collective(self, routine: str, nbytes: int,
-                           algo: str = "tree") -> None:
+    def _charge_collective(self, routine: str, nbytes: int) -> None:
         """Charge one collective's modeled cost under its routine name.
 
         The formula follows the selected algorithm family: the default
         (``collectives=None``) keeps the legacy generic log-tree model
         bit-for-bit; ``"flat"`` charges the rendezvous its honest
-        linear-in-P cost; ``"hier"`` charges the specific algorithm
-        (binomial/recursive-doubling trees, or the ring for allgather).
+        linear-in-P cost; ``"hier"`` charges the specific algorithm (the
+        ring for allgather, binomial/recursive-doubling trees otherwise).
         Exactly one jitter draw is consumed per collective in every mode,
         so per-rank RNG streams stay aligned across algorithm choices.
         """
@@ -377,7 +369,7 @@ class SimComm:
             cost = net.collective_cost(nbytes, self.size, self.rng)
         elif mode == "flat":
             cost = net.flat_collective_cost(nbytes, self.size, self.rng)
-        elif algo == "ring":
+        elif routine == "MPI_Allgather":
             cost = net.ring_collective_cost(nbytes, self.size, self.rng)
         else:
             cost = net.tree_collective_cost(nbytes, self.size, self.rng)
@@ -385,132 +377,84 @@ class SimComm:
 
     def barrier(self) -> None:
         """Synchronize all ranks."""
-        if self._use_hier("MPI_Barrier"):
-            seq = self._next_coll_seq()
-            self._hier_collective(
-                "MPI_Barrier", seq,
-                lambda w, ctx, base: coll.tree_allgather(
-                    w, ctx, self.rank, self.size, base, None))
-        else:
-            self._exchange(None, "MPI_Barrier")
+        self._collective("MPI_Barrier")
         self._charge_collective("MPI_Barrier", 0)
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast ``obj`` from ``root``; every rank returns the value."""
         self._check_root(root)
-        if self._use_hier("MPI_Bcast"):
-            seq = self._next_coll_seq()
-            result = self._hier_collective(
-                "MPI_Bcast", seq,
-                lambda w, ctx, base: coll.binomial_bcast(
-                    w, ctx, self.rank, self.size, base,
-                    obj if self.rank == root else None, root))
-            self._charge_collective("MPI_Bcast", payload_nbytes(result))
-            return result if self.rank != root else obj
-        vals = self._exchange(copy_payload(obj) if self.rank == root else None,
-                              "MPI_Bcast")
-        result = vals[root]
+        result = self._collective(
+            "MPI_Bcast", obj if self.rank == root else None, root)[root]
         self._charge_collective("MPI_Bcast", payload_nbytes(result))
-        return copy_payload(result) if self.rank != root else obj
+        # Rendezvous readers all hold the root's one deposit: a copy each.
+        return obj if self.rank == root else copy_payload(result)
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         """Gather one value per rank at ``root`` (None elsewhere)."""
         self._check_root(root)
-        if self._use_hier("MPI_Gather"):
-            seq = self._next_coll_seq()
-            acc = self._hier_collective(
-                "MPI_Gather", seq,
-                lambda w, ctx, base: coll.binomial_gather(
-                    w, ctx, self.rank, self.size, base, obj, root))
-            self._charge_collective("MPI_Gather", payload_nbytes(obj))
-            return ([acc[r] for r in range(self.size)]
-                    if self.rank == root else None)
-        vals = self._exchange(copy_payload(obj), "MPI_Gather")
+        vals = self._collective("MPI_Gather", obj, root)
         self._charge_collective("MPI_Gather", payload_nbytes(obj))
-        return vals if self.rank == root else None
+        return ([vals[r] for r in range(self.size)]
+                if self.rank == root else None)
 
     def allgather(self, obj: Any) -> list[Any]:
         """Gather one value per rank, everywhere."""
-        if self._use_hier("MPI_Allgather"):
-            seq = self._next_coll_seq()
-            vals = self._hier_collective(
-                "MPI_Allgather", seq,
-                lambda w, ctx, base: coll.ring_allgather(
-                    w, ctx, self.rank, self.size, base, obj))
-            self._charge_collective("MPI_Allgather", payload_nbytes(obj),
-                                    algo="ring")
-            return vals
-        vals = self._exchange(copy_payload(obj), "MPI_Allgather")
+        vals = self._collective("MPI_Allgather", obj)
         self._charge_collective("MPI_Allgather", payload_nbytes(obj))
         return vals
 
     def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
         """Scatter a length-P sequence from ``root``; each rank gets one item."""
         self._check_root(root)
+        items = None
         if self.rank == root:
             if objs is None or len(objs) != self.size:
                 raise ValueError(f"scatter at root needs a length-{self.size} sequence")
-            vals = self._exchange([copy_payload(o) for o in objs], "MPI_Scatter")
-        else:
-            vals = self._exchange(None, "MPI_Scatter")
-        items = vals[root]
-        self._charge_collective("MPI_Scatter", payload_nbytes(items[self.rank]))
-        return items[self.rank]
+            # One copy per destination: copying the sequence as one value
+            # would hand ``[a, a]`` to two ranks as one object.
+            items = [copy_payload(o) for o in objs]
+        item = self._collective("MPI_Scatter", items)[root][self.rank]
+        self._charge_collective("MPI_Scatter", payload_nbytes(item))
+        return item
 
     def alltoall(self, objs: Sequence[Any]) -> list[Any]:
         """Each rank sends item j to rank j; returns the column addressed to it."""
         if len(objs) != self.size:
             raise ValueError(f"alltoall needs a length-{self.size} sequence")
-        vals = self._exchange([copy_payload(o) for o in objs], "MPI_Alltoall")
+        vals = self._collective("MPI_Alltoall", [copy_payload(o) for o in objs])
         self._charge_collective("MPI_Alltoall", sum(payload_nbytes(o) for o in objs))
         return [vals[src][self.rank] for src in range(self.size)]
 
-    def _reduce_values(self, vals: list[Any], op: str | Callable[[Any, Any], Any]) -> Any:
+    def _reduce_values(self, vals: Any, op: str | Callable[[Any, Any], Any],
+                       n: int) -> Any:
+        """Combine ``vals[0] .. vals[n-1]`` in rank order, whatever moved
+        them, so every family associates floating point alike."""
         fn = _OPS[op] if isinstance(op, str) else op
         acc = vals[0]
-        for v in vals[1:]:
-            acc = fn(acc, v)
+        for r in range(1, n):
+            acc = fn(acc, vals[r])
         return acc
 
     def reduce(self, obj: Any, op: str | Callable[[Any, Any], Any] = "sum",
                root: int = 0) -> Any | None:
         """Reduce to ``root`` (None elsewhere)."""
         self._check_root(root)
-        if self._use_hier("MPI_Reduce"):
-            seq = self._next_coll_seq()
-            acc = self._hier_collective(
-                "MPI_Reduce", seq,
-                lambda w, ctx, base: coll.binomial_gather(
-                    w, ctx, self.rank, self.size, base, obj, root))
-            self._charge_collective("MPI_Reduce", payload_nbytes(obj))
-            if self.rank != root:
-                return None
-            # Combine in rank order: identical floating-point association
-            # to the rendezvous path, so results match bit-for-bit.
-            return self._reduce_values([acc[r] for r in range(self.size)], op)
-        vals = self._exchange(copy_payload(obj), "MPI_Reduce")
+        vals = self._collective("MPI_Reduce", obj, root)
         self._charge_collective("MPI_Reduce", payload_nbytes(obj))
-        return self._reduce_values(vals, op) if self.rank == root else None
+        return (self._reduce_values(vals, op, self.size)
+                if self.rank == root else None)
 
     def allreduce(self, obj: Any, op: str | Callable[[Any, Any], Any] = "sum") -> Any:
         """Reduce across all ranks; every rank returns the result."""
-        if self._use_hier("MPI_Allreduce"):
-            seq = self._next_coll_seq()
-            vals = self._hier_collective(
-                "MPI_Allreduce", seq,
-                lambda w, ctx, base: coll.recursive_doubling_allgather(
-                    w, ctx, self.rank, self.size, base, obj))
-            self._charge_collective("MPI_Allreduce", payload_nbytes(obj))
-            return self._reduce_values(vals, op)
-        vals = self._exchange(copy_payload(obj), "MPI_Allreduce")
+        vals = self._collective("MPI_Allreduce", obj)
         self._charge_collective("MPI_Allreduce", payload_nbytes(obj))
-        return self._reduce_values(vals, op)
+        return self._reduce_values(vals, op, self.size)
 
     def scan(self, obj: Any, op: str | Callable[[Any, Any], Any] = "sum") -> Any:
         """Inclusive prefix reduction over ranks 0..self.rank."""
-        vals = self._exchange(copy_payload(obj), "MPI_Scan")
+        vals = self._collective("MPI_Scan", obj)
         self._charge_collective("MPI_Scan", payload_nbytes(obj))
-        return self._reduce_values(vals[: self.rank + 1], op)
+        return self._reduce_values(vals, op, self.rank + 1)
 
     # -------------------------------------------------------------- misc
     def dup(self) -> "SimComm":
@@ -522,7 +466,7 @@ class SimComm:
         child_context = f"{self.context}/dup{self._dup_count}"
         # Synchronize so no rank races ahead and sends into a context the
         # peer hasn't created; also verifies all ranks derived the same name.
-        names = self._exchange(child_context, "MPI_Comm_dup")
+        names = self._collective("MPI_Comm_dup", child_context)
         if any(n != child_context for n in names):
             raise SimMPIError(f"inconsistent dup order across ranks: {names}")
         self._charge_collective("MPI_Comm_dup", 0)

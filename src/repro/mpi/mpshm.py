@@ -50,6 +50,7 @@ their tracebacks to the launcher, and the launcher raises
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 import traceback
@@ -58,8 +59,8 @@ from typing import Any, Callable
 from repro.analysis.sanitize import Sanitizer, _WaitState
 from repro.mpi import codec
 from repro.mpi import collectives as coll
-from repro.mpi.backend import (BackendRun, CommBackend, JobSpec,
-                               SanitizerView, WorldView)
+from repro.mpi.backend import (BackendRun, CommBackend, JobSpec, WorldView,
+                               raise_rank_failures, seconds_left)
 from repro.mpi.message import Envelope, rebase_seqno
 from repro.mpi.shm import (WAIT_TABLE_MAX_RANKS, RingAborted, ShmFlag,
                            ShmRing, ShmWaitTable)
@@ -79,6 +80,11 @@ COALESCE_MAX_FRAME = 4096
 #: a destination's pending batch flushes beyond either bound
 COALESCE_MAX_BYTES = 1 << 15
 COALESCE_MAX_FRAMES = 64
+
+#: seconds past ``timeout_s`` the launcher waits for a rank process to
+#: report: every blocking MPI operation is capped by ``timeout_s`` from its
+#: entry, the grace covers unwinding, pickling and shipping the rank's state
+PROCESS_GRACE_S = 30.0
 
 
 class SharedSanitizer(Sanitizer):
@@ -151,7 +157,7 @@ class SharedSanitizer(Sanitizer):
         then require a second snapshot to show the identical stuck set
         with unchanged generations before raising.
         """
-        if not self.config.deadlock or self._table is None:
+        if self._table is None:
             return
         waits, gens = self._deadlock_snapshot()
         stuck = self._stuck_set(waits, gens)
@@ -192,14 +198,10 @@ class ShmWorld(SimWorld):
     """
 
     def __init__(self, spec: JobSpec, myrank: int, rings: list[ShmRing],
-                 abort_flag: ShmFlag, wait_table: ShmWaitTable | None,
-                 coalesce: bool = True) -> None:
-        super().__init__(
-            spec.nranks, network=spec.network, seed=spec.seed,
-            timeout_s=spec.timeout_s, injector=spec.injector,
-            policy=spec.policy, obs_config=spec.obs_config,
-            sanitize=None, collectives=spec.collectives)
-        # Swap in the cross-process sanitizer (the base class built none).
+                 abort_flag: ShmFlag, wait_table: ShmWaitTable | None) -> None:
+        # The base class builds no sanitizer: the cross-process one is
+        # swapped in below.
+        super().__init__(dataclasses.replace(spec, sanitize=None))
         if spec.sanitize is not None:
             self.sanitizer = SharedSanitizer(
                 spec.nranks, spec.sanitize, self.obs, wait_table, rings)
@@ -207,7 +209,6 @@ class ShmWorld(SimWorld):
         self._rings = rings
         self._abort_flag = abort_flag
         self._receiver: threading.Thread | None = None
-        self._coalesce = bool(coalesce)
         #: per-destination queues of encoded-but-unsent frames (segment
         #: lists) and their byte totals
         self._pending: list[list[list[Any]]] = [[] for _ in range(self.nranks)]
@@ -230,8 +231,7 @@ class ShmWorld(SimWorld):
         into a single ring write.  Large frames flush the queue first, so
         the per-destination wire order always equals the send order (the
         seq-based non-overtaking rule needs nothing beyond that)."""
-        if (not self._coalesce
-                or codec.frame_nbytes(segments) > COALESCE_MAX_FRAME):
+        if codec.frame_nbytes(segments) > COALESCE_MAX_FRAME:
             self._flush_dest(dest)
             self._send_frame(dest, segments)
             return
@@ -403,12 +403,11 @@ _FINAL_CONTEXT = "__final__"
 
 def _worker_main(rank: int, spec: JobSpec, rings: list[ShmRing],
                  abort_flag: ShmFlag, wait_table: ShmWaitTable | None,
-                 conn, fn: Callable[..., Any], args: tuple, kwargs: dict,
-                 coalesce: bool = True) -> None:
+                 conn, fn: Callable[..., Any], args: tuple,
+                 kwargs: dict) -> None:
     """Body of one rank process (entered via fork)."""
     rebase_seqno(rank)
-    world = ShmWorld(spec, rank, rings, abort_flag, wait_table,
-                     coalesce=coalesce)
+    world = ShmWorld(spec, rank, rings, abort_flag, wait_table)
     world.start_receiver()
     from repro.mpi.comm import SimComm
 
@@ -459,18 +458,12 @@ class MpShmBackend(CommBackend):
 
     name = "mp-shm"
 
-    def __init__(self, ring_bytes: int = DEFAULT_RING_BYTES,
-                 coalesce: bool = True) -> None:
+    def __init__(self, ring_bytes: int = DEFAULT_RING_BYTES) -> None:
         self.ring_bytes = int(ring_bytes)
-        #: frame coalescing is the default fast path; ``coalesce=False``
-        #: forces one ring write per envelope (A/B benching, debugging)
-        self.coalesce = bool(coalesce)
 
     def launch(self, spec: JobSpec, fn: Callable[..., Any],
                args: tuple, kwargs: dict) -> BackendRun:
         import multiprocessing as mp
-
-        from repro.mpi.runner import RankFailure
 
         try:
             ctx = mp.get_context("fork")
@@ -482,73 +475,68 @@ class MpShmBackend(CommBackend):
         n = spec.nranks
         rings = [ShmRing(self.ring_bytes, ctx) for _ in range(n)]
         abort_flag = ShmFlag()
-        wait_table = None
-        if (spec.sanitize is not None and spec.sanitize.deadlock
-                and n <= WAIT_TABLE_MAX_RANKS):
-            wait_table = ShmWaitTable(n, ctx)
+        wait_table = (ShmWaitTable(n, ctx) if spec.sanitize is not None
+                      and n <= WAIT_TABLE_MAX_RANKS else None)
         pipes = [ctx.Pipe(duplex=False) for _ in range(n)]
         procs = [
             ctx.Process(
                 target=_worker_main,
                 args=(r, spec, rings, abort_flag, wait_table,
-                      pipes[r][1], fn, args, kwargs, self.coalesce),
+                      pipes[r][1], fn, args, kwargs),
                 name=f"simmpi-rank-{r}", daemon=True)
             for r in range(n)
         ]
+        outcomes: list[tuple | None] = [None] * n
+        stuck: list[int] = []
+        deadline = time.monotonic() + spec.timeout_s + PROCESS_GRACE_S
         try:
             for p in procs:
                 p.start()
             for _, w in pipes:
                 w.close()  # parent keeps only the read ends
-            outcomes: list[tuple | None] = [None] * n
             for r, (reader, _) in enumerate(pipes):
-                if reader.poll(spec.timeout_s + 30.0):
-                    try:
-                        outcomes[r] = reader.recv()
-                    except EOFError:
-                        outcomes[r] = None
-            for p in procs:
-                p.join(timeout=10.0)
-            stuck = [p.name for p in procs if p.is_alive()]
-            if stuck:
-                abort_flag.set()
-                for p in procs:
-                    if p.is_alive():  # pragma: no cover - hard-kill path
-                        p.terminate()
-                        p.join(timeout=5.0)
+                if not reader.poll(seconds_left(deadline)):
+                    stuck.append(r)
+                    continue
+                try:
+                    outcomes[r] = reader.recv()
+                except EOFError:
+                    pass  # died without reporting
+            for r in stuck:  # had the whole deadline already
+                procs[r].terminate()
+            # A rank that reported is on its way out.
+            reaped_by = time.monotonic() + 10.0
+            for r, p in enumerate(procs):
+                p.join(seconds_left(reaped_by))
+                if p.is_alive():  # pragma: no cover - reported, never left
+                    p.terminate()
+                    p.join(timeout=5.0)
+                    stuck.append(r)
         finally:
-            for ring in rings:
-                ring.close()
-                ring.unlink()
-            abort_flag.close()
-            abort_flag.unlink()
-            if wait_table is not None:
-                wait_table.close()
-                wait_table.unlink()
+            for segment in (*rings, abort_flag, wait_table):
+                if segment is not None:
+                    segment.close()
+                    segment.unlink()
 
         failures = {
             r: out[1] for r, out in enumerate(outcomes)
             if out is not None and out[0] == "err"
         }
-        dead = [r for r, out in enumerate(outcomes) if out is None]
-        if dead and not failures:
+        if not failures:
             failures = {r: "rank process died without reporting a result"
-                        for r in dead}
-        if failures:
-            primary = {
-                r: tb for r, tb in failures.items()
-                if "simulated MPI job aborted" not in tb
-            }
-            raise RankFailure(primary or failures)
-        if stuck:
-            raise RankFailure({-1: f"rank processes did not terminate: {stuck}"})
+                        for r, out in enumerate(outcomes)
+                        if out is None and r not in stuck}
+        raise_rank_failures(failures, stuck)
 
         results = [out[1] for out in outcomes]
         states = [out[2] for out in outcomes]
-        findings = [f for st in states for f in st["findings"]]
-        findings.sort(key=lambda f: (f.rank, f.kind, f.message))
-        sanitizer = (SanitizerView(spec.sanitize, findings)
-                     if spec.sanitize is not None else None)
+        sanitizer = None
+        if spec.sanitize is not None:
+            # The job's findings, read through the class that made them.
+            sanitizer = Sanitizer(n, spec.sanitize)
+            sanitizer.findings = sorted(
+                (f for st in states for f in st["findings"]),
+                key=lambda f: (f.rank, f.kind, f.message))
         injector = spec.injector
         if injector is not None:
             # Adopt each worker's authoritative slice of the fault record.
@@ -565,6 +553,5 @@ class MpShmBackend(CommBackend):
             obs=obs,
             resilience=[st["resilience"] for st in states],
             sanitizer=sanitizer,
-            injector=injector,
         )
         return BackendRun(results, world)

@@ -118,18 +118,12 @@ def _put_u64(buf: memoryview, off: int, value: int) -> None:
     struct.pack_into("<Q", buf, off, value)
 
 
-class ShmFlag:
-    """One shared byte; set-once, poll-cheap (the abort signal)."""
+class ShmSegment:
+    """A shared-memory block a launcher creates and must give back:
+    ``close()`` then ``unlink()``, from its ``finally``."""
 
-    def __init__(self) -> None:
-        self._shm = shared_memory.SharedMemory(create=True, size=1)
-        self._shm.buf[0] = 0
-
-    def set(self) -> None:
-        self._shm.buf[0] = 1
-
-    def is_set(self) -> bool:
-        return self._shm.buf[0] != 0
+    def __init__(self, size: int) -> None:
+        self._shm = shared_memory.SharedMemory(create=True, size=size)
 
     def close(self) -> None:
         self._shm.close()
@@ -141,7 +135,21 @@ class ShmFlag:
             pass
 
 
-class ShmRing:
+class ShmFlag(ShmSegment):
+    """One shared byte; set-once, poll-cheap (the abort signal)."""
+
+    def __init__(self) -> None:
+        super().__init__(1)
+        self._shm.buf[0] = 0
+
+    def set(self) -> None:
+        self._shm.buf[0] = 1
+
+    def is_set(self) -> bool:
+        return self._shm.buf[0] != 0
+
+
+class ShmRing(ShmSegment):
     """Multi-writer, single-reader shared-memory byte ring.
 
     Writers call :meth:`send` (serialized by the ring lock); the owning
@@ -154,8 +162,7 @@ class ShmRing:
         if capacity < 1024:
             raise ValueError(f"ring capacity too small: {capacity}")
         self.capacity = int(capacity)
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=_HEADER + self.capacity)
+        super().__init__(_HEADER + self.capacity)
         buf = self._shm.buf
         _put_u64(buf, _HEAD, 0)
         _put_u64(buf, _TAIL, 0)
@@ -285,16 +292,6 @@ class ShmRing:
             return (_u64(self._shm.buf, _TAIL)
                     - _u64(self._shm.buf, _DEPOSITED))
 
-    # ------------------------------------------------------------ cleanup
-    def close(self) -> None:
-        self._shm.close()
-
-    def unlink(self) -> None:
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - double unlink
-            pass
-
 
 # ------------------------------------------------------------- wait table
 _REC_FMT = "<QBxxxxxxxQQ32s128s"  # gen, active, wait_gen, mask, op, detail
@@ -304,7 +301,7 @@ _REC_SIZE = struct.calcsize(_REC_FMT)
 WAIT_TABLE_MAX_RANKS = 64
 
 
-class ShmWaitTable:
+class ShmWaitTable(ShmSegment):
     """Per-rank blocked-wait records + progress generations, shared.
 
     The process-backend sanitizer mirrors ``enter_wait`` / ``exit_wait`` /
@@ -320,8 +317,7 @@ class ShmWaitTable:
                 f"wait table supports 1..{WAIT_TABLE_MAX_RANKS} ranks, "
                 f"got {nranks}")
         self.nranks = int(nranks)
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=_REC_SIZE * self.nranks)
+        super().__init__(_REC_SIZE * self.nranks)
         self._shm.buf[:_REC_SIZE * self.nranks] = bytes(_REC_SIZE * self.nranks)
         self._lock = ctx.Lock()
 
@@ -382,13 +378,3 @@ class ShmWaitTable:
                     p for p in range(self.nranks) if mask & (1 << p))
                 waits.append((op, detail, on, wait_gen))
         return waits, gens
-
-    # ------------------------------------------------------------ cleanup
-    def close(self) -> None:
-        self._shm.close()
-
-    def unlink(self) -> None:
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - double unlink
-            pass

@@ -26,15 +26,14 @@ import time
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.analysis.sanitize import Sanitizer, SanitizerConfig
+from repro.analysis.sanitize import Sanitizer
 from repro.faults.policy import CommFailure, ResiliencePolicy, ResilienceStats
 from repro.mpi.accounting import MPIAccounting
+from repro.mpi.backend import JobSpec
 from repro.mpi.message import ANY_SOURCE, Envelope
-from repro.mpi.network import NetworkModel
-from repro.obs.runtime import ObsConfig, build_obs
+from repro.obs.runtime import build_obs
 from repro.util.rng import spawn_rngs
 from repro.util.timebase import now_us
-from repro.util.validation import check_positive
 
 WORLD_CONTEXT = "world"
 
@@ -116,34 +115,21 @@ class _Rounds:
 
 
 class SimWorld:
-    """All cross-rank shared state for one simulated job."""
+    """All cross-rank shared state for one simulated job, built from the
+    job's one declaration (:class:`~repro.mpi.backend.JobSpec`)."""
 
-    def __init__(
-        self,
-        nranks: int,
-        network: NetworkModel | None = None,
-        seed: int | None = 0,
-        timeout_s: float = 120.0,
-        injector=None,
-        policy: ResiliencePolicy | None = None,
-        obs_config: ObsConfig | None = None,
-        sanitize: SanitizerConfig | None = None,
-        collectives: str | None = None,
-    ) -> None:
-        check_positive("nranks", nranks)
-        check_positive("timeout_s", timeout_s)
-        from repro.mpi.collectives import check_algorithm
-        self.nranks = int(nranks)
-        self.network = network or NetworkModel()
+    def __init__(self, spec: JobSpec) -> None:
+        self.nranks = spec.nranks
+        self.network = spec.network
         #: collective-algorithm family: None (legacy rendezvous model),
         #: "flat" (rendezvous, honest linear cost), "hier" (tree algorithms)
-        self.collectives = check_algorithm(collectives)
-        self.timeout_s = float(timeout_s)
-        self.rngs = spawn_rngs(seed, self.nranks)
+        self.collectives = spec.collectives
+        self.timeout_s = spec.timeout_s
+        self.rngs = spawn_rngs(spec.seed, self.nranks)
         self.accounting = [MPIAccounting() for _ in range(self.nranks)]
         # Per-rank observability state (span tracer + metrics registry),
         # or None when tracing is off.
-        self.obs = build_obs(self.nranks, obs_config)
+        self.obs = build_obs(self.nranks, spec.obs_config)
         if self.obs is not None:
             # Flight recorders tap the MPI ledger: every modeled charge
             # lands in the rank's black-box ring.  (Listeners are runtime
@@ -154,14 +140,14 @@ class SimWorld:
                     self.accounting[r].add_listener(ro.recorder.on_mpi)
         # Runtime correctness checkers (collective ordering, p2p hygiene,
         # deadlock and ghost-race detection), or None when off.
-        self.sanitizer = (Sanitizer(self.nranks, sanitize, obs=self.obs)
-                          if sanitize is not None else None)
+        self.sanitizer = (Sanitizer(self.nranks, spec.sanitize, obs=self.obs)
+                          if spec.sanitize is not None else None)
 
         # Fault injection and recovery (both optional and independent: an
         # injector without a policy reproduces failures un-handled; a
         # policy without an injector is simply never exercised).
-        self.injector = injector
-        self.policy = policy
+        self.injector = spec.injector
+        self.policy: ResiliencePolicy | None = spec.policy
         self.resilience = [ResilienceStats() for _ in range(self.nranks)]
 
         # Point-to-point: mailbox per (context, dest rank); one condition
@@ -321,11 +307,6 @@ class SimWorld:
             return set(range(self.nranks)) - {rank}
         return {source}
 
-    def _detector(self) -> Sanitizer | None:
-        """The sanitizer, when it runs deadlock detection."""
-        san = self.sanitizer
-        return san if san is not None and san.config.deadlock else None
-
     def wait_recvs(self, rank: int, wants: Sequence[tuple[str, int, int]],
                    want_all: bool = True, op: str = "MPI_Recv",
                    charge: Callable[[str, float], None] | None = None,
@@ -367,7 +348,7 @@ class SimWorld:
                   and self.injector is not None else None)
         rounds = _Rounds(self, rank,
                          policy.attempt_timeout_s if policy else None)
-        san = self._detector() if policy is None else None
+        san = self.sanitizer if policy is None else None
         got: dict[int, Envelope] = {}
         pending = dict(enumerate(wants))
         cond = self._mail_conds[rank]
@@ -566,7 +547,7 @@ class SimWorld:
         policy = self.policy
         rounds = _Rounds(self, rank, None if policy is None else (
             lambda k: policy.collective_timeout_s * policy.backoff_factor ** k))
-        san = self._detector()
+        san = self.sanitizer
         try:
             with self._coll_cond:
                 slot = self._coll_slots.get(key)

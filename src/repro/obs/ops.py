@@ -31,8 +31,7 @@ from typing import Any, Sequence
 
 from repro.obs.export import live_metrics
 from repro.obs.runtime import RankObs
-from repro.util.httpd import (Response, read_request, render_response,
-                              sse_event, sse_preamble)
+from repro.util.httpd import Response, serve_connection
 from repro.util.timebase import now_us
 
 
@@ -131,46 +130,12 @@ class ObsSidecar:
         if task is not None:
             self._clients.add(task)
             task.add_done_callback(self._clients.discard)
-        try:
-            while True:
-                request = await read_request(reader, self.max_body_bytes)
-                if request is None:
-                    break
-                method, path, _body, keep_alive, too_large = request
-                if too_large:
-                    resp = Response.error(413, "request body too large")
-                    keep_alive = False
-                elif method == "GET" and path == "/live":
-                    await self._stream_live(writer)
-                    break
-                else:
-                    resp = await self.handle(method, path)
-                writer.write(render_response(resp, keep_alive))
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError):
-            pass  # client went away mid-request; nothing to answer
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _stream_live(self, writer: asyncio.StreamWriter) -> None:
         assert self._stop_event is not None
-        writer.write(sse_preamble())
-        await writer.drain()
-        while not self._stop_event.is_set():
-            writer.write(sse_event(self.live_snapshot()))
-            await writer.drain()
-            try:
-                await asyncio.wait_for(self._stop_event.wait(),
-                                       self.live_interval_s)
-            except asyncio.TimeoutError:
-                pass
+        await serve_connection(
+            reader, writer, lambda method, path, _body: self.handle(method, path),
+            self.live_snapshot, self._stop_event,
+            max_body=self.max_body_bytes,
+            live_interval_s=self.live_interval_s)
 
     # ----------------------------------------------------------- lifecycle
     def start(self) -> "ObsSidecar":

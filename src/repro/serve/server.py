@@ -51,20 +51,13 @@ from repro.serve.schema import (AssemblyChoice, BatchPredictRequest,
                                 PredictResponse, ValidationError)
 from repro.serve.store import (ModelUnavailable, ServingModelStore,
                                UnknownModel)
-from repro.util.httpd import (Response, read_request, render_response,
-                              sse_event, sse_preamble)
+from repro.util.httpd import Response, serve_connection
 from repro.util.timebase import Clock, now_us
 
 __all__ = ["Response", "ServeConfig", "ModelServer"]
 
 #: latency histogram buckets: 1 us .. 10 s, six per decade
 _LATENCY_BOUNDS = tuple(10.0 ** (k / 6.0) for k in range(43))
-
-# Internal aliases kept: the HTTP plumbing moved to repro.util.httpd
-# (shared with the obs sidecar) and these names are this module's API
-# toward its own front-end loop.
-_read_request = read_request
-_render_response = render_response
 
 
 @dataclass(frozen=True)
@@ -320,19 +313,6 @@ class ModelServer:
             frame["dropped"] = self.tracer.dropped_count
         return frame
 
-    async def _stream_live(self, writer: asyncio.StreamWriter) -> None:
-        """Serve one SSE client until it disconnects or the server stops."""
-        writer.write(sse_preamble())
-        await writer.drain()
-        while not self._stop.is_set():
-            writer.write(sse_event(self.live_snapshot()))
-            await writer.drain()
-            try:
-                await asyncio.wait_for(self._stop.wait(),
-                                       self.config.live_interval_s)
-            except asyncio.TimeoutError:
-                pass
-
     # ------------------------------------------------------ HTTP front
     async def serve_http(self, host: str = "127.0.0.1",
                          port: int = 8077) -> "asyncio.base_events.Server":
@@ -341,33 +321,7 @@ class ModelServer:
 
     async def _client(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                request = await _read_request(
-                    reader, max_body=self.config.max_body_bytes)
-                if request is None:
-                    break
-                method, path, body, keep_alive, too_large = request
-                if too_large:
-                    resp = Response.error(413, "request body too large")
-                    keep_alive = False
-                elif method == "GET" and path == "/live":
-                    # SSE: the connection becomes a one-way event stream
-                    # and never returns to request parsing.
-                    await self._stream_live(writer)
-                    break
-                else:
-                    resp = await self.handle(method, path, body)
-                writer.write(_render_response(resp, keep_alive))
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError):
-            pass  # client went away mid-request; nothing to answer
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass  # close raced the peer's reset
+        await serve_connection(
+            reader, writer, self.handle, self.live_snapshot, self._stop,
+            max_body=self.config.max_body_bytes,
+            live_interval_s=self.config.live_interval_s)

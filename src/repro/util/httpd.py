@@ -2,7 +2,7 @@
 
 Originally private to :mod:`repro.serve.server`; factored out so the
 observability sidecar (:mod:`repro.obs.ops`) can serve the same live
-endpoints without depending on the model-serving stack.  Three pieces:
+endpoints without depending on the model-serving stack.  Four pieces:
 
 * :class:`Response` — the application-layer response value (status, body,
   content type, extra headers) with ``json``/``error`` constructors;
@@ -11,7 +11,10 @@ endpoints without depending on the model-serving stack.  Three pieces:
   Content-Length body, keep-alive);
 * :func:`sse_preamble` / :func:`sse_event` — Server-Sent Events framing
   for streaming endpoints (``/live``): a response header block that
-  disables buffering, then one ``data:`` frame per event.
+  disables buffering, then one ``data:`` frame per event;
+* :func:`serve_connection` — the connection loop both fronts hand to
+  ``asyncio.start_server``: requests in, responses out, ``GET /live``
+  turned into an event stream.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Awaitable, Callable
 
 __all__ = ["Response", "STATUS_TEXT", "read_request", "render_response",
-           "sse_preamble", "sse_event"]
+           "sse_preamble", "sse_event", "serve_connection"]
 
 STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
                405: "Method Not Allowed", 413: "Payload Too Large",
@@ -110,3 +113,54 @@ def sse_preamble() -> bytes:
 def sse_event(obj: Any) -> bytes:
     """One ``data:`` frame carrying ``obj`` as JSON."""
     return b"data: " + json.dumps(obj, sort_keys=True).encode() + b"\n\n"
+
+
+async def serve_connection(
+        reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
+        handle: Callable[[str, str, bytes], Awaitable[Response]],
+        live_frame: Callable[[], Any], stop: asyncio.Event, *,
+        max_body: int, live_interval_s: float) -> None:
+    """Serve one client connection until it closes.
+
+    Each request is answered by ``handle(method, path, body)`` and the
+    connection kept alive when the client asks for it; a body above
+    ``max_body`` is answered 413 and the connection closed.  ``GET /live``
+    turns the connection into a one-way Server-Sent Events stream - one
+    ``live_frame()`` every ``live_interval_s`` until ``stop`` is set or
+    the client leaves - and never returns to request parsing.
+    """
+    try:
+        while True:
+            request = await read_request(reader, max_body)
+            if request is None:
+                break
+            method, path, body, keep_alive, too_large = request
+            if too_large:
+                resp = Response.error(413, "request body too large")
+                keep_alive = False
+            elif method == "GET" and path == "/live":
+                writer.write(sse_preamble())
+                await writer.drain()
+                while not stop.is_set():
+                    writer.write(sse_event(live_frame()))
+                    await writer.drain()
+                    try:
+                        await asyncio.wait_for(stop.wait(), live_interval_s)
+                    except asyncio.TimeoutError:
+                        pass
+                break
+            else:
+                resp = await handle(method, path, body)
+            writer.write(render_response(resp, keep_alive))
+            await writer.drain()
+            if not keep_alive:
+                break
+    except (ConnectionError, asyncio.IncompleteReadError,
+            asyncio.LimitOverrunError):
+        pass  # client went away mid-request; nothing to answer
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass  # close raced the peer's reset

@@ -90,6 +90,14 @@ def test_healthy_pingpong_is_clean():
 
 
 # ------------------------------------------------- collective order checking
+#: Every collective family runs the order check through the one
+#: ``SimComm._collective`` body: piggybacked through the rendezvous (None,
+#: "flat") or as a token round before the tree movement ("hier").  The
+#: family is a loop variable, not a pytest parameter, so the tests keep
+#: their names.
+FAMILIES = (None, "flat", "hier")
+
+
 def test_mismatched_collectives_are_reported_by_name():
     def fn(comm):
         if comm.rank == 0:
@@ -97,13 +105,16 @@ def test_mismatched_collectives_are_reported_by_name():
         else:
             comm.allreduce(comm.rank)
 
-    with pytest.raises(RankFailure) as exc:
-        _runner(2).run(fn)
-    text = str(exc.value)
-    assert "CollectiveMismatchError" in text
-    assert "rank 0 issued MPI_Barrier" in text
-    assert "rank 1 issued MPI_Allreduce" in text
-    assert "collective #0 on context 'world'" in text
+    for family in FAMILIES:
+        # A mismatch that got past the token round would run two different
+        # trees against each other and hang to the deadline: keep it short.
+        with pytest.raises(RankFailure) as exc:
+            _runner(2, collectives=family, timeout_s=5.0).run(fn)
+        text = str(exc.value)
+        assert "CollectiveMismatchError" in text, family
+        assert "rank 0 issued MPI_Barrier" in text, family
+        assert "rank 1 issued MPI_Allreduce" in text, family
+        assert "collective #0 on context 'world'" in text, family
 
 
 def test_collective_drift_after_divergent_branch():
@@ -127,11 +138,12 @@ def test_matched_collectives_are_clean():
         comm.barrier()
         total = comm.allreduce(comm.rank + 1)
         comm.barrier()
-        return total
+        return total, comm.bcast(comm.rank, root=2)
 
-    runner = _runner(3)
-    assert runner.run(fn) == [6, 6, 6]
-    assert runner.last_world.sanitizer.findings == []
+    for family in FAMILIES:
+        runner = _runner(3, collectives=family)
+        assert runner.run(fn) == [(6, 2)] * 3, family
+        assert runner.last_world.sanitizer.findings == [], family
 
 
 # ------------------------------------------------------- finalize-time leaks
@@ -300,16 +312,6 @@ def test_findings_emit_metrics_counter():
 
 
 # ------------------------------------------------------------- configuration
-def test_families_can_be_disabled():
-    def fn(comm):
-        if comm.rank == 0:
-            comm.send("x", dest=1, tag=5)
-
-    runner = _runner(2, sanitize=SanitizerConfig(p2p=False))
-    runner.run(fn)  # leak checking off: nothing recorded, nothing raised
-    assert runner.last_world.sanitizer.findings == []
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         SanitizerConfig(deadlock_poll_s=0.0)

@@ -21,7 +21,7 @@ from repro.mpi import codec, create_world
 from repro.mpi.backend import JobSpec
 from repro.mpi.message import Envelope
 from repro.mpi.mpshm import (COALESCE_MAX_FRAMES, _KIND_DELIVER,
-                             _KIND_DROP_RECOVERABLE, MpShmBackend)
+                             _KIND_DROP_RECOVERABLE)
 from repro.mpi.shm import ShmFlag, ShmRing
 from repro.mpi.world import SimWorld
 
@@ -260,7 +260,7 @@ class TestPickledSize:
 # ------------------------------------------------------------ deliver_batch
 class TestDeliverBatch:
     def test_orders_match_per_item_delivery(self):
-        world = SimWorld(nranks=2, sanitize=None)
+        world = SimWorld(JobSpec(nranks=2))
         envs = [_env((i,), dest=1, tag=5) for i in range(4)]
         world.deliver_batch([("world", e) for e in envs])
         got = [world.try_match("world", 1, 0, 5) for _ in range(4)]
@@ -268,7 +268,7 @@ class TestDeliverBatch:
         assert world.try_match("world", 1, 0, 5) is None
 
     def test_rejects_mixed_destinations_and_bad_rank(self):
-        world = SimWorld(nranks=2, sanitize=None)
+        world = SimWorld(JobSpec(nranks=2))
         with pytest.raises(ValueError, match="one destination"):
             world.deliver_batch([("w", _env(None, dest=0)),
                                  ("w", _env(None, dest=1))])
@@ -346,18 +346,3 @@ def test_faulted_batches_preserve_order_and_recovery():
         st, sp = world_t.resilience[r].as_dict(), world_p.resilience[r].as_dict()
         for key in ("recovered", "deduplicated", "failures"):
             assert st[key] == sp[key], (r, key, st, sp)
-
-
-def test_coalescing_off_is_equivalent():
-    """coalesce=False (one ring write per envelope) must be observationally
-    identical — it exists purely for A/B benching."""
-    spec = JobSpec(nranks=3, seed=13)
-    on = MpShmBackend(coalesce=True).launch(spec, burst_ring, (), {})
-    off = MpShmBackend(coalesce=False).launch(spec, burst_ring, (), {})
-    assert on.results == off.results
-    for r in range(3):
-        lt = {k: (round(v.total_us, 3), v.calls)
-              for k, v in on.world.accounting[r].routine_totals().items()}
-        lp = {k: (round(v.total_us, 3), v.calls)
-              for k, v in off.world.accounting[r].routine_totals().items()}
-        assert lt == lp, f"rank {r} ledger"

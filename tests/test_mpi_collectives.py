@@ -1,9 +1,11 @@
 """Collective operations over the MPI simulator."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.mpi import ParallelRunner
+from repro.mpi import NetworkModel, ParallelRunner
 from repro.mpi.network import LOOPBACK
 
 
@@ -167,3 +169,81 @@ def test_collective_charges_accounting(runner3):
         return set(totals) >= {"MPI_Allreduce", "MPI_Barrier"}
 
     assert all(runner3.run(job))
+
+
+# ------------------------------------- every collective, family and size
+#: no jitter: a ledger row is then exactly the family's closed form
+NET = NetworkModel(latency_us=7.0, bandwidth_bytes_per_us=4.0,
+                   jitter_sigma=0.0)
+
+
+def _modeled_us(family, routine, nbytes, p):
+    """The cost formula ``family`` charges ``routine`` on ``p`` ranks."""
+    def p2p(n):
+        return max(NET.min_cost_us, NET.latency_us + n / NET.bandwidth_bytes_per_us)
+
+    if family is None or p == 1:
+        hops, per_hop = (math.ceil(math.log2(p)) if p > 1 else 0), p2p(nbytes)
+    elif family == "flat":
+        hops, per_hop = 2 * (p - 1), p2p(nbytes)
+    elif routine == "MPI_Allgather":  # the ring: P-1 hops of a 1/P share
+        hops, per_hop = p - 1, p2p(max(1, nbytes // p))
+    else:
+        hops, per_hop = math.ceil(math.log2(p)), p2p(nbytes)
+    return max(NET.min_cost_us, hops * per_hop)
+
+
+def _all_ten(comm):
+    p, r = comm.size, comm.rank
+    x = np.full(4, float(r + 1))  # 32 bytes
+    values = {
+        "barrier": comm.barrier(),
+        "bcast": comm.bcast(x if r == p - 1 else None, root=p - 1),
+        "gather": comm.gather(x, root=p // 2),
+        "allgather": comm.allgather(x),
+        "scatter": comm.scatter(
+            [np.full(3, float(d)) for d in range(p)] if r == p // 2 else None,
+            root=p // 2),
+        "alltoall": comm.alltoall([np.array([r, d], dtype=float)
+                                   for d in range(p)]),
+        "reduce": comm.reduce(x, op="sum", root=p - 1),
+        "allreduce": comm.allreduce(x, op="max"),
+        "scan": comm.scan(x, op="sum"),
+        "dup": comm.dup().context,
+    }
+    ledger = {routine: (row.calls, row.total_us) for routine, row
+              in comm.accounting.routine_totals().items()}
+    return values, ledger
+
+
+@pytest.mark.parametrize("nranks", [1, 2, 3, 5])
+@pytest.mark.parametrize("family", [None, "flat", "hier"])
+def test_every_collective_under_every_family(family, nranks):
+    p = nranks
+    xs = [np.full(4, float(r + 1)) for r in range(p)]
+    nbytes = {"MPI_Barrier": 0, "MPI_Bcast": 32, "MPI_Gather": 32,
+              "MPI_Allgather": 32, "MPI_Scatter": 24, "MPI_Alltoall": 16 * p,
+              "MPI_Reduce": 32, "MPI_Allreduce": 32, "MPI_Scan": 32,
+              "MPI_Comm_dup": 0}
+    runner = ParallelRunner(p, network=NET, timeout_s=20.0, collectives=family)
+    for r, (got, ledger) in enumerate(runner.run(_all_ten)):
+        want = {
+            "barrier": None,
+            "bcast": xs[p - 1],
+            "gather": xs if r == p // 2 else None,
+            "allgather": xs,
+            "scatter": np.full(3, float(r)),
+            "alltoall": [np.array([s, r], dtype=float) for s in range(p)],
+            "reduce": sum(xs) if r == p - 1 else None,
+            "allreduce": xs[p - 1],
+            "scan": sum(xs[:r + 1]),
+            "dup": "world/dup1",
+        }
+        assert got.keys() == want.keys()
+        for name in want:
+            np.testing.assert_equal(got[name], want[name], err_msg=name)
+        assert ledger.keys() == nbytes.keys()
+        for routine, (calls, total_us) in ledger.items():
+            assert calls == 1, routine
+            assert total_us == pytest.approx(
+                _modeled_us(family, routine, nbytes[routine], p)), routine

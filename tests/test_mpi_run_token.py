@@ -20,7 +20,7 @@ from repro.euler.ports import DriverParams
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import ComponentFault, FaultPlan
 from repro.harness.casestudy import CaseStudyConfig, run_case_study
-from repro.mpi import ParallelRunner, SimWorld
+from repro.mpi import JobSpec, ParallelRunner, SimWorld
 from repro.mpi.network import LOOPBACK
 from repro.mpi.runner import RankFailure
 from repro.obs import ObsConfig
@@ -146,7 +146,7 @@ def test_abort_reaches_a_rank_queued_for_the_token():
 
 # ------------------------------------------------------- who carries a token
 def test_only_launched_thread_worlds_carry_a_token():
-    by_hand = SimWorld(2)
+    by_hand = SimWorld(JobSpec(2))
     assert by_hand.run_token is None
     with by_hand.off_token(0):  # a no-op without a token
         pass

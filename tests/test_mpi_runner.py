@@ -1,8 +1,16 @@
 """ParallelRunner and MPIAccounting behaviour."""
 
+import dataclasses
+import inspect
+import os
+import time
+
 import pytest
 
-from repro.mpi import MPIAccounting, ParallelRunner, RankFailure
+from repro.mpi import (JobSpec, MPIAccounting, NetworkModel, ParallelRunner,
+                       RankFailure, SimWorld, create_world)
+from repro.mpi import backend as launcher
+from repro.mpi import mpshm
 from repro.mpi.network import LOOPBACK
 
 
@@ -59,6 +67,51 @@ def test_single_rank_run():
 def test_invalid_nranks():
     with pytest.raises(ValueError):
         ParallelRunner(0)
+
+
+def test_unknown_keyword_is_a_type_error_naming_it():
+    with pytest.raises(TypeError, match="colectives"):
+        ParallelRunner(2, colectives="hier")
+
+
+def test_network_none_means_the_default_model():
+    assert ParallelRunner(2, network=None).spec.network == NetworkModel()
+
+
+def test_launch_path_declares_none_of_the_job_options():
+    """A run's options are JobSpec's fields and nobody else's parameters:
+    a new option must not need a signature edit anywhere on the way from
+    the runner to the world."""
+    options = {f.name for f in dataclasses.fields(JobSpec)} - {"nranks"}
+    assert options >= {"injector", "policy", "obs_config", "sanitize",
+                       "collectives", "seed", "network", "timeout_s"}
+    for fn in (ParallelRunner.__init__, SimWorld.__init__,
+               mpshm.ShmWorld.__init__, launcher.ThreadBackend.launch,
+               mpshm.MpShmBackend.launch, mpshm._worker_main):
+        declared = options & set(inspect.signature(fn).parameters)
+        assert not declared, (fn.__qualname__, declared)
+
+
+@pytest.mark.parametrize("backend", ["thread", "mp-shm"])
+def test_stuck_ranks_hold_the_launcher_for_one_deadline(backend, monkeypatch):
+    """Ranks stuck outside MPI: every one is named, after one launcher
+    deadline (timeout_s + grace), not one per rank - and no shared-memory
+    segment of the job outlives it."""
+    monkeypatch.setattr(launcher, "THREAD_GRACE_S", 0.2)
+    monkeypatch.setattr(mpshm, "PROCESS_GRACE_S", 0.2)
+
+    def job(comm):
+        with comm.world.off_token(comm.rank):  # a no-op on mp-shm
+            time.sleep(2.5)
+
+    segments = set(os.listdir("/dev/shm"))
+    t0 = time.monotonic()
+    with pytest.raises(RankFailure, match="did not terminate") as exc:
+        create_world(backend, nranks=4, timeout_s=0.2).run(job)
+    # One deadline is 0.4 s, four of them 1.6 s.
+    assert time.monotonic() - t0 < 1.2
+    assert sorted(exc.value.failures) == [0, 1, 2, 3]
+    assert set(os.listdir("/dev/shm")) == segments
 
 
 class TestAccounting:

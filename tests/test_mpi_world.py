@@ -4,13 +4,13 @@ import threading
 
 import pytest
 
-from repro.mpi import SimComm, SimMPIError, SimWorld
+from repro.mpi import JobSpec, SimComm, SimMPIError, SimWorld
 from repro.mpi.message import Envelope
 from repro.mpi.network import LOOPBACK
 
 
 def make_world(nranks=2, timeout_s=2.0):
-    return SimWorld(nranks, network=LOOPBACK, timeout_s=timeout_s)
+    return SimWorld(JobSpec(nranks, network=LOOPBACK, timeout_s=timeout_s))
 
 
 class TestAbort:
@@ -113,8 +113,8 @@ class TestCollectiveSlots:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SimWorld(0)
+            SimWorld(JobSpec(0))
         with pytest.raises(ValueError):
-            SimWorld(2, timeout_s=0.0)
+            SimWorld(JobSpec(2, timeout_s=0.0))
         with pytest.raises(ValueError):
             SimComm(make_world(), 5)

@@ -14,7 +14,7 @@ from repro.obs.export import (chrome_trace_from_spans, collect,
                               validate_chrome_payload, validate_trace_file,
                               write_metrics, write_trace)
 from repro.obs.runtime import ObsConfig, RankObs
-from repro.obs.span import CAT_COMPUTE, CAT_MPI, SpanTracer
+from repro.obs.span import CAT_COMPUTE, CAT_MPI, FLOW_COLL, SpanTracer
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +47,30 @@ def test_collect_merges_and_orders(ring_run):
     assert names.count("MPI_Recv") == 3
     assert names.count("MPI_Barrier") == 3
     assert dump.dropped_total == 0
+
+
+@pytest.mark.parametrize("family", [None, "flat", "hier"])
+def test_one_collective_flow_point_per_rank_under_every_family(family):
+    """Whatever moves a collective's values, each participant anchors the
+    one flow id all of them share exactly once; the tree hops of
+    ``"hier"`` are transport, not edges."""
+    runner = ParallelRunner(3, obs_config=ObsConfig(), collectives=family)
+
+    def main(comm):
+        comm.barrier()
+        comm.bcast(comm.rank, root=1)
+        comm.allreduce(1)
+        comm.allgather(comm.rank)
+        comm.gather(comm.rank, root=2)
+        comm.scan(1)
+        comm.dup().barrier()
+
+    runner.run(main)
+    flows = collect(runner.last_world).flows
+    ids = [f"c:world:{i}" for i in range(7)] + ["c:world/dup1:0"]
+    for rank in range(3):
+        assert [f.flow_id for f in flows
+                if f.kind == FLOW_COLL and f.rank == rank] == ids
 
 
 def test_collect_requires_observability():
