@@ -7,7 +7,9 @@ field data from a source patch to a destination patch, optionally through a
 resolution change (prolongation/restriction applied at the source);
 :func:`execute_transfers` runs a deterministic plan over the simulated MPI
 layer with ``isend``/``irecv``/``waitsome`` — the MPI_Waitsome-dominated
-pattern of the paper's Figure 3.
+pattern of the paper's Figure 3 — sending one message per peer per
+exchange: every transfer between two ranks in one plan is packed into one
+buffer (:class:`Bundle`).
 
 Plans are computed from replicated metadata (every rank knows all patch
 boxes and owners), so all ranks enumerate identical transfer lists and tag
@@ -18,7 +20,7 @@ so it is compiled once (:class:`ExchangePlan`) and executed many times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,6 +44,7 @@ class Transfer:
     resolved once, here (``src_slices``/``dst_slices``, each an index
     into its patch's whole ``(nfields, ni, nj)`` block), so executing the
     transfer is one slice copy and guarding it hashes one slice.
+    ``dst_shape`` is the destination region's ``(ni, nj)``.
     """
 
     src_patch: Patch
@@ -55,7 +58,7 @@ class Transfer:
             slice(None), *self.src_region.slices(self.src_patch.ghost_box))
         self.dst_slices = (
             slice(None), *self.dst_region.slices(self.dst_patch.ghost_box))
-        self._dst_shape = self.dst_region.shape
+        self.dst_shape = self.dst_region.shape
 
     def extract(self, fields: Sequence[str]) -> np.ndarray:
         """The ``(nfields, ...)`` source block (at the source rank).
@@ -66,10 +69,10 @@ class Transfer:
         data = self.src_patch.whole_block(fields)[self.src_slices]
         if self.transform is not None:
             data = self.transform(data)
-        if data.shape[1:] != self._dst_shape:
+        if data.shape[1:] != self.dst_shape:
             raise ValueError(
                 f"transfer block shape {data.shape[1:]} != destination region "
-                f"shape {self._dst_shape} ({self.src_region} -> {self.dst_region})"
+                f"shape {self.dst_shape} ({self.src_region} -> {self.dst_region})"
             )
         return data
 
@@ -104,7 +107,49 @@ def plan_same_level_exchange(patches: Sequence[Patch]) -> list[Transfer]:
     return plan
 
 
-_LOCAL, _SEND, _RECV = range(3)
+class Bundle:
+    """Every transfer between this rank and one peer in one exchange.
+
+    The transfers travel as one float64 message, packed in plan order:
+    transfer ``k`` occupies ``[nfields * lo_k, nfields * hi_k)`` of the
+    buffer, its ``(nfields, *dst_shape)`` block in C order.  ``first`` is
+    the plan index of the first transfer; ``tag_base + first`` is the
+    message tag, which both ends derive from the replicated plan.
+    """
+
+    __slots__ = ("peer", "first", "items", "size")
+
+    def __init__(self, peer: int, transfers: Sequence[tuple[int, Transfer]]) -> None:
+        self.peer = peer
+        self.first = transfers[0][0]
+        #: ``(plan index, transfer, lo, hi)`` in plan order, offsets in
+        #: cells of one field
+        self.items: list[tuple[int, Transfer, int, int]] = []
+        size = 0
+        for idx, t in transfers:
+            ncells = t.dst_region.ncells
+            self.items.append((idx, t, size, size + ncells))
+            size += ncells
+        #: cells of one field in the whole message
+        self.size = size
+
+    def views(self, buf: np.ndarray,
+              nfields: int) -> Iterator[tuple[int, Transfer, np.ndarray]]:
+        """``(plan index, transfer, its block's view of buf)`` in plan order."""
+        for idx, t, lo, hi in self.items:
+            yield idx, t, buf[nfields * lo:nfields * hi].reshape(
+                nfields, *t.dst_shape)
+
+
+class RankLayout(NamedTuple):
+    """What one rank does in one exchange, compiled from the full plan."""
+
+    #: transfers with both ends on this rank, in plan order
+    local: list[Transfer]
+    #: one bundle per destination peer, in order of first plan index
+    sends: list[Bundle]
+    #: one bundle per source peer, in order of first plan index
+    recvs: list[Bundle]
 
 
 class ExchangePlan:
@@ -112,14 +157,15 @@ class ExchangePlan:
 
     ``transfers`` is the full replicated list: its length and the index of
     each transfer fix the message tags, identically on every rank.  What
-    one rank does with it — local copies, sends and receives, in plan
-    order — is split out once per rank, so executing the plan walks only
-    the transfers that rank takes part in.
+    one rank does with it - local copies, and one message to or from each
+    peer it shares transfers with - is compiled once per rank
+    (:meth:`layout`), so executing the plan walks only the transfers that
+    rank takes part in.
     """
 
     def __init__(self, transfers: Sequence[Transfer]) -> None:
         self.transfers = list(transfers)
-        self._ops: dict[int, list[tuple[int, int, Transfer]]] = {}
+        self._layouts: dict[int, RankLayout] = {}
 
     def __len__(self) -> int:
         return len(self.transfers)
@@ -127,20 +173,25 @@ class ExchangePlan:
     def __iter__(self) -> Iterator[Transfer]:
         return iter(self.transfers)
 
-    def ops(self, rank: int) -> list[tuple[int, int, Transfer]]:
-        """``(kind, index, transfer)`` for every transfer ``rank`` owns an
-        end of, in plan order."""
-        ops = self._ops.get(rank)
-        if ops is None:
-            ops = self._ops[rank] = []
+    def layout(self, rank: int) -> RankLayout:
+        """``rank``'s local transfers and per-peer bundles (cached)."""
+        layout = self._layouts.get(rank)
+        if layout is None:
+            local: list[Transfer] = []
+            sends: dict[int, list[tuple[int, Transfer]]] = {}
+            recvs: dict[int, list[tuple[int, Transfer]]] = {}
             for idx, t in enumerate(self.transfers):
-                src_here = t.src_patch.owner == rank
-                dst_here = t.dst_patch.owner == rank
-                if src_here and dst_here:
-                    ops.append((_LOCAL, idx, t))
-                elif src_here or dst_here:
-                    ops.append((_SEND if src_here else _RECV, idx, t))
-        return ops
+                src, dst = t.src_patch.owner, t.dst_patch.owner
+                if src == rank == dst:
+                    local.append(t)
+                elif src == rank:
+                    sends.setdefault(dst, []).append((idx, t))
+                elif dst == rank:
+                    recvs.setdefault(src, []).append((idx, t))
+            layout = self._layouts[rank] = RankLayout(
+                local, [Bundle(p, ts) for p, ts in sends.items()],
+                [Bundle(p, ts) for p, ts in recvs.items()])
+        return layout
 
 
 def execute_transfers(
@@ -152,11 +203,14 @@ def execute_transfers(
 ) -> float:
     """Run a transfer plan; returns the modeled MPI time consumed (us).
 
-    Local transfers (src and dst owned by ``rank``) copy directly.  Remote
-    ones post ``isend``/``irecv`` and drain completions with ``waitsome``,
-    the paper's AMRMesh communication pattern.  The tag of a transfer is
-    ``tag_base`` plus its index in the full plan.  With ``comm=None`` the
-    plan must be entirely local (serial runs).
+    Local transfers (src and dst owned by ``rank``) copy directly, first.
+    Remote ones travel one message per peer (:class:`Bundle`): each send
+    bundle is packed and posted with ``isend``, one ``irecv`` is posted
+    per source peer, and completions are drained with ``waitsome``, the
+    paper's AMRMesh communication pattern; an arrived bundle is unpacked
+    transfer by transfer, in plan order.  Transfer ``idx``'s tag is
+    ``tag_base + idx``, a bundle's that of its first transfer.  With
+    ``comm=None`` the plan must be entirely local (serial runs).
     """
     fields = tuple(fields)
     if comm is None:
@@ -165,30 +219,32 @@ def execute_transfers(
         return 0.0
 
     plan = transfers if isinstance(transfers, ExchangePlan) else ExchangePlan(transfers)
+    layout = plan.layout(rank)
+    nfields = len(fields)
     before_us = comm.accounting.total_us()
     san = comm.world.sanitizer
     guard = san.ghost_guard(rank) if san is not None else None
+    for t in layout.local:
+        t.insert(t.extract(fields), fields)
+    for b in layout.sends:
+        buf = np.empty(nfields * b.size)
+        for idx, t, view in b.views(buf, nfields):
+            view[...] = t.extract(fields)
+            if guard is not None:
+                guard.watch_send(t.src_patch, t.src_slices, fields, tag_base + idx)
+        comm.isend(buf, dest=b.peer, tag=tag_base + b.first)
     pending: list[RecvRequest] = []
-    posted: list[tuple[Transfer, int]] = []
-    for kind, idx, t in plan.ops(rank):
-        tag = tag_base + idx
-        if kind == _LOCAL:
-            t.insert(t.extract(fields), fields)
-        elif kind == _SEND:
-            comm.isend(t.extract(fields), dest=t.dst_patch.owner, tag=tag)
-            if guard is not None:
-                guard.watch_send(t.src_patch, t.src_slices, fields, tag)
-        else:
-            pending.append(comm.irecv(source=t.src_patch.owner, tag=tag))
-            posted.append((t, tag))
-            if guard is not None:
-                guard.watch_recv(t.dst_patch, t.dst_slices, fields, tag)
+    for b in layout.recvs:
+        pending.append(comm.irecv(source=b.peer, tag=tag_base + b.first))
+        if guard is not None:
+            for idx, t, _lo, _hi in b.items:
+                guard.watch_recv(t.dst_patch, t.dst_slices, fields, tag_base + idx)
     while any(not r.complete for r in pending):
         for i in waitsome(pending):
-            t, tag = posted[i]
-            if guard is not None:
-                guard.check_recv(tag)
-            t.insert(pending[i].payload, fields)
+            for idx, t, view in layout.recvs[i].views(pending[i].payload, nfields):
+                if guard is not None:
+                    guard.check_recv(tag_base + idx)
+                t.insert(view, fields)
     if guard is not None:
         guard.check_sends()
     return comm.accounting.total_us() - before_us

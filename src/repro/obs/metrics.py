@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from typing import Any, Iterable, Mapping
 
 LabelKey = tuple[tuple[str, str], ...]
@@ -90,18 +91,13 @@ class Histogram:
     def observe(self, value: float) -> None:
         self.total += value
         self.count += 1
-        # Binary search: bounds are sorted.
-        lo, hi = 0, len(self.bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= self.bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        if lo == len(self.bounds):
+        # First bound >= value; NaN compares false everywhere, so bisect
+        # would file it under bucket 0 - it belongs in +Inf.
+        i = bisect_left(self.bounds, value)
+        if i == len(self.bounds) or value != value:
             self.inf_count += 1
         else:
-            self.bucket_counts[lo] += 1
+            self.bucket_counts[i] += 1
 
     @property
     def mean(self) -> float:

@@ -79,9 +79,10 @@ class _MeasurementImpl(MeasurementPort):
 class TauMeasurementComponent(Component):
     """CCA component exporting the rank profiler as ``"measurement"``.
 
-    By default it adopts the framework's per-rank profiler (so MPI charges
-    routed by the framework are visible through the query interface); a
-    dedicated profiler may be injected for isolation in tests.
+    By default it adopts the framework's per-rank profiler and has the
+    framework route MPI charges into it, so they are visible through the
+    query interface; a dedicated profiler may be injected for isolation
+    in tests (it sees no MPI charges).
     """
 
     #: name under which the MeasurementPort is provided
@@ -92,7 +93,10 @@ class TauMeasurementComponent(Component):
         self._impl: _MeasurementImpl | None = None
 
     def set_services(self, services: Services) -> None:
-        profiler = self._own_profiler or services.framework.profiler
+        profiler = self._own_profiler
+        if profiler is None:
+            profiler = services.framework.profiler
+            services.framework.charge_mpi_to_profiler()
         self._impl = _MeasurementImpl(profiler)
         services.add_provides_port(self._impl, self.PORT_NAME, MeasurementPort)
 

@@ -411,14 +411,24 @@ def test_compiled_plan_splits_per_rank_and_keeps_full_plan_tags():
         h.fill(1, two_front_ic)
         h.ghost_update(1)
         plan = h.ghost_plans(1)[-1]
-        mine = plan.ops(comm.rank)
-        assert [idx for _k, idx, _t in mine] == sorted(idx for _k, idx, _t in mine)
-        for _kind, idx, t in mine:
-            assert plan.transfers[idx] is t
-            assert comm.rank in (t.src_patch.owner, t.dst_patch.owner)
-        assert plan.ops(comm.rank) is mine
+        layout = plan.layout(comm.rank)
+        for t in layout.local:
+            assert t.src_patch.owner == comm.rank == t.dst_patch.owner
+        remote = 0
+        for bundles, end in ((layout.sends, "src_patch"),
+                             (layout.recvs, "dst_patch")):
+            assert len({b.peer for b in bundles}) == len(bundles)
+            for b in bundles:
+                idxs = [idx for idx, _t, _lo, _hi in b.items]
+                assert idxs == sorted(idxs) and b.first == idxs[0]
+                for idx, t, _lo, _hi in b.items:
+                    assert plan.transfers[idx] is t
+                    assert getattr(t, end).owner == comm.rank != b.peer
+                remote += len(b.items)
+        assert plan.layout(comm.rank) is layout
+        mine = len(layout.local) + remote
         state = hierarchy_state(h)
-        return (len(plan), len(mine), h.exchanger._tag,
+        return (len(plan), mine, h.exchanger._tag,
                 {uid: {f: a.tobytes() for f, a in saved.items()}
                  for uid, saved in state["local_fields"].items()})
 
@@ -442,4 +452,7 @@ def test_exchange_plan_len_is_the_full_plan():
     a = Patch(box=Box(0, 0, 3, 7), level=0, owner=0)
     b = Patch(box=Box(4, 0, 7, 7), level=0, owner=1)
     plan = ExchangePlan(ghost.plan_same_level_exchange([a, b]))
-    assert len(plan) == 2 and len(plan.ops(0)) == 2 and plan.ops(2) == []
+    assert len(plan) == 2
+    mine = plan.layout(0)
+    assert mine.local == [] and len(mine.sends) == len(mine.recvs) == 1
+    assert plan.layout(2) == ([], [], [])

@@ -6,6 +6,7 @@ from repro.cca import Component, Framework, run_scmd
 from repro.cca.ports import GoPort
 from repro.cca.scmd import MAIN_TIMER
 from repro.mpi.network import LOOPBACK
+from repro.tau.component import TauMeasurementComponent
 
 
 class CohortDriver(Component, GoPort):
@@ -38,10 +39,25 @@ def test_scmd_main_timer_present():
 
 
 def test_scmd_mpi_charges_flow_to_profiler():
-    res = run_scmd(2, compose, go_instance="driver", network=LOOPBACK)
+    """Wiring a TAU component routes MPI into the profiler, once however
+    many adopt it."""
+    def with_tau(fw):
+        compose(fw)
+        fw.create("tau", TauMeasurementComponent)
+        fw.create("tau_twin", TauMeasurementComponent)
+
+    res = run_scmd(2, with_tau, go_instance="driver", network=LOOPBACK)
     for snap in res.timer_snapshots:
         assert "MPI_Allreduce" in snap
         assert snap["MPI_Allreduce"].group == "MPI"
+        assert snap["MPI_Allreduce"].calls == 1
+
+
+def test_scmd_mpi_charges_skip_profiler_without_tau():
+    res = run_scmd(2, compose, go_instance="driver", network=LOOPBACK)
+    for snap in res.timer_snapshots:
+        assert set(snap) == {MAIN_TIMER}
+    assert res.world.accounting[0].calls("MPI_Allreduce") == 1
 
 
 def test_scmd_compose_result_used_without_go():

@@ -1,6 +1,7 @@
 """Metrics registry unit tests: instruments, merging, exposition."""
 
 import json
+import math
 
 import pytest
 
@@ -36,6 +37,30 @@ def test_histogram_observe_and_quantile():
     assert h.total == 555.5
     assert h.mean == pytest.approx(138.875)
     assert h.quantile(0.5) == 10.0
+
+
+def _bucket_by_loop(bounds, value):
+    """The reference: a linear scan for the first bound >= value, with
+    anything that is <= no bound (past the last one, or NaN) in +Inf."""
+    for i, bound in enumerate(bounds):
+        if value <= bound:
+            return i
+    return len(bounds)
+
+
+def test_histogram_buckets_equal_the_reference_scan():
+    bounds = log_buckets()
+    between = [(a + b) / 2 for a, b in zip(bounds, bounds[1:])]
+    values = [*bounds, *between, 0.0, -3.0, bounds[0] / 2,
+              bounds[-1] * 1.5, math.inf, -math.inf, math.nan]
+    h = MetricsRegistry().histogram("cost_us", bounds=bounds)
+    want = [0] * (len(bounds) + 1)
+    for v in values:
+        h.observe(v)
+        want[_bucket_by_loop(bounds, v)] += 1
+    assert h.bucket_counts + [h.inf_count] == want
+    assert h.count == len(values)
+    assert want[-1] == 3  # beyond the last bound, +inf and NaN
 
 
 def test_log_buckets_span_and_validation():
