@@ -7,11 +7,6 @@ non-smoke runs (median of several repeats) the measured off-vs-full wall
 inflation must additionally stay under a loose 25% hard bound.  Wall
 comparisons of sub-second threaded runs are noisy; the self-report is
 the precise instrument.
-
-The adaptive bench additionally gates the observability SLO of the
-``BENCH_obs.json`` trajectory: with ``ObsConfig(adaptive=True)`` the
-sampling controller must keep the self-reported tracing tax at or under
-its 2% budget on a case-study run, flight recorder on.
 """
 
 from __future__ import annotations
@@ -21,21 +16,16 @@ import time
 
 import numpy as np
 
-from benchmarks.conftest import SMOKE, paired_median_us, write_out
+from benchmarks.conftest import SMOKE, write_out
 from repro.bench import record_cell
 from repro.cca.scmd import MAIN_TIMER
 from repro.euler.ports import DriverParams
 from repro.harness.casestudy import CaseStudyConfig, run_case_study
 from repro.mpi.network import NetworkModel
-from repro.obs import FlightRecorder, ObsConfig, collect
-from repro.obs.span import CAT_COMPUTE, SpanTracer
+from repro.obs import ObsConfig, collect
 
 TRAJECTORY = os.path.join(os.path.dirname(__file__), "out",
                           "BENCH_obs.json")
-
-#: the observability SLO (mirrored by the committed baseline cell): the
-#: adaptive controller's overhead budget in percent of wall clock
-TAX_BUDGET_PCT = 2.0
 
 
 def _config(observe):
@@ -119,87 +109,3 @@ def test_tracing_overhead(out_dir):
                 gate=False,
                 meta={"note": "self-reported 1-in-16 accounting, full "
                               "tracing, 3-rank case study"})
-
-
-def _self_tax_pct(res) -> float:
-    """Self-reported tracing tax over the summed main-timer walls."""
-    dump = collect(res)
-    tax = sum(rep["self_overhead_us"]
-              for rep in dump.overhead_by_rank.values())
-    return 100.0 * tax / _main_wall_us(res)
-
-
-def test_adaptive_sampler_holds_tax_budget(out_dir):
-    """The ISSUE-8 acceptance gate: adaptive tax <= budget, recorder on.
-
-    The flight recorder is deliberately enabled — it adds per-span cost,
-    which is exactly the pressure the controller exists to absorb by
-    tightening the compute-span sampling rate.
-    """
-    obs = ObsConfig(adaptive=True, tax_budget_pct=TAX_BUDGET_PCT,
-                    flight_recorder=True,
-                    flightrec_dir=os.path.join(out_dir, "flightrec-bench"))
-    res = run_case_study(_config(obs))
-    tax = _self_tax_pct(res)
-    dump = collect(res)
-    rates = {r: s["rates"] for r, s in sorted(dump.sampler_by_rank.items())}
-    decisions = sum(len(s["decisions"])
-                    for s in dump.sampler_by_rank.values())
-
-    lines = [
-        "Adaptive sampling budget bench (3-rank case study, recorder on)",
-        f"  budget:  {TAX_BUDGET_PCT:.1f}% of wall clock",
-        f"  tax:     {tax:.3f}% self-reported",
-        f"  spans:   {len(dump.spans)} kept, "
-        f"{sum(dump.sampled_out_by_rank.values())} sampled out",
-        f"  control: {decisions} rate decision(s), final rates {rates}",
-    ]
-    write_out(out_dir, "microbench_tracing_adaptive.txt", "\n".join(lines))
-    print("\n".join(lines))
-
-    # The controller reported on every rank, and any tightening it did is
-    # visible as recorded decisions.
-    assert set(dump.sampler_by_rank) == {0, 1, 2}
-    record_cell(TRAJECTORY, "tracing_tax_adaptive_pct", tax, unit="pct",
-                gate=True,
-                meta={"note": f"SLO: adaptive controller must hold the "
-                              f"self-reported tax <= {TAX_BUDGET_PCT}% "
-                              "(committed cell is the budget itself)"})
-    assert tax <= TAX_BUDGET_PCT, (
-        f"adaptive tracing tax {tax:.3f}% exceeds the "
-        f"{TAX_BUDGET_PCT}% budget (rates {rates})")
-
-
-def test_flight_recorder_span_overhead(out_dir):
-    """Per-span cost of the black-box ring, measured by paired timing."""
-    n_spans = 1_000
-    repeats = 3 if SMOKE else 20
-    plain = SpanTracer(rank=0, max_spans=10 * n_spans)
-    taped = SpanTracer(rank=0, max_spans=10 * n_spans)
-    taped.attach_recorder(FlightRecorder(0))
-
-    def spin(tr):
-        def run():
-            for _ in range(n_spans):
-                tr.end(tr.start("w", CAT_COMPUTE))
-        return run
-
-    t_plain, t_taped, diff = paired_median_us(
-        spin(plain), spin(taped), n=repeats, warmup=2)
-    pct = 100.0 * diff / t_plain
-    per_span_ns = 1e3 * diff / n_spans
-    lines = [
-        f"Flight-recorder overhead ({n_spans} spans/run, median of "
-        f"{repeats}):",
-        f"  plain tracer: {t_plain:9.1f} us",
-        f"  with ring:    {t_taped:9.1f} us  "
-        f"({pct:+.2f}%, {per_span_ns:+.0f} ns/span)",
-    ]
-    write_out(out_dir, "microbench_flightrec.txt", "\n".join(lines))
-    print("\n".join(lines))
-    record_cell(TRAJECTORY, "flightrec_overhead_pct", pct, unit="pct",
-                gate=False,
-                meta={"note": "paired-timing delta of the span ring on a "
-                              "tight open/close loop; trend only"})
-    # A deque append must not double the tracer's hot path.
-    assert pct < 100.0, f"flight recorder added {pct:.1f}% to span cost"

@@ -11,8 +11,8 @@ RA003     uses-port declared but never fetched, or an assembly script
 RA004     mutable default argument
 RA005     bare or over-broad ``except``
 RA006     MPI call inside a per-cell (nested) loop — perf smell
-RA007     direct ``print`` outside reporter modules — route through
-          structured logs / metrics instead
+RA007     direct ``print`` outside reporter modules — record spans /
+          metrics instead
 RA008     ``pickle.dumps`` in ``repro.mpi`` outside the wire codec —
           serialize frames through :mod:`repro.mpi.codec` instead
 ========  ==================================================================
@@ -400,8 +400,8 @@ class PrintRule(Rule):
     Library code that prints bypasses every observability surface this
     repo built — the output is invisible to metrics, spans, the flight
     recorder and the live endpoints, and it corrupts machine-readable
-    stdout (the JSON/markdown reporters).  Route events through
-    ``RankObs.log`` / metrics; human-facing output belongs in the
+    stdout (the JSON/markdown reporters).  Record events as spans /
+    metrics on the rank's ``RankObs``; human-facing output belongs in the
     ``__main__`` CLIs and the report/loadgen modules
     (:data:`~repro.analysis.lint.RA007_SANCTIONED`).
 
@@ -424,8 +424,8 @@ class PrintRule(Rule):
                     and node.func.id == "print"):
                 findings.append(self.finding(
                     ctx, node,
-                    "print() in library code; use RankObs.log / metrics for "
-                    "events, or move human output to a __main__/report "
+                    "print() in library code; record events as spans / "
+                    "metrics, or move human output to a __main__/report "
                     "module"))
         return findings
 

@@ -16,6 +16,7 @@ restarts the loop from a checkpoint instead of the initial condition.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Callable
 
 import numpy as np
@@ -97,10 +98,4 @@ class ShockDriver(Component, GoPort):
     @staticmethod
     def _step_span(obs, step: int):
         """A per-step span (the critical-path analyzer's step boundaries)."""
-        if obs is None:
-            from contextlib import nullcontext
-
-            return nullcontext(None)
-        from repro.obs.span import CAT_STEP
-
-        return obs.tracer.span("timestep", CAT_STEP, step=step)
+        return nullcontext(None) if obs is None else obs.step(step)

@@ -439,9 +439,9 @@ def _worker_main(rank: int, spec: JobSpec, rings: list[ShmRing],
             # Each worker flushes its own black box: unlike the thread
             # backend there is no launcher-side world holding the rings,
             # and abort-woken peers flush theirs on their own except path.
-            rec = getattr(world.obs[rank], "recorder", None)
-            if rec is not None:
-                rec.dump(f"rank {rank} raised")
+            from repro.obs.flightrec import dump_flight_recorders
+
+            dump_flight_recorders([world.obs[rank]], f"rank {rank} raised")
         payload = ("err", traceback.format_exc())
     try:
         conn.send(payload)

@@ -8,15 +8,13 @@ happened between ranks* (causally-linked spans rendered as Perfetto flow
 arrows) and *how is the system behaving* in aggregate (typed metrics
 with cross-rank merge and Prometheus/JSON exposition).
 
-PR 8 makes the layer *always-on*: :class:`AdaptiveSampler` holds the
-tracing tax under a budget instead of trusting a fixed rate,
-:class:`FlightRecorder` keeps a crash black box per rank (dumped and
-mergeable into a post-mortem timeline), and :class:`ObsSidecar` serves
-live ``/metrics`` / ``/healthz`` / ``/debug/spans`` / ``/live`` over a
+The :class:`SpanTracer` is the one span store: :class:`FlightRecorder`
+is a crash black box per rank that windows onto it (dumped and mergeable
+into a post-mortem timeline), and :class:`ObsSidecar` serves live
+``/metrics`` / ``/healthz`` / ``/debug/spans`` / ``/live`` over a
 running simulation.
 """
 
-from repro.obs.adaptive import AdaptiveSampler, SamplerDecision
 from repro.obs.critical_path import (
     CriticalPathReport,
     PathSegment,
@@ -67,7 +65,6 @@ from repro.obs.span import (
 )
 
 __all__ = [
-    "AdaptiveSampler",
     "CAT_CHECKPOINT",
     "CAT_COMPUTE",
     "CAT_MPI",
@@ -87,7 +84,6 @@ __all__ = [
     "PathSegment",
     "PostMortem",
     "RankObs",
-    "SamplerDecision",
     "Span",
     "SpanDropWarning",
     "SpanTracer",

@@ -47,7 +47,6 @@ class ObsDump:
     dropped_by_rank: dict[int, int] = field(default_factory=dict)
     sampled_out_by_rank: dict[int, int] = field(default_factory=dict)
     overhead_by_rank: dict[int, dict[str, float]] = field(default_factory=dict)
-    sampler_by_rank: dict[int, dict[str, Any]] = field(default_factory=dict)
     registries: list[MetricsRegistry] = field(default_factory=list)
 
     @property
@@ -88,8 +87,8 @@ def _warn_drops_once(dropped_by_rank: dict[int, int]) -> None:
     warnings.warn(
         f"span tracer dropped {total} span(s) "
         f"(by rank: {dict(sorted(dropped_by_rank.items()))}); trace history "
-        f"is truncated — raise ObsConfig.max_spans or enable adaptive "
-        f"sampling", SpanDropWarning, stacklevel=3)
+        f"is truncated — raise ObsConfig.max_spans or "
+        f"ObsConfig.sample_every", SpanDropWarning, stacklevel=3)
 
 
 def collect(source: Any) -> ObsDump:
@@ -109,9 +108,6 @@ def collect(source: Any) -> ObsDump:
         if tracer.sampled_out:
             dump.sampled_out_by_rank[ro.rank] = tracer.sampled_out
         dump.overhead_by_rank[ro.rank] = tracer.overhead_report()
-        controller = getattr(ro, "controller", None)
-        if controller is not None:
-            dump.sampler_by_rank[ro.rank] = controller.report()
         dump.registries.append(ro.metrics)
     dump.spans.sort(key=lambda s: (s.t_start_us, s.rank, s.span_id))
     _warn_drops_once(dump.dropped_by_rank)
@@ -248,9 +244,8 @@ def write_trace(source: Any, path: str, process_name: str = "repro") -> ObsDump:
 
 
 def _fold_tracer_accounting(merged: MetricsRegistry, rank: int,
-                            rep: Mapping[str, float],
-                            rates: Mapping[str, int]) -> None:
-    """Fold one rank's tracer self-accounting and live sampling rates in.
+                            rep: Mapping[str, float]) -> None:
+    """Fold one rank's tracer self-accounting in.
 
     The tracers' own accounting rides along as metrics so a snapshot is
     self-describing about truncation and tracing cost.
@@ -268,14 +263,6 @@ def _fold_tracer_accounting(merged: MetricsRegistry, rank: int,
         merged.gauge("tracer_dropped_spans",
                      "spans lost to buffer overflow on one rank",
                      dropped_rank=str(rank)).set(rep["dropped"])
-    for category, rate in sorted(rates.items()):
-        g = merged.gauge(
-            "obs_sample_every",
-            "live 1-in-N sampling rate chosen by the adaptive "
-            "controller", category=category)
-        # Merged gauges answer "largest per-rank value"; keep that
-        # contract when folding in the controllers' live rates.
-        g.set(max(g.value, rate))
 
 
 def write_metrics(source: Any, json_path: str | None = None,
@@ -284,13 +271,7 @@ def write_metrics(source: Any, json_path: str | None = None,
     dump = source if isinstance(source, ObsDump) else collect(source)
     merged = dump.merged_metrics()
     for rank, rep in sorted(dump.overhead_by_rank.items()):
-        sampler = dump.sampler_by_rank.get(rank, {})
-        _fold_tracer_accounting(merged, rank, rep, sampler.get("rates", {}))
-    for sampler in dump.sampler_by_rank.values():
-        merged.counter(
-            "obs_sampler_decisions_total",
-            "adaptive sampling rate changes recorded").inc(
-                len(sampler.get("decisions", [])))
+        _fold_tracer_accounting(merged, rank, rep)
     if json_path is not None:
         atomic_write_text(json_path, merged.to_json())
     if prometheus_path is not None:
@@ -299,7 +280,7 @@ def write_metrics(source: Any, json_path: str | None = None,
 
 
 def live_metrics(obs: Sequence[RankObs]) -> MetricsRegistry:
-    """Merged registry + tracer/sampler accounting from *live* rank state.
+    """Merged registry + tracer accounting from *live* rank state.
 
     Unlike :func:`write_metrics` this never copies span buffers, so a
     scrape endpoint can call it on every request while ranks are still
@@ -314,10 +295,7 @@ def live_metrics(obs: Sequence[RankObs]) -> MetricsRegistry:
             if attempt == 2:
                 raise
     for ro in obs:
-        controller = getattr(ro, "controller", None)
-        _fold_tracer_accounting(
-            merged, ro.rank, ro.tracer.overhead_report(),
-            controller.rates if controller is not None else {})
+        _fold_tracer_accounting(merged, ro.rank, ro.tracer.overhead_report())
     return merged
 
 

@@ -3,13 +3,13 @@
 Exascale in-situ diagnostics (PAPERS.md) argue the most valuable trace is
 the one covering the seconds *before* a failure — exactly the data a
 bounded tracer has usually already evicted by the time anything goes
-wrong.  The :class:`FlightRecorder` is the black box for that moment:
-a set of small rings (recent closed spans, MPI ledger charges, structured
-log records, sampler decisions, per-step metric deltas) that every rank
-keeps regardless of what the exporter later throws away.  When a crash
-fault fires, the deadlock detector raises, or a fatal sanitizer finding
-aborts the job, the backend dumps each rank's rings to
-``out/flightrec/rank<k>.json``; :func:`merge_flight_recordings` then
+wrong.  The :class:`FlightRecorder` is the black box for that moment: a
+window on the rank's own :class:`~repro.obs.span.SpanTracer` (its newest
+``depth`` closed spans, which the tracer's eviction always keeps) plus
+two small rings of its own, MPI ledger charges and per-step counter
+deltas.  When a crash fault fires, the deadlock detector raises, or a
+fatal sanitizer finding aborts the job, the backend dumps each rank's box
+to ``out/flightrec/rank<k>.json``; :func:`merge_flight_recordings` then
 reassembles the last-N-steps cross-rank timeline as a Perfetto-compatible
 trace for triage.
 
@@ -28,12 +28,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.obs.export import dump_chrome_trace_spans, validate_chrome_payload
-from repro.obs.span import CAT_STEP, Span
+from repro.obs.span import Span
 from repro.util.atomicio import atomic_write_text
 from repro.util.timebase import now_us
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.metrics import MetricsRegistry
+    from repro.obs.span import SpanTracer
 
 #: file-name pattern of one rank's dump inside the flightrec directory
 RANK_FILE = "rank{rank}.json"
@@ -46,33 +47,29 @@ MERGED_SUMMARY = "postmortem.json"
 
 
 class FlightRecorder:
-    """One rank's bounded black-box rings (always-on, constant memory).
+    """One rank's black box: a window on its tracer plus two rings.
 
-    Attach to a :class:`~repro.obs.span.SpanTracer` with
-    ``tracer.attach_recorder(recorder)`` (every closed span lands in the
-    span ring, even ones the exporter later drops) and to the rank's
-    :class:`~repro.mpi.accounting.MPIAccounting` via
-    ``accounting.add_listener(recorder.on_mpi)``.  The recorder never
-    references the tracer or the world back, so a worker process can
+    Keeps no spans of its own: :meth:`dump` reads the newest ``depth``
+    closed spans from the rank's tracer.  It rings MPI ledger charges
+    (wired as an :class:`~repro.mpi.accounting.MPIAccounting` listener to
+    :meth:`on_mpi`) and per-step counter deltas (:meth:`capture_step`,
+    called by :meth:`~repro.obs.runtime.RankObs.step` as each step ends).
+    It never references the tracer or the world, so a worker process can
     pickle it home inside its :class:`~repro.obs.runtime.RankObs`.
     """
 
-    __slots__ = ("rank", "depth", "directory", "spans", "ledger", "logs",
-                 "decisions", "step_deltas", "metrics", "_counter_base",
-                 "dumped_to")
+    __slots__ = ("rank", "depth", "directory", "ledger", "step_deltas",
+                 "metrics", "_counter_base", "dumped_to")
 
-    def __init__(self, rank: int, *, depth: int = 512,
-                 directory: str = os.path.join("out", "flightrec"),
-                 metrics: "MetricsRegistry | None" = None) -> None:
+    def __init__(self, rank: int, metrics: "MetricsRegistry", *,
+                 depth: int = 512,
+                 directory: str = os.path.join("out", "flightrec")) -> None:
         if depth < 1:
             raise ValueError(f"depth must be >= 1, got {depth}")
         self.rank = int(rank)
         self.depth = int(depth)
         self.directory = directory
-        self.spans: deque[Span] = deque(maxlen=depth)
         self.ledger: deque[tuple[float, str, float]] = deque(maxlen=depth)
-        self.logs: deque[dict[str, Any]] = deque(maxlen=depth)
-        self.decisions: deque[dict[str, Any]] = deque(maxlen=depth)
         self.step_deltas: deque[dict[str, Any]] = deque(maxlen=depth)
         self.metrics = metrics
         self._counter_base: dict[str, float] = {}
@@ -82,32 +79,14 @@ class FlightRecorder:
         self.dumped_to: str | None = None
 
     # ------------------------------------------------------------- feeds
-    def on_span(self, span: Span) -> None:
-        """Tracer hook: every closed span enters the ring."""
-        self.spans.append(span)
-        if span.category == CAT_STEP and self.metrics is not None:
-            self._capture_step_delta(span)
-
     def on_mpi(self, routine: str, cost_us: float) -> None:
         """Accounting listener: one modeled MPI charge."""
         self.ledger.append((now_us(), routine, float(cost_us)))
 
-    def on_decision(self, decision: dict[str, Any]) -> None:
-        """Adaptive-sampler hook: one rate-change decision."""
-        self.decisions.append(decision)
-
-    def log(self, level: str, event: str, **fields: Any) -> None:
-        """Structured log record (timestamped via util.timebase)."""
-        rec = {"t_us": now_us(), "level": str(level), "event": str(event),
-               "rank": self.rank}
-        if fields:
-            rec["fields"] = fields
-        self.logs.append(rec)
-
-    def _capture_step_delta(self, span: Span) -> None:
-        """Counter deltas over the step that just closed."""
+    def capture_step(self, step: int, span: Span) -> None:
+        """Counter deltas over the step whose (closed) span is ``span``."""
         totals: dict[str, float] = {}
-        for name, lk, inst in self.metrics.series():  # type: ignore[union-attr]
+        for name, lk, inst in self.metrics.series():
             if type(inst).__name__ != "Counter":
                 continue
             key = name + json.dumps(dict(lk), sort_keys=True)
@@ -117,35 +96,31 @@ class FlightRecorder:
                   if v != self._counter_base.get(k, 0.0)}
         self._counter_base = totals
         self.step_deltas.append({
-            "step": span.attrs.get("step"),
+            "step": step,
             "t_end_us": span.t_end_us,
             "duration_us": span.duration_us,
             "counter_deltas": deltas,
         })
 
     # ------------------------------------------------------------- dumps
-    def snapshot(self) -> dict[str, Any]:
-        """JSON-able view of every ring."""
-        return {
-            "rank": self.rank,
-            "depth": self.depth,
-            "spans": [s.to_dict() for s in self.spans],
-            "ledger": [{"t_us": t, "routine": r, "cost_us": c}
-                       for t, r, c in self.ledger],
-            "logs": list(self.logs),
-            "decisions": list(self.decisions),
-            "step_deltas": list(self.step_deltas),
-        }
-
-    def dump(self, reason: str, directory: str | None = None) -> str:
-        """Write this rank's black box (first cause wins; idempotent)."""
+    def dump(self, tracer: "SpanTracer", reason: str,
+             directory: str | None = None) -> str:
+        """Write the tracer window and both rings (first cause wins;
+        idempotent)."""
         if self.dumped_to is not None:
             return self.dumped_to
         outdir = directory or self.directory
         os.makedirs(outdir, exist_ok=True)
-        payload = self.snapshot()
-        payload["reason"] = reason
-        payload["t_dump_us"] = now_us()
+        payload = {
+            "rank": self.rank,
+            "depth": self.depth,
+            "spans": [s.to_dict() for s in tracer.recent_spans(self.depth)],
+            "ledger": [{"t_us": t, "routine": r, "cost_us": c}
+                       for t, r, c in self.ledger],
+            "step_deltas": list(self.step_deltas),
+            "reason": reason,
+            "t_dump_us": now_us(),
+        }
         path = os.path.join(outdir, RANK_FILE.format(rank=self.rank))
         atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True))
         self.dumped_to = path
@@ -154,19 +129,15 @@ class FlightRecorder:
 
 def dump_flight_recorders(obs: list | None, reason: str,
                           directory: str | None = None) -> list[str]:
-    """Dump every attached recorder of a world's obs bundle (crash path).
+    """Dump the recorder of every rank that has one (the crash path).
 
     Safe to call with observability off or recorders absent; returns the
     paths written.  Backends call this on the failure path *before*
     raising :class:`~repro.mpi.runner.RankFailure`, so the black boxes
     exist even though the exception unwinds the whole launcher.
     """
-    paths: list[str] = []
-    for ro in obs or []:
-        rec = getattr(ro, "recorder", None)
-        if rec is not None:
-            paths.append(rec.dump(reason, directory))
-    return paths
+    return [ro.recorder.dump(ro.tracer, reason, directory)
+            for ro in obs or [] if ro.recorder is not None]
 
 
 # ------------------------------------------------------------------ merge

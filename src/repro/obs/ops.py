@@ -7,7 +7,7 @@ artifact appeared after the run.  :class:`ObsSidecar` closes that gap:
 point it at a world's live ``obs`` list and it serves
 
 * ``GET /metrics`` — cross-rank merged Prometheus exposition, including
-  the tracer accounting (drops, sampling tax) and adaptive-sampler rates;
+  the tracer accounting (drops, sampled-out spans, self-measured tax);
 * ``GET /metrics.json`` — the same registry as JSON;
 * ``GET /healthz`` — rank count, span totals, last completed step per
   rank, drop status;
@@ -88,15 +88,8 @@ class ObsSidecar:
         }
 
     def _last_steps(self) -> dict[str, Any]:
-        """Last completed step per rank (from the flight-recorder rings)."""
-        out: dict[str, Any] = {}
-        for ro in self.obs:
-            rec = getattr(ro, "recorder", None)
-            step = None
-            if rec is not None and rec.step_deltas:
-                step = rec.step_deltas[-1].get("step")
-            out[str(ro.rank)] = step
-        return out
+        """Last completed step per rank (``RankObs.last_step``)."""
+        return {str(ro.rank): ro.last_step for ro in self.obs}
 
     def _recent_spans(self) -> dict[str, Any]:
         spans: list[dict[str, Any]] = []

@@ -1,22 +1,23 @@
 """Per-rank observability state and its configuration.
 
-One :class:`RankObs` (a span tracer + a metrics registry, optionally an
-adaptive sampling controller and a crash flight recorder) is attached to
-each rank of a :class:`~repro.mpi.world.SimWorld` when an
-:class:`ObsConfig` is passed to the runner; the MPI layer, the TAU
-profiler, the proxies/Mastermind, the fault paths and the checkpoint
-writer all find it there and record into it.  ``None`` everywhere means
-observability is off and every hook is a cheap attribute check.
+One :class:`RankObs` (a span tracer + a metrics registry, optionally a
+crash flight recorder) is attached to each rank of a
+:class:`~repro.mpi.world.SimWorld` when an :class:`ObsConfig` is passed
+to the runner; the MPI layer, the TAU profiler, the proxies/Mastermind,
+the fault paths and the checkpoint writer all find it there and record
+into it.  ``None`` everywhere means observability is off and every hook
+is a cheap attribute check.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.span import SpanTracer
+from repro.obs.span import CAT_STEP, Span, SpanTracer
 
 
 @dataclass
@@ -27,23 +28,16 @@ class ObsConfig:
     spans are always traced — a sampled-out send would orphan its
     receive edge); metrics are always on, they are constant-memory.
 
-    ``adaptive=True`` replaces the fixed rate with the overhead-budget
-    controller of :mod:`repro.obs.adaptive`: per-category sampling rates
-    tighten/loosen online so the self-reported tracing tax stays under
-    ``tax_budget_pct`` percent of wall clock.  Off by default: fixed
-    1-in-1 sampling is what the deterministic crosscheck tests assume.
-
-    ``flight_recorder=True`` keeps per-rank black-box rings of the last
-    ``flightrec_depth`` spans / ledger charges / log records
-    (:mod:`repro.obs.flightrec`), auto-dumped to ``flightrec_dir`` when
-    the job dies.
+    ``flight_recorder=True`` keeps a per-rank black box
+    (:mod:`repro.obs.flightrec`): a window on the tracer's last
+    ``flightrec_depth`` spans plus rings of ledger charges and step
+    deltas, auto-dumped to ``flightrec_dir`` when the job dies.  The
+    window must fit in what the tracer keeps after an eviction, so
+    ``flightrec_depth`` is at most ``max_spans // 2``.
     """
 
     sample_every: int = 1
     max_spans: int = 200_000
-    adaptive: bool = False
-    tax_budget_pct: float = 2.0
-    adaptive_interval: int = 64
     flight_recorder: bool = False
     flightrec_depth: int = 512
     flightrec_dir: str = os.path.join("out", "flightrec")
@@ -53,48 +47,49 @@ class ObsConfig:
             raise ValueError(f"sample_every must be >= 1, got {self.sample_every}")
         if self.max_spans < 2:
             raise ValueError(f"max_spans must be >= 2, got {self.max_spans}")
-        if self.tax_budget_pct <= 0.0:
+        if not 1 <= self.flightrec_depth <= self.max_spans // 2:
             raise ValueError(
-                f"tax_budget_pct must be positive, got {self.tax_budget_pct}")
-        if self.adaptive_interval < 1:
-            raise ValueError(
-                f"adaptive_interval must be >= 1, got {self.adaptive_interval}")
-        if self.flightrec_depth < 1:
-            raise ValueError(
-                f"flightrec_depth must be >= 1, got {self.flightrec_depth}")
+                f"flightrec_depth must be in [1, max_spans // 2 = "
+                f"{self.max_spans // 2}], got {self.flightrec_depth}")
 
 
 class RankObs:
     """One rank's observability state (used only from that rank's thread)."""
 
-    __slots__ = ("rank", "tracer", "metrics", "controller", "recorder")
+    __slots__ = ("rank", "tracer", "metrics", "recorder", "last_step")
 
     def __init__(self, rank: int, config: ObsConfig) -> None:
         self.rank = int(rank)
         self.tracer = SpanTracer(rank=rank, max_spans=config.max_spans,
                                  sample_every=config.sample_every)
         self.metrics = MetricsRegistry(rank=rank)
-        self.controller: Any = None
+        #: the step whose :meth:`step` bracket ended last (None before any)
+        self.last_step: int | None = None
         self.recorder: Any = None
         if config.flight_recorder:
             from repro.obs.flightrec import FlightRecorder
 
-            self.recorder = FlightRecorder(rank, depth=config.flightrec_depth,
-                                           directory=config.flightrec_dir,
-                                           metrics=self.metrics)
-            self.tracer.attach_recorder(self.recorder)
-        if config.adaptive:
-            from repro.obs.adaptive import AdaptiveSampler
+            self.recorder = FlightRecorder(rank, self.metrics,
+                                           depth=config.flightrec_depth,
+                                           directory=config.flightrec_dir)
 
-            self.controller = AdaptiveSampler(
-                config.tax_budget_pct, interval=config.adaptive_interval,
-                metrics=self.metrics)
-            self.tracer.attach_controller(self.controller)
+    @contextlib.contextmanager
+    def step(self, step: int) -> Iterator[Span | None]:
+        """Bracket one timestep in a ``timestep`` span.
 
-    def log(self, level: str, event: str, **fields: Any) -> None:
-        """Structured log into the flight recorder (no-op without one)."""
-        if self.recorder is not None:
-            self.recorder.log(level, event, **fields)
+        On every way out, a crash unwinding included, the step becomes
+        :attr:`last_step` and the flight recorder (if any) captures the
+        step's counter deltas.
+        """
+        span = self.tracer.start(  # ra: noqa[RA001] — a span, closed by end()
+            "timestep", CAT_STEP, step=step)
+        try:
+            yield span
+        finally:
+            self.tracer.end(span)
+            self.last_step = step
+            if self.recorder is not None:
+                self.recorder.capture_step(step, span)
 
 
 def build_obs(nranks: int, config: ObsConfig | None) -> list[RankObs] | None:

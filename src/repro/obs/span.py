@@ -147,26 +147,11 @@ class SpanTracer:
         self.sampled_out = 0
         self.self_overhead_us = 0.0
         self._ops = 0
-        #: optional adaptive controller (repro.obs.adaptive.AdaptiveSampler);
-        #: when attached it owns the per-category sampling rate and
-        #: ``sample_every`` becomes the fallback for unknown categories.
-        self.controller: Any = None
-        #: optional flight recorder (repro.obs.flightrec.FlightRecorder);
-        #: sees every closed span for its crash ring.
-        self.recorder: Any = None
 
     @property
     def ops(self) -> int:
-        """Begin/end operations performed (the controller's clock)."""
+        """Begin/end operations performed."""
         return self._ops
-
-    def attach_controller(self, controller: Any) -> None:
-        """Hand sampling-rate control to an adaptive controller."""
-        self.controller = controller
-
-    def attach_recorder(self, recorder: Any) -> None:
-        """Mirror every closed span into a flight recorder's ring."""
-        self.recorder = recorder
 
     # ---------------------------------------------------------- identity
     def _new_id(self) -> int:
@@ -184,27 +169,21 @@ class SpanTracer:
         """Open a span; returns None when sampled out (pass it to :meth:`end`)."""
         self._ops += 1
         t_probe = self._clock() if self._ops % self._OVERHEAD_STRIDE == 0 else None
-        if sampled:
-            rate = (self.controller.rate_for(category)
-                    if self.controller is not None else self.sample_every)
-            if rate > 1:
-                k = self._sample_counters.get(name, 0)
-                self._sample_counters[name] = k + 1
-                if k % rate != 0:
-                    self.sampled_out += 1
-                    if t_probe is not None:
-                        self.self_overhead_us += (
-                            (self._clock() - t_probe) * self._OVERHEAD_STRIDE)
-                    self._control_step()
-                    return None
+        if sampled and self.sample_every > 1:
+            k = self._sample_counters.get(name, 0)
+            self._sample_counters[name] = k + 1
+            if k % self.sample_every != 0:
+                self.sampled_out += 1
+                if t_probe is not None:
+                    self.self_overhead_us += (
+                        (self._clock() - t_probe) * self._OVERHEAD_STRIDE)
+                return None
         parent = self._open[-1].span_id if self._open else None
         span = Span(self._new_id(), parent, self.rank, name, category,
                     self._clock(), 0.0, attrs)
         self._open.append(span)
         if t_probe is not None:
             self.self_overhead_us += (self._clock() - t_probe) * self._OVERHEAD_STRIDE
-        if self.controller is not None:
-            self._control_step()
         return span
 
     def end(self, span: Span | None) -> None:
@@ -225,22 +204,11 @@ class SpanTracer:
         self._append(span)
         if t_probe is not None:
             self.self_overhead_us += (self._clock() - t_probe) * self._OVERHEAD_STRIDE
-        if self.controller is not None:
-            self._control_step()
-
-    def _control_step(self) -> None:
-        """Run the adaptive controller at its op stride.
-
-        Called *after* the overhead probe closes: the control step lands
-        on ops divisible by ``interval`` (a multiple of the probe stride),
-        so timing it inside the probe would scale its rare cost by the
-        stride and poison the very tax estimate it reads.
-        """
-        ctl = self.controller
-        if ctl is not None and self._ops % ctl.interval == 0:
-            ctl.maybe_adjust(self)
 
     def _append(self, span: Span) -> None:
+        # Eviction keeps the newest max_spans // 2 spans: the flight
+        # recorder's window (ObsConfig caps its depth there) never loses
+        # history the tracer still had a moment before.
         if len(self._spans) >= self.max_spans:
             keep = self.max_spans // 2
             evicted = {s.span_id for s in self._spans[:-keep]}
@@ -248,8 +216,6 @@ class SpanTracer:
             self._spans = self._spans[-keep:]
             self._flows = [f for f in self._flows if f.span_id not in evicted]
         self._spans.append(span)
-        if self.recorder is not None:
-            self.recorder.on_span(span)
 
     @contextlib.contextmanager
     def span(self, name: str, category: str = CAT_OTHER, *,
@@ -310,7 +276,8 @@ class SpanTracer:
         return list(self._spans)
 
     def recent_spans(self, n: int = 100) -> list[Span]:
-        """The last ``n`` closed spans (cheap slice; live-endpoint feed)."""
+        """The last ``n`` closed spans (cheap slice; the live endpoints'
+        feed and the flight recorder's window)."""
         if n < 1:
             return []
         return self._spans[-n:]

@@ -93,8 +93,8 @@ class ModelServer:
                  tracer: SpanTracer | None = None) -> None:
         self.config = config or ServeConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: optional request tracer feeding /debug/spans (and, through an
-        #: attached AdaptiveSampler, budgeted request sampling)
+        #: optional request tracer feeding /debug/spans (requests are
+        #: sampled 1-in-N by its ``sample_every``)
         self.tracer = tracer
         self.store = ServingModelStore(models_dir)
         ttl_us = (None if self.config.cache_ttl_s is None

@@ -298,7 +298,7 @@ def work(x):
     return x + 1
 """, rules=["RA007"])
     assert _codes(findings) == ["RA007"]
-    assert "RankObs.log" in findings[0].message
+    assert "spans / metrics" in findings[0].message
 
 
 def test_ra007_methods_and_lookalikes_pass(tmp_path):

@@ -1,5 +1,6 @@
 """Flight recorder: bounded rings, crash dumps, cross-rank post-mortems."""
 
+import importlib
 import json
 import os
 
@@ -20,48 +21,46 @@ from repro.obs.span import CAT_COMPUTE, CAT_STEP, SpanTracer
 # ------------------------------------------------------------------- rings
 def test_validation():
     with pytest.raises(ValueError, match="depth"):
-        FlightRecorder(0, depth=0)
+        FlightRecorder(0, MetricsRegistry(rank=0), depth=0)
+    with pytest.raises(ValueError, match="flightrec_depth"):
+        ObsConfig(flightrec_depth=0)
+    # The window must fit in what the tracer keeps after an eviction.
+    with pytest.raises(ValueError, match="max_spans // 2"):
+        ObsConfig(max_spans=100, flightrec_depth=51)
+    assert ObsConfig(max_spans=100, flightrec_depth=50).flightrec_depth == 50
 
 
-def test_span_ring_is_bounded_and_keeps_newest():
-    rec = FlightRecorder(0, depth=8)
-    tr = SpanTracer(rank=0)
-    tr.attach_recorder(rec)
+def test_span_ring_is_bounded_and_keeps_newest(tmp_path):
+    ro = RankObs(0, ObsConfig(max_spans=16, flight_recorder=True,
+                              flightrec_depth=8, flightrec_dir=str(tmp_path)))
     for i in range(30):
-        tr.end(tr.start(f"w{i}", CAT_COMPUTE))
-    assert len(rec.spans) == 8
-    assert [s.name for s in rec.spans] == [f"w{i}" for i in range(22, 30)]
+        with ro.tracer.span(f"w{i}", CAT_COMPUTE):
+            pass
+    assert ro.tracer.dropped_count > 0  # the tracer evicted ...
+    (path,) = dump_flight_recorders([ro], "test")
+    names = [s["name"] for s in json.load(open(path))["spans"]]
+    assert names == [f"w{i}" for i in range(22, 30)]  # ... the window did not
 
 
-def test_ledger_logs_and_decision_rings():
-    rec = FlightRecorder(1, depth=4)
+def test_ledger_ring_is_bounded():
+    rec = FlightRecorder(1, MetricsRegistry(rank=1), depth=4)
     for i in range(9):
         rec.on_mpi("MPI_Send", float(i))
     assert len(rec.ledger) == 4
     assert [c for _, _, c in rec.ledger] == [5.0, 6.0, 7.0, 8.0]
-    rec.log("warn", "retry", attempt=2)
-    (entry,) = rec.logs
-    assert entry["level"] == "warn" and entry["event"] == "retry"
-    assert entry["fields"] == {"attempt": 2} and entry["t_us"] > 0
-    rec.on_decision({"category": "compute", "rate_to": 4})
-    assert list(rec.decisions) == [{"category": "compute", "rate_to": 4}]
 
 
 def test_step_deltas_diff_counters():
-    reg = MetricsRegistry(rank=0)
-    rec = FlightRecorder(0, metrics=reg)
-    tr = SpanTracer(rank=0)
-    tr.attach_recorder(rec)
+    ro = RankObs(0, ObsConfig(flight_recorder=True))
+    reg = ro.metrics
 
     reg.counter("mpi_calls_total", routine="MPI_Send").inc(3)
-    sp = tr.start("timestep", CAT_STEP, step=0)
-    reg.counter("mpi_calls_total", routine="MPI_Send").inc(2)
-    tr.end(sp)
-    sp = tr.start("timestep", CAT_STEP, step=1)
-    reg.counter("mpi_calls_total", routine="MPI_Recv").inc(1)
-    tr.end(sp)
+    with ro.step(0):
+        reg.counter("mpi_calls_total", routine="MPI_Send").inc(2)
+    with ro.step(1):
+        reg.counter("mpi_calls_total", routine="MPI_Recv").inc(1)
 
-    d0, d1 = rec.step_deltas
+    d0, d1 = ro.recorder.step_deltas
     assert d0["step"] == 0 and d1["step"] == 1
     # First capture charges everything since the run began (base = 0)...
     (key0, val0), = d0["counter_deltas"].items()
@@ -72,22 +71,53 @@ def test_step_deltas_diff_counters():
     assert "MPI_Recv" in key1 and val1 == 1.0
 
 
+def test_step_seam_records_the_step_on_unwind():
+    ro = RankObs(0, ObsConfig(flight_recorder=True))
+    with pytest.raises(RuntimeError):
+        with ro.step(3):
+            raise RuntimeError("killed mid-step")
+    assert ro.last_step == 3
+    assert ro.tracer.open_depth() == 0
+    (span,) = ro.tracer.spans()
+    assert (span.name, span.category, span.attrs) == \
+        ("timestep", CAT_STEP, {"step": 3})
+    assert [d["step"] for d in ro.recorder.step_deltas] == [3]
+
+
+class TestOneSpanStore:
+    """The tracer is the only span store: nothing attaches to it."""
+
+    def test_sampler_options_are_gone(self):
+        with pytest.raises(TypeError):
+            ObsConfig(adaptive=True)
+        with pytest.raises(TypeError):
+            ObsConfig(tax_budget_pct=2.0)
+
+    def test_tracer_has_no_attachments(self):
+        tr = SpanTracer(rank=0)
+        for name in ("attach_recorder", "attach_controller", "recorder",
+                     "controller"):
+            assert not hasattr(tr, name), name
+
+    def test_adaptive_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.obs.adaptive")
+
+
 # ------------------------------------------------------------------- dumps
-def _loaded_recorder(rank=0):
-    rec = FlightRecorder(rank, depth=16)
-    tr = SpanTracer(rank=rank)
-    tr.attach_recorder(rec)
+def _loaded_rank(rank=0):
+    ro = RankObs(rank, ObsConfig(flight_recorder=True, flightrec_depth=16))
     for i in range(5):
-        tr.end(tr.start(f"r{rank}w{i}", CAT_COMPUTE))
-    rec.on_mpi("MPI_Send", 12.5)
-    rec.log("info", "hello")
-    return rec
+        with ro.tracer.span(f"r{rank}w{i}", CAT_COMPUTE):
+            pass
+    ro.recorder.on_mpi("MPI_Send", 12.5)
+    return ro
 
 
 def test_dump_writes_once_first_cause_wins(tmp_path):
-    rec = _loaded_recorder()
-    p1 = rec.dump("simulated crash", str(tmp_path))
-    p2 = rec.dump("cascading abort", str(tmp_path))
+    ro = _loaded_rank()
+    p1 = ro.recorder.dump(ro.tracer, "simulated crash", str(tmp_path))
+    p2 = ro.recorder.dump(ro.tracer, "cascading abort", str(tmp_path))
     assert p1 == p2 == os.path.join(str(tmp_path), "rank0.json")
     payload = json.load(open(p1))
     assert payload["reason"] == "simulated crash"
@@ -110,7 +140,8 @@ def test_dump_flight_recorders_tolerates_gaps(tmp_path):
 # ------------------------------------------------------------------- merge
 def test_merge_reconstructs_cross_rank_timeline(tmp_path):
     for rank in range(3):
-        _loaded_recorder(rank).dump(f"rank {rank} down", str(tmp_path))
+        dump_flight_recorders([_loaded_rank(rank)], f"rank {rank} down",
+                              str(tmp_path))
     pm = merge_flight_recordings(str(tmp_path))
     assert pm.ranks == [0, 1, 2]
     assert pm.reasons[2] == "rank 2 down"

@@ -7,12 +7,14 @@ import socket
 import numpy as np
 import pytest
 
+from repro.euler.ports import DriverParams
+from repro.harness.casestudy import CaseStudyConfig, run_case_study
 from repro.models.fits import fit_linear
 from repro.models.performance import PerformanceModel
 from repro.models.serialize import ModelRepository
 from repro.obs import ObsConfig, ObsSidecar, RankObs
 from repro.obs.ops import fetch, parse_sse
-from repro.obs.span import CAT_COMPUTE, CAT_STEP
+from repro.obs.span import CAT_COMPUTE
 from repro.serve.server import ModelServer, ServeConfig
 
 
@@ -26,7 +28,7 @@ def obs(tmp_path):
             with ro.tracer.span(f"work{i}", CAT_COMPUTE):
                 pass
         ro.metrics.counter("mpi_calls_total", routine="MPI_Send").inc(3)
-        with ro.tracer.span("timestep", CAT_STEP, step=7):
+        with ro.step(7):
             pass
     return ranks
 
@@ -73,6 +75,19 @@ def test_healthz_reports_ranks_steps_and_drops(obs):
     doc = json.loads(ask(sc, "GET", "/healthz").body)
     assert doc["status"] == "degraded"
     assert doc["dropped_by_rank"] == {"0": obs[0].tracer.dropped_count}
+
+
+def test_healthz_reports_last_step_without_a_recorder():
+    # The last step comes from the step seam, not the flight recorder, so
+    # a default-observed case study reports it too.
+    res = run_case_study(CaseStudyConfig(
+        params=DriverParams(nx=16, ny=16, max_levels=1, steps=2),
+        nranks=2, observe=ObsConfig()))
+    assert all(ro.recorder is None for ro in res.world.obs)
+    sc = ObsSidecar(res.world.obs)
+    assert json.loads(ask(sc, "GET", "/healthz").body)["last_step"] == \
+        {"0": 1, "1": 1}
+    assert sc.live_snapshot()["last_step"] == {"0": 1, "1": 1}
 
 
 def test_debug_spans_merged_and_capped(obs):
