@@ -1,188 +1,57 @@
-"""Adaptive sampling controller: budget control, decisions, wiring."""
+"""Sampling limits at a coarse fixed rate, and the ObsConfig checks.
+
+Sampling is the fixed ``sample_every`` rule: these tests pin down what a
+coarse rate may drop (proxied compute spans, each counted) and what it
+must keep (every MPI span), as wired through :class:`RankObs`.
+"""
 
 import pytest
 
-from repro.obs import AdaptiveSampler, MetricsRegistry, ObsConfig, RankObs
-from repro.obs.adaptive import MAX_RATE
-from repro.obs.span import CAT_COMPUTE, CAT_MPI, SpanTracer
+from repro.obs import ObsConfig, RankObs
+from repro.obs.span import CAT_COMPUTE, CAT_MPI
 
 
-class FakeClock:
-    """Deterministic microsecond clock the tests advance by hand."""
-
-    def __init__(self) -> None:
-        self.t = 0.0
-
-    def __call__(self) -> float:
-        self.t += 1.0  # every read costs 1 us: tracer overhead is "real"
-        return self.t
-
-    def advance(self, us: float) -> None:
-        self.t += us
-
-
-# ----------------------------------------------------------- construction
-def test_validation():
-    with pytest.raises(ValueError, match="budget_pct"):
-        AdaptiveSampler(0.0)
-    with pytest.raises(ValueError, match="interval"):
-        AdaptiveSampler(2.0, interval=0)
-    with pytest.raises(ValueError, match="start_rate"):
-        AdaptiveSampler(2.0, start_rate=0)
-    with pytest.raises(ValueError, match="start_rate"):
-        AdaptiveSampler(2.0, start_rate=MAX_RATE + 1)
-
-
-def test_default_rates_and_fallback():
-    ctl = AdaptiveSampler(2.0)
-    assert ctl.rate_for("compute") == 1
-    # Unregistered categories are never sampled out.
-    assert ctl.rate_for("mpi") == 1
-    assert ctl.rate_for("mpi_wait") == 1
-
-
-# ------------------------------------------------------------- control law
-def _driven_tracer(ctl, clock):
-    tr = SpanTracer(rank=0, clock=clock)
-    tr.attach_controller(ctl)
-    return tr
-
-
-def test_tightens_when_over_budget():
-    clock = FakeClock()
-    ctl = AdaptiveSampler(2.0, interval=64, clock=clock)
-    tr = _driven_tracer(ctl, clock)
-    # Make the measured overhead enormous relative to elapsed wall clock:
-    # the stride-probe reads two clock ticks per 16 ops and scales by 16,
-    # so with a 1 us/tick clock the self-measured tax is huge by design.
-    tr.self_overhead_us = 1e6
-    clock.advance(10_000.0)  # past the min-elapsed guard
-    for _ in range(130):
-        tr.end(tr.start("work", CAT_COMPUTE, sampled=True))
-    assert ctl.rate_for(CAT_COMPUTE) > 1
-    assert any(d.rate_to > d.rate_from for d in ctl.decisions)
-    assert all(d.tax_pct > 2.0 for d in ctl.decisions)
-
-
-def test_loosens_when_comfortably_under_budget():
-    clock = FakeClock()
-    ctl = AdaptiveSampler(50.0, interval=64, start_rate=8, clock=clock)
-    tr = _driven_tracer(ctl, clock)
-    clock.advance(1e9)  # huge elapsed, tiny overhead -> tax ~ 0
-    for _ in range(700):
-        tr.end(tr.start("work", CAT_COMPUTE, sampled=True))
-    assert ctl.rate_for(CAT_COMPUTE) < 8
-    assert any(d.rate_to < d.rate_from for d in ctl.decisions)
-
-
-def test_holds_inside_hysteresis_band():
-    clock = FakeClock()
-    ctl = AdaptiveSampler(100.0, interval=64, start_rate=4, clock=clock)
-    tr = _driven_tracer(ctl, clock)
-    clock.advance(10_000.0)
-    # Pin the tax between budget/4 and budget: no adjustment either way.
-    tr.self_overhead_us = 0.5 * (clock.t - ctl._t0_us)  # ~50% of wall
-    for _ in range(130):
-        sp = tr.start("work", CAT_COMPUTE, sampled=True)
-        tr.end(sp)
-        tr.self_overhead_us = 0.5 * (clock.t - ctl._t0_us)
-    assert ctl.rate_for(CAT_COMPUTE) == 4
-    assert not ctl.decisions
-
-
-def test_rate_saturates_at_max():
-    clock = FakeClock()
-    ctl = AdaptiveSampler(0.001, interval=64, clock=clock)
-    tr = _driven_tracer(ctl, clock)
-    tr.self_overhead_us = 1e9
-    clock.advance(10_000.0)
-    for _ in range(64 * 40):
-        tr.end(tr.start("work", CAT_COMPUTE, sampled=True))
-    assert ctl.rate_for(CAT_COMPUTE) == MAX_RATE
-
-
-def test_min_elapsed_guard_defers_judgement():
-    clock = FakeClock()
-    ctl = AdaptiveSampler(2.0, interval=64, clock=clock)
-    tr = _driven_tracer(ctl, clock)
-    tr.self_overhead_us = 1e6  # absurd tax, but no wall clock yet
-    for _ in range(130):
-        tr.end(tr.start("work", CAT_COMPUTE, sampled=True))
-    # 130 ops * ~3 ticks each << 5000 us min-elapsed: no decision yet.
-    assert not ctl.decisions
+def _work(tr, name="work", n=1):
+    for _ in range(n):
+        with tr.span(name, CAT_COMPUTE, sampled=True):
+            pass
 
 
 # ------------------------------------------------------------- tracer wiring
 def test_mpi_spans_never_sampled_out():
-    clock = FakeClock()
-    ctl = AdaptiveSampler(0.001, interval=64, clock=clock)
-    tr = _driven_tracer(ctl, clock)
-    tr.self_overhead_us = 1e9
-    clock.advance(10_000.0)
-    for _ in range(300):
-        tr.end(tr.start("work", CAT_COMPUTE, sampled=True))
-    assert ctl.rate_for(CAT_COMPUTE) > 1
+    ro = RankObs(0, ObsConfig(sample_every=64))
+    tr = ro.tracer
+    _work(tr, n=300)
+    assert tr.sampled_out > 0
     before = len(tr)
-    # MPI ops are opened with sampled=False by the comm layer: all kept.
+    # MPI ops are opened with sampled=False by the comm layer: all kept,
+    # even interleaved with compute spans that are being dropped.
     for _ in range(50):
-        tr.end(tr.start("MPI_Send", CAT_MPI))
-    assert len(tr) == before + 50
+        with tr.span("MPI_Send", CAT_MPI):
+            pass
+        _work(tr)
+    names = [s.name for s in tr.spans()[before:]]
+    assert names.count("MPI_Send") == 50
 
 
 def test_sampled_out_spans_still_counted():
-    clock = FakeClock()
-    ctl = AdaptiveSampler(0.001, interval=64, start_rate=4, clock=clock)
-    tr = _driven_tracer(ctl, clock)
-    for _ in range(40):
-        tr.end(tr.start("work", CAT_COMPUTE, sampled=True))
+    ro = RankObs(0, ObsConfig(sample_every=4))
+    tr = ro.tracer
+    _work(tr, n=40)
     assert tr.sampled_out == 30  # 1-in-4 kept per name
     assert len(tr) == 10
-
-
-def test_decisions_mirrored_to_metrics():
-    clock = FakeClock()
-    reg = MetricsRegistry(rank=0)
-    ctl = AdaptiveSampler(0.001, interval=64, metrics=reg, clock=clock)
-    tr = _driven_tracer(ctl, clock)
-    tr.self_overhead_us = 1e9
-    clock.advance(10_000.0)
-    for _ in range(130):
-        tr.end(tr.start("work", CAT_COMPUTE, sampled=True))
-    assert reg.gauge("obs_sample_every", category=CAT_COMPUTE).value > 1
-    assert reg.counter("obs_sampler_adjust_total", category=CAT_COMPUTE,
-                       direction="tighten").value >= 1
-
-
-def test_report_shape():
-    ctl = AdaptiveSampler(2.0)
-    rep = ctl.report()
-    assert rep["budget_pct"] == 2.0
-    assert rep["rates"]["compute"] == 1
-    assert rep["decisions"] == []
+    # Each name has its own counter, so the count is per name too.
+    _work(tr, "flux", n=8)
+    assert tr.sampled_out == 36
+    assert len(tr) == 12
 
 
 # ----------------------------------------------------------- config plumbing
-def test_obsconfig_builds_controller():
-    ro = RankObs(3, ObsConfig(adaptive=True, tax_budget_pct=1.5,
-                              adaptive_interval=32))
-    assert ro.controller is not None
-    assert ro.controller.budget_pct == 1.5
-    assert ro.controller.interval == 32
-    assert ro.tracer.controller is ro.controller
-    assert ro.controller.metrics is ro.metrics
-
-
 def test_obsconfig_validation():
-    with pytest.raises(ValueError, match="tax_budget_pct"):
-        ObsConfig(tax_budget_pct=0.0)
-    with pytest.raises(ValueError, match="adaptive_interval"):
-        ObsConfig(adaptive_interval=0)
+    with pytest.raises(ValueError, match="sample_every"):
+        ObsConfig(sample_every=0)
+    with pytest.raises(ValueError, match="max_spans"):
+        ObsConfig(max_spans=1)
     with pytest.raises(ValueError, match="flightrec_depth"):
         ObsConfig(flightrec_depth=0)
-
-
-def test_default_config_has_no_controller():
-    ro = RankObs(0, ObsConfig())
-    assert ro.controller is None
-    assert ro.recorder is None
-    assert ro.tracer.controller is None
+    assert ObsConfig(sample_every=8).sample_every == 8
