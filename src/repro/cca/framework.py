@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-import networkx as nx
-
 from repro.cca.component import Component
 from repro.cca.ports import GoPort, Port
 from repro.cca.repository import ComponentRepository, default_repository
@@ -30,6 +28,8 @@ from repro.cca.services import Services
 from repro.tau.profiler import MPI_GROUP, Profiler
 
 if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
+
     from repro.mpi.comm import SimComm
 
 
@@ -273,6 +273,8 @@ class Framework:
     # ------------------------------------------------------------ wiring
     def wiring_diagram(self) -> nx.MultiDiGraph:
         """Directed multigraph: user --(uses port name)--> provider."""
+        import networkx as nx
+
         g = nx.MultiDiGraph()
         for name, comp in self._components.items():
             g.add_node(name, component_class=type(comp).__name__,

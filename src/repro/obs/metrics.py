@@ -210,22 +210,26 @@ class MetricsRegistry:
             if name in self._help:
                 lines.append(f"# HELP {name} {self._help[name]}")
             lines.append(f"# TYPE {name} {self._kinds[name]}")
+            # A name's histograms share bounds: format them once per name.
+            les: list[str] | None = None
             for lk, inst in by_name[name]:
                 labels = dict(lk)
                 if self.rank is not None:
                     labels.setdefault("rank", str(self.rank))
+                text = _fmt_labels(labels)
                 if isinstance(inst, Histogram):
+                    if les is None:
+                        les = [_fmt_num(b) for b in inst.bounds] + ["+Inf"]
+                    head, tail = _le_split(labels)
+                    counts = [*inst.bucket_counts, inst.inf_count]
                     cum = 0
-                    for bound, c in zip(inst.bounds, inst.bucket_counts):
+                    for le, c in zip(les, counts):
                         cum += c
-                        lines.append(
-                            f"{name}_bucket{_fmt_labels(labels, le=_fmt_num(bound))} {cum}")
-                    cum += inst.inf_count
-                    lines.append(f'{name}_bucket{_fmt_labels(labels, le="+Inf")} {cum}')
-                    lines.append(f"{name}_sum{_fmt_labels(labels)} {_fmt_num(inst.total)}")
-                    lines.append(f"{name}_count{_fmt_labels(labels)} {inst.count}")
+                        lines.append(f"{name}_bucket{head}{le}{tail} {cum}")
+                    lines.append(f"{name}_sum{text} {_fmt_num(inst.total)}")
+                    lines.append(f"{name}_count{text} {inst.count}")
                 else:
-                    lines.append(f"{name}{_fmt_labels(labels)} {_fmt_num(inst.value)}")
+                    lines.append(f"{name}{text} {_fmt_num(inst.value)}")
         return "\n".join(lines) + "\n"
 
     # ------------------------------------------------------------- merge
@@ -280,3 +284,11 @@ def _fmt_labels(labels: Mapping[str, str], **extra: str) -> str:
         return ""
     body = ",".join(f'{k}="{v}"' for k, v in sorted(all_labels.items()))
     return "{" + body + "}"
+
+
+def _le_split(labels: Mapping[str, str]) -> tuple[str, str]:
+    """A bucket line's label text before and after its ``le`` value."""
+    pairs = [(k, f'{k}="{v}"') for k, v in sorted(labels.items()) if k != "le"]
+    head = "".join(f"{p}," for k, p in pairs if k < "le")
+    tail = "".join(f",{p}" for k, p in pairs if k > "le")
+    return "{" + head + 'le="', '"' + tail + "}"

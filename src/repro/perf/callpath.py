@@ -10,7 +10,10 @@ the application dual (Figure 10).
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 #: pseudo-caller for invocations arriving with an empty stack
 ROOT = "<root>"
@@ -48,6 +51,8 @@ class CallPathRecorder:
 
     def graph(self, include_root: bool = False) -> nx.DiGraph:
         """Caller->callee digraph with ``count`` edge attributes."""
+        import networkx as nx
+
         g = nx.DiGraph()
         for label, n in self.node_counts.items():
             g.add_node(label, invocations=n)

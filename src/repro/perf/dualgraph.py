@@ -14,13 +14,14 @@ time; edge weights are invocation counts.
 
 from __future__ import annotations
 
-from typing import Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING, Mapping
 
 from repro.models.composite import CompositeModel, Workload
 from repro.models.performance import PerformanceModel
 from repro.perf.mastermind import Mastermind
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 
 def build_dual(
@@ -79,6 +80,8 @@ def insignificant_subgraph_nodes(g: nx.DiGraph, fraction: float = 0.01) -> set[s
     of vertex weights over its descendants-and-self is below ``fraction``
     of the whole graph's weight.
     """
+    import networkx as nx
+
     if not (0.0 <= fraction <= 1.0):
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     total = sum(node_total_us(g, n) for n in g.nodes)

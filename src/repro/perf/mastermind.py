@@ -31,6 +31,7 @@ from repro.cca.component import Component
 from repro.cca.services import PortNotConnectedError, Services
 from repro.models.composite import Workload
 from repro.models.performance import PerformanceModel, build_model
+from repro.obs.metrics import Counter, Histogram
 from repro.perf.callpath import CallPathRecorder
 from repro.perf.monitor import MonitorPort
 from repro.perf.records import InvocationRecord, MethodRecord
@@ -61,22 +62,27 @@ class Mastermind(Component, MonitorPort):
         self._active: dict[int, _ActiveInvocation] = {}
         self._next_token = 0
         self.callpath = CallPathRecorder()
+        #: routine -> its (calls counter, wall histogram) in the framework's
+        #: metrics registry, fetched on the routine's first invocation
+        self._instruments: dict[str, tuple[Counter, Histogram]] = {}
 
     def __getstate__(self) -> dict:
         """Pickle the measurement database without the framework wiring.
 
         ``_services`` links back into the live framework (ports, comm,
-        locks) and is meaningless in another process; a rehydrated
-        Mastermind is a read-only record store until ``set_services`` is
-        called again.
+        locks) and is meaningless in another process, and so are the
+        instruments bound in its registry; a rehydrated Mastermind is a
+        read-only record store until ``set_services`` is called again.
         """
         state = self.__dict__.copy()
         state["_services"] = None
+        state["_instruments"] = {}
         return state
 
     # --------------------------------------------------------------- CCA
     def set_services(self, services: Services) -> None:
         self._services = services
+        self._instruments = {}
         services.add_provides_port(self, self.MONITOR_PROVIDES, MonitorPort)
         services.register_uses_port(self.MEASUREMENT_USES, MeasurementPort)
 
@@ -123,11 +129,17 @@ class Mastermind(Component, MonitorPort):
         self._records[act.key].add(InvocationRecord(params=act.params, measurement=measurement))
         obs = self._services.framework.obs if self._services is not None else None
         if obs is not None:
-            m = obs.metrics
-            m.counter("invocations_total", "proxied invocations recorded",
-                      routine=act.timer_name).inc()
-            m.histogram("invocation_wall_us", "per-invocation wall time",
-                        routine=act.timer_name).observe(measurement.wall_us)
+            bound = self._instruments.get(act.timer_name)
+            if bound is None:
+                m = obs.metrics
+                bound = self._instruments[act.timer_name] = (
+                    m.counter("invocations_total", "proxied invocations recorded",
+                              routine=act.timer_name),
+                    m.histogram("invocation_wall_us", "per-invocation wall time",
+                                routine=act.timer_name))
+            calls, wall = bound
+            calls.inc()
+            wall.observe(measurement.wall_us)
 
     # ----------------------------------------------------------- queries
     def record(self, label: str, method: str) -> MethodRecord:

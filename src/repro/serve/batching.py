@@ -22,12 +22,12 @@ can never mix models within a batch or mislabel a response.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.serve.cache import PredictionCache, QBucketer
 from repro.serve.schema import Prediction, PredictRequest
 from repro.serve.store import ModelUnavailable, ServingModelStore, UnknownModel
@@ -72,7 +72,7 @@ class MicroBatcher:
         self.store = store
         self.cache = cache
         self.bucketer = bucketer
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.max_batch = max_batch
         self.queue_limit = queue_limit
         self._pending: list[_Item] = []
@@ -110,26 +110,55 @@ class MicroBatcher:
         Raises :class:`UnknownModel`, :class:`ModelUnavailable` or
         :class:`LoadShedError`.
         """
-        q_bucket = self.bucketer.bucket(req.q)
-        key = (self.store.snapshot.generation, req.component, req.mode,
-               q_bucket)
-        hit = self.cache.get(key)
+        q_bucket, hit = self.lookup(req)
         if hit is not None:
-            pred, version = hit
-            return (dataclasses.replace(pred, q=req.q, cached=True), version)
+            return hit
+        return await self.enqueue(req, q_bucket)
+
+    def lookup(self, req: PredictRequest
+               ) -> tuple[float, tuple[Prediction, str] | None]:
+        """``(q_bucket, hit)``: the request's bucket and its cached answer,
+        or None on a miss, which the caller hands to :meth:`enqueue`."""
+        q_bucket = self.bucketer.bucket(req.q)
+        hit = self.cache.get((self.store.snapshot.generation, req.component,
+                              req.mode, q_bucket))
+        if hit is None:
+            return q_bucket, None
+        pred, version = hit
+        return q_bucket, (Prediction(
+            component=pred.component, mode=pred.mode, q=req.q,
+            q_bucket=q_bucket, mean_us=pred.mean_us, std_us=pred.std_us,
+            model=pred.model, cached=True), version)
+
+    def enqueue(self, req: PredictRequest, q_bucket: float
+                ) -> "asyncio.Future[tuple[Prediction, str]]":
+        """Queue a cache miss for the next flush; the future resolves to
+        ``(prediction, model_version)`` or to the flush's error."""
         if len(self._pending) >= self.queue_limit:
-            if self.metrics is not None:
-                self.metrics.counter("serve_shed_total",
-                                     "requests rejected by load shedding").inc()
+            self._shed_total.inc()
             raise LoadShedError(self.queue_limit)
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending.append(_Item(req=req, q_bucket=q_bucket, future=future))
-        if self.metrics is not None:
-            self.metrics.gauge("serve_queue_depth",
-                               "pending prediction requests").set(
-                                   len(self._pending))
+        self._queue_depth.set(len(self._pending))
         self._wakeup.set()
-        return await future
+        return future
+
+    # Instruments are fetched from the registry on first use and kept.
+    @cached_property
+    def _shed_total(self) -> Counter:
+        return self.metrics.counter("serve_shed_total",
+                                    "requests rejected by load shedding")
+
+    @cached_property
+    def _queue_depth(self) -> Gauge:
+        return self.metrics.gauge("serve_queue_depth",
+                                  "pending prediction requests")
+
+    @cached_property
+    def _batch_size(self) -> Histogram:
+        return self.metrics.histogram("serve_batch_size",
+                                      "coalesced requests per flush",
+                                      bounds=_BATCH_BOUNDS)
 
     # -------------------------------------------------------- dispatcher
     async def _dispatch(self) -> None:
@@ -146,10 +175,7 @@ class MicroBatcher:
 
     def _flush(self, batch: list[_Item]) -> None:
         snapshot = self.store.snapshot
-        if self.metrics is not None:
-            self.metrics.histogram("serve_batch_size",
-                                   "coalesced requests per flush",
-                                   bounds=_BATCH_BOUNDS).observe(len(batch))
+        self._batch_size.observe(len(batch))
         groups: dict[tuple[str, str | None], list[_Item]] = {}
         for item in batch:
             groups.setdefault((item.req.component, item.req.mode),

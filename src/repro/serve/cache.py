@@ -10,16 +10,19 @@ The clock is injected (:class:`repro.util.timebase.Clock`) so TTL expiry
 is testable without sleeping; the default is the real wall clock.  Hit,
 miss, eviction and expiry counts feed the serving
 :class:`~repro.obs.metrics.MetricsRegistry` so the cache's behaviour is
-visible on the ``/metrics`` endpoint it accelerates.
+visible on the ``/metrics`` endpoint it accelerates.  Each instrument is
+fetched from the registry on its first event and kept: a lookup per hit
+would cost more than the hit itself.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from functools import cached_property
 from typing import Generic, Hashable, TypeVar
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.util.timebase import Clock, WallClock
 
 __all__ = ["PredictionCache", "QBucketer"]
@@ -78,12 +81,14 @@ class PredictionCache(Generic[K, V]):
         self.capacity = capacity
         self.ttl_us = ttl_us
         self.clock = clock if clock is not None else WallClock()
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._entries: OrderedDict[K, tuple[float, V]] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.expiries = 0
+        #: event -> its counter, bound on the event's first occurrence
+        self._counters: dict[str, Counter] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -92,12 +97,17 @@ class PredictionCache(Generic[K, V]):
         """Keys in LRU-to-MRU order (eviction order), for introspection."""
         return list(self._entries)
 
+    @cached_property
+    def _entries_gauge(self) -> Gauge:
+        return self.metrics.gauge("serve_cache_entries", "live cache entries")
+
     def _count(self, event: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(f"serve_cache_{event}_total",
-                                 "prediction cache events").inc()
-            self.metrics.gauge("serve_cache_entries",
-                               "live cache entries").set(len(self._entries))
+        counter = self._counters.get(event)
+        if counter is None:
+            counter = self._counters[event] = self.metrics.counter(
+                f"serve_cache_{event}_total", "prediction cache events")
+        counter.inc()
+        self._entries_gauge.set(len(self._entries))
 
     def get(self, key: K) -> V | None:
         entry = self._entries.get(key)
@@ -128,9 +138,7 @@ class PredictionCache(Generic[K, V]):
             self._entries.popitem(last=False)
             self.evictions += 1
             self._count("evictions")
-        if self.metrics is not None:
-            self.metrics.gauge("serve_cache_entries",
-                               "live cache entries").set(len(self._entries))
+        self._entries_gauge.set(len(self._entries))
 
     def hit_rate(self) -> float:
         total = self.hits + self.misses

@@ -13,8 +13,9 @@ explicit checks read better than a meta-language.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 __all__ = [
     "ValidationError", "PredictRequest", "Prediction", "PredictResponse",
@@ -31,7 +32,8 @@ class ValidationError(ValueError):
 
 
 def _require_mapping(obj: Any, where: str) -> Mapping[str, Any]:
-    if not isinstance(obj, Mapping):
+    # Parsed JSON is a plain dict; test that before the ABC check.
+    if type(obj) is not dict and not isinstance(obj, Mapping):
         raise ValidationError(f"{where}: expected a JSON object, "
                               f"got {type(obj).__name__}")
     return obj
@@ -146,7 +148,8 @@ class BatchPredictRequest:
         where = "batch predict request"
         m = _require_mapping(obj, where)
         raw = m.get("requests")
-        if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
+        if type(raw) is not list and (not isinstance(raw, Sequence)
+                                      or isinstance(raw, (str, bytes))):
             raise ValidationError(f"{where}: 'requests' must be a JSON array")
         if not raw:
             raise ValidationError(f"{where}: 'requests' must be non-empty")

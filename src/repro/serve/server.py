@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Awaitable, Callable
 
 from repro.models.composite import CompositeModel, Workload
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.span import SpanTracer
 from repro.perf.optimizer import AssemblyOptimizer
 from repro.serve.batching import LoadShedError, MicroBatcher
@@ -106,6 +106,12 @@ class ModelServer:
             self.store, self.cache, QBucketer(self.config.bucket_per_decade),
             metrics=self.metrics, max_batch=self.config.max_batch,
             queue_limit=self.config.queue_limit)
+        self._reload_retry_after = str(
+            max(1, math.ceil(self.config.reload_interval_s)))
+        # Per-route instruments, fetched from the registry on a route's
+        # (and a status's) first request and kept.
+        self._latency: dict[str, Histogram] = {}
+        self._requests: dict[tuple[str, int], Counter] = {}
         self._stop = asyncio.Event()
         self._watcher: asyncio.Task | None = None
         self._routes: dict[tuple[str, str], _Handler] = {
@@ -163,12 +169,19 @@ class ModelServer:
                     if self.tracer is not None else None)
             t0 = now_us()
             resp = await self._guarded(handler, body)
-            self.metrics.histogram(
-                "serve_latency_us", "request latency by route",
-                bounds=_LATENCY_BOUNDS, route=path).observe(now_us() - t0)
-            self.metrics.counter(
-                "serve_requests_total", "requests by route and status",
-                route=path, status=str(resp.status)).inc()
+            latency = self._latency.get(path)
+            if latency is None:
+                latency = self._latency[path] = self.metrics.histogram(
+                    "serve_latency_us", "request latency by route",
+                    bounds=_LATENCY_BOUNDS, route=path)
+            latency.observe(now_us() - t0)
+            key = (path, resp.status)
+            requests = self._requests.get(key)
+            if requests is None:
+                requests = self._requests[key] = self.metrics.counter(
+                    "serve_requests_total", "requests by route and status",
+                    route=path, status=str(resp.status))
+            requests.inc()
             if self.tracer is not None:
                 if span is not None:
                     span.attrs["status"] = resp.status
@@ -176,7 +189,6 @@ class ModelServer:
         return resp
 
     async def _guarded(self, handler: _Handler, body: bytes) -> Response:
-        retry_after = str(max(1, math.ceil(self.config.reload_interval_s)))
         try:
             return await handler(self, body)
         except ValidationError as exc:
@@ -186,7 +198,7 @@ class ModelServer:
         except ModelUnavailable:
             return Response.error(
                 503, "no models loaded; repository is empty or reloading",
-                headers=(("Retry-After", retry_after),))
+                headers=(("Retry-After", self._reload_retry_after),))
         except LoadShedError as exc:
             return Response.error(
                 503, str(exc), headers=(("Retry-After", "1"),))
@@ -229,8 +241,23 @@ class ModelServer:
     async def _handle_predict_batch(self, body: bytes) -> Response:
         batch = BatchPredictRequest.from_obj(
             self._parse_json(body, "batch predict request"))
-        results = await asyncio.gather(
-            *(self.batcher.predict(r) for r in batch.requests))
+        # Hits are answered in place; only the misses wait for a flush.
+        results: list = []
+        misses: dict[int, asyncio.Future] = {}
+        try:
+            for i, req in enumerate(batch.requests):
+                q_bucket, hit = self.batcher.lookup(req)
+                if hit is None:
+                    hit = misses[i] = self.batcher.enqueue(req, q_bucket)
+                results.append(hit)
+        except LoadShedError:
+            for future in misses.values():
+                future.cancel()
+            raise
+        if misses:
+            answers = await asyncio.gather(*misses.values())
+            for i, answer in zip(misses, answers):
+                results[i] = answer
         # All sub-requests of one batch must answer from one model set;
         # a reload races the flushes only at the boundary between them.
         versions = {version for _pred, version in results}

@@ -24,8 +24,8 @@ import json
 from dataclasses import dataclass
 from typing import Any, Awaitable, Callable
 
-__all__ = ["Response", "STATUS_TEXT", "read_request", "render_response",
-           "sse_preamble", "sse_event", "serve_connection"]
+__all__ = ["Response", "RequestError", "STATUS_TEXT", "read_request",
+           "render_response", "sse_preamble", "sse_event", "serve_connection"]
 
 STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
                405: "Method Not Allowed", 413: "Payload Too Large",
@@ -53,17 +53,37 @@ class Response:
         return cls.json(status, {"error": message}, headers=headers)
 
 
+class RequestError(Exception):
+    """A request answered with ``status`` before it reaches a handler; the
+    connection closes after the answer, since the stream can no longer be
+    trusted to be at a request boundary."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+async def _readline(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:  # the line overran the reader's buffer limit
+        raise RequestError(400, "request line or header too long") from None
+
+
 async def read_request(reader: asyncio.StreamReader, max_body: int
-                       ) -> tuple[str, str, bytes, bool, bool] | None:
+                       ) -> tuple[str, str, bytes, bool] | None:
     """Parse one HTTP/1.1 request; None on clean EOF before a request.
 
-    Returns ``(method, path, body, keep_alive, too_large)``; the query
-    string is split off the target and discarded by the caller's router
-    (handlers that need it re-parse the raw target themselves).
+    Returns ``(method, path, body, keep_alive)``; the query string is
+    split off the target and discarded by the caller's router (handlers
+    that need it re-parse the raw target themselves).  Raises
+    :class:`RequestError` - 400 for a line longer than the reader's limit
+    or a Content-Length that is not a decimal number, 413 for a body
+    above ``max_body``.
     """
     try:
-        line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
+        line = await _readline(reader)
+    except ConnectionError:
         return None
     if not line or not line.strip():
         return None
@@ -74,21 +94,21 @@ async def read_request(reader: asyncio.StreamReader, max_body: int
     path = target.split("?", 1)[0]
     headers: dict[str, str] = {}
     while True:
-        hline = await reader.readline()
+        hline = await _readline(reader)
         if not hline or hline in (b"\r\n", b"\n"):
             break
         name, _, value = hline.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
     keep_alive = headers.get("connection", "keep-alive").lower() != "close"
-    try:
-        length = int(headers.get("content-length", "0") or "0")
-    except ValueError:
-        length = 0
+    raw_length = headers.get("content-length") or "0"
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise RequestError(400, f"bad Content-Length {raw_length!r}")
+    length = int(raw_length)
     if length > max_body:
         # Drain nothing: answering 413 then closing is the contract.
-        return method, path, b"", False, True
+        raise RequestError(413, "request body too large")
     body = await reader.readexactly(length) if length else b""
-    return method, path, body, keep_alive, False
+    return method, path, body, keep_alive
 
 
 def render_response(resp: Response, keep_alive: bool) -> bytes:
@@ -123,22 +143,27 @@ async def serve_connection(
     """Serve one client connection until it closes.
 
     Each request is answered by ``handle(method, path, body)`` and the
-    connection kept alive when the client asks for it; a body above
-    ``max_body`` is answered 413 and the connection closed.  ``GET /live``
-    turns the connection into a one-way Server-Sent Events stream - one
-    ``live_frame()`` every ``live_interval_s`` until ``stop`` is set or
-    the client leaves - and never returns to request parsing.
+    connection kept alive when the client asks for it; a request
+    :func:`read_request` rejects (oversized body, overlong line, bad
+    Content-Length) is answered with its status and the connection
+    closed.  ``GET /live`` turns the connection into a one-way
+    Server-Sent Events stream - one ``live_frame()`` every
+    ``live_interval_s`` until ``stop`` is set or the client leaves - and
+    never returns to request parsing.
     """
     try:
         while True:
-            request = await read_request(reader, max_body)
+            try:
+                request = await read_request(reader, max_body)
+            except RequestError as exc:
+                writer.write(render_response(
+                    Response.error(exc.status, str(exc)), keep_alive=False))
+                await writer.drain()
+                break
             if request is None:
                 break
-            method, path, body, keep_alive, too_large = request
-            if too_large:
-                resp = Response.error(413, "request body too large")
-                keep_alive = False
-            elif method == "GET" and path == "/live":
+            method, path, body, keep_alive = request
+            if method == "GET" and path == "/live":
                 writer.write(sse_preamble())
                 await writer.drain()
                 while not stop.is_set():
@@ -149,14 +174,12 @@ async def serve_connection(
                     except asyncio.TimeoutError:
                         pass
                 break
-            else:
-                resp = await handle(method, path, body)
+            resp = await handle(method, path, body)
             writer.write(render_response(resp, keep_alive))
             await writer.drain()
             if not keep_alive:
                 break
-    except (ConnectionError, asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError):
+    except (ConnectionError, asyncio.IncompleteReadError):
         pass  # client went away mid-request; nothing to answer
     finally:
         writer.close()

@@ -1,7 +1,10 @@
 """Every module imports cleanly and every ``__all__`` name resolves."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -34,3 +37,12 @@ def test_all_exports_resolve(name):
 
 def test_version_exposed():
     assert repro.__version__
+
+
+def test_runs_do_not_import_networkx():
+    """networkx is imported only where a graph is built, which no run does."""
+    code = ("import sys, repro.harness.casestudy, repro.serve, repro.perf; "
+            "sys.exit('networkx' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -272,3 +272,52 @@ def test_http_front_end_over_real_sockets(models_dir):
     assert text.count("HTTP/1.1 200") == 2  # both pipelined answers arrived
     assert '"model_version"' in text
     assert raw413.decode("latin-1").startswith("HTTP/1.1 413 ")
+
+
+def test_hostile_request_gets_400_and_the_server_answers_the_next(models_dir):
+    """A negative Content-Length is answered 400 over a real socket, and a
+    second connection is served normally afterwards."""
+    server = ModelServer(models_dir)
+
+    async def main():
+        async with server:
+            listener = await server.serve_http(port=0)
+            port = listener.sockets[0].getsockname()[1]
+            try:
+                bad = await _http_request(
+                    "127.0.0.1", port,
+                    b"POST /v1/predict HTTP/1.1\r\n"
+                    b"Content-Length: -1\r\n\r\n")
+                good = await _http_request(
+                    "127.0.0.1", port,
+                    b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+                return bad, good
+            finally:
+                listener.close()
+                await listener.wait_closed()
+
+    bad, good = asyncio.run(main())
+    assert bad.decode("latin-1").startswith("HTTP/1.1 400 ")
+    assert good.decode("latin-1").startswith("HTTP/1.1 200 OK\r\n")
+
+
+def test_batch_overflowing_the_queue_is_shed_whole(models_dir):
+    config = ServeConfig(queue_limit=2, bucket_per_decade=None)
+    server = ModelServer(models_dir, config=config)
+    req = json.dumps({"requests": [
+        {"component": "Cheap", "q": 1e3 + i} for i in range(4)]}).encode()
+
+    async def main():
+        async with server:
+            shed = await server.handle("POST", "/v1/predict/batch", req)
+            await asyncio.sleep(0.01)  # let the dispatcher drain the queue
+            return shed, await server.handle("POST", "/v1/predict/batch", req)
+
+    shed, retried = asyncio.run(main())
+    assert shed.status == 503
+    assert dict(shed.headers)["Retry-After"] == "1"
+    assert server.metrics.counter("serve_shed_total").value >= 1
+    # the two queued before the shed were still evaluated and cached
+    assert retried.status == 200
+    assert [p["cached"] for p in body_of(retried)["predictions"]] == [
+        True, True, False, False]
