@@ -3,8 +3,8 @@
 Each cell runs the full SCMD case study.  With resilience off, dropped
 messages deadlock the job (bounded here by a short world timeout) and
 transient component errors kill it; with resilience on, every scenario
-completes, at the cost of retry rounds and retransmission charges.  A
-final pair of runs prices the checkpoint subsystem.
+completes, at the cost of retransmission charges and component retries.
+A final pair of runs prices the checkpoint subsystem.
 """
 
 import dataclasses
@@ -40,8 +40,7 @@ def test_ablation_faults(benchmark, bench_config, out_dir, tmp_path):
                     bench_config,
                     params=dataclasses.replace(bench_config.params, steps=2),
                     fault_plan=plan,
-                    resilience=ResiliencePolicy(retry_timeout_s=0.05)
-                    if resilient else None,
+                    resilience=ResiliencePolicy() if resilient else None,
                     # Without resilience a dropped message hangs until the
                     # world timeout; keep the bound short.
                     timeout_s=30.0 if resilient else 3.0,
@@ -66,8 +65,7 @@ def test_ablation_faults(benchmark, bench_config, out_dir, tmp_path):
                 for k, v in (h.resilience or {}).items():
                     merged[k] = merged.get(k, 0) + v
             outcome = "completed"
-            detail = (f"retries={merged.get('retry_rounds', 0)} "
-                      f"recovered={merged.get('recovered', 0)} "
+            detail = (f"recovered={merged.get('recovered', 0)} "
                       f"comp_retries={merged.get('component_retries', 0)}")
             if ckpt_bytes:
                 detail = f"checkpoint={ckpt_bytes / 1024:.0f} KiB"

@@ -1,9 +1,9 @@
 """Fault injection and resilience on the paper's SCMD case study.
 
 Part 1 runs the case study under the canned ``dropped-messages`` fault
-plan with the resilient MPI layer enabled: dropped ghost-exchange
-messages time out at the receiver and are recovered by retransmission,
-and the run completes cleanly.  The recovery statistics and the injected
+plan with the resilient MPI layer enabled: each dropped ghost-exchange
+message is recovered by retransmission, received in send order, and the
+run completes cleanly.  The recovery statistics and the injected
 fault schedule are printed, and the rank-0 timeline (faults and
 recoveries as instant spans) is dumped as a Chrome/Perfetto trace.
 
@@ -46,7 +46,7 @@ def main() -> None:
                           steps=args.steps, regrid_every=2,
                           max_patch_cells=512)
     base = CaseStudyConfig(params=params, nranks=3,
-                           resilience=ResiliencePolicy(retry_timeout_s=0.05))
+                           resilience=ResiliencePolicy())
 
     # ------------------------------------------- part 1: surviving faults
     plan = canned_plans()["dropped-messages"]

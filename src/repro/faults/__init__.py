@@ -7,9 +7,10 @@ Five pieces, composed by the case-study harness:
   exceptions and latency spikes, crash points);
 * :mod:`repro.faults.injector` — the deterministic runtime scheduler the
   MPI layer and the performance proxies consult;
-* :mod:`repro.faults.policy` — recovery semantics: bounded retries with
-  exponential backoff, typed :class:`~repro.faults.policy.CommFailure`,
-  duplicate suppression, component-call retry;
+* :mod:`repro.faults.policy` — recovery semantics: retransmission of
+  dropped messages on the mailbox's evidence, typed
+  :class:`~repro.faults.policy.CommFailure`, duplicate suppression,
+  component-call retry with backoff;
 * :mod:`repro.faults.checkpoint` — atomic per-rank checkpoints of the AMR
   hierarchy + driver + Mastermind state, with bitwise-identical restart;
 * :mod:`repro.faults.straggler` — per-rank MPI-time outlier detection

@@ -169,8 +169,8 @@ class FaultInjector:
 
     # ----------------------------------------------------------- queries
     def note(self, rank: int, name: str, value: float = 0.0) -> None:
-        """Record a resilience event (retry, recovery, checkpoint) on the
-        rank's fault timeline."""
+        """Record a resilience event (retry, recovery, failure, checkpoint)
+        on the rank's fault timeline."""
         self._record(rank, name, value)
 
     def schedule_signature(self) -> list[list[str]]:
@@ -179,8 +179,8 @@ class FaultInjector:
 
         Only ``fault.*`` events count: injection points are visited in each
         rank's program order, so the signature is reproducible.  Recovery
-        events (``mpi.*``, ``checkpoint.*``) are excluded because their
-        interleaving depends on real-time thread scheduling.
+        events (``mpi.*``, ``component.*``, ``checkpoint.*``) are excluded:
+        the signature is what the plan injected, not how the run handled it.
         """
         return [
             [sp.name for sp in tr.spans() if sp.name.startswith("fault.")]

@@ -55,11 +55,12 @@ class MessageFault:
     matches anything); the fault fires for matching send numbers
     ``index .. index+count-1``, counted per sending rank.  ``kind``:
 
-    * ``"drop"`` — the envelope never reaches the destination mailbox.
-      With ``recoverable=True`` the simulated sender keeps a retransmission
-      buffer, so a resilient receiver can recover it after a timeout; with
-      ``False`` the message is lost forever (bounded retries then a typed
-      :class:`~repro.faults.policy.CommFailure`).
+    * ``"drop"`` — the message is lost in transit.  Under a resilience
+      policy the transport's retransmission lands in the destination
+      mailbox at the message's send seq with ``recoverable=True``; with
+      ``False`` a tombstone lands there instead and the receive that
+      matches it raises a typed :class:`~repro.faults.policy.CommFailure`.
+      Without a policy the message is simply gone.
     * ``"delay"`` — the modeled transfer cost is multiplied by
       ``delay_factor`` and increased by ``delay_us``.
     * ``"duplicate"`` — a second copy of the envelope is delivered
@@ -210,8 +211,8 @@ def canned_plans() -> dict[str, FaultPlan]:
     and the CI smoke job.
 
     * ``dropped-messages`` — ghost-exchange messages silently vanish
-      (recoverable: a resilient receiver times out and triggers
-      retransmission).
+      (recoverable: under a resilience policy the receiver consumes the
+      retransmission in send order and is charged for it).
     * ``straggler-stalls`` — rank 1's MPI operations suffer a long burst of
       200 ms latency spikes, turning it into a straggler.
     * ``flaky-component`` — the flux proxy throws transient errors and the

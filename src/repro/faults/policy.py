@@ -1,112 +1,82 @@
-"""Recovery semantics: timeouts, retries, backoff, and typed failures.
+"""Recovery semantics: retransmission, deduplication, retries and typed
+failures.
 
 A :class:`ResiliencePolicy` attached to a
-:class:`~repro.mpi.world.SimWorld` changes how blocked communication
-behaves:
+:class:`~repro.mpi.world.SimWorld` changes what an injected fault does:
 
-* **point-to-point** — a blocking receive (or a wait on posted receives)
-  that sees nothing for ``retry_timeout_s`` asks the world to *recover*
-  matching dropped envelopes from the senders' retransmission buffers; the
-  per-attempt wait then grows by ``backoff_factor`` (exponential backoff).
-  Each recovered message charges ``retransmit_cost_us`` of modeled time to
-  ``MPI_Retransmit`` — a deterministic amount, since the number of dropped
-  messages is fixed by the fault plan.  If a matching message is known to
-  be *unrecoverably* lost, the receiver gives up after ``max_attempts``
-  retry rounds with a typed :class:`CommFailure`.
-* **collectives** — each rank deposits once, then waits in bounded rounds
-  of ``collective_timeout_s`` (growing by the same backoff factor); after
-  ``max_attempts`` incomplete rounds the call raises :class:`CommFailure`
-  instead of hanging until the world's deadlock timeout.
+* **point-to-point** — a dropped message is not lost in a side store: it is
+  deposited in the destination's mailbox at its send sequence number,
+  marked *retransmitted* when the plan calls it recoverable and as a
+  *tombstone* otherwise.  The receive that consumes a retransmitted entry
+  charges ``retransmit_cost_us`` of modeled time to ``MPI_Retransmit``
+  (once per message, so the total is fixed by the fault plan); the
+  receive or probe that matches a tombstone raises a typed
+  :class:`CommFailure` at once.  Injected duplicates are discarded by
+  send sequence number.  Without a policy a dropped message is simply
+  gone and its receiver times out.
+* **collectives** — a collective that reaches the world's hard deadline
+  (``timeout_s`` from entry) raises :class:`CommFailure` instead of the
+  simulator's plain timeout.
 * **components** — a proxy that receives an injected transient error
   retries the consultation up to ``max_attempts`` times, sleeping
   ``component_backoff_s`` (doubling) between attempts.
 
-A healthy-but-slow run is never failed by the policy: without evidence of
-loss (no tombstone), a receiver keeps waiting — with backoff — until the
-world's ordinary deadlock timeout, exactly as in the non-resilient path.
+No decision here reads the wall clock: recovery happens on the evidence
+in the mailbox, and the only wall-clock rule left is the world's one hard
+deadline, which bounds liveness.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from repro.util.validation import check_non_negative, check_positive
 
 
 class CommFailure(RuntimeError):
-    """A communication operation exhausted its bounded retry budget.
+    """A communication operation failed for good.
 
-    Raised instead of an indefinite hang when a message is unrecoverably
-    lost or a collective cannot complete within the policy's attempts.
+    Raised instead of an indefinite hang when a receive matches an
+    unrecoverably dropped message, or a collective under a policy reaches
+    the hard deadline.
     """
 
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """Retry/timeout configuration for the simulated MPI layer."""
+    """Recovery configuration for the simulated runtime."""
 
-    #: bounded retry rounds before a typed CommFailure
+    #: attempts at a proxied component call before an injected transient
+    #: failure is final (component retries only; messages are recovered
+    #: on evidence, not by attempts)
     max_attempts: int = 5
-    #: first per-attempt receive timeout (real seconds; the sim blocks in
-    #: real time while modeled time is charged separately)
-    retry_timeout_s: float = 0.05
-    #: per-attempt timeout growth (exponential backoff)
-    backoff_factor: float = 2.0
-    #: cap on the grown per-attempt timeout
-    max_retry_timeout_s: float = 2.0
-    #: first per-round collective wait (collectives tolerate long compute
-    #: phases on peer ranks, hence the larger default)
-    collective_timeout_s: float = 10.0
-    #: modeled time charged per recovered (retransmitted) message
+    #: modeled time charged to ``MPI_Retransmit`` per recovered message
     retransmit_cost_us: float = 500.0
     #: real sleep before a component-call retry (doubles per attempt)
     component_backoff_s: float = 0.001
-    #: drop duplicate deliveries already consumed once (by send seq)
-    dedup: bool = True
 
     def __post_init__(self) -> None:
         check_positive("max_attempts", self.max_attempts)
-        check_positive("retry_timeout_s", self.retry_timeout_s)
-        if self.backoff_factor < 1.0:
-            raise ValueError(f"backoff_factor must be >= 1, got {self.backoff_factor}")
-        check_positive("max_retry_timeout_s", self.max_retry_timeout_s)
-        check_positive("collective_timeout_s", self.collective_timeout_s)
         check_non_negative("retransmit_cost_us", self.retransmit_cost_us)
         check_non_negative("component_backoff_s", self.component_backoff_s)
-
-    def attempt_timeout_s(self, attempt: int) -> float:
-        """The (exponentially backed-off) wait for retry round ``attempt``."""
-        return min(self.retry_timeout_s * self.backoff_factor**attempt,
-                   self.max_retry_timeout_s)
 
 
 @dataclass
 class ResilienceStats:
     """Per-rank counters of recovery activity during one run.
 
-    ``recovered`` (messages pulled from retransmission buffers) and
-    ``deduplicated`` are deterministic under a fixed plan + seed;
-    ``retry_rounds`` and ``collective_retries`` depend on real-time thread
-    scheduling and are reported, not asserted on.
+    Every counter is exact under a fixed plan and seed, on every backend:
+    each is booked where a receive or a proxied call meets the evidence
+    (:meth:`repro.mpi.world.SimWorld.book`).  ``retry_rounds`` counts one
+    per retransmitted message, so it equals ``recovered``.
     """
 
     retry_rounds: int = 0
     recovered: int = 0
     deduplicated: int = 0
-    collective_retries: int = 0
     component_retries: int = 0
     failures: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "retry_rounds": self.retry_rounds,
-            "recovered": self.recovered,
-            "deduplicated": self.deduplicated,
-            "collective_retries": self.collective_retries,
-            "component_retries": self.component_retries,
-            "failures": self.failures,
-        }
-
-    def merge(self, other: "ResilienceStats") -> None:
-        for key, val in other.as_dict().items():
-            setattr(self, key, getattr(self, key) + val)
+        return dataclasses.asdict(self)

@@ -57,7 +57,7 @@ def _tsend(world, context: str, source: int, dest: int, tag: int,
 
 def _trecv(world, context: str, rank: int, source: int, tag: int) -> Any:
     """Blocking transport receive: the world's wait engine with one want
-    and no policy (transport envelopes are never dropped)."""
+    and no charge (transport envelopes are never dropped)."""
     return world.wait_recvs(rank, [(context, source, tag)])[0].payload
 
 

@@ -19,8 +19,8 @@ import numpy as np
 from repro.faults.plan import DROP as FAULT_DROP
 from repro.faults.plan import DUPLICATE as FAULT_DUPLICATE
 from repro.mpi import collectives as coll
-from repro.mpi.message import (ANY_SOURCE, ANY_TAG, Envelope, Status,
-                               copy_payload)
+from repro.mpi.message import (ANY_SOURCE, ANY_TAG, LOST, RETRANSMITTED,
+                               Envelope, Status, copy_payload)
 from repro.mpi.network import payload_nbytes
 from repro.mpi.request import RecvRequest, Request, SendRequest
 from repro.mpi.world import WORLD_CONTEXT, SimMPIError, SimWorld
@@ -173,12 +173,12 @@ class SimComm:
         if injector is not None:
             action = injector.on_send(self.rank, dest, tag)
             if action.kind == FAULT_DROP:
-                # Never reaches the mailbox; recoverable drops wait in the
-                # retransmission buffer, unrecoverable ones leave a
-                # tombstone the receiver's bounded retries will find.
-                self.world.stash_dropped(self.context, env, action.recoverable)
-                return nbytes
-            if action.kind == FAULT_DUPLICATE:
+                if self.world.policy is None:
+                    return nbytes  # gone: the receiver times out
+                # The transport's retransmission (or the evidence of a
+                # loss) lands where the message would have, at its seq.
+                env.fate = RETRANSMITTED if action.recoverable else LOST
+            elif action.kind == FAULT_DUPLICATE:
                 self.world.deliver(self.context, env)
                 # Same send sequence number: a resilient receiver
                 # deduplicates; a non-resilient one sees a spurious extra
@@ -189,13 +189,14 @@ class SimComm:
                     cost_us=env.cost_us, seq=env.seq, trace_ctx=env.trace_ctx,
                 ))
                 return nbytes
-            if action.kind is not None:  # delay
+            elif action.kind is not None:  # delay
                 env.cost_us = env.cost_us * action.delay_factor + action.delay_us
         self.world.deliver(self.context, env)
         return nbytes
 
     def _wait_recv(self, routine: str, source: int, tag: int) -> Envelope:
-        """Block in ``routine`` until one (source, tag) message matches."""
+        """Block in ``routine`` until one (source, tag) message matches,
+        and consume it."""
         return self.world.wait_recvs(
             self.rank, [(self.context, source, tag)], op=routine,
             charge=self.charge)[0]
@@ -278,9 +279,10 @@ class SimComm:
               status: Status | None = None) -> None:
         """Blocking probe: wait until a matching message is available."""
         with self._span_ctx("MPI_Probe", CAT_MPI_WAIT, source=source, tag=tag):
-            env = self._wait_recv("MPI_Probe", source, tag)
-            # No flow_in here: the probe does not consume the message, the
-            # eventual receive anchors the causal edge.
+            env = self.world.wait_recvs(
+                self.rank, [(self.context, source, tag)], op="MPI_Probe")[0]
+            # No flow_in (or recovery charge) here: the probe does not
+            # consume the message, the eventual receive does.
             self.world.deliver(self.context, env)
             self.world.unmark_consumed(self.context, self.rank, env.seq)
             self.charge("MPI_Probe", self.world.network.min_cost_us)

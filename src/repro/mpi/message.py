@@ -12,6 +12,11 @@ import numpy as np
 ANY_SOURCE: int = -1
 ANY_TAG: int = -1
 
+#: What a mailbox entry stands for (``Envelope.fate``): a delivered
+#: message, an injected drop the transport retransmits, or a tombstone for
+#: a drop lost for good.  The values double as the mp-shm wire record kind.
+DELIVERED, RETRANSMITTED, LOST = 0, 1, 2
+
 #: Sequence numbers must be unique across every rank of a job: they key
 #: receiver-side duplicate suppression and the cross-rank flow edges of the
 #: span tracer.  With thread-backed ranks one process-wide counter suffices;
@@ -64,6 +69,10 @@ class Envelope:
     causal cross-rank edge in the merged span DAG (the flow id is the
     globally unique ``seq``, shared by retransmissions and injected
     duplicates of the same logical message).
+
+    ``fate`` marks an injected drop deposited under a resilience policy
+    (``RETRANSMITTED`` or ``LOST``); it sits in the mailbox at its ``seq``
+    like any message, so recovery keeps send order.
     """
 
     source: int
@@ -74,6 +83,7 @@ class Envelope:
     cost_us: float
     seq: int = field(default_factory=lambda: next(_seqno))
     trace_ctx: tuple[int, int] | None = None
+    fate: int = DELIVERED
 
     def matches(self, source: int, tag: int) -> bool:
         """Does this envelope match a receive posted for (source, tag)?"""

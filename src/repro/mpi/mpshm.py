@@ -36,11 +36,11 @@ Collectives: the rendezvous-slot exchange of the thread world cannot span
 processes, so :meth:`ShmWorld.exchange` reuses the tree machinery of
 :mod:`repro.mpi.collectives` (binomial gather + broadcast over transport
 frames).  Sanitizer tokens piggyback through the exchanged values exactly
-as on the thread backend.  The rendezvous' bounded collective rounds do
-not apply here: the tree's hops are transport receives bounded by the
-deadlock timeout (documented limitation; p2p bounded retry/recovery is
-unaffected because drop/tombstone frames are routed to the destination's
-local stores).
+as on the thread backend.  The tree's hops are transport receives bounded
+by the one hard deadline, which they report as the simulator's plain
+timeout even under a resilience policy (documented limitation).  Injected
+drops need nothing of their own: a drop travels as a frame whose record
+kind is its fate and lands in the destination's mailbox at its seq.
 
 Failure handling: any rank's exception raises the shared abort flag; every
 blocked ring operation and every mailbox wait then raises, workers ship
@@ -66,10 +66,6 @@ from repro.mpi.shm import (WAIT_TABLE_MAX_RANKS, RingAborted, ShmFlag,
                            ShmRing, ShmWaitTable)
 from repro.mpi.world import SimMPIError, SimWorld
 
-_KIND_DELIVER = 0
-_KIND_DROP_RECOVERABLE = 1
-_KIND_DROP_TOMBSTONE = 2
-
 #: default per-rank ring capacity; a frame may exceed it (writers stream),
 #: it only bounds how far a sender can run ahead of a slow receiver
 DEFAULT_RING_BYTES = 1 << 20
@@ -85,6 +81,14 @@ COALESCE_MAX_FRAMES = 64
 #: report: every blocking MPI operation is capped by ``timeout_s`` from its
 #: entry, the grace covers unwinding, pickling and shipping the rank's state
 PROCESS_GRACE_S = 30.0
+
+
+def _landed(frame: Any) -> tuple[str, Envelope]:
+    """Decode one wire record into ``(context, envelope)``; the record
+    kind is the envelope's fate."""
+    kind, context, _, env = codec.decode(frame)
+    env.fate = kind
+    return context, env
 
 
 class SharedSanitizer(Sanitizer):
@@ -178,8 +182,8 @@ class ShmWorld(SimWorld):
 
     Exactly five behaviours change relative to the base class:
 
-    * :meth:`deliver` / :meth:`stash_dropped` route envelopes addressed to
-      remote ranks through the destination's ring, coalescing small
+    * :meth:`deliver` routes envelopes addressed to remote ranks (injected
+      drops included) through the destination's ring, coalescing small
       frames per destination;
     * :meth:`flush_frames`, the hook the base class runs before it blocks
       or polls, puts the coalescing buffers on the wire, so queued frames
@@ -189,11 +193,11 @@ class ShmWorld(SimWorld):
     * :meth:`abort` raises the cross-process abort flag;
     * the sanitizer (when on) is the shared-wait-table variant.
 
-    Everything else — matching, dedup, recovery stores, accounting, RNG
+    Everything else — matching, dedup, recovery, accounting, RNG
     streams — is the base class operating on this process's local state.
 
     Thread-safety note: only the worker's main thread sends (the receiver
-    thread deposits into local stores via the base-class methods), so the
+    thread deposits into local mailboxes via the base-class methods), so the
     coalescing buffers are single-threaded state by construction.
     """
 
@@ -277,17 +281,9 @@ class ShmWorld(SimWorld):
         if not (0 <= env.dest < self.nranks):
             raise ValueError(
                 f"invalid destination rank {env.dest} (nranks={self.nranks})")
-        self._enqueue_frame(env.dest, codec.encode(_KIND_DELIVER, context, env))
-
-    def stash_dropped(self, context: str, env: Envelope, recoverable: bool) -> None:
-        """Injected drops live in the *destination's* local stores so the
-        receiver-side bounded-retry/recovery logic runs unchanged."""
-        if env.dest == self.myrank:
-            super().stash_dropped(context, env, recoverable)
-            return
-        kind = _KIND_DROP_RECOVERABLE if recoverable else _KIND_DROP_TOMBSTONE
-        self._enqueue_frame(
-            env.dest, codec.encode(kind, context, env, recoverable))
+        # The record kind on the wire is the envelope's fate, so an
+        # injected drop lands in the destination's mailbox as it left.
+        self._enqueue_frame(env.dest, codec.encode(env.fate, context, env))
 
     # --------------------------------------------------------- collectives
     def exchange(self, context: str, seq: int, rank: int, value: Any,
@@ -323,34 +319,16 @@ class ShmWorld(SimWorld):
                 ring.mark_deposited()
                 return
             if fkind == codec.F_BATCH:
-                self._deposit_batch(frame)
+                # Sub-frames land in send order under one mailbox-lock
+                # acquisition; payloads stay zero-copy views into frame.
+                SimWorld.deliver_batch(
+                    self, [_landed(sub) for sub in codec.iter_batch(frame)])
             else:
-                kind, context, recoverable, env = codec.decode(frame)
-                if kind == _KIND_DELIVER:
-                    SimWorld.deliver(self, context, env)
-                else:
-                    SimWorld.stash_dropped(self, context, env, recoverable)
+                SimWorld.deliver(self, *_landed(frame))
             # Only now has the frame truly landed: between ring.recv() and
             # here it was in no ring and no mailbox, and the deadlock
             # detector must still count it as in flight (undeposited()).
             ring.mark_deposited()
-
-    def _deposit_batch(self, frame: bytearray) -> None:
-        """Unpack a coalesced frame in send order; consecutive deliveries
-        land under one mailbox-lock acquisition (``deliver_batch``),
-        decoded payloads stay zero-copy views into ``frame``."""
-        run: list[tuple[str, Envelope]] = []
-        for sub in codec.iter_batch(frame):
-            kind, context, recoverable, env = codec.decode(sub)
-            if kind == _KIND_DELIVER:
-                run.append((context, env))
-                continue
-            if run:
-                SimWorld.deliver_batch(self, run)
-                run = []
-            SimWorld.stash_dropped(self, context, env, recoverable)
-        if run:
-            SimWorld.deliver_batch(self, run)
 
     def shutdown_receiver(self) -> None:
         """Unblock and join the receiver (call after the final barrier)."""

@@ -96,7 +96,9 @@ class RecvRequest(Request):
     def test(self, status: Status | None = None) -> bool:
         if self._complete:
             return True
-        env = self._comm.world.try_match(self._comm.context, self._comm.rank, self.source, self.tag)
+        comm = self._comm
+        env = comm.world.try_match(comm.context, comm.rank, self.source,
+                                   self.tag, comm.charge)
         if env is None:
             return False
         self._absorb(env, status)

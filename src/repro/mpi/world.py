@@ -11,16 +11,15 @@ A :class:`SimWorld` holds, for a job of P ranks:
 * an abort flag so that when one rank fails, ranks blocked in communication
   wake up and raise instead of deadlocking,
 * optionally, a :class:`~repro.faults.injector.FaultInjector` plus a
-  :class:`~repro.faults.policy.ResiliencePolicy`: dropped envelopes land in
-  a per-destination retransmission buffer (recoverable) or a tombstone list
-  (lost forever), receivers deduplicate injected duplicates by send
-  sequence number, and per-rank
-  :class:`~repro.faults.policy.ResilienceStats` count recovery activity.
+  :class:`~repro.faults.policy.ResiliencePolicy`: an injected drop is a
+  mailbox entry at its send seq (retransmitted, or a tombstone for a loss),
+  receivers deduplicate injected duplicates by send sequence number, and
+  per-rank :class:`~repro.faults.policy.ResilienceStats` count recovery
+  activity (:meth:`SimWorld.book`).
 """
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from contextlib import contextmanager
@@ -30,12 +29,31 @@ from repro.analysis.sanitize import Sanitizer
 from repro.faults.policy import CommFailure, ResiliencePolicy, ResilienceStats
 from repro.mpi.accounting import MPIAccounting
 from repro.mpi.backend import JobSpec
-from repro.mpi.message import ANY_SOURCE, Envelope
+from repro.mpi.message import ANY_SOURCE, LOST, RETRANSMITTED, Envelope
 from repro.obs.runtime import build_obs
 from repro.util.rng import spawn_rngs
 from repro.util.timebase import now_us
 
 WORLD_CONTEXT = "world"
+
+#: resilience event -> (the ResilienceStats fields it counts, its mark on
+#: the fault injector's timeline, its obs counter and the counter's help)
+_EVENTS: dict[str, tuple[tuple[str, ...], str, str, str]] = {
+    "recovered": (("recovered", "retry_rounds"), "mpi.recovered",
+                  "mpi_recovered_total",
+                  "dropped envelopes recovered by retransmission"),
+    "deduplicated": (("deduplicated",), "mpi.deduplicated",
+                     "mpi_deduplicated_total",
+                     "injected duplicates discarded by receivers"),
+    "comm_failure": (("failures",), "mpi.failure", "mpi_comm_failures_total",
+                     "typed communication failures raised"),
+    "component_retry": (("component_retries",), "component.retry",
+                        "component_retries_total",
+                        "transient component failures retried"),
+    "component_failure": (("failures",), "component.failure",
+                          "component_failures_total",
+                          "component failures that outlasted every retry"),
+}
 
 
 class SimMPIError(RuntimeError):
@@ -52,66 +70,6 @@ class _CollectiveSlot:
         self.deposited = 0
         self.readers = 0
         self.ready = False
-
-
-def _stamp(obs: Any, attr: str, since_us: float) -> None:
-    """Add the time elapsed since ``since_us`` to ``attr`` of the span the
-    rank is in (the critical-path analyzer splits such attributes out)."""
-    span = obs.tracer.current()
-    if span is not None:
-        span.attrs[attr] = span.attrs.get(attr, 0.0) + now_us() - since_us
-
-
-class _Rounds:
-    """Clock of one blocking call: the hard deadline every blocking
-    operation is capped by from entry, plus the bounded retry rounds a
-    resilience policy adds on top.
-
-    Shared by the mailbox wait and the rendezvous wait so round counting,
-    the ``mpi_retry_rounds_total`` metric and the ``retry_us`` span stamp
-    (which the critical-path analyzer splits into its retry bucket) are
-    done once for both kinds.  ``round_s`` maps a round index to its
-    length in seconds; ``None`` means the only round is the hard deadline.
-    """
-
-    def __init__(self, world: "SimWorld", rank: int,
-                 round_s: Callable[[int], float] | None) -> None:
-        now = time.monotonic()
-        self.deadline = now + world.timeout_s
-        self.attempt = 0
-        self._round_s = round_s
-        self._next = now + round_s(0) if round_s is not None else math.inf
-        self._stats = world.resilience[rank]
-        self._obs = world.obs[rank] if world.obs is not None else None
-        self._t_retry_us: float | None = None
-
-    def expired(self, now: float) -> bool:
-        """Count one retry round if the current one ran out."""
-        if now < self._next:
-            return False
-        self.attempt += 1
-        self._stats.retry_rounds += 1
-        if self._t_retry_us is None:
-            self._t_retry_us = now_us()
-        if self._obs is not None:
-            self._obs.metrics.counter(
-                "mpi_retry_rounds_total", "bounded retry rounds").inc()
-        self._next = now + self._round_s(self.attempt)
-        return True
-
-    def stop(self) -> None:
-        """Budget spent without evidence of loss: a slow peer is not a
-        failure, only the hard deadline remains."""
-        self._next = math.inf
-
-    def wait_s(self, now: float) -> float:
-        return max(0.0, min(self.deadline - now, self._next - now, 0.5))
-
-    def stamp(self) -> None:
-        """Accumulate the time spent past the first round on the
-        enclosing span (call on every way out)."""
-        if self._t_retry_us is not None and self._obs is not None:
-            _stamp(self._obs, "retry_us", self._t_retry_us)
 
 
 class SimWorld:
@@ -145,7 +103,7 @@ class SimWorld:
 
         # Fault injection and recovery (both optional and independent: an
         # injector without a policy reproduces failures un-handled; a
-        # policy without an injector is simply never exercised).
+        # policy without an injector only types a collective's deadline).
         self.injector = spec.injector
         self.policy: ResiliencePolicy | None = spec.policy
         self.resilience = [ResilienceStats() for _ in range(self.nranks)]
@@ -154,11 +112,8 @@ class SimWorld:
         # per dest rank shared by all contexts.
         self._mail_conds = [threading.Condition() for _ in range(self.nranks)]
         self._mailboxes: dict[tuple[str, int], list[Envelope]] = {}
-        # Retransmission buffers / tombstones for injected drops, and the
-        # consumed-seq sets receivers deduplicate against.  All three are
-        # keyed like mailboxes and guarded by the destination's condition.
-        self._dropped: dict[tuple[str, int], list[Envelope]] = {}
-        self._tombstones: dict[tuple[str, int], list[Envelope]] = {}
+        # The consumed-seq sets receivers deduplicate against, keyed like
+        # mailboxes and guarded by the destination's condition.
         self._consumed: dict[tuple[str, int], set[int]] = {}
 
         # Collectives: one lock/condition for the whole slot table (P is
@@ -201,7 +156,10 @@ class SimWorld:
             t_queued = now_us() if self.obs is not None else None
             token.acquire()
             if t_queued is not None:
-                _stamp(self.obs[rank], "sched_us", t_queued)
+                span = self.obs[rank].tracer.current()
+                if span is not None:
+                    span.attrs["sched_us"] = (span.attrs.get("sched_us", 0.0)
+                                              + now_us() - t_queued)
 
     def _park(self, rank: int, cond: threading.Condition,
               wait_s: float) -> None:
@@ -288,18 +246,23 @@ class SimWorld:
         queues outbound envelopes (mp-shm coalescing) puts them on the wire
         here.  Thread deliveries are synchronous, so nothing to do."""
 
-    def try_match(self, context: str, rank: int, source: int, tag: int) -> Envelope | None:
-        """Non-blocking: pop the first mailbox envelope matching (source, tag)."""
+    def try_match(self, context: str, rank: int, source: int, tag: int,
+                  charge: Callable[[str, float], None] | None = None,
+                  ) -> Envelope | None:
+        """Non-blocking: pop the first mailbox envelope matching (source,
+        tag), settled as :meth:`wait_recvs` settles it."""
         self.flush_frames()
         cond = self._mail_conds[rank]
         with cond:
             env = self._pop_locked(context, rank, source, tag)
-        if env is None and self.run_token is not None:
+        if env is not None:
+            return self._settle(rank, context, env, charge)
+        if self.run_token is not None:
             # A poll loop gets no pre-emption under the token: give a
             # queued rank the interpreter before reporting "nothing yet".
             with self.off_token(rank):
                 time.sleep(0)
-        return env
+        return None
 
     def recv_waits_on(self, rank: int, source: int) -> set[int]:
         """Ranks whose progress could satisfy a receive from ``source``."""
@@ -319,36 +282,22 @@ class SimWorld:
         returns ``{index: envelope}`` in completion order — every want when
         ``want_all``, else at least one.  ``op`` names the blocked routine
         in deadlock reports.  ``charge`` is the rank's
-        :meth:`~repro.mpi.comm.SimComm.charge`; passing it puts the wait
-        under the world's resilience policy (transport hops pass none:
-        their envelopes bypass fault injection).
+        :meth:`~repro.mpi.comm.SimComm.charge`, passed by a caller that
+        consumes what it matches (probes and transport hops pass none).
 
-        Always: an aborted job raises, and the whole call is capped by
-        ``timeout_s`` from entry.  Under a policy with an injector
-        attached, the wait runs in bounded retry rounds: each expired round
-        retransmits matching dropped envelopes for every pending want (one
-        ``MPI_Retransmit`` charge per recovered batch), and after
-        ``max_attempts`` rounds a want whose message is tombstoned raises a
-        typed :class:`CommFailure`.  Without evidence of loss the rounds
-        stop and the wait goes on to the deadline, still recovering (and
-        looking for a tombstone) on each wake-up — process backends deliver
-        drop records asynchronously, so one may land after the counted
-        rounds ran dry.
-
-        Deadlock detection is suspended for the whole of such a fault run:
-        a receive may be blocked on a dropped-but-recoverable message the
-        wait-for graph cannot see, so the retry machinery owns liveness.
-        Otherwise each sleep registers the pending wants and runs a
-        detection pass.
+        An aborted job raises, and the whole call is capped by the one hard
+        deadline, ``timeout_s`` from entry.  Nothing else here reads the
+        clock: an injected drop under a resilience policy sits in the
+        mailbox at its seq, so a matched entry is settled on the evidence
+        it carries (:meth:`_settle`) the moment it is popped.  Each sleep
+        registers the pending wants with the deadlock detector, which sees
+        every message in flight, dropped ones included.
         """
         # Before the lock: a ring write must never run under it, and a
         # rank registered as blocked must have nothing queued.
         self.flush_frames()
-        policy = (self.policy if charge is not None
-                  and self.injector is not None else None)
-        rounds = _Rounds(self, rank,
-                         policy.attempt_timeout_s if policy else None)
-        san = self.sanitizer if policy is None else None
+        deadline = time.monotonic() + self.timeout_s
+        san = self.sanitizer
         got: dict[int, Envelope] = {}
         pending = dict(enumerate(wants))
         cond = self._mail_conds[rank]
@@ -359,32 +308,16 @@ class SimWorld:
                     for i, (context, source, tag) in pending.items():
                         env = self._pop_locked(context, rank, source, tag)
                         if env is not None:
-                            got[i] = env
+                            got[i] = self._settle(rank, context, env, charge)
                     pending = {i: w for i, w in pending.items() if i not in got}
                     if not pending or (got and not want_all):
                         return got
-                    now = time.monotonic()
-                    if now >= rounds.deadline:
+                    wait_s = deadline - time.monotonic()
+                    if wait_s <= 0.0:
                         raise SimMPIError(
                             f"rank {rank} timed out after {self.timeout_s}s in "
                             f"{op} waiting for {self._describe(pending)} — "
                             "likely deadlock")
-                    if policy is not None:
-                        counted = rounds.expired(now)
-                        spent = rounds.attempt >= policy.max_attempts
-                        if counted or spent:
-                            recovered = sum(
-                                self.recover_dropped(context, rank, source, tag)
-                                for context, source, tag in pending.values())
-                            if recovered:
-                                charge("MPI_Retransmit",
-                                       recovered * policy.retransmit_cost_us)
-                            if spent:
-                                self._raise_if_lost(rank, pending, rounds.attempt)
-                                rounds.stop()
-                            if counted or recovered:
-                                continue  # re-test before sleeping
-                    wait_s = rounds.wait_s(now)
                     if san is not None:
                         waits_on: set[int] = set()
                         for _, source, _ in pending.values():
@@ -395,7 +328,6 @@ class SimWorld:
                         wait_s = min(wait_s, san.config.deadlock_poll_s)
                     self._park(rank, cond, wait_s)
         finally:
-            rounds.stamp()
             if san is not None:
                 san.exit_wait(rank)
 
@@ -405,29 +337,31 @@ class SimWorld:
                           for c, s, t in pending.values())
         return f"({len(pending)} pending recv(s): {recvs})"
 
-    def _raise_if_lost(self, rank: int,
-                       pending: dict[int, tuple[str, int, int]],
-                       attempts: int) -> None:
-        """Retry budget spent: a pending want whose message is provably
-        lost (tombstoned) is a typed failure."""
-        for context, source, tag in pending.values():
-            if self.lost_forever(context, rank, source, tag):
-                self.resilience[rank].failures += 1
-                if self.obs is not None:
-                    self.obs[rank].metrics.counter(
-                        "mpi_comm_failures_total",
-                        "typed communication failures raised").inc()
-                raise CommFailure(
-                    f"rank {rank}: receive (source={source}, tag={tag}, "
-                    f"context={context!r}) unmatched after {attempts} retry "
-                    "round(s); a matching message was unrecoverably dropped")
+    def _settle(self, rank: int, context: str, env: Envelope,
+                charge: Callable[[str, float], None] | None) -> Envelope:
+        """Act on the evidence a matched mailbox entry carries.
+
+        A tombstone raises a typed :class:`CommFailure` for whoever matched
+        it.  A retransmitted entry is charged ``MPI_Retransmit`` and booked
+        as recovered by the receive that consumes it (the one passing
+        ``charge``); a probe leaves that to the receive after it.
+        """
+        if env.fate == LOST:
+            self.book(rank, "comm_failure")
+            raise CommFailure(
+                f"rank {rank}: receive (source={env.source}, tag={env.tag}, "
+                f"context={context!r}) matched a message that was "
+                "unrecoverably dropped")
+        if env.fate == RETRANSMITTED and charge is not None:
+            charge("MPI_Retransmit", self.policy.retransmit_cost_us)
+            self.book(rank, "recovered")
+        return env
 
     def _pop_locked(self, context: str, rank: int, source: int, tag: int) -> Envelope | None:
         box = self._mailboxes.get((context, rank))
         if not box:
             return None
-        dedup = (self.policy is not None and self.policy.dedup
-                 and self.injector is not None)
+        dedup = self.policy is not None and self.injector is not None
         while True:
             # Match by lowest send sequence number, not list position:
             # probes may re-deliver envelopes out of order, and MPI's
@@ -444,12 +378,7 @@ class SimWorld:
                 if env.seq in consumed:
                     # An injected duplicate of a message already received:
                     # discard and keep looking.
-                    self.resilience[rank].deduplicated += 1
-                    self.injector.note(rank, "mpi.deduplicated")
-                    if self.obs is not None:
-                        self.obs[rank].metrics.counter(
-                            "mpi_deduplicated_total",
-                            "injected duplicates discarded by receivers").inc()
+                    self.book(rank, "deduplicated")
                     continue
                 consumed.add(env.seq)
             return env
@@ -478,51 +407,21 @@ class SimWorld:
                     out.extend((context, env) for env in box)
         return out
 
-    # ------------------------------------------------- drop/recovery store
-    def stash_dropped(self, context: str, env: Envelope, recoverable: bool) -> None:
-        """Record an injected drop: recoverable envelopes wait in the
-        sender-side retransmission buffer; unrecoverable ones become
-        tombstones (evidence of permanent loss for the receiver's bounded
-        retry logic)."""
-        cond = self._mail_conds[env.dest]
-        store = self._dropped if recoverable else self._tombstones
-        with cond:
-            store.setdefault((context, env.dest), []).append(env)
-
-    def recover_dropped(self, context: str, rank: int, source: int, tag: int) -> int:
-        """Retransmit: move every matching buffered drop into the mailbox.
-
-        Called by a receiver whose per-attempt timeout expired; models the
-        sender-side retransmission a real resilient transport performs.
-        Returns the number of recovered envelopes.
-        """
-        cond = self._mail_conds[rank]
-        with cond:
-            buf = self._dropped.get((context, rank))
-            if not buf:
-                return 0
-            matched = [env for env in buf if env.matches(source, tag)]
-            if not matched:
-                return 0
-            self._dropped[(context, rank)] = [e for e in buf if e not in matched]
-            self._mailboxes.setdefault((context, rank), []).extend(matched)
-            self.resilience[rank].recovered += len(matched)
-            if self.injector is not None:
-                for _ in matched:
-                    self.injector.note(rank, "mpi.recovered")
-            if self.obs is not None:
-                self.obs[rank].metrics.counter(
-                    "mpi_recovered_total",
-                    "dropped envelopes recovered by retransmission").inc(len(matched))
-            cond.notify_all()
-            return len(matched)
-
-    def lost_forever(self, context: str, rank: int, source: int, tag: int) -> bool:
-        """Is a matching message known to be unrecoverably lost?"""
-        cond = self._mail_conds[rank]
-        with cond:
-            stones = self._tombstones.get((context, rank), [])
-            return any(env.matches(source, tag) for env in stones)
+    # -------------------------------------------------------- resilience
+    def book(self, rank: int, event: str, **labels: str) -> None:
+        """Count one resilience event (a key of ``_EVENTS``) everywhere it
+        is counted: the rank's :class:`ResilienceStats`, the fault
+        injector's timeline and the rank's obs counter, labelled with
+        ``labels``.  Every recovery, dedup, failure and component-retry
+        site books through here."""
+        fields, mark, metric, help_ = _EVENTS[event]
+        stats = self.resilience[rank]
+        for name in fields:
+            setattr(stats, name, getattr(stats, name) + 1)
+        if self.injector is not None:
+            self.injector.note(rank, mark)
+        if self.obs is not None:
+            self.obs[rank].metrics.counter(metric, help_, **labels).inc()
 
     # ---------------------------------------------------------- collective
     def exchange(self, context: str, seq: int, rank: int, value: Any,
@@ -536,17 +435,13 @@ class SimWorld:
         slot so the table stays bounded.  ``routine`` is diagnostic only
         (deadlock reports name the blocked operation).
 
-        The wait is capped by ``timeout_s`` from entry.  Under a resilience
-        policy it additionally runs in ``max_attempts`` rounds of
-        ``collective_timeout_s`` (growing by the backoff factor): an
-        incomplete round counts a collective retry, and exhausting the
-        budget raises a typed :class:`~repro.faults.policy.CommFailure`
-        instead of hanging until the deadline.
+        The wait is capped by the one hard deadline, ``timeout_s`` from
+        entry.  Reaching it under a resilience policy is a typed
+        :class:`~repro.faults.policy.CommFailure` (booked like every
+        other failure), without one the simulator's plain timeout.
         """
         key = (context, seq)
-        policy = self.policy
-        rounds = _Rounds(self, rank, None if policy is None else (
-            lambda k: policy.collective_timeout_s * policy.backoff_factor ** k))
+        deadline = time.monotonic() + self.timeout_s
         san = self.sanitizer
         try:
             with self._coll_cond:
@@ -570,21 +465,18 @@ class SimWorld:
                     self._coll_cond.notify_all()
                 while not slot.ready:
                     self._check_abort()
-                    arrived = f"{slot.deposited}/{self.nranks} ranks arrived"
-                    now = time.monotonic()
-                    if now >= rounds.deadline:
-                        raise SimMPIError(
-                            f"rank {rank} timed out in collective {key}: only "
-                            f"{arrived} — likely mismatched collective calls")
-                    if rounds.expired(now):
-                        if rounds.attempt >= policy.max_attempts:
-                            self.resilience[rank].failures += 1
-                            raise CommFailure(
-                                f"rank {rank}: collective {key} incomplete "
-                                f"after {rounds.attempt} bounded round(s) "
-                                f"({arrived})")
-                        self.resilience[rank].collective_retries += 1
-                    wait_s = rounds.wait_s(now)
+                    wait_s = deadline - time.monotonic()
+                    if wait_s <= 0.0:
+                        arrived = f"{slot.deposited}/{self.nranks} ranks arrived"
+                        if self.policy is None:
+                            raise SimMPIError(
+                                f"rank {rank} timed out in collective {key}: "
+                                f"only {arrived} — likely mismatched "
+                                "collective calls")
+                        self.book(rank, "comm_failure")
+                        raise CommFailure(
+                            f"rank {rank}: collective {key} incomplete after "
+                            f"{self.timeout_s}s ({arrived})")
                     if san is not None:
                         missing = set(range(self.nranks)) - set(slot.values)
                         san.enter_wait(
@@ -600,6 +492,5 @@ class SimWorld:
                     del self._coll_slots[key]
                 return result
         finally:
-            rounds.stamp()
             if san is not None:
                 san.exit_wait(rank)

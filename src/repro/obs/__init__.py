@@ -57,7 +57,6 @@ from repro.obs.span import (
     CAT_COMPUTE,
     CAT_MPI,
     CAT_MPI_WAIT,
-    CAT_RETRY,
     CAT_STEP,
     FlowPoint,
     Span,
@@ -69,7 +68,6 @@ __all__ = [
     "CAT_COMPUTE",
     "CAT_MPI",
     "CAT_MPI_WAIT",
-    "CAT_RETRY",
     "CAT_STEP",
     "Counter",
     "CriticalPathReport",

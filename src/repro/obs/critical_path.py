@@ -17,7 +17,7 @@ The walk starts at the last-finishing leaf and repeatedly jumps to the
 one that actually gated progress.  Each hop contributes the time slice
 it was critical for, so the path's length can never exceed the run's
 wall-clock window, and its decomposition (compute / mpi / mpi_wait /
-retry / checkpoint / untraced gaps) says where a faster component would
+checkpoint / untraced gaps) says where a faster component would
 actually shorten the run.  Time a hop's rank sat runnable but
 descheduled (queued for the thread backend's run token, stamped on the
 span as ``sched_us``) is named in the report's ``sched`` bucket, what
@@ -37,8 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from repro.obs.span import (CAT_COMPUTE, CAT_RETRY, CAT_STEP, FLOW_COLL,
-                            FLOW_IN, FLOW_OUT, FlowPoint, Span)
+from repro.obs.span import (CAT_COMPUTE, CAT_STEP, FLOW_COLL, FLOW_IN,
+                            FLOW_OUT, FlowPoint, Span)
 
 #: breakdown bucket for time not inside any categorized leaf span
 UNTRACED = "untraced"
@@ -162,19 +162,13 @@ def _enclosing_category(span: Span, by_id: Mapping[int, Span], t: float) -> str:
 
 def _segment_breakdown(report: CriticalPathReport, span: Span, take: float) -> None:
     """Attribute one hop's critical time, splitting out the time its rank
-    sat descheduled (a peer's work: compute, and the report's sched bucket)
-    and recorded retry time."""
+    sat descheduled (a peer's work: compute, and the report's sched bucket)."""
     breakdown = report.breakdown
     sched = min(float(span.attrs.get("sched_us", 0.0)), take)
     if sched > 0.0:
         report.sched_us += sched
         breakdown[CAT_COMPUTE] = breakdown.get(CAT_COMPUTE, 0.0) + sched
         take -= sched
-    retry = float(span.attrs.get("retry_us", 0.0))
-    if retry > 0.0:
-        r = min(retry, take)
-        breakdown[CAT_RETRY] = breakdown.get(CAT_RETRY, 0.0) + r
-        take -= r
     if take > 0.0:
         breakdown[span.category] = breakdown.get(span.category, 0.0) + take
 
@@ -217,9 +211,8 @@ def critical_path(spans: Sequence[Span], flows: Sequence[FlowPoint],
             cands.append(by_rank[rank][i - 1])
         for pid in fpreds.get(s.span_id, ()):
             p = by_id.get(pid)
-            # A flow predecessor that is not a leaf (e.g. its retry rounds
-            # were traced as children) still gates: use it only if a leaf;
-            # the chain stays on leaves for well-defined program order.
+            # Only a leaf flow predecessor is a candidate: the chain stays
+            # on leaves for well-defined program order.
             if p is not None and p.span_id in rank_index and p is not s:
                 cands.append(p)
         if not cands:

@@ -11,7 +11,7 @@ monitoring over Cactus-style hierarchical timer trees):
 
 * a :class:`Span` is a named interval with a unique id, a parent id (the
   enclosing span on the same rank) and a category used by the
-  critical-path analyzer (compute / mpi / mpi_wait / retry / ...);
+  critical-path analyzer (compute / mpi / mpi_wait / checkpoint / ...);
 * a :class:`FlowPoint` is one endpoint of a causal cross-rank edge —
   a matched send/recv pair shares a flow id (the envelope's send sequence
   number), collective participants share a ``c:<context>:<seq>`` id;
@@ -38,7 +38,6 @@ from repro.util.timebase import now_us
 CAT_COMPUTE = "compute"
 CAT_MPI = "mpi"          # cheap posting ops (send/isend/irecv/iprobe)
 CAT_MPI_WAIT = "mpi_wait"  # blocking ops (recv/wait*/collectives)
-CAT_RETRY = "retry"
 CAT_CHECKPOINT = "checkpoint"
 CAT_STEP = "step"
 CAT_OTHER = "other"

@@ -88,7 +88,6 @@ def _make_forwarder(
             if ctx is not None:
                 world, rank = ctx
                 injector, policy = world.injector, world.policy
-                stats = world.resilience[rank]
                 attempt = 0
                 while True:
                     action = injector.on_component_call(rank, self._label, method)
@@ -100,19 +99,12 @@ def _make_forwarder(
                         )
                     attempt += 1
                     if attempt >= policy.max_attempts:
-                        stats.failures += 1
+                        world.book(rank, "component_failure", label=self._label)
                         raise TransientComponentError(
                             f"{self._label}.{method}: injected failure persisted "
                             f"through {attempt} attempt(s)"
                         )
-                    stats.component_retries += 1
-                    injector.note(rank, "component.retry")
-                    obs = self._obs() if self._obs is not None else None
-                    if obs is not None:
-                        obs.metrics.counter(
-                            "component_retries_total",
-                            "transient component failures retried",
-                            label=self._label).inc()
+                    world.book(rank, "component_retry", label=self._label)
                     # Off the run token: a stalled rank makes its peers
                     # wait for it, it does not freeze them.
                     with world.off_token(rank):
@@ -145,7 +137,6 @@ def make_proxy_port(
     methods: list[str] | None = None,
     extractors: Mapping[str, Extractor] | None = None,
     fault_getter: Callable[[], tuple | None] | None = None,
-    obs_getter: Callable[[], Any] | None = None,
 ) -> Port:
     """Synthesize a proxy implementing ``port_type``.
 
@@ -156,9 +147,8 @@ def make_proxy_port(
     call, since framework connections happen after component creation.
     ``fault_getter``, when provided, returns ``(world, rank)`` for the
     running world (or None when no faults are attached); monitored methods
-    then consult the world's injector at the call boundary.
-    ``obs_getter`` returns the rank's observability state (or None) so
-    retry metrics land in the metrics registry.
+    then consult the world's injector at the call boundary and book their
+    retries and failures through the world (``SimWorld.book``).
     """
     iface_methods = port_methods(port_type)
     if not iface_methods:
@@ -188,7 +178,6 @@ def make_proxy_port(
     proxy._target = target_getter
     proxy._monitor = monitor_getter
     proxy._fault_ctx = fault_getter
-    proxy._obs = obs_getter
     return proxy
 
 
@@ -236,7 +225,6 @@ class ProxyComponent(Component):
             methods=self.methods,
             extractors=self.extractors,
             fault_getter=fault_ctx,
-            obs_getter=lambda: getattr(services.framework, "obs", None),
         )
         services.add_provides_port(proxy, self.port_name, self.port_type)
 

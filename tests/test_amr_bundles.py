@@ -138,11 +138,6 @@ def test_fields_equal_the_serial_plan_bytewise(backend, nranks):
     assert fields == _serial_fields(nranks)
 
 
-#: fast retries, so a recovered drop costs milliseconds
-FAST = ResiliencePolicy(max_attempts=4, retry_timeout_s=0.02,
-                        backoff_factor=1.5, retransmit_cost_us=500.0)
-
-
 @pytest.mark.parametrize("kind", [DROP, DUPLICATE])
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_faulted_bundle_recovers_identical_fields(backend, kind):
@@ -151,7 +146,7 @@ def test_faulted_bundle_recovers_identical_fields(backend, kind):
     plan = FaultPlan(messages=(MessageFault(kind=kind, source=1, dest=0,
                                             index=0, count=1),))
     fields, world = _exchange(backend, 3, injector=FaultInjector(plan, 3),
-                              policy=FAST)
+                              policy=ResiliencePolicy())
     assert fields == _serial_fields(3)
     counts = world.injector.total_counts()
     assert counts[f"fault.{kind}"] == 1

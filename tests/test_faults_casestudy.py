@@ -22,7 +22,7 @@ NET = NetworkModel(latency_us=100.0, bandwidth_bytes_per_us=50.0,
 
 def config(**kwargs) -> CaseStudyConfig:
     base = dict(params=PARAMS, nranks=3, network=NET,
-                resilience=ResiliencePolicy(retry_timeout_s=0.02))
+                resilience=ResiliencePolicy())
     base.update(kwargs)
     return CaseStudyConfig(**base)
 

@@ -4,21 +4,24 @@ import time
 
 import pytest
 
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import (DELAY, DROP, DUPLICATE, FaultPlan, MessageFault,
-                               RankStall)
-from repro.faults.policy import CommFailure, ResiliencePolicy
+from repro.cca.ports import Port
+from repro.faults.injector import FaultInjector, TransientComponentError
+from repro.faults.plan import (DELAY, DROP, DUPLICATE, ComponentFault,
+                               FaultPlan, MessageFault, RankStall)
+from repro.faults.policy import CommFailure, ResiliencePolicy, ResilienceStats
 from repro.mpi.request import waitall, waitany, waitsome
 from repro.mpi.runner import ParallelRunner, RankFailure
+from repro.mpi.world import SimMPIError, SimWorld
 from repro.obs import ObsConfig
+from repro.perf.monitor import MonitorPort
+from repro.perf.proxy import make_proxy_port
 
-#: fast-retry policy so recovery tests run in milliseconds
-FAST = ResiliencePolicy(max_attempts=4, retry_timeout_s=0.02,
-                        backoff_factor=1.5, retransmit_cost_us=500.0)
+POLICY = ResiliencePolicy()
+BACKENDS = ["thread", "mp-shm"]
 
 
 def run_with(plan: FaultPlan | None, fn, nranks: int = 2,
-             policy: ResiliencePolicy | None = FAST, timeout_s: float = 20.0,
+             policy: ResiliencePolicy | None = POLICY, timeout_s: float = 20.0,
              **runner_kw):
     injector = FaultInjector(plan, nranks) if plan is not None else None
     runner = ParallelRunner(nranks, seed=0, timeout_s=timeout_s,
@@ -44,11 +47,28 @@ def test_dropped_message_is_recovered():
     results, world = run_with(drop_first_send_plan(), fn)
     assert results[1] == {"x": 41}
     assert world.resilience[1].recovered == 1
-    assert world.resilience[1].retry_rounds >= 1
+    assert world.resilience[1].retry_rounds == 1
     assert world.accounting[1].calls("MPI_Retransmit") == 1
+    assert world.accounting[1].routine_totals()["MPI_Retransmit"].total_us == 500.0
     counts = world.injector.total_counts()
     assert counts["fault.drop"] == 1
     assert counts["mpi.recovered"] == 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_recovered_message_keeps_send_order(backend):
+    """The retransmission sits in the mailbox at its send seq: a later
+    message on the same (source, tag) cannot overtake it."""
+    def fn(comm):
+        if comm.rank == 0:
+            comm.send("first", 1, tag=1)
+            comm.send("second", 1, tag=1)
+            return None
+        return [comm.recv(source=0, tag=1), comm.recv(source=0, tag=1)]
+
+    results, world = run_with(drop_first_send_plan(), fn, backend=backend)
+    assert results[1] == ["first", "second"]
+    assert world.resilience[1].recovered == 1
 
 
 def test_recovery_through_nonblocking_waits():
@@ -121,6 +141,27 @@ def _probe_then_recv(comm):
     return comm.recv(source=0, tag=5)
 
 
+def _poll(comm, done):
+    """Spin on ``done()`` like a program's poll loop, bounded like a
+    blocking op (at most 2 s) so a loop that never completes fails."""
+    bound = min(2.0, comm.world.timeout_s)
+    deadline = time.monotonic() + bound
+    while not done():
+        if time.monotonic() >= deadline:
+            raise SimMPIError(f"poll loop not completed after {bound}s")
+
+
+def _test_loop(comm):
+    req = comm.irecv(source=0, tag=5)
+    _poll(comm, req.test)
+    return req.payload
+
+
+def _iprobe_loop(comm):
+    _poll(comm, lambda: comm.iprobe(source=0, tag=5))
+    return comm.recv(source=0, tag=5)
+
+
 #: receiver side of every operation that can block on a mailbox, each
 #: written to return the payload of the (source=0, tag=5) message
 BLOCKING_ENTRIES = {
@@ -132,13 +173,15 @@ BLOCKING_ENTRIES = {
     "waitany": _via_request(waitany),
     "waitsome": _via_request(waitsome),
     "waitall": _via_request(waitall),
+    "Request.test loop": _test_loop,
+    "iprobe loop": _iprobe_loop,
 }
 
 
 def _drop_then_enter(entry):
     """Rank 0's first send is dropped; its second ("go") is delivered after
     the drop record, so rank 1 enters the blocking op with the record
-    already stashed on every backend."""
+    already deposited on every backend."""
     def fn(comm):
         if comm.rank == 0:
             comm.send({"x": 41}, 1, tag=5)
@@ -149,7 +192,7 @@ def _drop_then_enter(entry):
     return fn
 
 
-@pytest.mark.parametrize("backend", ["thread", "mp-shm"])
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("entry", BLOCKING_ENTRIES)
 class TestEveryBlockingEntryPoint:
     def test_recoverable_drop_is_recovered(self, entry, backend):
@@ -176,12 +219,38 @@ class TestEveryBlockingEntryPoint:
         assert "CommFailure" not in str(exc.value)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_deposited_drop_is_recovered_without_parking(backend, monkeypatch):
+    """Recovery needs evidence, not a round: a receive entered with the
+    drop already in the mailbox completes without ever blocking."""
+    parks = []
+    park = SimWorld._park
+
+    def counting_park(self, rank, cond, wait_s):
+        parks.append(rank)
+        park(self, rank, cond, wait_s)
+
+    monkeypatch.setattr(SimWorld, "_park", counting_park)
+
+    def fn(comm):
+        if comm.rank == 0:
+            comm.send({"x": 41}, 1, tag=5)
+            comm.send("go", 1, tag=9)
+            return None
+        comm.recv(source=0, tag=9)
+        before = parks.count(1)
+        got = comm.recv(source=0, tag=5)
+        return got, parks.count(1) - before
+
+    results, world = run_with(drop_first_send_plan(), fn, backend=backend)
+    assert results[1] == ({"x": 41}, 0)
+    assert world.resilience[1].recovered == 1
+
+
 @pytest.mark.parametrize("entry", ["recv", "waitall"])
-def test_one_hard_deadline_caps_rounds_and_fallback(entry):
-    """Retry rounds run inside ``timeout_s``, not in front of a fresh one:
-    a silent peer fails the op at the deadline counted from entry."""
-    policy = ResiliencePolicy(max_attempts=4, retry_timeout_s=0.3,
-                              backoff_factor=1.0)
+def test_one_hard_deadline_from_entry(entry):
+    """Under a policy a silent peer fails the op at the one hard deadline,
+    ``timeout_s`` counted from entry, as the plain timeout."""
     elapsed = {}
 
     def fn(comm):
@@ -194,7 +263,7 @@ def test_one_hard_deadline_caps_rounds_and_fallback(entry):
             elapsed[entry] = time.monotonic() - t0
 
     with pytest.raises(RankFailure, match="timed out after 0.5s") as exc:
-        run_with(FaultPlan(), fn, policy=policy, timeout_s=0.5)
+        run_with(FaultPlan(), fn, timeout_s=0.5)
     assert "SimMPIError" in str(exc.value)
     assert elapsed[entry] < 0.9
 
@@ -290,40 +359,85 @@ def test_collectives_complete_under_policy():
 
 
 def test_collective_abandonment_raises_comm_failure():
-    """A rank that never joins a collective trips the bounded rounds."""
-    policy = ResiliencePolicy(max_attempts=2, retry_timeout_s=0.02,
-                              collective_timeout_s=0.05)
-
+    """A rank that never joins a collective: under a policy the others
+    fail at the hard deadline with a typed failure."""
     def fn(comm):
         if comm.rank == 0:
             return "defected"
         return comm.allreduce(1)
 
     with pytest.raises(RankFailure, match="CommFailure"):
-        run_with(FaultPlan(), fn, policy=policy, timeout_s=5.0)
+        run_with(FaultPlan(), fn, timeout_s=0.5)
 
 
 def test_collective_retry_rounds_reach_observability():
-    """Rounds a collective sat through count in the retry metric and are
-    stamped on the stalled rank's collective span."""
-    policy = ResiliencePolicy(max_attempts=50, collective_timeout_s=0.03,
-                              backoff_factor=1.0)
-
+    """A slow peer under a policy is no failure: the collective waits it
+    out and nothing is booked, counted or stamped for it."""
     def fn(comm):
         if comm.rank == 0:
             with comm.world.off_token(comm.rank):
                 time.sleep(0.2)
         return comm.allreduce(1)
 
-    results, world = run_with(None, fn, policy=policy, obs_config=ObsConfig())
+    results, world = run_with(None, fn, obs_config=ObsConfig())
     assert results == [2, 2]
-    assert world.resilience[1].collective_retries >= 2
+    assert world.resilience == [ResilienceStats()] * 2
     for rank in range(2):
-        counter = world.obs[rank].metrics.counter("mpi_retry_rounds_total")
-        assert counter.value == world.resilience[rank].retry_rounds
+        names = {name for name, _, _ in world.obs[rank].metrics.series()}
+        assert not {n for n in names if "retry" in n or "failure" in n}
     stalled, = [s for s in world.obs[1].tracer.spans()
                 if s.name == "MPI_Allreduce"]
-    assert stalled.attrs["retry_us"] > 0
+    assert "retry_us" not in stalled.attrs
+
+
+class _WorkPort(Port):
+    def work(self):
+        raise NotImplementedError
+
+
+class _NullMonitor(MonitorPort):
+    def begin_invocation(self, label, method, params):
+        return 0
+
+    def end_invocation(self, token):
+        pass
+
+
+def test_every_failure_is_booked_three_ways():
+    """A collective's typed failure and a component failure that outlasts
+    its retries each count in ResilienceStats, on the fault timeline and
+    in the obs registry - one booking seam for every resilience event."""
+    plan = FaultPlan(components=(
+        ComponentFault(label="w", kind="raise", index=0, count=2),))
+
+    def booked(world, rank):
+        return (world.resilience[rank].as_dict(), world.injector.counts[rank],
+                {name: inst.value
+                 for name, _, inst in world.obs[rank].metrics.series()
+                 if "failure" in name or "retries" in name})
+
+    def fn(comm):
+        if comm.rank == 0:
+            proxy = make_proxy_port(
+                _WorkPort, "w", lambda: None, _NullMonitor,
+                fault_getter=lambda: (comm.world, comm.rank))
+            with pytest.raises(TransientComponentError, match="persisted"):
+                proxy.work()
+            return booked(comm.world, 0)
+        with pytest.raises(CommFailure, match="incomplete"):
+            comm.allreduce(1)
+        return booked(comm.world, 1)
+
+    results, _ = run_with(plan, fn, policy=ResiliencePolicy(max_attempts=2),
+                          timeout_s=0.5, obs_config=ObsConfig())
+    (stats0, marks0, counters0), (stats1, marks1, counters1) = results
+    assert stats0["component_retries"] == 1 and stats0["failures"] == 1
+    assert marks0["component.retry"] == marks0["component.failure"] == 1
+    assert counters0 == {"component_retries_total": 1.0,
+                         "component_failures_total": 1.0}
+    assert stats1["failures"] == 1
+    assert marks1["mpi.failure"] == 1
+    assert counters1 == {"mpi_comm_failures_total": 1.0}
 
 
 # ------------------------------------------------------------- determinism

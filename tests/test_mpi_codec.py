@@ -19,9 +19,8 @@ from repro.faults.plan import FaultPlan, MessageFault
 from repro.faults.policy import ResiliencePolicy
 from repro.mpi import codec, create_world
 from repro.mpi.backend import JobSpec
-from repro.mpi.message import Envelope
-from repro.mpi.mpshm import (COALESCE_MAX_FRAMES, _KIND_DELIVER,
-                             _KIND_DROP_RECOVERABLE)
+from repro.mpi.message import DELIVERED, RETRANSMITTED, Envelope
+from repro.mpi.mpshm import COALESCE_MAX_FRAMES
 from repro.mpi.shm import ShmFlag, ShmRing
 from repro.mpi.world import SimWorld
 
@@ -36,8 +35,8 @@ def _env(payload, **kw):
 
 def _roundtrip(payload, **kw):
     kind, context, recoverable, out = codec.decode(
-        codec.encode_bytes(_KIND_DELIVER, "world", _env(payload, **kw)))
-    assert (kind, context) == (_KIND_DELIVER, "world")
+        codec.encode_bytes(DELIVERED, "world", _env(payload, **kw)))
+    assert (kind, context) == (DELIVERED, "world")
     return out
 
 
@@ -65,7 +64,7 @@ class TestArrayEdgeCases:
     def test_structured_dtype_is_pickled_dtype_fast_frame(self):
         dt = np.dtype([("x", "<f8"), ("n", "<i4")])
         arr = np.array([(1.5, 2), (3.25, 4)], dtype=dt)
-        frame = codec.encode_bytes(_KIND_DELIVER, "world", _env(arr))
+        frame = codec.encode_bytes(DELIVERED, "world", _env(arr))
         assert frame[0] == codec.F_NDARRAY  # still the no-pickle body path
         _, _, _, out = codec.decode(frame)
         assert out.payload.dtype == dt
@@ -86,7 +85,7 @@ class TestArrayEdgeCases:
 
     def test_object_array_uses_pickle_family(self):
         arr = np.array([{"a": 1}, [2, 3]], dtype=object)
-        frame = codec.encode_bytes(_KIND_DELIVER, "world", _env(arr))
+        frame = codec.encode_bytes(DELIVERED, "world", _env(arr))
         assert frame[0] == codec.F_PICKLE
         _, _, _, out = codec.decode(frame)
         assert list(out.payload) == [{"a": 1}, [2, 3]]
@@ -97,8 +96,8 @@ class TestHeaderFields:
         env = _env(None, trace_ctx=(3, 0xDEADBEEF))
         for rec in (True, False):
             k, _, r, out = codec.decode(
-                codec.encode_bytes(_KIND_DROP_RECOVERABLE, "c", env, rec))
-            assert (k, r) == (_KIND_DROP_RECOVERABLE, rec)
+                codec.encode_bytes(RETRANSMITTED, "c", env, rec))
+            assert (k, r) == (RETRANSMITTED, rec)
             assert out.trace_ctx == (3, 0xDEADBEEF)
 
     def test_no_trace_ctx_decodes_to_none(self):
@@ -106,11 +105,11 @@ class TestHeaderFields:
 
     def test_unicode_context(self):
         _, context, _, _ = codec.decode(
-            codec.encode_bytes(_KIND_DELIVER, "wörld/φ", _env(None)))
+            codec.encode_bytes(DELIVERED, "wörld/φ", _env(None)))
         assert context == "wörld/φ"
 
     def test_unknown_frame_kind_rejected(self):
-        frame = bytearray(codec.encode_bytes(_KIND_DELIVER, "w", _env(None)))
+        frame = bytearray(codec.encode_bytes(DELIVERED, "w", _env(None)))
         frame[0] = 99
         with pytest.raises(ValueError, match="frame kind"):
             codec.decode(frame)
@@ -120,7 +119,7 @@ class TestHeaderFields:
 class TestZeroCopy:
     def test_encode_body_aliases_source_buffer(self):
         arr = np.arange(16, dtype=np.int64)
-        segments = codec.encode(_KIND_DELIVER, "world", _env(arr))
+        segments = codec.encode(DELIVERED, "world", _env(arr))
         body = segments[-1]
         assert isinstance(body, memoryview)
         arr[0] = 999  # mutate *after* encode: the segment must see it
@@ -128,7 +127,7 @@ class TestZeroCopy:
 
     def test_decode_from_writable_buffer_is_a_view(self):
         arr = np.arange(8, dtype=np.float64)
-        frame = bytearray(codec.encode_bytes(_KIND_DELIVER, "world", _env(arr)))
+        frame = bytearray(codec.encode_bytes(DELIVERED, "world", _env(arr)))
         _, _, _, out = codec.decode(frame)
         assert out.payload.base is not None  # no copy was taken
         body_off = len(frame) - arr.nbytes
@@ -137,7 +136,7 @@ class TestZeroCopy:
 
     def test_decode_from_readonly_buffer_copies(self):
         arr = np.arange(8, dtype=np.float64)
-        frame = codec.encode_bytes(_KIND_DELIVER, "world", _env(arr))  # bytes
+        frame = codec.encode_bytes(DELIVERED, "world", _env(arr))  # bytes
         _, _, _, out = codec.decode(frame)
         assert out.payload.flags.writeable
         out.payload[0] = -1.0  # legal: receiver owns a mutable payload
@@ -147,10 +146,10 @@ class TestZeroCopy:
 class TestBatchFrames:
     def _frames(self):
         return [
-            codec.encode(_KIND_DELIVER, "world",
+            codec.encode(DELIVERED, "world",
                          _env((i, "msg"), tag=10 + i))
             for i in range(5)
-        ] + [codec.encode(_KIND_DELIVER, "world",
+        ] + [codec.encode(DELIVERED, "world",
                           _env(np.arange(6, dtype=np.float32), tag=99))]
 
     def test_batch_preserves_order_tags_and_seqs(self):
@@ -200,7 +199,7 @@ def test_oversize_array_frame_streams_through_ring():
     try:
         arr = np.random.default_rng(7).integers(
             0, 1 << 30, size=3 * ring.capacity // 8, dtype=np.int64)
-        segments = codec.encode(_KIND_DELIVER, "world", _env(arr))
+        segments = codec.encode(DELIVERED, "world", _env(arr))
         assert isinstance(segments[-1], memoryview)
         out = {}
 
@@ -342,7 +341,14 @@ def test_faulted_batches_preserve_order_and_recovery():
             == world_p.injector.schedule_signature())
     assert world_t.injector.total_counts().get("mpi.recovered") == 3
     assert world_t.injector.total_counts().get("mpi.deduplicated") == 2
+    n = COALESCE_MAX_FRAMES + 16
     for r in range(3):
-        st, sp = world_t.resilience[r].as_dict(), world_p.resilience[r].as_dict()
-        for key in ("recovered", "deduplicated", "failures"):
-            assert st[key] == sp[key], (r, key, st, sp)
+        # Recovered messages keep their send position, batches included.
+        assert res_p[r][0] == tuple(((r - 1) % 3, i) for i in range(n))
+        assert (world_t.resilience[r].as_dict()
+                == world_p.resilience[r].as_dict()), r
+        rt = world_t.accounting[r].routine_totals().get("MPI_Retransmit")
+        rp = world_p.accounting[r].routine_totals().get("MPI_Retransmit")
+        assert (rt is None) == (rp is None), r
+        if rt is not None:
+            assert (rt.calls, rt.total_us) == (rp.calls, rp.total_us), r

@@ -19,9 +19,7 @@ import pytest
 
 from repro.mpi import codec
 from repro.mpi import message as msg_mod
-from repro.mpi.message import Envelope
-from repro.mpi.mpshm import (_KIND_DELIVER, _KIND_DROP_RECOVERABLE,
-                             _KIND_DROP_TOMBSTONE)
+from repro.mpi.message import DELIVERED, LOST, RETRANSMITTED, Envelope
 from repro.mpi.shm import (WAIT_TABLE_MAX_RANKS, BackoffController,
                            RingAborted, ShmFlag, ShmRing, ShmWaitTable)
 
@@ -272,8 +270,8 @@ class TestFrameCodec:
     def test_pickle_roundtrip(self):
         env = self._env({"a": [1, 2], "b": "text"})
         kind, context, recoverable, out = codec.decode(
-            codec.encode_bytes(_KIND_DELIVER, "world", env))
-        assert kind == _KIND_DELIVER
+            codec.encode_bytes(DELIVERED, "world", env))
+        assert kind == DELIVERED
         assert context == "world"
         assert recoverable is True
         assert out.payload == env.payload
@@ -285,7 +283,7 @@ class TestFrameCodec:
     def test_ndarray_fast_path(self):
         arr = np.arange(24, dtype=np.float64).reshape(4, 6)[:, 1:4]  # strided
         env = self._env(arr)
-        frame = codec.encode_bytes(_KIND_DELIVER, "world", env)
+        frame = codec.encode_bytes(DELIVERED, "world", env)
         assert frame[0] == codec.F_NDARRAY  # no whole-array pickling
         _, _, _, out = codec.decode(frame)
         assert isinstance(out.payload, np.ndarray)
@@ -297,15 +295,15 @@ class TestFrameCodec:
 
     def test_object_array_falls_back_to_pickle(self):
         arr = np.array([{"x": 1}, None], dtype=object)
-        frame = codec.encode_bytes(_KIND_DELIVER, "world", self._env(arr))
+        frame = codec.encode_bytes(DELIVERED, "world", self._env(arr))
         assert frame[0] == codec.F_PICKLE
         _, _, _, out = codec.decode(frame)
         assert list(out.payload) == [{"x": 1}, None]
 
     def test_drop_kinds_and_stop(self):
         env = self._env(None)
-        for kind, rec in ((_KIND_DROP_RECOVERABLE, True),
-                          (_KIND_DROP_TOMBSTONE, False)):
+        for kind, rec in ((RETRANSMITTED, True),
+                          (LOST, False)):
             k, _, r, _ = codec.decode(
                 codec.encode_bytes(kind, "world", env, rec))
             assert (k, r) == (kind, rec)

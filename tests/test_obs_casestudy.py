@@ -169,7 +169,7 @@ def test_fault_run_records_retry_metrics(tmp_path):
     )
     cfg = small_config(
         fault_plan=plan,
-        resilience=ResiliencePolicy(retry_timeout_s=0.02),
+        resilience=ResiliencePolicy(),
         checkpoint=CheckpointConfig(directory=str(tmp_path / "ckpt"), every=1),
     )
     res = run_case_study(cfg)

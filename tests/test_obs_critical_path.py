@@ -7,9 +7,8 @@ from repro.obs.critical_path import (CriticalPathReport, crosscheck_ledger,
                                      crosscheck_records, critical_path,
                                      flow_edges, leaf_spans,
                                      per_step_critical_paths)
-from repro.obs.span import (CAT_COMPUTE, CAT_MPI, CAT_MPI_WAIT, CAT_RETRY,
-                            CAT_STEP, FLOW_COLL, FLOW_IN, FLOW_OUT,
-                            FlowPoint, Span)
+from repro.obs.span import (CAT_COMPUTE, CAT_MPI, CAT_MPI_WAIT, CAT_STEP,
+                            FLOW_COLL, FLOW_IN, FLOW_OUT, FlowPoint, Span)
 
 
 def S(sid, rank, name, cat, t0, t1, parent=None, **attrs):
@@ -72,15 +71,6 @@ def test_critical_path_never_exceeds_wall():
     spans, flows = two_rank_dag()
     rep = critical_path(spans, flows)
     assert rep.path_us <= rep.total_wall_us + 1e-9
-
-
-def test_retry_time_split_out():
-    spans, flows = two_rank_dag()
-    spans[3].attrs["retry_us"] = 6.0
-    rep = critical_path(spans, flows)
-    assert rep.breakdown[CAT_RETRY] == pytest.approx(6.0)
-    assert rep.breakdown["mpi_wait"] == pytest.approx(4.0)
-    assert rep.path_us == pytest.approx(120.0)  # total unchanged
 
 
 def test_sched_time_counts_as_compute_and_is_named():
