@@ -42,8 +42,9 @@ timeout even under a resilience policy (documented limitation).  Injected
 drops need nothing of their own: a drop travels as a frame whose record
 kind is its fate and lands in the destination's mailbox at its seq.
 
-Failure handling: any rank's exception raises the shared abort flag; every
-blocked ring operation and every mailbox wait then raises, workers ship
+Failure handling: any rank's exception raises the shared abort flag and
+rings both doorbells of every ring, so each blocked ring read or write
+wakes at once and raises; every mailbox wait raises too, workers ship
 their tracebacks to the launcher, and the launcher raises
 :class:`~repro.mpi.runner.RankFailure` exactly like the thread backend.
 """
@@ -157,9 +158,11 @@ class SharedSanitizer(Sanitizer):
         (including the sleep below), so its receiver thread cannot deposit
         — or bump a generation — until the check is over.  On top of that,
         when a snapshot implicates this rank, sleep long enough for any
-        rank whose mailbox already holds a message to wake from its poll,
-        then require a second snapshot to show the identical stuck set
-        with unchanged generations before raising.
+        other rank whose mailbox already holds a message to be woken by
+        its receiver thread, match the message and bump its generation
+        (all in another process, which this one has no event to wait
+        on), then require a second snapshot to show the identical stuck
+        set with unchanged generations before raising.
         """
         if self._table is None:
             return
@@ -190,7 +193,8 @@ class ShmWorld(SimWorld):
       are always out before this rank can stall;
     * :meth:`exchange` replaces the shared-slot rendezvous with tree
       transport;
-    * :meth:`abort` raises the cross-process abort flag;
+    * :meth:`abort` raises the cross-process abort flag and rings every
+      ring's doorbells;
     * the sanitizer (when on) is the shared-wait-table variant.
 
     Everything else — matching, dedup, recovery, accounting, RNG
@@ -296,6 +300,8 @@ class ShmWorld(SimWorld):
     # -------------------------------------------------------------- abort
     def abort(self, reason: str) -> None:
         self._abort_flag.set()
+        for ring in self._rings:
+            ring.ring_bells()
         super().abort(reason)
 
     # ----------------------------------------------------------- receiver
@@ -347,24 +353,22 @@ class ShmWorld(SimWorld):
 
     # ------------------------------------------------------------ metrics
     def export_transport_metrics(self) -> None:
-        """Publish coalescing and adaptive-polling state into this rank's
-        metrics registry (the PR-3 surface): the effective ring poll
-        interval plus spin/park and frame/batch counters."""
+        """Publish coalescing and ring-wait counts into this rank's metrics
+        registry: frame/batch counters, and this rank's blocked ring waits
+        (reading its own ring, writing any peer's) by what ended them —
+        a bell that brought bytes or room, a ``stale`` bell that brought
+        nothing new, or the ``backstop`` timeout."""
         if self.obs is None:
             return
         m = self.obs[self.myrank].metrics
-        rx = self._rings[self.myrank].rx_backoff
-        m.gauge("shm_poll_interval_us",
-                "effective ring poll interval (EWMA of recent parks)"
-                ).set(rx.poll_interval_us)
-        m.counter("shm_poll_spins_total",
-                  "blocked ring retries resolved in the spin phase"
-                  ).inc(rx.spins_total
-                        + sum(r.tx_backoff.spins_total for r in self._rings))
-        m.counter("shm_poll_parks_total",
-                  "blocked ring retries that parked (timed sleep)"
-                  ).inc(rx.parks_total
-                        + sum(r.tx_backoff.parks_total for r in self._rings))
+        waits = sum(r.waits for r in self._rings)
+        stale = sum(r.stale_wakes for r in self._rings)
+        backstop = sum(r.timeouts for r in self._rings)
+        for woke, n in (("bell", waits - stale - backstop), ("stale", stale),
+                        ("backstop", backstop)):
+            m.counter("shm_ring_waits_total",
+                      "blocked ring waits, both directions, by what ended "
+                      "them", woke=woke).inc(n)
         m.counter("shm_frames_sent_total",
                   "wire frames this rank published").inc(self._tx_frames)
         m.counter("shm_batches_sent_total",

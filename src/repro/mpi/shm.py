@@ -25,89 +25,38 @@ writer sleeps holding it while the ring is full, which the reader must be
 able to drain out of.  Frames stream: a writer holding the frame lock may
 publish a frame larger than the free space and trickle it in as the
 reader drains — oversized payloads need no chunking layer, and frames
-from one writer are never interleaved with another's.  Blocked sides
-wait through a :class:`BackoffController` (spin-then-park with a doubling
-park interval) instead of a fixed poll constant, and each controller
-exports its effective poll interval for the metrics registry.
+from one writer are never interleaved with another's.  A blocked side
+sleeps on a doorbell (a cross-process semaphore) that the other side
+rings only after seeing the waiter's announcement in the ring header;
+both the announcement and its read-and-clear happen under the counter
+guard, so a wakeup is never lost and an uncontended ring rings nothing.
 """
 
 from __future__ import annotations
 
 import struct
-import time
 from multiprocessing import shared_memory
 from typing import Any
 
 _HEAD = 0          # u64: bytes consumed (reader-owned)
 _TAIL = 8          # u64: bytes published (writer-owned, lock-held)
 _DEPOSITED = 16    # u64: bytes fully processed by the reader (reader-owned)
-_HEADER = 24
+_WAITING = 24      # u8: waiter bits of the sides asleep on a bell (_clock)
+_HEADER = 32
+_COUNTERS = struct.Struct("<QQ")  # head, tail
+
+#: ``_WAITING`` bits: the reader waits for bytes, the writer for room
+_DATA_WAITER = 1
+_ROOM_WAITER = 2
+
+#: seconds a blocked side sleeps before re-checking the abort flag on its
+#: own; only a peer that died between raising the flag and ringing (or
+#: mid-publish) leaves a waiter to it — a bell ends every normal wait
+BACKSTOP_S = 1.0
 
 
 class RingAborted(RuntimeError):
     """The job abort flag was raised while blocked on a ring."""
-
-
-class BackoffController:
-    """Spin-then-park waiter for ring full/empty conditions.
-
-    Replaces the fixed spin-count/poll-interval constants: the first
-    ``spin`` retries yield the GIL only (``sleep(0)``), so the hot
-    rendezvous path — peer already mid-write — resolves at memory speed;
-    past that the waiter parks, doubling the park interval from
-    ``park_min_s`` up to ``park_max_s``, so a long-idle receiver costs
-    hundreds of wakeups per second instead of thousands while a briefly
-    blocked one still reacts within tens of microseconds.  Any progress
-    resets to the spin phase.
-
-    The controller keeps counters and an EWMA of recent park intervals
-    so the *effective* poll interval is observable: the mp-shm backend
-    exports it per rank through the metrics registry
-    (``shm_poll_interval_us``).  State is plain per-process attributes —
-    each forked rank mutates its own copy, which is exactly the per-rank
-    granularity the export wants.
-    """
-
-    __slots__ = ("spin", "park_min_s", "park_max_s", "spins_total",
-                 "parks_total", "parked_s_total", "_streak", "_park_s",
-                 "_ewma_s")
-
-    def __init__(self, spin: int = 20, park_min_s: float = 20e-6,
-                 park_max_s: float = 2e-3) -> None:
-        self.spin = int(spin)
-        self.park_min_s = float(park_min_s)
-        self.park_max_s = float(park_max_s)
-        self.spins_total = 0
-        self.parks_total = 0
-        self.parked_s_total = 0.0
-        self._streak = 0
-        self._park_s = self.park_min_s
-        self._ewma_s = self.park_min_s
-
-    def pause(self) -> None:
-        """One blocked retry: yield while spinning, then park and grow."""
-        self._streak += 1
-        if self._streak <= self.spin:
-            self.spins_total += 1
-            time.sleep(0.0)
-            return
-        park = self._park_s
-        self.parks_total += 1
-        self.parked_s_total += park
-        self._ewma_s += 0.125 * (park - self._ewma_s)
-        time.sleep(park)
-        self._park_s = min(park * 2.0, self.park_max_s)
-
-    def reset(self) -> None:
-        """Progress was made: back to the spin phase at the floor."""
-        self._streak = 0
-        self._park_s = self.park_min_s
-
-    @property
-    def poll_interval_us(self) -> float:
-        """Effective poll interval (EWMA of recent parks), microseconds;
-        the park floor when the controller never left the spin phase."""
-        return self._ewma_s * 1e6
 
 
 def _u64(buf: memoryview, off: int) -> int:
@@ -156,6 +105,22 @@ class ShmRing(ShmSegment):
     rank's receiver thread calls :meth:`recv`.  Frames are ``u64 length +
     payload``; both the prefix and the payload may wrap around the ring
     edge and are copied in (at most) two slices.
+
+    A reader that finds the ring empty, or a writer that finds it full,
+    sets its bit in the header in the same ``_clock`` section that read
+    the counters, then sleeps on its bell (``data`` or ``room``).  The
+    other side reads and clears that bit in the ``_clock`` section that
+    publishes its counter, and rings only if the bit was set.  Either the
+    publish comes first (the would-be sleeper sees the new counter) or
+    the announcement does (the publisher sees the bit), so no wakeup is
+    lost; a bell is a counting semaphore, so one rung before the sleeper
+    reaches ``acquire`` is kept.  Only the frame-lock holder can wait for
+    room, so each bell has at most one sleeper.
+
+    ``waits`` (sleeps begun), ``bells`` (rung for a waiter), ``timeouts``
+    (sleeps the backstop ended) and ``stale_wakes`` (rings after which
+    the side found nothing new) are plain per-process counts: each forked
+    rank counts its own side of every ring.
     """
 
     def __init__(self, capacity: int, ctx: Any) -> None:
@@ -167,16 +132,68 @@ class ShmRing(ShmSegment):
         _put_u64(buf, _HEAD, 0)
         _put_u64(buf, _TAIL, 0)
         _put_u64(buf, _DEPOSITED, 0)
+        buf[_WAITING] = 0
         self._lock = ctx.Lock()
         self._clock = ctx.Lock()  # counter guard; never held while blocked
-        #: adaptive full/empty waiters; forked per process, so each rank
-        #: paces (and reports) its own side independently
-        self.tx_backoff = BackoffController()
-        self.rx_backoff = BackoffController()
+        self._bells = {_DATA_WAITER: ctx.Semaphore(0),
+                       _ROOM_WAITER: ctx.Semaphore(0)}
+        self.waits = 0
+        self.bells = 0
+        self.timeouts = 0
+        self.stale_wakes = 0
 
-    def _counters(self) -> tuple[int, int]:
+    def waiting(self) -> int:
+        """The header's waiter bits (``_DATA_WAITER | _ROOM_WAITER``)."""
         with self._clock:
-            return _u64(self._shm.buf, _HEAD), _u64(self._shm.buf, _TAIL)
+            return self._shm.buf[_WAITING]
+
+    def ring_bells(self) -> None:
+        """Ring both bells whether or not anyone waits (job abort): a
+        sleeper wakes at once, and a side that has yet to sleep finds its
+        bell already rung; either way it re-checks the abort flag."""
+        for bell in self._bells.values():
+            bell.release()
+
+    def _await(self, bit: int, abort: ShmFlag) -> tuple[int, int, int]:
+        """``(head, tail, n)`` once ``n`` > 0 bytes are ready for this
+        side: published bytes for the reader (``_DATA_WAITER``), free
+        space for the writer (``_ROOM_WAITER``).  Sleeps on the side's
+        bell while there are none; each time it finds none, a wake
+        included, raises :class:`RingAborted` if the abort flag is up."""
+        buf = self._shm.buf
+        rang = False
+        while True:
+            with self._clock:
+                head, tail = _COUNTERS.unpack_from(buf, _HEAD)
+                n = tail - head
+                if bit == _ROOM_WAITER:
+                    n = self.capacity - n
+                if not n:
+                    buf[_WAITING] |= bit
+            if n:
+                return head, tail, n
+            if abort.is_set():
+                raise RingAborted("job aborted while ring "
+                                  + ("empty" if bit == _DATA_WAITER else "full"))
+            if rang:
+                self.stale_wakes += 1
+            self.waits += 1
+            rang = self._bells[bit].acquire(timeout=BACKSTOP_S)
+            if not rang:
+                self.timeouts += 1
+
+    def _publish(self, off: int, value: int, bit: int) -> None:
+        """Store a counter, then ring the other side's bell if its
+        ``bit`` says it sleeps (clearing the bit in the same section)."""
+        buf = self._shm.buf
+        with self._clock:
+            _put_u64(buf, off, value)
+            waiting = buf[_WAITING]
+            if waiting & bit:
+                buf[_WAITING] = waiting ^ bit
+        if waiting & bit:
+            self._bells[bit].release()
+            self.bells += 1
 
     # ------------------------------------------------------------- writer
     def send(self, payload: bytes, abort: ShmFlag) -> None:
@@ -190,41 +207,36 @@ class ShmRing(ShmSegment):
         total, then each segment streamed in order — the concatenated
         frame is never materialized, so memoryview segments (array
         bodies from :mod:`repro.mpi.codec`) go from the source buffer
-        straight into shared memory.  Returns the frame length.
+        straight into shared memory.  A frame that fits the free space is
+        published with one ``tail`` store (one bell at most); a larger one
+        is published each time it fills the ring, so the reader can drain
+        it.  Returns the frame length.
         """
         total = 0
         for seg in segments:
             total += seg.nbytes if isinstance(seg, memoryview) else len(seg)
-        with self._lock:
-            self._write(struct.pack("<Q", total), abort)
-            for seg in segments:
-                self._write(seg, abort)
-        return total
-
-    def _write(self, data: Any, abort: ShmFlag) -> None:
         buf = self._shm.buf
-        mv = memoryview(data)
-        back = self.tx_backoff
-        while len(mv):
-            head, tail = self._counters()
-            free = self.capacity - (tail - head)
-            if free == 0:
-                if abort.is_set():
-                    raise RingAborted("job aborted while ring full")
-                back.pause()
-                continue
-            back.reset()
-            n = min(len(mv), free)
-            pos = tail % self.capacity
-            first = min(n, self.capacity - pos)
-            buf[_HEADER + pos:_HEADER + pos + first] = mv[:first]
-            if n > first:
-                buf[_HEADER:_HEADER + n - first] = mv[first:n]
-            # Publish after the bytes are in place (tail is ours: the frame
-            # lock is held, so re-reading it under the guard is redundant).
-            with self._clock:
-                _put_u64(buf, _TAIL, tail + n)
-            mv = mv[n:]
+        with self._lock:
+            # tail is ours while the frame lock is held: it only moves here.
+            _, tail, free = self._await(_ROOM_WAITER, abort)
+            for seg in (struct.pack("<Q", total), *segments):
+                mv = memoryview(seg)
+                while len(mv):
+                    if not free:
+                        self._publish(_TAIL, tail, _DATA_WAITER)
+                        _, tail, free = self._await(_ROOM_WAITER, abort)
+                    n = min(len(mv), free)
+                    pos = tail % self.capacity
+                    first = min(n, self.capacity - pos)
+                    buf[_HEADER + pos:_HEADER + pos + first] = mv[:first]
+                    if n > first:
+                        buf[_HEADER:_HEADER + n - first] = mv[first:n]
+                    tail += n
+                    free -= n
+                    mv = mv[n:]
+            # Publish after the bytes are in place.
+            self._publish(_TAIL, tail, _DATA_WAITER)
+        return total
 
     # ------------------------------------------------------------- reader
     def recv(self, abort: ShmFlag) -> bytearray:
@@ -233,9 +245,9 @@ class ShmRing(ShmSegment):
         Returns a freshly allocated (hence writable, receiver-owned)
         bytearray — the codec's zero-copy decode wraps array payloads
         around it directly.  Raises :class:`RingAborted` when the abort
-        flag goes up while waiting (mid-frame reads finish normally: the
-        lock-holding writer streams the rest even during abort only if
-        it can — so mid-frame we keep honouring the flag too).
+        flag is up and the ring has nothing to read, mid-frame too: a
+        writer that streams a frame larger than the ring stops at the
+        flag, so a reader waiting for the rest of it must stop as well.
         """
         (length,) = struct.unpack("<Q", self._read(8, abort))
         return self._read(length, abort)
@@ -244,16 +256,8 @@ class ShmRing(ShmSegment):
         buf = self._shm.buf
         out = bytearray(n)
         got = 0
-        back = self.rx_backoff
         while got < n:
-            head, tail = self._counters()
-            avail = tail - head
-            if avail == 0:
-                if abort.is_set():
-                    raise RingAborted("job aborted while ring empty")
-                back.pause()
-                continue
-            back.reset()
+            head, _, avail = self._await(_DATA_WAITER, abort)
             take = min(n - got, avail)
             pos = head % self.capacity
             first = min(take, self.capacity - pos)
@@ -262,14 +266,14 @@ class ShmRing(ShmSegment):
                 out[got + first:got + take] = buf[_HEADER:_HEADER + take - first]
             # Free the space only after the bytes are copied out (head is
             # ours: there is exactly one reader).
-            with self._clock:
-                _put_u64(buf, _HEAD, head + take)
+            self._publish(_HEAD, head + take, _ROOM_WAITER)
             got += take
         return out
 
     def pending(self) -> int:
         """Unconsumed bytes currently in the ring (diagnostics)."""
-        head, tail = self._counters()
+        with self._clock:
+            head, tail = _COUNTERS.unpack_from(self._shm.buf, _HEAD)
         return tail - head
 
     def mark_deposited(self) -> None:

@@ -1,10 +1,14 @@
 """Unit tests for the mp-shm backend's shared-memory primitives.
 
 Covers the byte ring (framing, wrap-around, oversize streaming, vectored
-segment writes, abort), the adaptive backoff controller, the
-cross-process wait table, the wire frame codec, and sequence-number
-rebasing — everything below :class:`~repro.mpi.mpshm.MpShmBackend`.
-(Deep codec coverage lives in ``tests/test_mpi_codec.py``.)
+segment writes, abort), its doorbells, the cross-process wait table, the
+wire frame codec, sequence-number rebasing — everything below
+:class:`~repro.mpi.mpshm.MpShmBackend` — and the transport metrics a
+2-rank mp-shm case study exports.  (Deep codec coverage lives in
+``tests/test_mpi_codec.py``.)
+
+The doorbell tests count, they do not time: two threads are ordered
+through the ring header's announce bits, never through a sleep.
 """
 
 from __future__ import annotations
@@ -13,15 +17,22 @@ import itertools
 import multiprocessing as mp
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.euler.ports import DriverParams
+from repro.harness.casestudy import CaseStudyConfig, run_case_study
 from repro.mpi import codec
 from repro.mpi import message as msg_mod
+from repro.mpi import shm
+from repro.mpi.backend import JobSpec
 from repro.mpi.message import DELIVERED, LOST, RETRANSMITTED, Envelope
-from repro.mpi.shm import (WAIT_TABLE_MAX_RANKS, BackoffController,
+from repro.mpi.mpshm import ShmWorld
+from repro.mpi.shm import (_DATA_WAITER, _ROOM_WAITER, WAIT_TABLE_MAX_RANKS,
                            RingAborted, ShmFlag, ShmRing, ShmWaitTable)
+from repro.obs import ObsConfig
 
 
 @pytest.fixture()
@@ -45,6 +56,18 @@ def flag():
     f.unlink()
 
 
+def _until(pred, what: str, timeout_s: float = 30.0) -> None:
+    """Yield the GIL until ``pred()`` holds (an announce bit, usually)."""
+    deadline = time.monotonic() + timeout_s
+    while not pred():
+        assert time.monotonic() < deadline, f"never saw {what}"
+        time.sleep(0)
+
+
+def _counts(ring: ShmRing) -> tuple[int, int, int, int]:
+    return ring.waits, ring.bells, ring.timeouts, ring.stale_wakes
+
+
 # ---------------------------------------------------------------- ShmRing
 class TestShmRing:
     def test_roundtrip_small_frames(self, ring, flag):
@@ -65,40 +88,45 @@ class TestShmRing:
             assert got[:-1] == payload and got[-1] == i
 
     def test_oversize_frame_streams(self, ring, flag):
-        # A frame larger than the whole ring trickles through while the
-        # reader concurrently drains.
+        # A frame larger than the whole ring trickles through on the room
+        # bell: the writer fills the ring and sleeps, and each time the
+        # reader frees space it rings the writer back in.
         big = np.random.default_rng(0).integers(
             0, 256, size=3 * ring.capacity, dtype=np.uint8).tobytes()
-        out = {}
-
-        def reader():
-            out["frame"] = ring.recv(flag)
-
-        t = threading.Thread(target=reader)
+        t = threading.Thread(target=ring.send, args=(big, flag))
         t.start()
-        ring.send(big, flag)
+        _until(lambda: ring.waiting() & _ROOM_WAITER, "the writer's announce")
+        frame = ring.recv(flag)
         t.join(timeout=30)
         assert not t.is_alive()
-        assert out["frame"] == big
+        assert frame == big
+        assert ring.waits >= 1 and ring.bells >= 1
+        assert (ring.timeouts, ring.stale_wakes) == (0, 0)
 
     def test_recv_abort_on_empty(self, ring, flag):
         flag.set()
         with pytest.raises(RingAborted):
             ring.recv(flag)
+        assert ring.waits == 0  # the flag is checked before sleeping
 
-    def test_send_abort_on_full(self, ring, flag):
+    def test_send_abort_on_full(self, ring, flag, monkeypatch):
+        # A flag raised with no bell (its raiser died before ringing) is
+        # still noticed: the backstop ends the sleep and the writer
+        # re-checks.  No reader: a frame larger than the ring blocks.
+        monkeypatch.setattr(shm, "BACKSTOP_S", 0.05)
+
         def arm():
+            # ``waits`` counts a sleep past its pre-sleep flag check.
+            _until(lambda: ring.waits, "the writer's sleep")
             flag.set()
 
-        t = threading.Timer(0.2, arm)
+        t = threading.Thread(target=arm)
         t.start()
-        try:
-            with pytest.raises(RingAborted):
-                # No reader: a frame larger than capacity must block
-                # streaming until the abort flag goes up.
-                ring.send(bytes(2 * ring.capacity), flag)
-        finally:
-            t.cancel()
+        with pytest.raises(RingAborted):
+            ring.send(bytes(2 * ring.capacity), flag)
+        t.join(timeout=30)
+        assert not t.is_alive()
+        assert ring.timeouts >= 1 and ring.bells == 0
 
     def test_pending_counts_bytes(self, ring, flag):
         ring.send(b"abc", flag)
@@ -190,53 +218,65 @@ class TestShmWaitTable:
             ShmWaitTable(WAIT_TABLE_MAX_RANKS + 1, ctx)
 
 
-# --------------------------------------------------------------- backoff
-class TestBackoffController:
-    def test_spins_then_parks_with_growth(self):
-        b = BackoffController(spin=3, park_min_s=1e-6, park_max_s=8e-6)
-        for _ in range(3):
-            b.pause()
-        assert (b.spins_total, b.parks_total) == (3, 0)
-        for _ in range(5):
-            b.pause()
-        assert b.parks_total == 5
-        # Doubling from the floor, capped: 1, 2, 4, 8, 8 (microseconds).
-        assert b.parked_s_total == pytest.approx(23e-6)
-        assert b._park_s == 8e-6
+# ------------------------------------------------------------- doorbells
+class TestDoorbells:
+    def test_send_then_recv_rings_no_bell(self, ring, flag):
+        # Nobody announced, so nobody rings: the per-frame path of the
+        # coalesced-burst microbench makes no semaphore call.
+        for payload in (b"abc", bytes(3000), b""):
+            ring.send(payload, flag)
+            assert ring.recv(flag) == payload
+        assert _counts(ring) == (0, 0, 0, 0)
+        assert ring.waiting() == 0
 
-    def test_reset_returns_to_spin_phase(self):
-        b = BackoffController(spin=2, park_min_s=1e-6, park_max_s=8e-6)
-        for _ in range(6):
-            b.pause()
-        b.reset()
-        assert b._park_s == b.park_min_s
-        b.pause()
-        assert b.spins_total >= 3  # back to yielding, not parking
-
-    def test_poll_interval_reports_floor_then_ewma(self):
-        b = BackoffController(spin=0, park_min_s=1e-4, park_max_s=1e-4)
-        assert b.poll_interval_us == pytest.approx(100.0)
-        b.pause()
-        assert b.poll_interval_us == pytest.approx(100.0)
-
-    def test_ring_wait_counters(self, ring, flag):
-        ring.send(b"abc", flag)
-        ring.recv(flag)
-        # Frame was already there: the reader never had to park.
-        assert ring.rx_backoff.parks_total == 0
-
-        def late_send():
-            ring.send(b"later", flag)
-
-        t = threading.Timer(0.05, late_send)
+    def test_blocked_reader_woken_by_send(self, ring, flag):
+        out = {}
+        t = threading.Thread(target=lambda: out.update(frame=ring.recv(flag)))
         t.start()
+        _until(lambda: ring.waiting() & _DATA_WAITER, "the reader's announce")
+        ring.send(b"later", flag)
+        t.join(timeout=30)
+        assert not t.is_alive()
+        assert bytes(out["frame"]) == b"later"
+        # waits, bells, backstop timeouts, stale wakes: one frame, one
+        # publish, one bell.
+        assert _counts(ring) == (1, 1, 0, 0)
+        assert ring.waiting() == 0
+
+    def test_abort_wakes_blocked_reader_and_writer(self, ctx, flag):
+        empty, full = ShmRing(4096, ctx), ShmRing(4096, ctx)
+        world = ShmWorld(JobSpec(2), 0, [empty, full], flag, None)
+        raised = []
+
+        def blocked(op):
+            try:
+                op()
+            except RingAborted:
+                raised.append(op)
+
+        reader = threading.Thread(target=blocked,
+                                  args=(lambda: empty.recv(flag),))
+        writer = threading.Thread(
+            target=blocked,
+            args=(lambda: full.send(bytes(2 * full.capacity), flag),))
         try:
-            assert bytes(ring.recv(flag)) == b"later"
+            reader.start()
+            writer.start()
+            # Past the announce bit and the pre-sleep flag check: only a
+            # bell (or the backstop) can end these sleeps now.
+            _until(lambda: empty.waits, "the reader's sleep")
+            _until(lambda: full.waits, "the writer's sleep")
+            world.abort("test")
+            reader.join(timeout=30)
+            writer.join(timeout=30)
+            assert not reader.is_alive() and not writer.is_alive()
+            assert len(raised) == 2
+            assert (empty.waits, empty.timeouts) == (1, 0)
+            assert (full.waits, full.timeouts) == (1, 0)
         finally:
-            t.cancel()
-        # ~50 ms of empty ring: the reader must have parked.
-        assert ring.rx_backoff.parks_total > 0
-        assert ring.rx_backoff.poll_interval_us >= 20.0
+            for r in (empty, full):
+                r.close()
+                r.unlink()
 
 
 # ------------------------------------------------------- vectored writes
@@ -320,3 +360,39 @@ def test_rebase_seqno_partitions_per_rank():
         assert (3 + 1) << 44 <= env.seq < (3 + 2) << 44
     finally:
         msg_mod._seqno = itertools.count(saved + 1)
+
+
+# ------------------------------------------------------ transport metrics
+#: the e2e benchmark's mpshm_bare mesh at its smoke size (two steps)
+_MPSHM_SMOKE = DriverParams(nx=64, ny=64, max_levels=3, steps=2,
+                            regrid_every=2, max_patch_cells=1024)
+_TRANSPORT = ("shm_frames_sent_total", "shm_batches_sent_total",
+              "shm_frames_coalesced_total")
+
+
+def _transport_metrics():
+    res = run_case_study(CaseStudyConfig(
+        params=_MPSHM_SMOKE, flux="efm", nranks=2, backend="mp-shm",
+        observe=ObsConfig()))
+    assert res.results == [0, 0]
+    return [{(name, dict(labels).get("woke")): inst.value
+             for name, labels, inst in ro.metrics.series()
+             if name.startswith("shm_")}
+            for ro in res.world.obs]
+
+
+def test_transport_metrics_exported_per_rank():
+    runs = [_transport_metrics() for _ in range(2)]
+    for ranks in runs:
+        for got in ranks:
+            for name in _TRANSPORT:
+                assert (name, None) in got, name
+            assert got[("shm_frames_sent_total", None)] > 0
+            waits = {w: got[("shm_ring_waits_total", w)]
+                     for w in ("bell", "stale", "backstop")}
+            # Every bell brought bytes or room: no wake without progress.
+            assert waits["stale"] == 0, waits
+    # Coalescing flushes at program points (before any blocking call),
+    # so the frames on the wire do not depend on timing.
+    assert ([[r[(n, None)] for n in _TRANSPORT] for r in runs[0]]
+            == [[r[(n, None)] for n in _TRANSPORT] for r in runs[1]])
