@@ -1,4 +1,4 @@
-"""Wire-codec and coalescing microbench (the ISSUE-9 acceptance gate).
+"""Wire-codec microbench.
 
 Measures, on one core:
 
@@ -7,9 +7,7 @@ Measures, on one core:
   round-trips/s and as a gated speedup cell — the acceptance criterion
   is a >= 2x median speedup;
 * large-frame decode bandwidth (zero-copy ``np.frombuffer`` path),
-  trend only;
-* pushing a burst of small frames through a real :class:`ShmRing` as one
-  coalesced batch write vs one ring write per frame, gated as a speedup.
+  trend only.
 
 Writes ``benchmarks/out/microbench_comms.txt`` and the
 ``BENCH_comms.json`` trajectory cells (committed baseline at the repo
@@ -18,7 +16,6 @@ root; CI regenerates and gates against it).
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import pickle
 
@@ -28,7 +25,6 @@ from benchmarks.conftest import SMOKE, median_us, paired_median_us, write_out
 from repro.bench import record_cell, record_cell_samples
 from repro.mpi import codec
 from repro.mpi.message import Envelope
-from repro.mpi.shm import ShmFlag, ShmRing
 
 TRAJECTORY = os.path.join(os.path.dirname(__file__), "out",
                           "BENCH_comms.json")
@@ -41,8 +37,8 @@ INNER = 200
 
 
 def _small_env() -> Envelope:
-    # A halo-exchange-sized control frame: the regime the coalescer and
-    # the packed header exist for.
+    # A halo-exchange-sized control frame: the regime the packed header
+    # exists for.
     return Envelope(source=0, dest=1, tag=7,
                     payload=np.arange(64, dtype=np.float64),
                     nbytes=512, cost_us=41.0)
@@ -134,69 +130,3 @@ def test_codec_large_frame_bandwidth(out_dir):
     print(line)
     # Zero-copy decode must run at memory speed, not serialization speed.
     assert np.median(mbps) > 1000.0
-
-
-def test_coalesced_ring_roundtrip_speedup(out_dir):
-    # Bursts are ~ms-scale: keep a real sample count in smoke too, and
-    # interleave the two variants so scheduler drift cancels.
-    repeats = 10 if SMOKE else 30
-    nframes = 64
-    ctx = mp.get_context("fork")
-    ring, flag = ShmRing(1 << 20, ctx), ShmFlag()
-    try:
-        env = _small_env()
-        frames = [codec.encode(_KIND, "world", env) for _ in range(nframes)]
-
-        # Transport-only on purpose: sub-frame *decode* cost is identical
-        # on both sides (and measured by the codec cells above); this cell
-        # isolates what coalescing actually changes — ring writes, length
-        # prefixes, counter publishes and recv round-trips.
-        def per_frame():
-            for f in frames:
-                ring.send_segments(f, flag)
-            for _ in range(nframes):
-                ring.recv(flag)
-                ring.mark_deposited()
-
-        def coalesced():
-            ring.send_segments(codec.encode_batch(frames), flag)
-            batch = ring.recv(flag)
-            n = sum(1 for _ in codec.iter_batch(batch))
-            assert n == nframes
-            ring.mark_deposited()
-
-        t_coal, t_per = [], []
-        for _ in range(repeats):
-            c, p, _ = paired_median_us(coalesced, per_frame, n=1, warmup=1)
-            t_coal.append(c); t_per.append(p)
-        speedup = float(np.median(t_per) / np.median(t_coal))
-
-        record_cell_samples(TRAJECTORY, "ring_perframe_burst_us", t_per,
-                            unit="us", gate=False,
-                            meta={"note": f"{nframes} small frames, one "
-                                          "ring write each; machine-speed "
-                                          "trend"})
-        record_cell_samples(TRAJECTORY, "ring_coalesced_burst_us", t_coal,
-                            unit="us", gate=False,
-                            meta={"note": f"{nframes} small frames as one "
-                                          "batch write; machine-speed "
-                                          "trend"})
-        record_cell(TRAJECTORY, "ring_coalesce_speedup", speedup, unit="x",
-                    higher_is_better=True, gate=True,
-                    meta={"note": "one batch write vs 64 per-frame writes "
-                                  "through a real ring (committed cell is "
-                                  "a conservative floor)"})
-        lines = [
-            f"Coalesced ring burst ({nframes} frames, median of {repeats}):",
-            f"  per-frame: {np.median(t_per):9.1f} us",
-            f"  coalesced: {np.median(t_coal):9.1f} us  ({speedup:.2f}x)",
-        ]
-        with open(os.path.join(out_dir, "microbench_comms.txt"), "a",
-                  encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print("\n".join(lines))
-        assert speedup >= 2.0, (
-            f"coalescing gained only {speedup:.2f}x over per-frame writes")
-    finally:
-        ring.close(); ring.unlink()
-        flag.close(); flag.unlink()

@@ -12,9 +12,8 @@ RA010     unmatched/leaked p2p: an ``irecv`` whose request is discarded, or
           again — the static side of the finalize-time leak check.  A
           *discarded* ``isend`` is the sanctioned fire-and-forget idiom
           (simulated sends complete at post) and is never flagged.
-RA011     blocking MPI call while holding a lock (``with self._lock:``), or
-          after queueing a coalesced frame without flushing first — either
-          breaks the deadlock detector's liveness argument
+RA011     blocking MPI call under a held lock (``with self._lock:``) —
+          it breaks the deadlock detector's liveness argument
 RA002*    interprocedural determinism escapes: import-alias expansion
           (``import time as t; t.time()``) and calls into helpers that
           transitively reach a wall-clock/RNG primitive
@@ -42,15 +41,12 @@ COLLECTIVE_ATTRS = frozenset({
 BLOCKING_ATTRS = frozenset({"send", "recv", "sendrecv", "probe"}) | COLLECTIVE_ATTRS
 #: request-wait entry points (any receiver, incl. module functions)
 WAIT_TAILS = frozenset({"wait", "waitall", "waitsome", "waitany"})
-#: frame-coalescing queue/flush vocabulary (PR-9 transport)
-QUEUE_TAILS = frozenset({"queue_frame", "_enqueue_frame", "enqueue_frame"})
-FLUSH_TAILS = frozenset({"flush", "flush_frames", "_flush_dest", "flush_dest"})
 
 #: summaries for the engine-only rules (SARIF rule metadata + docs)
 ENGINE_RULE_SUMMARIES: dict[str, str] = {
     "RA009": "static collective-order divergence across rank-dependent arms",
     "RA010": "p2p request discarded or bound but never waited",
-    "RA011": "blocking MPI call under a held lock or unflushed coalesce window",
+    "RA011": "blocking MPI call under a held lock",
     "RA012": "unused '# ra: noqa' suppression",
 }
 
@@ -209,7 +205,7 @@ class FlowChecker:
                         "no path waits on it before function exit"))
         return findings
 
-    # --------------------------------------- RA011: blocking-under-hazard
+    # ------------------------------------------ RA011: blocking under lock
     def _may_block(self, fn: FuncInfo, stack: frozenset[str]) -> bool:
         if fn.fq in self._may_block_memo:
             return self._may_block_memo[fn.fq]
@@ -229,37 +225,22 @@ class FlowChecker:
 
     def check_blocking_hazards(self, fn: FuncInfo) -> list[Finding]:
         findings: list[Finding] = []
-        pending_queue = False
         for site in fn.calls():
-            _, attr = _split(site.name)
+            if site.lock is None:
+                continue
             blocking = _is_blocking(site)
-            # --- lock half
-            if site.lock is not None:
-                indirect = (not blocking
-                            and any(self._may_block(c, frozenset())
-                                    for c in self.table.resolve(fn, site)))
-                if blocking or indirect:
-                    how = (f"{site.name}()" if blocking
-                           else f"{site.name}() (which may block)")
-                    findings.append(Finding(
-                        "RA011", fn.path, site.line, site.col,
-                        f"blocking MPI call {how} while holding "
-                        f"{site.lock!r} in {fn.name!r}; the deadlock "
-                        "detector's liveness argument assumes no rank "
-                        "blocks on the wire under a lock"))
-            # --- coalescing flush-window half
-            if attr in QUEUE_TAILS:
-                pending_queue = True
-            elif attr in FLUSH_TAILS:
-                pending_queue = False
-            elif pending_queue and blocking:
+            indirect = (not blocking
+                        and any(self._may_block(c, frozenset())
+                                for c in self.table.resolve(fn, site)))
+            if blocking or indirect:
+                how = (f"{site.name}()" if blocking
+                       else f"{site.name}() (which may block)")
                 findings.append(Finding(
                     "RA011", fn.path, site.line, site.col,
-                    f"blocking call {site.name}() in {fn.name!r} with "
-                    "coalesced frames still queued; call flush_frames() "
-                    "before any operation that can block "
-                    "(flush-before-blocking invariant)"))
-                pending_queue = False
+                    f"blocking MPI call {how} while holding "
+                    f"{site.lock!r} in {fn.name!r}; the deadlock "
+                    "detector's liveness argument assumes no rank "
+                    "blocks on the wire under a lock"))
         return findings
 
     # ------------------------------------- RA002*: determinism indirection

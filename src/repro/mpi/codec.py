@@ -2,7 +2,7 @@
 
 One module owns every serialization decision on the communication hot
 path; RA008 keeps ad-hoc ``pickle.dumps`` calls from creeping back into
-the rest of :mod:`repro.mpi`.  Three frame families share a fixed
+the rest of :mod:`repro.mpi`.  Two frame families share a fixed
 struct-packed header:
 
 * ``F_NDARRAY`` — the fast path: all envelope fields live in the packed
@@ -17,10 +17,6 @@ struct-packed header:
   object arrays): header + pickled payload.  Envelope fields still ride
   in the header, so even the fallback pickles only the payload, not the
   whole envelope.
-* ``F_BATCH`` — a coalesced multi-frame write: one batch header, then N
-  length-prefixed sub-frames, each itself a complete encoded frame.
-  Sub-frames keep their envelope sequence numbers, so non-overtaking
-  order, dedup and the ledgers are exactly as exact as per-frame sends.
 
 A one-byte ``F_STOP`` marker (:data:`STOP_FRAME`) ends a receiver loop.
 
@@ -36,7 +32,7 @@ from __future__ import annotations
 
 import pickle
 import struct
-from typing import Any, Iterator, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -48,7 +44,6 @@ _PROTO = pickle.HIGHEST_PROTOCOL
 F_PICKLE = 0
 F_NDARRAY = 1
 F_STOP = 2
-F_BATCH = 3
 
 #: one-byte end-of-job marker a worker writes into its own ring
 STOP_FRAME = bytes([F_STOP])
@@ -61,21 +56,8 @@ _FLAG_DTYPE_PICKLED = 0x04
 #: nbytes, cost_us, seq, trace_rank, trace_span
 HEADER = struct.Struct("<BBBBHHiiqqdQiQ")
 
-_BATCH_HEADER = struct.Struct("<BI")  # F_BATCH, sub-frame count
-_SUBLEN = struct.Struct("<I")
-
 
 # ---------------------------------------------------------------- helpers
-def seg_nbytes(seg: Any) -> int:
-    """Byte length of one wire segment (bytes or byte-cast memoryview)."""
-    return seg.nbytes if isinstance(seg, memoryview) else len(seg)
-
-
-def frame_nbytes(segments: Sequence[Any]) -> int:
-    """Total wire length of an encoded frame (sum of its segments)."""
-    return sum(seg_nbytes(s) for s in segments)
-
-
 _DTYPE_CACHE: dict[Any, tuple[bytes, int]] = {}
 
 
@@ -243,51 +225,6 @@ def decode(frame: Any) -> tuple[int, str, bool, Envelope] | None:
         trace_ctx=((trace_rank, trace_span) if flags & _FLAG_TRACE
                    else None))
     return kind, context, bool(flags & _FLAG_RECOVERABLE), env
-
-
-# ------------------------------------------------------------ batch frames
-
-#: segments at or below this are cheaper to copy into a contiguous chunk
-#: than to push through the ring as separate writes
-_JOIN_MAX = 1024
-
-
-def encode_batch(frames: Sequence[Sequence[Any]]) -> list[Any]:
-    """Pack several encoded frames into one multi-frame wire write: one
-    batch header, then each sub-frame length-prefixed.
-
-    Small segments (headers, prefixes, control payloads) are joined into
-    contiguous chunks — a sub-KB memcpy is far cheaper than a separate
-    ring write — while memoryview bodies above :data:`_JOIN_MAX` pass
-    through untouched, so sizable array payloads stay zero-copy."""
-    segs: list[Any] = []
-    buf = bytearray(_BATCH_HEADER.pack(F_BATCH, len(frames)))
-    for frame in frames:
-        buf += _SUBLEN.pack(frame_nbytes(frame))
-        for seg in frame:
-            if isinstance(seg, memoryview) and seg.nbytes > _JOIN_MAX:
-                if buf:
-                    segs.append(buf)
-                    buf = bytearray()
-                segs.append(seg)
-            else:
-                buf += seg
-    if buf:
-        segs.append(buf)
-    return segs
-
-
-def iter_batch(frame: Any) -> Iterator[memoryview]:
-    """Yield each sub-frame of a batch frame, in send order, as a
-    memoryview slice of the batch buffer (no per-sub-frame copies)."""
-    mv = frame if isinstance(frame, memoryview) else memoryview(frame)
-    (_, count) = _BATCH_HEADER.unpack_from(mv, 0)
-    off = _BATCH_HEADER.size
-    for _ in range(count):
-        (n,) = _SUBLEN.unpack_from(mv, off)
-        off += _SUBLEN.size
-        yield mv[off:off + n]
-        off += n
 
 
 # ----------------------------------------------------------- payload sizes

@@ -19,16 +19,10 @@ pickle only for rich payloads; see DESIGN.md §14) and written as gathered
 segments — array payloads go from the envelope's buffer straight into
 shared memory with no intermediate ``tobytes()`` copy.
 
-Small frames to the same destination **coalesce**: instead of one ring
-write (lock, length prefix, counter publish) per envelope, outbound
-frames queue per destination and flush as a single multi-frame batch
-write when the batch fills — or, crucially, *before this rank blocks*
-(any receive, collective wait, or shutdown).  Flush-before-blocking
-preserves every liveness property: a rank registered in the deadlock
-wait table provably has nothing buffered, and a computing rank cannot be
-part of a stuck cycle.  Sub-frames keep their envelope sequence numbers,
-so non-overtaking order, receiver dedup, fault plans and the MPI ledger
-are exactly as exact as per-frame sends.  A ``stop`` frame (end-of-job
+A remote deliver is one ring write, made before ``deliver`` returns:
+nothing is ever queued on the sending side, so per-destination wire
+order is send order, and a rank registered in the deadlock wait table
+has no unsent frame by construction.  A ``stop`` frame (end-of-job
 marker a worker writes into its *own* ring after the final barrier)
 releases the receiver thread.
 
@@ -65,31 +59,16 @@ from repro.mpi.backend import (BackendRun, CommBackend, JobSpec, WorldView,
 from repro.mpi.message import Envelope, rebase_seqno
 from repro.mpi.shm import (WAIT_TABLE_MAX_RANKS, RingAborted, ShmFlag,
                            ShmRing, ShmWaitTable)
-from repro.mpi.world import SimMPIError, SimWorld
+from repro.mpi.world import SimWorld
 
 #: default per-rank ring capacity; a frame may exceed it (writers stream),
 #: it only bounds how far a sender can run ahead of a slow receiver
 DEFAULT_RING_BYTES = 1 << 20
 
-#: frames above this size bypass coalescing: bulk data gains nothing from
-#: batching and would hold queued control frames hostage to a full ring
-COALESCE_MAX_FRAME = 4096
-#: a destination's pending batch flushes beyond either bound
-COALESCE_MAX_BYTES = 1 << 15
-COALESCE_MAX_FRAMES = 64
-
 #: seconds past ``timeout_s`` the launcher waits for a rank process to
 #: report: every blocking MPI operation is capped by ``timeout_s`` from its
 #: entry, the grace covers unwinding, pickling and shipping the rank's state
 PROCESS_GRACE_S = 30.0
-
-
-def _landed(frame: Any) -> tuple[str, Envelope]:
-    """Decode one wire record into ``(context, envelope)``; the record
-    kind is the envelope's fate."""
-    kind, context, _, env = codec.decode(frame)
-    env.fate = kind
-    return context, env
 
 
 class SharedSanitizer(Sanitizer):
@@ -183,14 +162,11 @@ class SharedSanitizer(Sanitizer):
 class ShmWorld(SimWorld):
     """A :class:`SimWorld` whose remote ranks live in other processes.
 
-    Exactly five behaviours change relative to the base class:
+    Exactly four behaviours change relative to the base class:
 
-    * :meth:`deliver` routes envelopes addressed to remote ranks (injected
-      drops included) through the destination's ring, coalescing small
-      frames per destination;
-    * :meth:`flush_frames`, the hook the base class runs before it blocks
-      or polls, puts the coalescing buffers on the wire, so queued frames
-      are always out before this rank can stall;
+    * :meth:`deliver` writes an envelope addressed to a remote rank
+      (injected drops included) into the destination's ring, one frame
+      per envelope, before it returns;
     * :meth:`exchange` replaces the shared-slot rendezvous with tree
       transport;
     * :meth:`abort` raises the cross-process abort flag and rings every
@@ -199,10 +175,6 @@ class ShmWorld(SimWorld):
 
     Everything else — matching, dedup, recovery, accounting, RNG
     streams — is the base class operating on this process's local state.
-
-    Thread-safety note: only the worker's main thread sends (the receiver
-    thread deposits into local mailboxes via the base-class methods), so the
-    coalescing buffers are single-threaded state by construction.
     """
 
     def __init__(self, spec: JobSpec, myrank: int, rings: list[ShmRing],
@@ -217,67 +189,9 @@ class ShmWorld(SimWorld):
         self._rings = rings
         self._abort_flag = abort_flag
         self._receiver: threading.Thread | None = None
-        #: per-destination queues of encoded-but-unsent frames (segment
-        #: lists) and their byte totals
-        self._pending: list[list[list[Any]]] = [[] for _ in range(self.nranks)]
-        self._pending_bytes = [0] * self.nranks
         self._tx_frames = 0
-        self._tx_batches = 0
-        self._tx_coalesced = 0
 
     # ------------------------------------------------------------ routing
-    def _send_frame(self, dest: int, segments: list[Any]) -> None:
-        try:
-            self._rings[dest].send_segments(segments, self._abort_flag)
-        except RingAborted:
-            self._check_abort()
-            raise
-        self._tx_frames += 1
-
-    def _enqueue_frame(self, dest: int, segments: list[Any]) -> None:
-        """Queue one encoded frame for ``dest``, coalescing small frames
-        into a single ring write.  Large frames flush the queue first, so
-        the per-destination wire order always equals the send order (the
-        seq-based non-overtaking rule needs nothing beyond that)."""
-        if codec.frame_nbytes(segments) > COALESCE_MAX_FRAME:
-            self._flush_dest(dest)
-            self._send_frame(dest, segments)
-            return
-        pend = self._pending[dest]
-        pend.append(segments)
-        self._pending_bytes[dest] += codec.frame_nbytes(segments)
-        if (self._pending_bytes[dest] >= COALESCE_MAX_BYTES
-                or len(pend) >= COALESCE_MAX_FRAMES):
-            self._flush_dest(dest)
-
-    def _flush_dest(self, dest: int) -> None:
-        pend = self._pending[dest]
-        if not pend:
-            return
-        self._pending[dest] = []
-        self._pending_bytes[dest] = 0
-        if len(pend) == 1:
-            self._send_frame(dest, pend[0])
-        else:
-            self._tx_batches += 1
-            self._tx_coalesced += len(pend)
-            self._send_frame(dest, codec.encode_batch(pend))
-
-    def flush_frames(self) -> None:
-        """Put every queued frame on the wire.
-
-        The base class calls this before any operation that can block
-        or poll this rank (``wait_recvs``, ``try_match``), outside the
-        mailbox lock — a blocking ring write must never run under it.  A
-        rank registered as waiting in the deadlock table then provably
-        has nothing buffered (its frames are visible to peers and to the
-        detector via ``undeposited()``), and a rank that is *not*
-        waiting cannot be part of a stuck cycle — so coalescing is
-        invisible to deadlock detection and to liveness.
-        """
-        for dest in range(self.nranks):
-            self._flush_dest(dest)
-
     def deliver(self, context: str, env: Envelope) -> None:
         if env.dest == self.myrank:
             super().deliver(context, env)
@@ -287,7 +201,15 @@ class ShmWorld(SimWorld):
                 f"invalid destination rank {env.dest} (nranks={self.nranks})")
         # The record kind on the wire is the envelope's fate, so an
         # injected drop lands in the destination's mailbox as it left.
-        self._enqueue_frame(env.dest, codec.encode(env.fate, context, env))
+        # Never call this under a mailbox lock: the write can block on a
+        # full ring whose receiver needs that lock to drain it.
+        try:
+            self._rings[env.dest].send_segments(
+                codec.encode(env.fate, context, env), self._abort_flag)
+        except RingAborted:
+            self._check_abort()
+            raise
+        self._tx_frames += 1
 
     # --------------------------------------------------------- collectives
     def exchange(self, context: str, seq: int, rank: int, value: Any,
@@ -320,17 +242,12 @@ class ShmWorld(SimWorld):
                 # Wake local waiters; the failing rank ships the real cause.
                 super().abort("peer rank failed (shared abort flag raised)")
                 return
-            fkind = frame[0]
-            if fkind == codec.F_STOP:
+            if frame[0] == codec.F_STOP:
                 ring.mark_deposited()
                 return
-            if fkind == codec.F_BATCH:
-                # Sub-frames land in send order under one mailbox-lock
-                # acquisition; payloads stay zero-copy views into frame.
-                SimWorld.deliver_batch(
-                    self, [_landed(sub) for sub in codec.iter_batch(frame)])
-            else:
-                SimWorld.deliver(self, *_landed(frame))
+            kind, context, _, env = codec.decode(frame)
+            env.fate = kind  # the record kind is the envelope's fate
+            SimWorld.deliver(self, context, env)
             # Only now has the frame truly landed: between ring.recv() and
             # here it was in no ring and no mailbox, and the deadlock
             # detector must still count it as in flight (undeposited()).
@@ -343,9 +260,8 @@ class ShmWorld(SimWorld):
             return
         self._receiver = None
         try:
-            self.flush_frames()  # nothing may stay queued past shutdown
             self._rings[self.myrank].send(codec.STOP_FRAME, self._abort_flag)
-        except (RingAborted, SimMPIError):
+        except RingAborted:
             # Aborted with a full ring: the receiver is exiting (or gone)
             # via the abort flag anyway.
             pass
@@ -353,11 +269,11 @@ class ShmWorld(SimWorld):
 
     # ------------------------------------------------------------ metrics
     def export_transport_metrics(self) -> None:
-        """Publish coalescing and ring-wait counts into this rank's metrics
-        registry: frame/batch counters, and this rank's blocked ring waits
-        (reading its own ring, writing any peer's) by what ended them —
-        a bell that brought bytes or room, a ``stale`` bell that brought
-        nothing new, or the ``backstop`` timeout."""
+        """Publish transport counts into this rank's metrics registry: the
+        frames it sent, and its blocked ring waits (reading its own ring,
+        writing any peer's) by what ended them — a bell that brought bytes
+        or room, a ``stale`` bell that brought nothing new, or the
+        ``backstop`` timeout."""
         if self.obs is None:
             return
         m = self.obs[self.myrank].metrics
@@ -371,11 +287,6 @@ class ShmWorld(SimWorld):
                       "them", woke=woke).inc(n)
         m.counter("shm_frames_sent_total",
                   "wire frames this rank published").inc(self._tx_frames)
-        m.counter("shm_batches_sent_total",
-                  "coalesced multi-frame writes").inc(self._tx_batches)
-        m.counter("shm_frames_coalesced_total",
-                  "frames shipped inside coalesced writes"
-                  ).inc(self._tx_coalesced)
 
 
 #: transport context for the end-of-job barrier (never collides with user

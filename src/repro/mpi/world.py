@@ -216,42 +216,11 @@ class SimWorld:
                 self.sanitizer.notify_progress(env.dest)
             cond.notify_all()
 
-    def deliver_batch(self, items: list[tuple[str, Envelope]]) -> None:
-        """Deliver several envelopes for one destination rank under a
-        single condition acquisition.
-
-        The deposit path for coalesced wire frames (mp-shm backend):
-        semantically identical to calling :meth:`deliver` per item —
-        mailbox append order equals batch order, and matching is by seq
-        anyway — but N frames cost one lock round-trip, one sanitizer
-        progress bump and one ``notify_all``.
-        """
-        if not items:
-            return
-        dest = items[0][1].dest
-        if not (0 <= dest < self.nranks):
-            raise ValueError(f"invalid destination rank {dest} (nranks={self.nranks})")
-        if any(env.dest != dest for _, env in items):
-            raise ValueError("deliver_batch items must share one destination")
-        cond = self._mail_conds[dest]
-        with cond:
-            for context, env in items:
-                self._mailboxes.setdefault((context, dest), []).append(env)
-            if self.sanitizer is not None:
-                self.sanitizer.notify_progress(dest)
-            cond.notify_all()
-
-    def flush_frames(self) -> None:
-        """Hook run before this rank can block or poll: a transport that
-        queues outbound envelopes (mp-shm coalescing) puts them on the wire
-        here.  Thread deliveries are synchronous, so nothing to do."""
-
     def try_match(self, context: str, rank: int, source: int, tag: int,
                   charge: Callable[[str, float], None] | None = None,
                   ) -> Envelope | None:
         """Non-blocking: pop the first mailbox envelope matching (source,
         tag), settled as :meth:`wait_recvs` settles it."""
-        self.flush_frames()
         cond = self._mail_conds[rank]
         with cond:
             env = self._pop_locked(context, rank, source, tag)
@@ -293,9 +262,6 @@ class SimWorld:
         registers the pending wants with the deadlock detector, which sees
         every message in flight, dropped ones included.
         """
-        # Before the lock: a ring write must never run under it, and a
-        # rank registered as blocked must have nothing queued.
-        self.flush_frames()
         deadline = time.monotonic() + self.timeout_s
         san = self.sanitizer
         got: dict[int, Envelope] = {}

@@ -163,24 +163,6 @@ class TestBlockingHazards:
         msgs = [f.message for f in fired.get("RA011", [])]
         assert len(msgs) == 1 and "may block" in msgs[0]
 
-    def test_true_positive_queue_without_flush(self, tmp_path):
-        fired = _rules_fired(tmp_path, {"m.py": (
-            "def job(self, comm, frame):\n"
-            "    self.queue_frame(1, frame)\n"
-            "    return comm.recv(source=1, tag=0)\n"
-        )})
-        assert len(fired.get("RA011", [])) == 1
-        assert "flush" in fired["RA011"][0].message
-
-    def test_negative_flush_before_blocking(self, tmp_path):
-        fired = _rules_fired(tmp_path, {"m.py": (
-            "def job(self, comm, frame):\n"
-            "    self.queue_frame(1, frame)\n"
-            "    self.flush_frames()\n"
-            "    return comm.recv(source=1, tag=0)\n"
-        )})
-        assert "RA011" not in fired
-
     def test_negative_condition_variable_is_not_a_lock(self, tmp_path):
         """with cond: releases while waiting — the request wait-loop idiom."""
         fired = _rules_fired(tmp_path, {"m.py": (

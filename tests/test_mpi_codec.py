@@ -1,8 +1,8 @@
 """Deep coverage of the wire codec (DESIGN.md §14): edge payload shapes,
-zero-copy guarantees, batch framing, oversize streaming through a real
-ring, the memoized pickled-size oracle, and end-to-end coalesced
-transport on the mp-shm backend — including order preservation under a
-seeded fault plan that drops and duplicates messages *inside* a batch.
+zero-copy guarantees, oversize streaming through a real ring, the
+memoized pickled-size oracle, and end-to-end transport of a burst of
+small frames on the mp-shm backend — including order preservation under
+a seeded fault plan that drops and duplicates messages mid-burst.
 """
 
 from __future__ import annotations
@@ -18,11 +18,8 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, MessageFault
 from repro.faults.policy import ResiliencePolicy
 from repro.mpi import codec, create_world
-from repro.mpi.backend import JobSpec
 from repro.mpi.message import DELIVERED, RETRANSMITTED, Envelope
-from repro.mpi.mpshm import COALESCE_MAX_FRAMES
 from repro.mpi.shm import ShmFlag, ShmRing
-from repro.mpi.world import SimWorld
 
 
 def _env(payload, **kw):
@@ -142,54 +139,6 @@ class TestZeroCopy:
         out.payload[0] = -1.0  # legal: receiver owns a mutable payload
 
 
-# -------------------------------------------------------------- batch frames
-class TestBatchFrames:
-    def _frames(self):
-        return [
-            codec.encode(DELIVERED, "world",
-                         _env((i, "msg"), tag=10 + i))
-            for i in range(5)
-        ] + [codec.encode(DELIVERED, "world",
-                          _env(np.arange(6, dtype=np.float32), tag=99))]
-
-    def test_batch_preserves_order_tags_and_seqs(self):
-        frames = self._frames()
-        want = [codec.decode(b"".join(
-            s.tobytes() if isinstance(s, memoryview) else s for s in f))
-            for f in frames]
-        batch = b"".join(
-            s.tobytes() if isinstance(s, memoryview) else s
-            for s in codec.encode_batch(frames))
-        assert batch[0] == codec.F_BATCH
-        got = [codec.decode(sub) for sub in codec.iter_batch(batch)]
-        assert [g[3].tag for g in got] == [w[3].tag for w in want]
-        assert [g[3].seq for g in got] == [w[3].seq for w in want]
-        np.testing.assert_array_equal(got[-1][3].payload, want[-1][3].payload)
-
-    def test_batch_nbytes_accounts_prefixes(self):
-        frames = self._frames()
-        segs = codec.encode_batch(frames)
-        per_frame = sum(codec.frame_nbytes(f) for f in frames)
-        assert codec.frame_nbytes(segs) == per_frame + 5 + 4 * len(frames)
-
-    def test_batch_through_ring_deposits_each_subframe(self):
-        ctx = mp.get_context("fork")
-        ring, flag = ShmRing(4096, ctx), ShmFlag()
-        try:
-            frames = self._frames()
-            ring.send_segments(codec.encode_batch(frames), flag)
-            received = ring.recv(flag)
-            assert received[0] == codec.F_BATCH
-            subs = list(codec.iter_batch(received))
-            assert len(subs) == len(frames)
-            # Sub-frame arrays decode zero-copy out of the ring buffer.
-            _, _, _, env = codec.decode(subs[-1])
-            assert env.payload.base is not None
-        finally:
-            ring.close(); ring.unlink()
-            flag.close(); flag.unlink()
-
-
 # ------------------------------------------------------- oversize streaming
 def test_oversize_array_frame_streams_through_ring():
     """A frame several times the ring capacity trickles through via the
@@ -256,45 +205,27 @@ class TestPickledSize:
         codec._SIZE_CACHE.clear()
 
 
-# ------------------------------------------------------------ deliver_batch
-class TestDeliverBatch:
-    def test_orders_match_per_item_delivery(self):
-        world = SimWorld(JobSpec(nranks=2))
-        envs = [_env((i,), dest=1, tag=5) for i in range(4)]
-        world.deliver_batch([("world", e) for e in envs])
-        got = [world.try_match("world", 1, 0, 5) for _ in range(4)]
-        assert [g.payload for g in got] == [(0,), (1,), (2,), (3,)]
-        assert world.try_match("world", 1, 0, 5) is None
-
-    def test_rejects_mixed_destinations_and_bad_rank(self):
-        world = SimWorld(JobSpec(nranks=2))
-        with pytest.raises(ValueError, match="one destination"):
-            world.deliver_batch([("w", _env(None, dest=0)),
-                                 ("w", _env(None, dest=1))])
-        with pytest.raises(ValueError, match="invalid destination"):
-            world.deliver_batch([("w", _env(None, dest=9))])
-        world.deliver_batch([])  # empty batch is a no-op
+# ---------------------------------------------- burst transport end-to-end
+#: small sends per rank in one burst
+BURST = 80
 
 
-# ------------------------------------------- coalesced transport end-to-end
 def burst_ring(comm):
-    """Each rank floods its neighbour with small frames, then drains: the
-    sends all queue before the first blocking receive, so on the mp-shm
-    backend they travel as coalesced batches."""
+    """Each rank floods its neighbour with small frames, then drains: every
+    send is on the wire before the first blocking receive."""
     nxt, prv = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
-    n = COALESCE_MAX_FRAMES + 16  # force a bound-triggered flush too
-    for i in range(n):
+    for i in range(BURST):
         comm.send((comm.rank, i), dest=nxt, tag=5)
     comm.send(np.full(3000, comm.rank, dtype=np.float64), dest=nxt, tag=6)
-    got = [comm.recv(source=prv, tag=5) for _ in range(n)]
+    got = [comm.recv(source=prv, tag=5) for _ in range(BURST)]
     arr = comm.recv(source=prv, tag=6)
     return tuple(got), float(arr.sum())
 
 
-def _faulted_batch_plan():
-    # Drops and duplicates land mid-burst: inside a coalesced batch on the
-    # mp-shm backend, between ordinary frames on the thread backend.
-    return FaultPlan(name="batch-faults", seed=21, messages=(
+def _faulted_burst_plan():
+    # Drops and duplicates land mid-burst, between ordinary frames on
+    # both backends.
+    return FaultPlan(name="burst-faults", seed=21, messages=(
         MessageFault(kind="drop", source=0, index=3, count=2,
                      recoverable=True),
         MessageFault(kind="duplicate", source=1, index=5, count=2),
@@ -309,15 +240,14 @@ def _run_burst(backend, **kw):
     return results, world.last_world
 
 
-def test_coalesced_burst_matches_thread_backend():
+def test_burst_matches_thread_backend():
     res_t, world_t = _run_burst("thread")
     res_p, world_p = _run_burst("mp-shm")
     assert res_t == res_p
-    n = COALESCE_MAX_FRAMES + 16
     for r in range(3):
-        # Fault-free: non-overtaking order holds exactly, batches included.
+        # Fault-free: non-overtaking order holds exactly.
         prv = (r - 1) % 3
-        assert res_p[r][0] == tuple((prv, i) for i in range(n))
+        assert res_p[r][0] == tuple((prv, i) for i in range(BURST))
         lt = {k: (round(v.total_us, 3), v.calls)
               for k, v in world_t.accounting[r].routine_totals().items()}
         lp = {k: (round(v.total_us, 3), v.calls)
@@ -325,8 +255,8 @@ def test_coalesced_burst_matches_thread_backend():
         assert lt == lp, f"rank {r} ledger"
 
 
-def test_faulted_batches_preserve_order_and_recovery():
-    plan = _faulted_batch_plan()
+def test_faulted_burst_preserves_order_and_recovery():
+    plan = _faulted_burst_plan()
     outs = {}
     for backend in ("thread", "mp-shm"):
         inj = FaultInjector(plan, 3)
@@ -341,10 +271,9 @@ def test_faulted_batches_preserve_order_and_recovery():
             == world_p.injector.schedule_signature())
     assert world_t.injector.total_counts().get("mpi.recovered") == 3
     assert world_t.injector.total_counts().get("mpi.deduplicated") == 2
-    n = COALESCE_MAX_FRAMES + 16
     for r in range(3):
-        # Recovered messages keep their send position, batches included.
-        assert res_p[r][0] == tuple(((r - 1) % 3, i) for i in range(n))
+        # Recovered messages keep their send position.
+        assert res_p[r][0] == tuple(((r - 1) % 3, i) for i in range(BURST))
         assert (world_t.resilience[r].as_dict()
                 == world_p.resilience[r].as_dict()), r
         rt = world_t.accounting[r].routine_totals().get("MPI_Retransmit")

@@ -4,7 +4,8 @@ Covers the byte ring (framing, wrap-around, oversize streaming, vectored
 segment writes, abort), its doorbells, the cross-process wait table, the
 wire frame codec, sequence-number rebasing — everything below
 :class:`~repro.mpi.mpshm.MpShmBackend` — and the transport metrics a
-2-rank mp-shm case study exports.  (Deep codec coverage lives in
+2-rank mp-shm case study exports, which count one ring write per remote
+deliver.  (Deep codec coverage lives in
 ``tests/test_mpi_codec.py``.)
 
 The doorbell tests count, they do not time: two threads are ordered
@@ -24,7 +25,7 @@ import pytest
 
 from repro.euler.ports import DriverParams
 from repro.harness.casestudy import CaseStudyConfig, run_case_study
-from repro.mpi import codec
+from repro.mpi import codec, create_world
 from repro.mpi import message as msg_mod
 from repro.mpi import shm
 from repro.mpi.backend import JobSpec
@@ -221,8 +222,8 @@ class TestShmWaitTable:
 # ------------------------------------------------------------- doorbells
 class TestDoorbells:
     def test_send_then_recv_rings_no_bell(self, ring, flag):
-        # Nobody announced, so nobody rings: the per-frame path of the
-        # coalesced-burst microbench makes no semaphore call.
+        # Nobody announced, so nobody rings: an uncontended send and
+        # receive make no semaphore call.
         for payload in (b"abc", bytes(3000), b""):
             ring.send(payload, flag)
             assert ring.recv(flag) == payload
@@ -366,8 +367,6 @@ def test_rebase_seqno_partitions_per_rank():
 #: the e2e benchmark's mpshm_bare mesh at its smoke size (two steps)
 _MPSHM_SMOKE = DriverParams(nx=64, ny=64, max_levels=3, steps=2,
                             regrid_every=2, max_patch_cells=1024)
-_TRANSPORT = ("shm_frames_sent_total", "shm_batches_sent_total",
-              "shm_frames_coalesced_total")
 
 
 def _transport_metrics():
@@ -385,14 +384,41 @@ def test_transport_metrics_exported_per_rank():
     runs = [_transport_metrics() for _ in range(2)]
     for ranks in runs:
         for got in ranks:
-            for name in _TRANSPORT:
-                assert (name, None) in got, name
             assert got[("shm_frames_sent_total", None)] > 0
             waits = {w: got[("shm_ring_waits_total", w)]
                      for w in ("bell", "stale", "backstop")}
             # Every bell brought bytes or room: no wake without progress.
             assert waits["stale"] == 0, waits
-    # Coalescing flushes at program points (before any blocking call),
-    # so the frames on the wire do not depend on timing.
-    assert ([[r[(n, None)] for n in _TRANSPORT] for r in runs[0]]
-            == [[r[(n, None)] for n in _TRANSPORT] for r in runs[1]])
+    # One frame per remote deliver, so the frames on the wire are the
+    # program's sends and do not depend on timing.
+    assert ([r[("shm_frames_sent_total", None)] for r in runs[0]]
+            == [r[("shm_frames_sent_total", None)] for r in runs[1]])
+
+
+#: small sends in the burst below
+_BURST = 80
+
+
+def _burst_to_peer(comm):
+    """Rank 0 sends ``_BURST`` small messages, then one 24 KB array, to
+    rank 1 before anything blocks it."""
+    if comm.rank == 0:
+        for i in range(_BURST):
+            comm.send(i, dest=1, tag=5)
+        comm.send(np.zeros(3000), dest=1, tag=6)
+        return None
+    got = [comm.recv(source=0, tag=5) for _ in range(_BURST)]
+    comm.recv(source=0, tag=6)
+    return got
+
+
+def test_one_ring_write_per_remote_deliver():
+    runner = create_world("mp-shm", nranks=2, obs_config=ObsConfig())
+    assert runner.run(_burst_to_peer) == [None, list(range(_BURST))]
+    sent = [sum(inst.value for name, _, inst in ro.metrics.series()
+                if name == "shm_frames_sent_total")
+            for ro in runner.last_world.obs]
+    # Rank 0: _BURST small sends + 1 array send + 1 hop of the 2-rank
+    # final barrier (a tree allgather: rank 0 receives rank 1's gather
+    # hop, then sends it the broadcast).  Rank 1 sends only its gather hop.
+    assert sent == [_BURST + 2, 1]
