@@ -33,7 +33,7 @@ from repro.util.atomicio import atomic_write_bytes, atomic_write_text
 MANIFEST = "MANIFEST.json"
 
 #: checkpoint format version (bump on layout changes)
-FORMAT = 1
+FORMAT = 2
 
 
 # --------------------------------------------------------------------- AMR

@@ -89,7 +89,7 @@ class CaseStudyConfig:
 class RankHarvest:
     """Per-rank measurement payload pulled out of the rank thread."""
 
-    #: the rank's Mastermind (records, call path, model building)
+    #: the rank's Mastermind (records, model building)
     mastermind: Mastermind
     records: dict[tuple[str, str], Any]
     callpath_edges: dict[tuple[str, str], int]
@@ -214,7 +214,7 @@ def _harvest(fw: Framework) -> RankHarvest | None:
     return RankHarvest(
         mastermind=mm,
         records={rec.key: rec for rec in mm.all_records()},
-        callpath_edges=dict(mm.callpath.edge_counts),
+        callpath_edges=mm.edge_counts(),
         wiring_nodes=fw.instance_names(),
         mesh_state=(hierarchy_state(mesh._hierarchy)
                     if mesh._hierarchy is not None else None),

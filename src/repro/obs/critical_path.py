@@ -292,11 +292,12 @@ def crosscheck_records(spans: Sequence[Span],
     with ``sample_every=1`` (sampled-out invocations have records but no
     spans).
 
-    Both sides are *real* wall clock: record walls are ``now_us()``
-    snapshot deltas and span durations are real timestamps.  The modeled
-    MPI cost charged inside a region lives separately, in the record's
-    ``mpi_us`` and the span's ``virtual_us`` attribute — neither enters
-    this comparison.
+    Both sides are *real* wall clock: record walls are the TAU frame's
+    clock interval (``end_us - start_us``, not its inclusive time), not
+    ``now_us()`` snapshot deltas, and span durations are real
+    timestamps.  The modeled MPI cost charged inside a region lives
+    separately, in the record's ``mpi_us`` and the span's ``virtual_us``
+    attribute — neither enters this comparison.
     """
     span_us: dict[str, float] = {}
     for s in spans:

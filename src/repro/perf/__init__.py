@@ -9,8 +9,7 @@ package holds the other two plus the modeling machinery they feed:
   components that snoop method invocations, extract performance parameters
   and forward the call;
 * :mod:`repro.perf.records` — per-method record objects storing
-  per-invocation measurements;
-* :mod:`repro.perf.callpath` — caller/callee trace recording;
+  per-invocation measurements, each with its caller (the call path);
 * :mod:`repro.perf.mastermind` — the Mastermind component: gathers, stores
   and reports measurement data, builds performance models and the
   application dual;
@@ -21,7 +20,6 @@ package holds the other two plus the modeling machinery they feed:
 
 from repro.perf.monitor import MonitorPort
 from repro.perf.records import InvocationRecord, MethodRecord
-from repro.perf.callpath import CallPathRecorder
 from repro.perf.proxy import perf_params, make_proxy_port, ProxyComponent, insert_proxy
 from repro.perf.mastermind import Mastermind
 from repro.perf.dualgraph import build_dual, dual_to_composite, insignificant_subgraph_nodes
@@ -32,7 +30,6 @@ __all__ = [
     "MonitorPort",
     "InvocationRecord",
     "MethodRecord",
-    "CallPathRecorder",
     "perf_params",
     "make_proxy_port",
     "ProxyComponent",

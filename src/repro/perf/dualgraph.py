@@ -5,11 +5,11 @@ edge weights corresponding to the number of invocations and the vertex
 weights being the compute and communication times determined from the
 performance models (PM_i) for component i."
 
-:func:`build_dual` combines the Mastermind's call trace and records with
-(optionally) per-label performance models: vertex weights are the
-model-predicted compute time over the observed workload (falling back to
-measured totals when no model is supplied) plus the measured communication
-time; edge weights are invocation counts.
+:func:`build_dual` combines the Mastermind's records and the call path
+folded from them with (optionally) per-label performance models: vertex
+weights are the model-predicted compute time over the observed workload
+(falling back to measured totals when no model is supplied) plus the
+measured communication time; edge weights are invocation counts.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Mapping
 from repro.models.composite import CompositeModel, Workload
 from repro.models.performance import PerformanceModel
 from repro.perf.mastermind import Mastermind
+from repro.perf.records import ROOT
 
 if TYPE_CHECKING:  # pragma: no cover
     import networkx as nx
@@ -34,16 +35,15 @@ def build_dual(
     Nodes are monitored routine names (``label::method()``) with
     attributes ``compute_us``, ``comm_us``, ``invocations``,
     ``predicted`` (True when a model supplied the compute weight) and
-    ``model`` (the model's name, if any).  Edges carry ``count``.
+    ``model`` (the model's name, if any).  Edges carry ``count``; calls
+    from outside every monitored routine make no edge.
     """
+    import networkx as nx
+
     models = dict(models or {})
-    g = mastermind.callpath.graph()
+    g = nx.DiGraph()
     for rec in mastermind.all_records():
         name = rec.timer_name
-        if name not in g:
-            # Routine recorded but never entered the call path — defensive,
-            # should not happen since both flow through begin_invocation.
-            g.add_node(name, invocations=len(rec))
         model = models.get(name) or models.get(rec.label)
         if model is not None:
             try:
@@ -56,12 +56,17 @@ def build_dual(
         else:
             compute = float(rec.compute_series().sum())
             predicted = False
-        g.nodes[name].update(
+        g.add_node(
+            name,
+            invocations=len(rec),
             compute_us=compute,
             comm_us=rec.total_mpi_us(),
             predicted=predicted,
             model=model.name if model is not None else None,
         )
+    for (caller, callee), n in mastermind.edge_counts().items():
+        if caller != ROOT:
+            g.add_edge(caller, callee, count=n)
     return g
 
 
@@ -134,7 +139,7 @@ def dual_to_composite(
             comp.add_node(name, Workload((0.0,), (len(rec),)), model=model, comm_us=comm)
         else:
             comp.add_node(name, workload, model=model, comm_us=comm)
-    for (caller, callee), count in mastermind.callpath.edge_counts.items():
+    for (caller, callee), count in mastermind.edge_counts().items():
         if caller in comp.nodes() and callee in comp.nodes():
             comp.add_edge(caller, callee, count)
     return comp

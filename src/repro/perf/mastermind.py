@@ -6,21 +6,25 @@ proxies call, holds one :class:`~repro.perf.records.MethodRecord` per
 monitored routine, and implements the paper's cumulative-differencing
 measurement discipline:
 
-1. ``begin_invocation`` — store the extracted parameters, query the TAU
-   component for current wall time / MPI time / hardware counters, start
-   the routine's TAU timer;
-2. ``end_invocation`` — stop the timer, query again, difference the two
-   snapshots, and file the single-invocation measurement in the record.
+1. ``begin_invocation`` — store the extracted parameters and start the
+   routine's TAU timer (group ``proxied``);
+2. ``end_invocation`` — stop the timer.  The stopped TAU frame *is* the
+   cumulative difference: its clock interval is the wall time, the MPI
+   time charged inside it is the MPI time, and the counters it read at
+   either end give the counter deltas.  The nearest enclosing ``proxied``
+   frame is the invocation's caller.  The measurement is filed in the
+   record; no whole-profile snapshot is taken.
 
 Beyond measurement it offers the Section 6 machinery: per-method
-performance-model construction, the call-path trace, the application dual,
-and an online model-drift check ("dynamic performance optimization which
-uses online performance monitoring to determine when performance
-expectations are not being met").
+performance-model construction, the call path (a fold over the records'
+callers), and an online model-drift check ("dynamic performance
+optimization which uses online performance monitoring to determine when
+performance expectations are not being met").
 """
 
 from __future__ import annotations
 
+import collections
 import os
 from dataclasses import dataclass
 from typing import Any, Mapping
@@ -32,18 +36,16 @@ from repro.cca.services import PortNotConnectedError, Services
 from repro.models.composite import Workload
 from repro.models.performance import PerformanceModel, build_model
 from repro.obs.metrics import Counter, Histogram
-from repro.perf.callpath import CallPathRecorder
 from repro.perf.monitor import MonitorPort
-from repro.perf.records import InvocationRecord, MethodRecord
+from repro.perf.records import ROOT, InvocationRecord, MethodRecord
 from repro.tau.component import MeasurementPort
-from repro.tau.query import MeasurementSnapshot
+from repro.tau.query import InvocationMeasurement
 
 
 @dataclass
 class _ActiveInvocation:
     key: tuple[str, str]
     params: Mapping[str, Any]
-    before: MeasurementSnapshot
     timer_name: str
 
 
@@ -61,7 +63,6 @@ class Mastermind(Component, MonitorPort):
         self._records: dict[tuple[str, str], MethodRecord] = {}
         self._active: dict[int, _ActiveInvocation] = {}
         self._next_token = 0
-        self.callpath = CallPathRecorder()
         #: routine -> its (calls counter, wall histogram) in the framework's
         #: metrics registry, fetched on the routine's first invocation
         self._instruments: dict[str, tuple[Counter, Histogram]] = {}
@@ -103,16 +104,13 @@ class Mastermind(Component, MonitorPort):
         rec = self._records.get(key)
         if rec is None:
             rec = self._records[key] = MethodRecord(label, method)
-        mp = self._measurement()
-        self.callpath.push(rec.timer_name)
         # Parameters were extracted by the proxy before this call; from here
-        # on we only snapshot and start the timer (outside-the-timers rule).
-        before = mp.query()
-        mp.start_timer(rec.timer_name, group=self.TIMER_GROUP)
+        # on we only start the timer (outside-the-timers rule).
+        self._measurement().start_timer(rec.timer_name, group=self.TIMER_GROUP)
         token = self._next_token
         self._next_token += 1
         self._active[token] = _ActiveInvocation(
-            key=key, params=dict(params), before=before, timer_name=rec.timer_name
+            key=key, params=dict(params), timer_name=rec.timer_name
         )
         return token
 
@@ -121,12 +119,19 @@ class Mastermind(Component, MonitorPort):
             act = self._active.pop(token)
         except KeyError:
             raise RuntimeError(f"end_invocation with unknown token {token}") from None
-        mp = self._measurement()
-        mp.stop_timer(act.timer_name)
-        after = mp.query()
-        self.callpath.pop(act.timer_name)
-        measurement = act.before.delta(after)
-        self._records[act.key].add(InvocationRecord(params=act.params, measurement=measurement))
+        frame = self._measurement().stop_timer(act.timer_name)
+        start = frame.start_counters
+        measurement = InvocationMeasurement(
+            wall_us=frame.end_us - frame.start_us,
+            mpi_us=frame.charged_us,
+            counters={k: v - start.get(k, 0) for k, v in frame.end_counters.items()},
+        )
+        caller = frame.parent
+        while caller is not None and caller.group != self.TIMER_GROUP:
+            caller = caller.parent
+        self._records[act.key].add(InvocationRecord(
+            params=act.params, measurement=measurement,
+            caller=caller.name if caller is not None else ROOT))
         obs = self._services.framework.obs if self._services is not None else None
         if obs is not None:
             bound = self._instruments.get(act.timer_name)
@@ -157,6 +162,14 @@ class Mastermind(Component, MonitorPort):
 
     def labels(self) -> list[str]:
         return sorted({label for (label, _m) in self._records})
+
+    def edge_counts(self) -> dict[tuple[str, str], int]:
+        """The call path: ``(caller, callee) -> calls``, folded from the
+        records' callers (``caller`` is :data:`~repro.perf.records.ROOT`
+        for an invocation no monitored routine encloses)."""
+        return dict(collections.Counter((inv.caller, rec.timer_name)
+                                         for rec in self._records.values()
+                                         for inv in rec.invocations))
 
     # ---------------------------------------------------------- modeling
     def workload(self, label: str, method: str, param: str = "Q") -> Workload:

@@ -16,13 +16,21 @@ import numpy as np
 
 from repro.tau.query import InvocationMeasurement
 
+#: the caller of an invocation no monitored routine encloses
+ROOT = "<root>"
+
 
 @dataclass(frozen=True)
 class InvocationRecord:
-    """One monitored invocation: extracted parameters + measured costs."""
+    """One monitored invocation: extracted parameters + measured costs.
+
+    ``caller`` is the timer name of the nearest enclosing monitored
+    invocation (:data:`ROOT` for none): the record's call-path edge.
+    """
 
     params: Mapping[str, Any]
     measurement: InvocationMeasurement
+    caller: str = ROOT
 
     @property
     def wall_us(self) -> float:
@@ -43,6 +51,7 @@ class InvocationRecord:
             "wall_us": self.measurement.wall_us,
             "mpi_us": self.measurement.mpi_us,
             "counters": dict(self.measurement.counters),
+            "caller": self.caller,
         }
 
     @classmethod
@@ -54,6 +63,7 @@ class InvocationRecord:
                 mpi_us=data["mpi_us"],
                 counters=dict(data.get("counters", {})),
             ),
+            caller=data["caller"],
         )
 
 

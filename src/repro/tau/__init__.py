@@ -4,13 +4,15 @@ Provides the four interfaces the paper's TAU component exposes through its
 MeasurementPort:
 
 * **timing** — create/name/start/stop/group timers with inclusive and
-  exclusive wall-clock accumulation (:class:`Profiler`);
+  exclusive wall-clock accumulation (:class:`Profiler`); ``stop`` hands
+  back the stopped :class:`~repro.tau.timer.Frame`, whose interval the
+  Mastermind files as one invocation;
 * **events** — atomic events tracking min/max/mean/std/count
   (:class:`AtomicEvent`);
 * **control** — enable/disable all timers of a group at runtime
   (e.g. every MPI timer via the ``"MPI"`` group);
-* **query** — read current cumulative metric values so the Mastermind can
-  difference before/after snapshots (:class:`MeasurementSnapshot`).
+* **query** — read current cumulative metric values
+  (:class:`MeasurementSnapshot`).
 
 The tracing measurement option is a :class:`~repro.obs.span.SpanTracer`
 handed to the :class:`Profiler` (``Profiler(tracer=...)``); it exports

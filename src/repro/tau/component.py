@@ -12,6 +12,7 @@ from repro.cca.ports import Port
 from repro.cca.services import Services
 from repro.tau.profiler import Profiler
 from repro.tau.query import MeasurementSnapshot
+from repro.tau.timer import Frame
 
 
 class MeasurementPort(Port):
@@ -21,7 +22,8 @@ class MeasurementPort(Port):
     def start_timer(self, name: str, group: str = "default") -> None:
         raise NotImplementedError
 
-    def stop_timer(self, name: str) -> None:
+    def stop_timer(self, name: str) -> Frame:
+        """Stop the innermost timer and hand back its stopped frame."""
         raise NotImplementedError
 
     # -- event interface
@@ -56,8 +58,8 @@ class _MeasurementImpl(MeasurementPort):
     def start_timer(self, name: str, group: str = "default") -> None:
         self._profiler.start(name, group)
 
-    def stop_timer(self, name: str) -> None:
-        self._profiler.stop(name)
+    def stop_timer(self, name: str) -> Frame:
+        return self._profiler.stop(name)
 
     def record_event(self, name: str, value: float) -> None:
         self._profiler.events.record(name, value)

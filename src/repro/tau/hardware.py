@@ -134,8 +134,8 @@ class HardwareCounters:
     """Cumulative PAPI-style counter set for one rank.
 
     Kernels report their work through :meth:`record_array_walk` and
-    :meth:`record_flops`; the Mastermind differences :meth:`read` snapshots
-    around a method invocation to get per-invocation metrics.
+    :meth:`record_flops`.  Every profiler frame reads them at its start and
+    stop, so a stopped frame holds the counts of its own interval.
     """
 
     def __init__(self, cache: CacheModel | None = None) -> None:

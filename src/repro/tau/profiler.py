@@ -23,7 +23,7 @@ from typing import Callable, Iterator
 from repro.obs.span import CAT_COMPUTE, SpanTracer
 from repro.tau.events import EventRegistry
 from repro.tau.hardware import CacheModel, HardwareCounters
-from repro.tau.timer import TimerStats, _Frame
+from repro.tau.timer import Frame, TimerStats
 from repro.util.atomicio import atomic_write_text
 from repro.util.timebase import now_us
 
@@ -51,7 +51,8 @@ class Profiler:
         self.rank = int(rank)
         self._clock = clock
         self._timers: dict[str, TimerStats] = {}
-        self._stack: list[_Frame] = []
+        #: innermost running frame; each links to its enclosing one
+        self._top: Frame | None = None
         self._disabled_groups: set[str] = set()
         self.events = EventRegistry()
         self.counters = HardwareCounters(cache)
@@ -81,35 +82,38 @@ class Profiler:
         Whether the bracketing is live is decided once, here: a frame is
         always pushed, and marked suppressed when the group is disabled,
         so the matching ``stop`` pops the same frame whatever the control
-        interface did to the group in between.
+        interface did to the group in between.  A suppressed frame still
+        reads the clock and the counters, so its interval is whole.
         """
         self._get_timer(name, group)
-        if not self.group_enabled(group):
-            self._stack.append(_Frame(name=name, start_us=0.0, suppressed=True))
-            return
+        suppressed = not self.group_enabled(group)
         span = None
-        if self.tracer is not None:
+        if self.tracer is not None and not suppressed:
             span = self.tracer.start(name, CAT_COMPUTE, sampled=True)
-        reentrant = any(f.name == name and not f.suppressed for f in self._stack)
-        self._stack.append(_Frame(name=name, start_us=self._clock(),
-                                  reentrant=reentrant, span=span))
+        reentrant = not suppressed and any(
+            f.name == name and not f.suppressed for f in self._frames())
+        self._top = Frame(name=name, group=group, start_us=self._clock(),
+                          start_counters=self.counters.read(), parent=self._top,
+                          reentrant=reentrant, suppressed=suppressed, span=span)
 
-    def stop(self, name: str) -> float:
+    def stop(self, name: str) -> Frame:
         """Stop the named timer (must be the innermost started one).
 
-        Returns the elapsed inclusive microseconds for this bracketing
-        (0.0 for one started while its group was disabled, which records
-        nothing).
+        Returns the stopped frame: its clock interval, the modeled time
+        charged inside it and the counters read at either end.  A frame
+        started while its group was disabled records nothing in the
+        timer statistics.
         """
-        if not self._stack:
+        frame = self._top
+        if frame is None:
             raise RuntimeError(f"stop({name!r}) with no timer running")
-        frame = self._stack[-1]
         if frame.name != name:
             raise RuntimeError(
                 f"stop({name!r}) does not match innermost running timer {frame.name!r}"
             )
-        self._stack.pop()
-        parent = self._stack[-1] if self._stack else None
+        frame.end_us = self._clock()
+        frame.end_counters = self.counters.read()
+        self._top = parent = frame.parent
         charged = frame.charged_us
         if parent is not None:
             parent.charged_us += charged
@@ -118,7 +122,7 @@ class Profiler:
             # enclosing live region's children.
             if parent is not None:
                 parent.child_us += frame.child_us
-            return 0.0
+            return frame
         if self.tracer is not None:
             if charged and frame.span is not None:
                 # Span timestamps stay real wall clock (cross-rank
@@ -128,7 +132,7 @@ class Profiler:
             self.tracer.end(frame.span)
         # Modeled costs have no wall-clock footprint of their own: the
         # inclusive time is extended to cover them.
-        elapsed = self._clock() - frame.start_us + charged
+        elapsed = frame.end_us - frame.start_us + charged
         timer = self._timers[name]
         timer.calls += 1
         timer.exclusive_us += elapsed - frame.child_us
@@ -137,7 +141,7 @@ class Profiler:
             timer.inclusive_us += elapsed
         if parent is not None:
             parent.child_us += elapsed
-        return elapsed
+        return frame
 
     @contextlib.contextmanager
     def timer(self, name: str, group: str = "default") -> Iterator[None]:
@@ -164,18 +168,25 @@ class Profiler:
         t.calls += 1
         t.inclusive_us += duration_us
         t.exclusive_us += duration_us
-        if self._stack:
+        top = self._top
+        if top is not None:
             # Booked on the innermost frame only; ``stop`` hands the sum
             # up to each enclosing frame, so a charge costs the same at
             # any nesting depth.
-            top = self._stack[-1]
             top.child_us += duration_us
             top.charged_us += duration_us
 
     # ----------------------------------------------------------- queries
+    def _frames(self) -> Iterator[Frame]:
+        """The running frames, innermost first."""
+        f = self._top
+        while f is not None:
+            yield f
+            f = f.parent
+
     def running(self) -> list[str]:
         """Names of currently running timers, outermost first."""
-        return [f.name for f in self._stack if not f.suppressed]
+        return [f.name for f in self._frames() if not f.suppressed][::-1]
 
     def get(self, name: str) -> TimerStats:
         """Cumulative stats for one timer (KeyError if unknown)."""

@@ -1,13 +1,16 @@
-"""Measurement snapshots for before/after differencing.
+"""The query interface's snapshot and the per-invocation measurement.
 
 Paper Section 4.3: "TAU measurements are made cumulatively, so in order to
 obtain the measurements for a single invocation, measurements must be made
 prior to the invocation and again after the invocation.  ...  The
 measurements for the single invocation are determined by the difference."
 
-:class:`MeasurementSnapshot` captures the three cumulative quantities the
-Mastermind differences: wall time, MPI time (summation of all MPI routine
-timers) and the hardware counters.
+:class:`MeasurementSnapshot` reads the three cumulative quantities: wall
+time, MPI time (summation of all MPI routine timers) and the hardware
+counters.  The Mastermind does not difference two of them per call: the
+stopped TAU frame already holds that difference (see
+:mod:`repro.perf.mastermind`), and :class:`InvocationMeasurement` is built
+from it.
 """
 
 from __future__ import annotations
@@ -34,18 +37,6 @@ class MeasurementSnapshot:
             mpi_us=profiler.group_total_us(MPI_GROUP),
             counters=profiler.counters.read(),
         )
-
-    def delta(self, later: "MeasurementSnapshot") -> "InvocationMeasurement":
-        """Difference two snapshots into a single-invocation measurement."""
-        wall = later.wall_us - self.wall_us
-        mpi = later.mpi_us - self.mpi_us
-        if wall < 0 or mpi < 0:
-            raise ValueError("snapshot delta is negative; snapshots out of order")
-        dctr = {
-            k: later.counters.get(k, 0) - self.counters.get(k, 0)
-            for k in set(self.counters) | set(later.counters)
-        }
-        return InvocationMeasurement(wall_us=wall, mpi_us=mpi, counters=dctr)
 
 
 @dataclass(frozen=True)

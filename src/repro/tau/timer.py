@@ -10,7 +10,7 @@ TAU profiling semantics (paper Section 4.1 / Figure 3):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.obs.span import Span
 
@@ -43,11 +43,24 @@ class TimerStats:
 
 
 @dataclass(slots=True)
-class _Frame:
-    """Live stack frame for a started timer."""
+class Frame:
+    """One started timer; ``Profiler.stop`` hands it back stopped.
+
+    A stopped frame is the interval of one bracketing: its clock start and
+    end, the modeled time charged inside it and the hardware counters read
+    at its start.  The Mastermind builds an invocation record from it.
+    """
 
     name: str
+    group: str
     start_us: float
+    #: hardware counter values read at start
+    start_counters: dict[str, int]
+    #: the enclosing frame (None at the bottom of the stack)
+    parent: Frame | None = None
+    #: clock reading at stop, and the counter values read then
+    end_us: float = 0.0
+    end_counters: dict[str, int] = field(default_factory=dict)
     child_us: float = 0.0
     #: modeled time charged while this frame was innermost, plus what
     #: frames nested in it handed up when they stopped

@@ -109,6 +109,8 @@ def test_kill_then_restart_matches_uninterrupted_run(tmp_path):
         # per-routine invocation counts equal the uninterrupted run's.
         assert ({k: len(r) for k, r in hb.records.items()}
                 == {k: len(r) for k, r in hr.records.items()})
+        # ... and so is the call path, folded from the restored records.
+        assert hb.callpath_edges == hr.callpath_edges
 
 
 def test_resume_without_checkpoint_raises(tmp_path):

@@ -45,6 +45,17 @@ class TestBuildDual:
         assert g.nodes["flux::compute()"]["compute_us"] > 0
         assert not g.nodes["flux::compute()"]["predicted"]
 
+    def test_graph_excludes_root_by_default(self, recorded_mastermind):
+        _, mm = recorded_mastermind
+        # The outer routine is called from outside every monitored one: its
+        # records' caller is the root, which is an edge of the call path
+        # but not a vertex of the dual.
+        assert mm.edge_counts() == {("<root>", "driver::run()"): 3,
+                                    ("driver::run()", "flux::compute()"): 3}
+        g = build_dual(mm)
+        assert "<root>" not in g
+        assert list(g.edges) == [("driver::run()", "flux::compute()")]
+
     def test_model_predicted_weights(self, recorded_mastermind):
         _, mm = recorded_mastermind
         m = linear_model("flux-model", 0.0, 1.0)  # T = Q

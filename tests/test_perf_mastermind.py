@@ -1,5 +1,7 @@
-"""Mastermind: records, callpath, model building, drift checks, dumping."""
+"""Mastermind: records, the call path folded from them, one interval per
+call, model building, drift checks, dumping."""
 
+import itertools
 import time
 
 import numpy as np
@@ -8,9 +10,11 @@ import pytest
 from repro.cca import Framework
 from repro.models.fits import fit_linear
 from repro.models.performance import PerformanceModel
-from repro.perf import CallPathRecorder, Mastermind
+from repro.perf import Mastermind
 from repro.perf.records import InvocationRecord, MethodRecord
 from repro.tau.component import TauMeasurementComponent
+from repro.tau.hardware import AccessPattern
+from repro.tau.profiler import Profiler
 from repro.tau.query import InvocationMeasurement
 
 
@@ -53,11 +57,18 @@ class TestMonitoring:
 
     def test_nested_invocations_build_callpath(self, mastermind):
         fw, mm = mastermind
-        outer = mm.begin_invocation("a", "run", {})
-        inner = mm.begin_invocation("b", "step", {})
-        mm.end_invocation(inner)
-        mm.end_invocation(outer)
-        assert mm.callpath.calls_between("a::run()", "b::step()") == 1
+        # A TAU timer outside the proxied group (scmd's ``main``) is not a
+        # caller: the outer invocation is called from the root.
+        with fw.profiler.timer("main"):
+            outer = mm.begin_invocation("a", "run", {})
+            for _ in range(2):
+                inner = mm.begin_invocation("b", "step", {})
+                mm.end_invocation(inner)
+            mm.end_invocation(outer)
+        assert mm.edge_counts() == {("<root>", "a::run()"): 1,
+                                    ("a::run()", "b::step()"): 2}
+        assert [inv.caller for inv in mm.record("b", "step").invocations] == [
+            "a::run()", "a::run()"]
 
     def test_unknown_token_rejected(self, mastermind):
         _, mm = mastermind
@@ -181,38 +192,75 @@ class TestMethodRecord:
         assert "100.000" in text
 
 
-class TestCallPath:
-    def test_push_pop_and_counts(self):
-        cp = CallPathRecorder()
-        cp.push("a")
-        cp.push("b")
-        cp.pop("b")
-        cp.push("b")
-        cp.pop("b")
-        cp.pop("a")
-        assert cp.node_counts == {"a": 1, "b": 2}
-        assert cp.calls_between("a", "b") == 2
-        assert cp.depth == 0
+class TestOneInterval:
+    """A record is the stopped TAU frame of its call, nothing else."""
 
-    def test_pop_mismatch(self):
-        cp = CallPathRecorder()
-        cp.push("a")
-        with pytest.raises(RuntimeError, match="does not match"):
-            cp.pop("b")
-        assert cp.depth == 1  # stack preserved after failed pop
+    def test_wall_is_the_frame_clock_interval(self):
+        ticks = itertools.count()
+        prof = Profiler(clock=lambda: 10.0 * next(ticks))
+        fw = Framework()
+        fw.create("tau", TauMeasurementComponent, profiler=prof)
+        mm = fw.create("mm", Mastermind)
+        fw.connect("mm", "measurement", "tau", "measurement")
+        token = mm.begin_invocation("comp", "compute", {"Q": 1})
+        prof.charge("MPI_Send", 5.0)
+        mm.end_invocation(token)
+        inv = mm.record("comp", "compute").invocations[0]
+        # One clock read at start, one at stop; the charge extends the
+        # timer's inclusive time but not the record's wall time.
+        assert inv.wall_us == 10.0
+        assert inv.mpi_us == 5.0
+        assert prof.get("comp::compute()").inclusive_us == 15.0
 
-    def test_pop_empty(self):
-        with pytest.raises(RuntimeError, match="empty stack"):
-            CallPathRecorder().pop("a")
+    def test_records_match_query_oracle(self, mastermind):
+        fw, mm = mastermind
+        port = fw.component("tau").measurement
+        ctr = fw.profiler.counters
+        windows = {}
 
-    def test_graph_excludes_root_by_default(self):
-        cp = CallPathRecorder()
-        cp.push("a")
-        cp.push("b")
-        cp.pop("b")
-        cp.pop("a")
-        g = cp.graph()
-        assert set(g.nodes) == {"a", "b"}
-        assert g["a"]["b"]["count"] == 1
-        g_root = cp.graph(include_root=True)
-        assert "<root>" in g_root
+        def call(depth):
+            label = f"level{depth}"
+            before = port.query()
+            token = mm.begin_invocation(label, "run", {"depth": depth})
+            fw.profiler.charge("MPI_Send", 1.1 * (depth + 1))
+            ctr.record_flops(100 * (depth + 1))
+            ctr.record_array_walk(4096 * (depth + 1), pattern=AccessPattern.STRIDED,
+                                  stride_elements=16)
+            if depth < 2:
+                for _ in range(2):
+                    call(depth + 1)
+                fw.profiler.charge("MPI_Waitsome", 0.3)
+                ctr.record_flops(7)
+            mm.end_invocation(token)
+            windows.setdefault(label, []).append((before, port.query()))
+
+        call(0)
+        for rec in mm.all_records():
+            assert len(rec) == len(windows[rec.label])
+            for inv, (before, after) in zip(rec.invocations, windows[rec.label]):
+                assert inv.mpi_us == pytest.approx(after.mpi_us - before.mpi_us, rel=1e-9)
+                assert inv.measurement.counters == {
+                    k: v - before.counters.get(k, 0) for k, v in after.counters.items()}
+                assert 0.0 <= inv.wall_us <= after.wall_us - before.wall_us
+        assert mm.edge_counts() == {("<root>", "level0::run()"): 1,
+                                    ("level0::run()", "level1::run()"): 2,
+                                    ("level1::run()", "level2::run()"): 4}
+
+    def test_disabled_proxied_group_still_records(self, mastermind):
+        fw, mm = mastermind
+        fw.component("tau").measurement.disable_group(Mastermind.TIMER_GROUP)
+        outer = mm.begin_invocation("a", "run", {})
+        inner = mm.begin_invocation("b", "step", {"Q": 3})
+        fw.profiler.charge("MPI_Recv", 42.0)
+        fw.profiler.counters.record_flops(9)
+        mm.end_invocation(inner)
+        mm.end_invocation(outer)
+        inv = mm.record("b", "step").invocations[0]
+        assert inv.params == {"Q": 3}
+        assert inv.mpi_us == 42.0
+        assert inv.measurement.counters == {"PAPI_FP_OPS": 9}
+        assert inv.caller == "a::run()"
+        assert mm.record("a", "run").invocations[0].mpi_us == 42.0
+        assert mm.edge_counts() == {("<root>", "a::run()"): 1, ("a::run()", "b::step()"): 1}
+        # The disabled group still books nothing in the TAU profile.
+        assert fw.profiler.get("b::step()").calls == 0

@@ -177,7 +177,7 @@ class TestGroupToggledInsideBracket:
         p.start("t", "g")
         assert p.running() == ["outer"]
         p.enable_group("g")
-        assert p.stop("t") == 0.0
+        assert p.stop("t").suppressed
         p.stop("outer")
         assert p.running() == []
         assert p.get("t").calls == 0
@@ -187,15 +187,18 @@ class TestGroupToggledInsideBracket:
             assert tracer.open_depth() == 0
 
     def test_time_under_a_suppressed_frame_is_child_time(self, traced):
-        clock = iter(range(0, 1000, 10))
-        p = Profiler(clock=lambda: float(next(clock)),
+        now = [0.0]
+        p = Profiler(clock=lambda: now[0],
                      tracer=SpanTracer(rank=0) if traced else None)
         p.disable_group("g")
         p.start("outer")         # t=0
-        p.start("mid", "g")      # suppressed: no clock read
+        now[0] = 10.0
+        p.start("mid", "g")      # suppressed: reads the clock, books nothing
         p.start("leaf")          # t=10
+        now[0] = 20.0
         p.stop("leaf")           # t=20
         p.stop("mid")
+        now[0] = 30.0
         p.stop("outer")          # t=30
         assert p.get("leaf").inclusive_us == 10.0
         assert p.get("outer").inclusive_us == 30.0

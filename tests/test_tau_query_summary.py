@@ -1,4 +1,4 @@
-"""Measurement snapshots, invocation deltas and the Figure-3 summary."""
+"""Measurement snapshots, invocation measurements and the Figure-3 summary."""
 
 import pytest
 
@@ -16,21 +16,6 @@ class TestSnapshots:
         snap = MeasurementSnapshot.capture(p)
         assert snap.mpi_us == 10.0
         assert snap.counters["PAPI_FP_OPS"] == 5
-
-    def test_delta(self):
-        before = MeasurementSnapshot(wall_us=100.0, mpi_us=10.0, counters={"C": 1})
-        after = MeasurementSnapshot(wall_us=250.0, mpi_us=40.0, counters={"C": 5, "D": 2})
-        inv = before.delta(after)
-        assert inv.wall_us == 150.0
-        assert inv.mpi_us == 30.0
-        assert inv.compute_us == 120.0
-        assert inv.counters == {"C": 4, "D": 2}
-
-    def test_delta_out_of_order_rejected(self):
-        later = MeasurementSnapshot(wall_us=10.0, mpi_us=0.0)
-        earlier = MeasurementSnapshot(wall_us=5.0, mpi_us=0.0)
-        with pytest.raises(ValueError):
-            later.delta(earlier)
 
     def test_compute_floor_at_zero(self):
         inv = InvocationMeasurement(wall_us=5.0, mpi_us=20.0)
