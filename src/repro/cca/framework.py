@@ -25,7 +25,7 @@ from repro.cca.component import Component
 from repro.cca.ports import GoPort, Port
 from repro.cca.repository import ComponentRepository, default_repository
 from repro.cca.services import Services
-from repro.tau.profiler import MPI_GROUP, Profiler
+from repro.tau.profiler import Profiler
 
 if TYPE_CHECKING:  # pragma: no cover
     import networkx as nx
@@ -105,7 +105,6 @@ class Framework:
         #: this rank's RankObs (span tracer + metrics), or None when off.
         #: Components reach it via ``services.framework.obs``.
         self.obs = obs if obs is not None else (comm.obs if comm is not None else None)
-        self._mpi_to_profiler = False
         self._components: dict[str, Component] = {}
         self._services: dict[str, Services] = {}
         self._builtins: dict[str, Port] = {
@@ -117,21 +116,6 @@ class Framework:
     def builtin_port(self, name: str) -> Port | None:
         """Framework-provided port for ``name`` or None."""
         return self._builtins.get(name)
-
-    def charge_mpi_to_profiler(self) -> None:
-        """Route this rank's MPI routine charges into the profiler's MPI
-        group (Figure 3's MPI_* rows); idempotent.
-
-        The TAU component calls this when it is wired: the MPI rows are
-        part of its profile, so an uninstrumented run keeps its MPI time
-        in the ledger alone and pays no profiler charge per message.
-        """
-        if self.comm is None or self._mpi_to_profiler:
-            return
-        self._mpi_to_profiler = True
-        self.comm.accounting.add_listener(
-            lambda routine, cost: self.profiler.charge(routine, cost, group=MPI_GROUP)
-        )
 
     # ---------------------------------------------------------- creation
     def create(

@@ -1,10 +1,12 @@
-"""Per-routine accumulation of simulated MPI time.
+"""Per-routine accumulation of simulated MPI time: the rank's one store.
 
 The paper's Mastermind derives a method's message-passing cost as "the
 summation of the times of all the MPI routines" between two queries of the
 TAU component.  :class:`MPIAccounting` is that ledger: every simulated MPI
 call records its modeled cost under its routine name (``MPI_Isend``,
-``MPI_Waitsome``, ...), and :meth:`total_us` gives the summation.
+``MPI_Waitsome``, ...), and :meth:`total_us` gives the summation.  It is
+the only place MPI time is written; TAU's ``MPI`` group rows and each
+timer frame's MPI time are reads of it (:mod:`repro.tau.profiler`).
 """
 
 from __future__ import annotations
@@ -27,30 +29,29 @@ class MPIAccounting:
 
     Each rank owns one instance (ranks are threads, but proxies/TAU on the
     same rank may read while the comm writes, so a lock guards updates).
+    Next to the rows it keeps their running sum, so :meth:`total_us` is
+    one read.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._stats: dict[str, RoutineStats] = {}
-        #: replaced, never mutated, so ``record`` reads it without a copy
-        self._listeners: tuple = ()
+        self._total_us = 0.0
 
     def __getstate__(self) -> dict:
-        """Pickle the ledger contents only.
-
-        The lock is process-local and listeners are runtime wiring (the TAU
-        component subscribes a bound method); both are dropped so a worker
-        process can ship its finished ledger back to the launcher.
-        """
+        """Pickle the ledger contents only (the lock is process-local), so
+        a worker process can ship its finished ledger back to the
+        launcher."""
         with self._lock:
             return {"stats": {k: (v.total_us, v.calls)
-                              for k, v in self._stats.items()}}
+                              for k, v in self._stats.items()},
+                    "total_us": self._total_us}
 
     def __setstate__(self, state: dict) -> None:
         self._lock = threading.Lock()
         self._stats = {k: RoutineStats(total_us=t, calls=c)
                        for k, (t, c) in state["stats"].items()}
-        self._listeners = ()
+        self._total_us = state["total_us"]
 
     def charger(self, routine: str) -> Callable[[float], None]:
         """``charge(cost_us)`` for one routine, its ledger row resolved.
@@ -68,8 +69,7 @@ class MPIAccounting:
             with lock:
                 st.total_us += cost_us
                 st.calls += 1
-            for fn in self._listeners:
-                fn(routine, cost_us)
+                self._total_us += cost_us
 
         return charge
 
@@ -77,19 +77,13 @@ class MPIAccounting:
         """Charge ``cost_us`` to ``routine`` (one call)."""
         self.charger(routine)(cost_us)
 
-    def add_listener(self, fn) -> None:
-        """Register ``fn(routine, cost_us)`` called after each charge.
-
-        The TAU component subscribes here so MPI routines appear in its
-        profile (Figure 3's MPI_* rows).
-        """
-        with self._lock:
-            self._listeners = (*self._listeners, fn)
-
     def total_us(self) -> float:
-        """Summation of the times of all MPI routines (paper's 'MPI time')."""
-        with self._lock:
-            return sum(st.total_us for st in self._stats.values())
+        """Summation of the times of all MPI routines (paper's 'MPI time').
+
+        One attribute read: a reader on another thread sees the total
+        from before or after a concurrent charge, never a torn value.
+        """
+        return self._total_us
 
     def routine_totals(self) -> dict[str, RoutineStats]:
         """Snapshot copy of per-routine stats."""

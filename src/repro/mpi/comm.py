@@ -144,6 +144,8 @@ class SimComm:
         if calls is not None:
             calls.inc()
             hist.observe(cost_us)
+            if self._obs.recorder is not None:
+                self._obs.recorder.on_mpi(routine, cost_us)
 
     # ---------------------------------------------------- point-to-point
     def _post_send(self, obj: Any, dest: int, tag: int,

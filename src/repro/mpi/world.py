@@ -88,14 +88,6 @@ class SimWorld:
         # Per-rank observability state (span tracer + metrics registry),
         # or None when tracing is off.
         self.obs = build_obs(self.nranks, spec.obs_config)
-        if self.obs is not None:
-            # Flight recorders tap the MPI ledger: every modeled charge
-            # lands in the rank's black-box ring.  (Listeners are runtime
-            # wiring — MPIAccounting drops them on pickle, so mp-shm
-            # workers re-wire in their own world constructions.)
-            for r, ro in enumerate(self.obs):
-                if ro.recorder is not None:
-                    self.accounting[r].add_listener(ro.recorder.on_mpi)
         # Runtime correctness checkers (collective ordering, p2p hygiene,
         # deadlock and ghost-race detection), or None when off.
         self.sanitizer = (Sanitizer(self.nranks, spec.sanitize, obs=self.obs)

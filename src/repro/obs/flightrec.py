@@ -6,9 +6,10 @@ bounded tracer has usually already evicted by the time anything goes
 wrong.  The :class:`FlightRecorder` is the black box for that moment: a
 window on the rank's own :class:`~repro.obs.span.SpanTracer` (its newest
 ``depth`` closed spans, which the tracer's eviction always keeps) plus
-two small rings of its own, MPI ledger charges and per-step counter
-deltas.  When a crash fault fires, the deadlock detector raises, or a
-fatal sanitizer finding aborts the job, the backend dumps each rank's box
+two small rings of its own, MPI charges (in ledger order, fed by
+:meth:`~repro.mpi.comm.SimComm.charge`) and per-step counter deltas.
+When a crash fault fires, the deadlock detector raises, or a fatal
+sanitizer finding aborts the job, the backend dumps each rank's box
 to ``out/flightrec/rank<k>.json``; :func:`merge_flight_recordings` then
 reassembles the last-N-steps cross-rank timeline as a Perfetto-compatible
 trace for triage.
@@ -50,9 +51,9 @@ class FlightRecorder:
     """One rank's black box: a window on its tracer plus two rings.
 
     Keeps no spans of its own: :meth:`dump` reads the newest ``depth``
-    closed spans from the rank's tracer.  It rings MPI ledger charges
-    (wired as an :class:`~repro.mpi.accounting.MPIAccounting` listener to
-    :meth:`on_mpi`) and per-step counter deltas (:meth:`capture_step`,
+    closed spans from the rank's tracer.  It rings MPI charges (the
+    communicator calls :meth:`on_mpi` right after each ledger write) and
+    per-step counter deltas (:meth:`capture_step`,
     called by :meth:`~repro.obs.runtime.RankObs.step` as each step ends).
     It never references the tracer or the world, so a worker process can
     pickle it home inside its :class:`~repro.obs.runtime.RankObs`.
@@ -80,7 +81,7 @@ class FlightRecorder:
 
     # ------------------------------------------------------------- feeds
     def on_mpi(self, routine: str, cost_us: float) -> None:
-        """Accounting listener: one modeled MPI charge."""
+        """One modeled MPI charge, just written to the rank's ledger."""
         self.ledger.append((now_us(), routine, float(cost_us)))
 
     def capture_step(self, step: int, span: Span) -> None:

@@ -9,9 +9,9 @@ measurement discipline:
 1. ``begin_invocation`` — store the extracted parameters and start the
    routine's TAU timer (group ``proxied``);
 2. ``end_invocation`` — stop the timer.  The stopped TAU frame *is* the
-   cumulative difference: its clock interval is the wall time, the MPI
-   time charged inside it is the MPI time, and the counters it read at
-   either end give the counter deltas.  The nearest enclosing ``proxied``
+   cumulative difference: its clock interval is the wall time, the
+   rank's MPI ledger total read at its stop minus at its start is the MPI
+   time, and the counters it read at either end give the counter deltas.  The nearest enclosing ``proxied``
    frame is the invocation's caller.  The measurement is filed in the
    record; no whole-profile snapshot is taken.
 

@@ -2,7 +2,9 @@
 
 Wraps the rank's :class:`~repro.tau.profiler.Profiler` as a CCA component
 "accessed via a MeasurementPort, which defines interfaces for timing, event
-management, timer control and measurement query".
+management, timer control and measurement query".  Wiring it binds the
+rank's MPI ledger to the profiler, which from then on reads its ``MPI``
+rows and every frame's MPI time from that ledger.
 """
 
 from __future__ import annotations
@@ -81,10 +83,10 @@ class _MeasurementImpl(MeasurementPort):
 class TauMeasurementComponent(Component):
     """CCA component exporting the rank profiler as ``"measurement"``.
 
-    By default it adopts the framework's per-rank profiler and has the
-    framework route MPI charges into it, so they are visible through the
-    query interface; a dedicated profiler may be injected for isolation
-    in tests (it sees no MPI charges).
+    By default it adopts the framework's per-rank profiler and binds the
+    rank's MPI ledger to it, so MPI time is visible through the query
+    interface; a dedicated profiler may be injected for isolation in
+    tests (it stays unbound and sees no MPI time).
     """
 
     #: name under which the MeasurementPort is provided
@@ -97,8 +99,10 @@ class TauMeasurementComponent(Component):
     def set_services(self, services: Services) -> None:
         profiler = self._own_profiler
         if profiler is None:
-            profiler = services.framework.profiler
-            services.framework.charge_mpi_to_profiler()
+            fw = services.framework
+            profiler = fw.profiler
+            if fw.comm is not None:
+                profiler.ledger = fw.comm.accounting
         self._impl = _MeasurementImpl(profiler)
         services.add_provides_port(self._impl, self.PORT_NAME, MeasurementPort)
 

@@ -1,24 +1,25 @@
-"""The per-rank profiler: timers, groups, control, charging, dumping.
+"""The per-rank profiler: timers, groups, control, dumping.
 
 One :class:`Profiler` instance lives on each simulated rank (ranks are
-threads; the profiler is used only from its own rank thread, plus the MPI
-accounting listener which also fires on the rank thread, so no locking is
-required on the hot path).
+threads; the profiler is used only from its own rank thread, so no locking
+is required on the hot path).
 
-Two ways time enters a timer:
-
-* ``start``/``stop`` (or the :meth:`timer` context manager) bracket a code
-  region and measure **wall-clock** time, as TAU does;
-* :meth:`charge` adds an externally modeled duration (the simulated MPI
-  layer's virtual cost) — it both accumulates under the routine's own timer
-  and counts as *child* time of the enclosing region so exclusive times
-  stay consistent (Figure 3 semantics).
+``start``/``stop`` (or the :meth:`timer` context manager) bracket a code
+region and measure **wall-clock** time, as TAU does.  MPI time is not
+written here: the profiler reads the rank's
+:class:`~repro.mpi.accounting.MPIAccounting` ledger, which the TAU
+component binds to :attr:`Profiler.ledger`.  The ``MPI`` group's rows are
+the ledger's per-routine rows, and a frame's MPI time is the ledger total
+at ``stop`` minus the total at ``start`` (the paper's cumulative
+difference).  That modeled time extends the frame's inclusive time; its
+exclusive time is its clock interval minus its children's (Figure 3
+semantics).  An unbound profiler sees no MPI time.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.obs.span import CAT_COMPUTE, SpanTracer
 from repro.tau.events import EventRegistry
@@ -26,6 +27,9 @@ from repro.tau.hardware import CacheModel, HardwareCounters
 from repro.tau.timer import Frame, TimerStats
 from repro.util.atomicio import atomic_write_text
 from repro.util.timebase import now_us
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.mpi.accounting import MPIAccounting
 
 MPI_GROUP = "MPI"
 
@@ -49,7 +53,8 @@ class Profiler:
         tracer: SpanTracer | None = None,
     ) -> None:
         self.rank = int(rank)
-        self._clock = clock
+        #: the clock its frames and its query snapshots read
+        self.clock = clock
         self._timers: dict[str, TimerStats] = {}
         #: innermost running frame; each links to its enclosing one
         self._top: Frame | None = None
@@ -57,6 +62,9 @@ class Profiler:
         self.events = EventRegistry()
         self.counters = HardwareCounters(cache)
         self.tracer = tracer
+        #: the rank's MPI ledger, bound by the TAU component (None: the
+        #: profile has no MPI rows and frames see no MPI time)
+        self.ledger: MPIAccounting | None = None
 
     # ------------------------------------------------------------ timers
     def _get_timer(self, name: str, group: str) -> TimerStats:
@@ -73,8 +81,18 @@ class Profiler:
         self._disabled_groups.discard(group)
 
     def disable_group(self, group: str) -> None:
-        """Control interface: suppress all timers of ``group`` at runtime."""
+        """Control interface: suppress all timers of ``group`` at runtime.
+
+        The ``MPI`` group is the ledger's and cannot be switched off.
+        """
+        if group == MPI_GROUP:
+            raise ValueError("the MPI group is read from the rank's ledger "
+                             "and cannot be disabled")
         self._disabled_groups.add(group)
+
+    def _mpi_us(self) -> float:
+        """The ledger's running MPI total (0 when no ledger is bound)."""
+        return self.ledger.total_us() if self.ledger is not None else 0.0
 
     def start(self, name: str, group: str = "default") -> None:
         """Start (push) the named timer.
@@ -83,7 +101,8 @@ class Profiler:
         always pushed, and marked suppressed when the group is disabled,
         so the matching ``stop`` pops the same frame whatever the control
         interface did to the group in between.  A suppressed frame still
-        reads the clock and the counters, so its interval is whole.
+        reads the clock, the counters and the MPI ledger, so its interval
+        is whole.
         """
         self._get_timer(name, group)
         suppressed = not self.group_enabled(group)
@@ -92,15 +111,16 @@ class Profiler:
             span = self.tracer.start(name, CAT_COMPUTE, sampled=True)
         reentrant = not suppressed and any(
             f.name == name and not f.suppressed for f in self._frames())
-        self._top = Frame(name=name, group=group, start_us=self._clock(),
-                          start_counters=self.counters.read(), parent=self._top,
+        self._top = Frame(name=name, group=group, start_us=self.clock(),
+                          start_counters=self.counters.read(),
+                          start_mpi_us=self._mpi_us(), parent=self._top,
                           reentrant=reentrant, suppressed=suppressed, span=span)
 
     def stop(self, name: str) -> Frame:
         """Stop the named timer (must be the innermost started one).
 
-        Returns the stopped frame: its clock interval, the modeled time
-        charged inside it and the counters read at either end.  A frame
+        Returns the stopped frame: its clock interval, the MPI time the
+        ledger gained inside it and the counters read at either end.  A frame
         started while its group was disabled records nothing in the
         timer statistics.
         """
@@ -111,12 +131,10 @@ class Profiler:
             raise RuntimeError(
                 f"stop({name!r}) does not match innermost running timer {frame.name!r}"
             )
-        frame.end_us = self._clock()
+        frame.end_us = self.clock()
         frame.end_counters = self.counters.read()
+        frame.charged_us = charged = self._mpi_us() - frame.start_mpi_us
         self._top = parent = frame.parent
-        charged = frame.charged_us
-        if parent is not None:
-            parent.charged_us += charged
         if frame.suppressed:
             # Time nested under a suppressed frame still belongs to the
             # enclosing live region's children.
@@ -130,17 +148,17 @@ class Profiler:
                 # MPI cost visible per region in the exported trace.
                 frame.span.attrs["virtual_us"] = charged
             self.tracer.end(frame.span)
-        # Modeled costs have no wall-clock footprint of their own: the
-        # inclusive time is extended to cover them.
-        elapsed = frame.end_us - frame.start_us + charged
+        interval = frame.end_us - frame.start_us
         timer = self._timers[name]
         timer.calls += 1
-        timer.exclusive_us += elapsed - frame.child_us
+        timer.exclusive_us += interval - frame.child_us
         if not frame.reentrant:
             # Recursive re-entries would double-count inclusive time.
-            timer.inclusive_us += elapsed
+            # Modeled costs have no wall-clock footprint of their own: the
+            # inclusive time is extended to cover them.
+            timer.inclusive_us += interval + charged
         if parent is not None:
-            parent.child_us += elapsed
+            parent.child_us += interval
         return frame
 
     @contextlib.contextmanager
@@ -151,30 +169,6 @@ class Profiler:
             yield
         finally:
             self.stop(name)
-
-    def charge(self, name: str, duration_us: float, group: str = MPI_GROUP) -> None:
-        """Record an externally modeled duration under timer ``name``.
-
-        The duration is attributed as child time of the currently running
-        region (so the region's *exclusive* time excludes it), and the
-        region's *inclusive* time is extended to cover it — modeled costs
-        have no wall-clock footprint of their own.
-        """
-        if duration_us < 0:
-            raise ValueError(f"negative charge {duration_us} for {name!r}")
-        if not self.group_enabled(group):
-            return
-        t = self._get_timer(name, group)
-        t.calls += 1
-        t.inclusive_us += duration_us
-        t.exclusive_us += duration_us
-        top = self._top
-        if top is not None:
-            # Booked on the innermost frame only; ``stop`` hands the sum
-            # up to each enclosing frame, so a charge costs the same at
-            # any nesting depth.
-            top.child_us += duration_us
-            top.charged_us += duration_us
 
     # ----------------------------------------------------------- queries
     def _frames(self) -> Iterator[Frame]:
@@ -190,26 +184,34 @@ class Profiler:
 
     def get(self, name: str) -> TimerStats:
         """Cumulative stats for one timer (KeyError if unknown)."""
-        return self._timers[name].copy()
+        return self.timers_snapshot()[name]
 
     def timers_snapshot(self) -> dict[str, TimerStats]:
-        """Copies of all cumulative timer stats."""
-        return {n: t.copy() for n, t in self._timers.items()}
+        """Copies of all cumulative timer stats, the ledger's MPI rows
+        included (a modeled routine's time is all exclusive)."""
+        snap = {n: t.copy() for n, t in self._timers.items()}
+        if self.ledger is not None:
+            for n, st in self.ledger.routine_totals().items():
+                snap[n] = TimerStats(n, MPI_GROUP, st.total_us, st.total_us,
+                                     st.calls)
+        return snap
 
     def group_total_us(self, group: str) -> float:
         """Sum of inclusive time over all timers in ``group``.
 
-        With ``group="MPI"`` this is the paper's "MPI time ... determined by
-        the summation of the times of all the MPI routines".
+        With ``group="MPI"`` this is the ledger's total, the paper's "MPI
+        time ... determined by the summation of the times of all the MPI
+        routines".
         """
+        if group == MPI_GROUP:
+            return self._mpi_us()
         return sum(t.inclusive_us for t in self._timers.values() if t.group == group)
 
     # -------------------------------------------------------------- dump
     def dump(self, path: str) -> None:
         """Atomically write a TAU-style text profile (one file per rank)."""
         lines = [f"# TAU-style profile, rank {self.rank}", "# name group calls incl_us excl_us"]
-        for name in sorted(self._timers):
-            t = self._timers[name]
+        for name, t in sorted(self.timers_snapshot().items()):
             lines.append(
                 f"{name!r} {t.group} {t.calls} {t.inclusive_us:.3f} {t.exclusive_us:.3f}"
             )

@@ -6,8 +6,9 @@ prior to the invocation and again after the invocation.  ...  The
 measurements for the single invocation are determined by the difference."
 
 :class:`MeasurementSnapshot` reads the three cumulative quantities: wall
-time, MPI time (summation of all MPI routine timers) and the hardware
-counters.  The Mastermind does not difference two of them per call: the
+time on the profiler's clock, MPI time (the rank's ledger total, the
+summation of all MPI routines) and the hardware counters.  The
+Mastermind does not difference two of them per call: the
 stopped TAU frame already holds that difference (see
 :mod:`repro.perf.mastermind`), and :class:`InvocationMeasurement` is built
 from it.
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.tau.profiler import MPI_GROUP, Profiler
-from repro.util.timebase import now_us
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,10 @@ class MeasurementSnapshot:
 
     @classmethod
     def capture(cls, profiler: Profiler) -> "MeasurementSnapshot":
-        """Read the current cumulative values (the TAU query interface)."""
+        """Read the current cumulative values (the TAU query interface),
+        on the profiler's own clock, the one its frames read."""
         return cls(
-            wall_us=now_us(),
+            wall_us=profiler.clock(),
             mpi_us=profiler.group_total_us(MPI_GROUP),
             counters=profiler.counters.read(),
         )

@@ -3,9 +3,11 @@
 TAU profiling semantics (paper Section 4.1 / Figure 3):
 
 * **inclusive** time — total time spent in a region including all nested
-  instrumented regions and charged (MPI) costs;
-* **exclusive** time — inclusive minus time attributed to nested regions;
-* **calls** — number of start/stop bracketings (or direct charges).
+  instrumented regions and the modeled MPI time spent inside it;
+* **exclusive** time — the region's clock interval minus its nested
+  regions' clock intervals;
+* **calls** — number of start/stop bracketings (for an MPI routine, the
+  ledger's call count).
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ class Frame:
     """One started timer; ``Profiler.stop`` hands it back stopped.
 
     A stopped frame is the interval of one bracketing: its clock start and
-    end, the modeled time charged inside it and the hardware counters read
-    at its start.  The Mastermind builds an invocation record from it.
+    end, the MPI time the rank's ledger gained inside it and the hardware
+    counters read at either end.  The Mastermind builds an invocation
+    record from it.
     """
 
     name: str
@@ -56,14 +59,16 @@ class Frame:
     start_us: float
     #: hardware counter values read at start
     start_counters: dict[str, int]
+    #: the MPI ledger's running total read at start
+    start_mpi_us: float = 0.0
     #: the enclosing frame (None at the bottom of the stack)
     parent: Frame | None = None
     #: clock reading at stop, and the counter values read then
     end_us: float = 0.0
     end_counters: dict[str, int] = field(default_factory=dict)
+    #: clock intervals of the nearest live frames nested in it
     child_us: float = 0.0
-    #: modeled time charged while this frame was innermost, plus what
-    #: frames nested in it handed up when they stopped
+    #: the MPI ledger's total at stop minus ``start_mpi_us``
     charged_us: float = 0.0
     reentrant: bool = False
     #: started while its group was disabled: stop pops it, records nothing

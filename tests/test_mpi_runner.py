@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import os
+import pickle
 import time
 
 import pytest
@@ -135,9 +136,15 @@ class TestAccounting:
         with pytest.raises(ValueError):
             MPIAccounting().record("MPI_Send", -1.0)
 
-    def test_listener_invoked(self):
+    def test_pickle_round_trip_keeps_rows_and_total(self):
+        # mp-shm workers ship their ledgers home by pickle.
         a = MPIAccounting()
-        seen = []
-        a.add_listener(lambda routine, cost: seen.append((routine, cost)))
-        a.record("MPI_Barrier", 4.0)
-        assert seen == [("MPI_Barrier", 4.0)]
+        for routine, cost in [("MPI_Send", 0.1), ("MPI_Recv", 0.2),
+                              ("MPI_Send", 0.7), ("MPI_Barrier", 1e-3)]:
+            a.record(routine, cost)
+        b = pickle.loads(pickle.dumps(a))
+        assert b.routine_totals() == a.routine_totals()
+        assert b.total_us() == a.total_us()
+        b.record("MPI_Send", 2.0)
+        assert b.calls("MPI_Send") == 3
+        assert b.total_us() == a.total_us() + 2.0

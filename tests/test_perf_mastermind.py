@@ -2,13 +2,16 @@
 call, model building, drift checks, dumping."""
 
 import itertools
-import time
 
 import numpy as np
 import pytest
 
 from repro.cca import Framework
 from repro.models.fits import fit_linear
+from repro.mpi.accounting import MPIAccounting
+from repro.mpi.backend import JobSpec
+from repro.mpi.comm import SimComm
+from repro.mpi.world import SimWorld
 from repro.models.performance import PerformanceModel
 from repro.perf import Mastermind
 from repro.perf.records import InvocationRecord, MethodRecord
@@ -18,42 +21,63 @@ from repro.tau.profiler import Profiler
 from repro.tau.query import InvocationMeasurement
 
 
+#: how far the fixture's clock moves on each read
+STEP_US = 1.0
+
+
+class SteppingClock:
+    """Each read returns the time and then moves it on by ``STEP_US``;
+    :meth:`advance` stands in for the work a call does."""
+
+    def __init__(self):
+        self.t = 0.0
+
+    def __call__(self):
+        t = self.t
+        self.t += STEP_US
+        return t
+
+    def advance(self, us):
+        self.t += us
+
+
 @pytest.fixture
 def mastermind():
-    fw = Framework()
+    fw = Framework(comm=SimComm(SimWorld(JobSpec(1)), 0),
+                   profiler=Profiler(clock=SteppingClock()))
     fw.create("tau", TauMeasurementComponent)
     mm = fw.create("mm", Mastermind)
     fw.connect("mm", "measurement", "tau", "measurement")
     return fw, mm
 
 
-def invoke(mm, label, method, params, busy_us=200.0, charge=None, fw=None):
+def invoke(fw, mm, label, method, params, busy_us=200.0, charge=None):
+    """One proxied call that takes ``busy_us`` of clock time (plus the
+    clock's step between the start and stop reads)."""
     token = mm.begin_invocation(label, method, params)
-    t0 = time.perf_counter_ns()
-    while (time.perf_counter_ns() - t0) < busy_us * 1000:
-        pass
-    if charge is not None and fw is not None:
-        fw.profiler.charge("MPI_Waitsome", charge)
+    fw.profiler.clock.advance(busy_us)
+    if charge is not None:
+        fw.comm.accounting.record("MPI_Waitsome", charge)
     mm.end_invocation(token)
 
 
 class TestMonitoring:
     def test_record_created_and_filled(self, mastermind):
         fw, mm = mastermind
-        invoke(mm, "comp", "compute", {"Q": 10})
+        invoke(fw, mm, "comp", "compute", {"Q": 10})
         rec = mm.record("comp", "compute")
         assert len(rec) == 1
         inv = rec.invocations[0]
         assert inv.params == {"Q": 10}
-        assert inv.wall_us >= 150.0
+        assert inv.wall_us == 200.0 + STEP_US
 
     def test_mpi_time_differenced(self, mastermind):
         fw, mm = mastermind
-        invoke(mm, "comp", "compute", {"Q": 1}, busy_us=1500.0, charge=500.0, fw=fw)
+        invoke(fw, mm, "comp", "compute", {"Q": 1}, busy_us=1500.0, charge=500.0)
         inv = mm.record("comp", "compute").invocations[0]
-        assert inv.mpi_us == pytest.approx(500.0)
-        assert inv.wall_us > 500.0
-        assert inv.compute_us == pytest.approx(inv.wall_us - 500.0)
+        assert inv.mpi_us == 500.0
+        assert inv.wall_us == 1500.0 + STEP_US
+        assert inv.compute_us == 1000.0 + STEP_US
 
     def test_nested_invocations_build_callpath(self, mastermind):
         fw, mm = mastermind
@@ -77,8 +101,8 @@ class TestMonitoring:
 
     def test_labels_and_all_records(self, mastermind):
         fw, mm = mastermind
-        invoke(mm, "b", "m", {}, busy_us=10)
-        invoke(mm, "a", "m", {}, busy_us=10)
+        invoke(fw, mm, "b", "m", {}, busy_us=10)
+        invoke(fw, mm, "a", "m", {}, busy_us=10)
         assert mm.labels() == ["a", "b"]
         assert [r.label for r in mm.all_records()] == ["a", "b"]
 
@@ -100,7 +124,7 @@ class TestModeling:
         fw, mm = mastermind
         for q, busy in [(100, 100), (100, 120), (1000, 700), (1000, 800),
                         (4000, 2600), (4000, 2800)]:
-            invoke(mm, "k", "f", {"Q": q}, busy_us=busy)
+            invoke(fw, mm, "k", "f", {"Q": q}, busy_us=busy)
         model = mm.build_performance_model("k", "f", mean_families=("linear",))
         assert model.mean_fit.family == "linear"
         # Cost grows with Q.
@@ -109,21 +133,21 @@ class TestModeling:
     def test_workload_extraction(self, mastermind):
         fw, mm = mastermind
         for q in (10, 10, 20):
-            invoke(mm, "k", "f", {"Q": q}, busy_us=10)
+            invoke(fw, mm, "k", "f", {"Q": q}, busy_us=10)
         w = mm.workload("k", "f")
         assert w.q_values == (10.0, 20.0)
         assert w.counts == (2, 1)
 
     def test_invalid_use_rejected(self, mastermind):
         fw, mm = mastermind
-        invoke(mm, "k", "f", {"Q": 1}, busy_us=10)
+        invoke(fw, mm, "k", "f", {"Q": 1}, busy_us=10)
         with pytest.raises(ValueError, match="use must be one of"):
             mm.build_performance_model("k", "f", use="nonsense")
 
     def test_check_model_flags_drift(self, mastermind):
         fw, mm = mastermind
         for _ in range(5):
-            invoke(mm, "k", "f", {"Q": 100}, busy_us=300)
+            invoke(fw, mm, "k", "f", {"Q": 100}, busy_us=300)
         # A model predicting ~0 time: every invocation violates.
         flat = PerformanceModel("flat", fit_linear([0, 1], [0.001, 0.001]))
         assert mm.check_model("k", "f", flat, floor_us=1.0) == 1.0
@@ -135,8 +159,8 @@ class TestModeling:
 class TestReport:
     def test_report_lists_all_routines(self, mastermind):
         fw, mm = mastermind
-        invoke(mm, "a", "run", {"Q": 128}, busy_us=20)
-        invoke(mm, "b", "step", {}, busy_us=20)
+        invoke(fw, mm, "a", "run", {"Q": 128}, busy_us=20)
+        invoke(fw, mm, "b", "step", {}, busy_us=20)
         text = mm.report()
         assert "Mastermind measurement report:" in text
         assert "a::run()" in text and "b::step()" in text
@@ -151,7 +175,7 @@ class TestReport:
 class TestDump:
     def test_dump_all_writes_files(self, tmp_path, mastermind):
         fw, mm = mastermind
-        invoke(mm, "comp", "compute", {"Q": 3}, busy_us=10)
+        invoke(fw, mm, "comp", "compute", {"Q": 3}, busy_us=10)
         paths = mm.dump_all(str(tmp_path))
         assert len(paths) == 1
         text = open(paths[0]).read()
@@ -198,12 +222,13 @@ class TestOneInterval:
     def test_wall_is_the_frame_clock_interval(self):
         ticks = itertools.count()
         prof = Profiler(clock=lambda: 10.0 * next(ticks))
+        prof.ledger = ledger = MPIAccounting()
         fw = Framework()
         fw.create("tau", TauMeasurementComponent, profiler=prof)
         mm = fw.create("mm", Mastermind)
         fw.connect("mm", "measurement", "tau", "measurement")
         token = mm.begin_invocation("comp", "compute", {"Q": 1})
-        prof.charge("MPI_Send", 5.0)
+        ledger.record("MPI_Send", 5.0)
         mm.end_invocation(token)
         inv = mm.record("comp", "compute").invocations[0]
         # One clock read at start, one at stop; the charge extends the
@@ -222,14 +247,14 @@ class TestOneInterval:
             label = f"level{depth}"
             before = port.query()
             token = mm.begin_invocation(label, "run", {"depth": depth})
-            fw.profiler.charge("MPI_Send", 1.1 * (depth + 1))
+            fw.comm.accounting.record("MPI_Send", 1.1 * (depth + 1))
             ctr.record_flops(100 * (depth + 1))
             ctr.record_array_walk(4096 * (depth + 1), pattern=AccessPattern.STRIDED,
                                   stride_elements=16)
             if depth < 2:
                 for _ in range(2):
                     call(depth + 1)
-                fw.profiler.charge("MPI_Waitsome", 0.3)
+                fw.comm.accounting.record("MPI_Waitsome", 0.3)
                 ctr.record_flops(7)
             mm.end_invocation(token)
             windows.setdefault(label, []).append((before, port.query()))
@@ -238,10 +263,12 @@ class TestOneInterval:
         for rec in mm.all_records():
             assert len(rec) == len(windows[rec.label])
             for inv, (before, after) in zip(rec.invocations, windows[rec.label]):
-                assert inv.mpi_us == pytest.approx(after.mpi_us - before.mpi_us, rel=1e-9)
+                assert inv.mpi_us == after.mpi_us - before.mpi_us
                 assert inv.measurement.counters == {
                     k: v - before.counters.get(k, 0) for k, v in after.counters.items()}
-                assert 0.0 <= inv.wall_us <= after.wall_us - before.wall_us
+                # The window's two reads sit one clock step outside the
+                # frame's.
+                assert inv.wall_us == after.wall_us - before.wall_us - 2 * STEP_US
         assert mm.edge_counts() == {("<root>", "level0::run()"): 1,
                                     ("level0::run()", "level1::run()"): 2,
                                     ("level1::run()", "level2::run()"): 4}
@@ -251,7 +278,7 @@ class TestOneInterval:
         fw.component("tau").measurement.disable_group(Mastermind.TIMER_GROUP)
         outer = mm.begin_invocation("a", "run", {})
         inner = mm.begin_invocation("b", "step", {"Q": 3})
-        fw.profiler.charge("MPI_Recv", 42.0)
+        fw.comm.accounting.record("MPI_Recv", 42.0)
         fw.profiler.counters.record_flops(9)
         mm.end_invocation(inner)
         mm.end_invocation(outer)

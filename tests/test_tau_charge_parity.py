@@ -1,11 +1,14 @@
-"""``Profiler.charge`` books a modeled cost on the innermost frame only and
-``stop`` hands the sums up the stack.  These are the numbers the previous
-scheme (walk every open frame on every charge) gave for the same call
-sequences: inclusive/exclusive microseconds per timer and ``virtual_us``
-per closed span, at every nesting depth.  All durations are dyadic, so
-the float sums are exact whatever order they are taken in.
+"""A frame's MPI time is the difference of the rank ledger's totals at its
+stop and start, and its exclusive time is its clock interval minus its
+children's.  These are the numbers the earlier schemes (a charge walking
+every open frame; a charge booked on the innermost frame and handed up at
+``stop``) gave for the same call sequences: inclusive/exclusive
+microseconds per timer and ``virtual_us`` per closed span, at every
+nesting depth.  All durations are dyadic, so the float sums are exact
+whatever order they are taken in.
 """
 
+from repro.mpi.accounting import MPIAccounting
 from repro.obs.span import SpanTracer
 from repro.tau.profiler import Profiler
 
@@ -24,7 +27,9 @@ class FakeClock:
 def _traced_profiler():
     clock = FakeClock()
     tracer = SpanTracer(rank=0)
-    return Profiler(rank=0, clock=clock, tracer=tracer), clock, tracer
+    p = Profiler(rank=0, clock=clock, tracer=tracer)
+    p.ledger = MPIAccounting()
+    return p, clock, tracer
 
 
 def _stats(p, name):
@@ -34,24 +39,24 @@ def _stats(p, name):
 
 def test_charges_at_every_depth_and_in_a_reentrant_frame():
     p, clock, tracer = _traced_profiler()
-    p.charge("MPI_Send", 8.0)  # no frame open: no span sees it
+    p.ledger.record("MPI_Send", 8.0)  # no frame open: no span sees it
     p.start("a")
     clock.tick(10.0)
-    p.charge("MPI_Send", 5.0)  # depth 1
+    p.ledger.record("MPI_Send", 5.0)  # depth 1
     p.start("b")
     clock.tick(10.0)
-    p.charge("MPI_Send", 2.5)  # depth 2
+    p.ledger.record("MPI_Send", 2.5)  # depth 2
     p.start("c")
     clock.tick(5.0)
-    p.charge("MPI_Recv", 0.25)  # depth 3
+    p.ledger.record("MPI_Recv", 0.25)  # depth 3
     p.start("a")  # re-entrant
     clock.tick(5.0)
-    p.charge("MPI_Send", 1.5)  # depth 4
+    p.ledger.record("MPI_Send", 1.5)  # depth 4
     p.stop("a")
     clock.tick(10.0)
     p.stop("c")
     clock.tick(3.0)
-    p.charge("MPI_Send", 4.0)  # depth 2 again, nested frames closed
+    p.ledger.record("MPI_Send", 4.0)  # depth 2 again, nested frames closed
     p.start("quiet")  # a frame that sees no charge
     clock.tick(2.0)
     p.stop("quiet")
@@ -81,10 +86,10 @@ def test_charges_under_a_suppressed_frame_reach_the_live_one_outside():
     clock.tick(10.0)
     p.start("hidden", group="off")
     clock.tick(5.0)
-    p.charge("MPI_Send", 3.0)
+    p.ledger.record("MPI_Send", 3.0)
     p.start("leaf")
     clock.tick(2.0)
-    p.charge("MPI_Send", 0.5)
+    p.ledger.record("MPI_Send", 0.5)
     p.stop("leaf")
     p.stop("hidden")
     clock.tick(1.0)

@@ -5,6 +5,10 @@ import importlib
 import pytest
 
 from repro.cca import Component, Framework
+from repro.mpi.accounting import MPIAccounting
+from repro.mpi.backend import JobSpec
+from repro.mpi.comm import SimComm
+from repro.mpi.world import SimWorld
 from repro.obs.span import CAT_COMPUTE, SpanTracer
 from repro.tau.component import MeasurementPort, TauMeasurementComponent
 from repro.tau.profiler import Profiler
@@ -16,9 +20,13 @@ class Inspector(Component):
         sv.register_uses_port("measurement", MeasurementPort)
 
 
+def _one_rank_framework():
+    return Framework(comm=SimComm(SimWorld(JobSpec(1)), 0))
+
+
 @pytest.fixture
 def wired():
-    fw = Framework()
+    fw = _one_rank_framework()
     tau = fw.create("tau", TauMeasurementComponent)
     insp = fw.create("insp", Inspector)
     fw.connect("insp", "measurement", "tau", "measurement")
@@ -42,16 +50,18 @@ class TestMeasurementPort:
 
     def test_control_interface_toggles_group(self, wired):
         fw, port = wired
-        port.disable_group("MPI")
-        fw.profiler.charge("MPI_Send", 100.0)
-        assert fw.profiler.group_total_us("MPI") == 0.0
-        port.enable_group("MPI")
-        fw.profiler.charge("MPI_Send", 5.0)
-        assert fw.profiler.group_total_us("MPI") == 5.0
+        port.disable_group("io")
+        port.start_timer("read", "io")
+        port.stop_timer("read")
+        assert fw.profiler.get("read").calls == 0
+        port.enable_group("io")
+        port.start_timer("read", "io")
+        port.stop_timer("read")
+        assert fw.profiler.get("read").calls == 1
 
     def test_query_interface_returns_snapshot(self, wired):
         fw, port = wired
-        fw.profiler.charge("MPI_Recv", 42.0)
+        fw.comm.accounting.record("MPI_Recv", 42.0)
         fw.profiler.counters.record_flops(7)
         snap = port.query()
         assert snap.mpi_us == 42.0
@@ -68,13 +78,17 @@ class TestMeasurementPort:
     def test_adopts_framework_profiler_by_default(self, wired):
         fw, port = wired
         assert port.profiler is fw.profiler
+        assert fw.profiler.ledger is fw.comm.accounting
 
     def test_injected_profiler_isolated(self):
         own = Profiler(rank=7)
-        fw = Framework()
+        fw = _one_rank_framework()
         tau = fw.create("tau", TauMeasurementComponent, profiler=own)
         assert tau.measurement.profiler is own
         assert tau.measurement.profiler is not fw.profiler
+        fw.comm.accounting.record("MPI_Send", 3.0)
+        assert own.ledger is None
+        assert own.group_total_us("MPI") == 0.0
 
     def test_uninitialized_component_raises(self):
         comp = TauMeasurementComponent()
@@ -104,12 +118,13 @@ class TestProfilerTracing:
         # as ``virtual_us`` on every enclosing span (and on none outside).
         tracer = SpanTracer(rank=0)
         p = Profiler(tracer=tracer)
-        p.charge("MPI_Waitsome", 5.0)
+        p.ledger = ledger = MPIAccounting()
+        ledger.record("MPI_Waitsome", 5.0)
         assert len(tracer) == 0
         with p.timer("outer"):
             with p.timer("inner"):
-                p.charge("MPI_Waitsome", 33.0)
-            p.charge("MPI_Waitsome", 1.0)
+                ledger.record("MPI_Waitsome", 33.0)
+            ledger.record("MPI_Waitsome", 1.0)
         inner, outer = tracer.spans()
         assert inner.attrs["virtual_us"] == 33.0
         assert outer.attrs["virtual_us"] == 34.0
@@ -118,9 +133,8 @@ class TestProfilerTracing:
     def test_disabled_group_not_traced(self):
         tracer = SpanTracer(rank=0)
         p = Profiler(tracer=tracer)
-        p.disable_group("MPI")
-        p.charge("MPI_Send", 1.0)
-        p.start("t", group="MPI")
+        p.disable_group("g")
+        p.start("t", group="g")
         p.stop("t")
         assert len(tracer) == 0
         assert tracer.open_depth() == 0

@@ -1,7 +1,9 @@
-"""Profiler semantics: nesting, exclusivity, groups, charging, dumping."""
+"""Profiler semantics: nesting, exclusivity, groups, the MPI ledger read,
+dumping."""
 
 import pytest
 
+from repro.mpi.accounting import MPIAccounting
 from repro.tau.profiler import MPI_GROUP, Profiler
 
 
@@ -22,6 +24,15 @@ class FakeClock:
 def clocked():
     clock = FakeClock()
     return Profiler(rank=0, clock=clock), clock
+
+
+@pytest.fixture
+def ledgered(clocked):
+    """A clocked profiler bound to a rank ledger, as the TAU component
+    binds it."""
+    p, clock = clocked
+    p.ledger = MPIAccounting()
+    return p, clock, p.ledger
 
 
 def test_simple_timer(clocked):
@@ -101,22 +112,30 @@ def test_context_manager_stops_on_exception(clocked):
 
 def test_group_disable_suppresses(clocked):
     p, clock = clocked
-    p.disable_group("MPI")
-    p.charge("MPI_Send", 100.0, group="MPI")
-    p.start("t", group="MPI")
+    p.disable_group("io")
+    p.start("t", group="io")
     clock.tick(10.0)
     assert p.stop("t").suppressed
-    assert p.group_total_us("MPI") == 0.0
-    p.enable_group("MPI")
-    p.charge("MPI_Send", 5.0, group="MPI")
-    assert p.group_total_us("MPI") == 5.0
+    assert p.group_total_us("io") == 0.0
+    p.enable_group("io")
+    with p.timer("t", group="io"):
+        clock.tick(5.0)
+    assert p.group_total_us("io") == 5.0
 
 
-def test_charge_extends_enclosing_inclusive_not_exclusive(clocked):
-    p, clock = clocked
+def test_mpi_group_cannot_be_disabled(ledgered):
+    p, _, ledger = ledgered
+    with pytest.raises(ValueError, match="MPI group"):
+        p.disable_group(MPI_GROUP)
+    ledger.record("MPI_Send", 5.0)
+    assert p.group_total_us(MPI_GROUP) == 5.0
+
+
+def test_charge_extends_enclosing_inclusive_not_exclusive(ledgered):
+    p, clock, ledger = ledgered
     p.start("method")
     clock.tick(10.0)
-    p.charge("MPI_Waitsome", 50.0)
+    ledger.record("MPI_Waitsome", 50.0)
     clock.tick(10.0)
     p.stop("method")
     m = p.get("method")
@@ -127,22 +146,16 @@ def test_charge_extends_enclosing_inclusive_not_exclusive(clocked):
     assert w.group == MPI_GROUP
 
 
-def test_charge_with_empty_stack(clocked):
-    p, _ = clocked
-    p.charge("MPI_Send", 3.0)
+def test_charge_with_empty_stack(ledgered):
+    p, _, ledger = ledgered
+    ledger.record("MPI_Send", 3.0)
     assert p.get("MPI_Send").inclusive_us == 3.0
 
 
-def test_charge_negative_rejected(clocked):
-    p, _ = clocked
-    with pytest.raises(ValueError):
-        p.charge("x", -1.0)
-
-
-def test_group_total_sums_only_group(clocked):
-    p, clock = clocked
-    p.charge("MPI_Send", 5.0)
-    p.charge("MPI_Recv", 7.0)
+def test_group_total_sums_only_group(ledgered):
+    p, clock, ledger = ledgered
+    ledger.record("MPI_Send", 5.0)
+    ledger.record("MPI_Recv", 7.0)
     with p.timer("compute"):
         clock.tick(100.0)
     assert p.group_total_us(MPI_GROUP) == 12.0
@@ -167,15 +180,17 @@ def test_snapshot_is_a_copy(clocked):
     assert p.get("t").inclusive_us == 1.0
 
 
-def test_dump_writes_profile_file(tmp_path, clocked):
-    p, clock = clocked
+def test_dump_writes_profile_file(tmp_path, ledgered):
+    p, clock, ledger = ledgered
     with p.timer("region"):
         clock.tick(2.0)
+    ledger.record("MPI_Bcast", 1.5)
     p.events.record("ev", 4.5)
     p.counters.record_flops(10)
     path = tmp_path / "profile.0"
     p.dump(str(path))
     text = path.read_text()
     assert "region" in text
+    assert "'MPI_Bcast' MPI 1 1.500 1.500" in text
     assert "ev" in text
     assert "PAPI_FP_OPS" in text

@@ -1,7 +1,10 @@
 """Measurement snapshots, invocation measurements and the Figure-3 summary."""
 
+import itertools
+
 import pytest
 
+from repro.mpi.accounting import MPIAccounting
 from repro.tau.profiler import Profiler
 from repro.tau.query import InvocationMeasurement, MeasurementSnapshot
 from repro.tau.summary import function_summary, merge_snapshots, summary_rows
@@ -11,11 +14,23 @@ from repro.tau.timer import TimerStats
 class TestSnapshots:
     def test_capture_reads_cumulative(self):
         p = Profiler()
-        p.charge("MPI_Send", 10.0)
+        p.ledger = MPIAccounting()
+        p.ledger.record("MPI_Send", 10.0)
         p.counters.record_flops(5)
         snap = MeasurementSnapshot.capture(p)
         assert snap.mpi_us == 10.0
         assert snap.counters["PAPI_FP_OPS"] == 5
+
+    def test_capture_reads_the_profilers_clock(self):
+        # The query window and the frames it brackets are on one clock.
+        ticks = itertools.count()
+        p = Profiler(clock=lambda: 10.0 * next(ticks))
+        before = MeasurementSnapshot.capture(p)
+        p.start("t")
+        frame = p.stop("t")
+        after = MeasurementSnapshot.capture(p)
+        assert (before.wall_us, frame.start_us, frame.end_us, after.wall_us) == (
+            0.0, 10.0, 20.0, 30.0)
 
     def test_compute_floor_at_zero(self):
         inv = InvocationMeasurement(wall_us=5.0, mpi_us=20.0)
