@@ -21,10 +21,9 @@ seeded load generator that gates p50/p99 latency and throughput in the
 from repro.serve.batching import LoadShedError, MicroBatcher
 from repro.serve.cache import PredictionCache, QBucketer
 from repro.serve.schema import (AssemblyChoice, BatchPredictRequest,
-                                BatchPredictResponse, ModelInfo,
+                                EncodedPrediction, ModelInfo,
                                 OptimizeRequest, OptimizeResponse,
-                                Prediction, PredictRequest, PredictResponse,
-                                SlotSpec, ValidationError)
+                                PredictRequest, SlotSpec, ValidationError)
 from repro.serve.server import ModelServer, Response, ServeConfig
 from repro.serve.store import (ModelSnapshot, ModelUnavailable,
                                ServingModelStore, UnknownModel)
@@ -43,7 +42,7 @@ def __getattr__(name: str):
 __all__ = [
     "AssemblyChoice",
     "BatchPredictRequest",
-    "BatchPredictResponse",
+    "EncodedPrediction",
     "LoadMix",
     "LoadShedError",
     "LoadStats",
@@ -54,9 +53,7 @@ __all__ = [
     "ModelUnavailable",
     "OptimizeRequest",
     "OptimizeResponse",
-    "Prediction",
     "PredictRequest",
-    "PredictResponse",
     "PredictionCache",
     "QBucketer",
     "Response",

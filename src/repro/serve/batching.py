@@ -17,6 +17,12 @@ request is shed immediately with :class:`LoadShedError` (HTTP 503 +
 Each flush captures **one** model snapshot and stamps every result (and
 cache entry) with that snapshot's version, so a hot-reload mid-flight
 can never mix models within a batch or mislabel a response.
+
+The flush is also where a prediction's numbers are born, so it is where
+they are encoded: each result is an :class:`EncodedPrediction`, the
+reply text with the request's ``cached`` flag and ``q`` left open.  The
+cache stores that entry, and a hit hands it back as it is - no object
+built, no encoder called.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ import numpy as np
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.serve.cache import PredictionCache, QBucketer
-from repro.serve.schema import Prediction, PredictRequest
+from repro.serve.schema import (EncodedPrediction, PredictRequest,
+                                encode_predictions)
 from repro.serve.store import ModelUnavailable, ServingModelStore, UnknownModel
 
 __all__ = ["LoadShedError", "MicroBatcher"]
@@ -50,7 +57,7 @@ class LoadShedError(RuntimeError):
 class _Item:
     req: PredictRequest
     q_bucket: float
-    future: "asyncio.Future[tuple[Prediction, str]]"
+    future: "asyncio.Future[EncodedPrediction]"
 
 
 class MicroBatcher:
@@ -104,36 +111,30 @@ class MicroBatcher:
         self._pending.clear()
 
     # ------------------------------------------------------------- entry
-    async def predict(self, req: PredictRequest) -> tuple[Prediction, str]:
-        """Resolve one request; returns ``(prediction, model_version)``.
+    async def predict(self, req: PredictRequest
+                      ) -> tuple[EncodedPrediction, bool]:
+        """Resolve one request; returns ``(prediction, cached)``.
 
         Raises :class:`UnknownModel`, :class:`ModelUnavailable` or
         :class:`LoadShedError`.
         """
         q_bucket, hit = self.lookup(req)
         if hit is not None:
-            return hit
-        return await self.enqueue(req, q_bucket)
+            return hit, True
+        return await self.enqueue(req, q_bucket), False
 
     def lookup(self, req: PredictRequest
-               ) -> tuple[float, tuple[Prediction, str] | None]:
+               ) -> tuple[float, EncodedPrediction | None]:
         """``(q_bucket, hit)``: the request's bucket and its cached answer,
         or None on a miss, which the caller hands to :meth:`enqueue`."""
         q_bucket = self.bucketer.bucket(req.q)
-        hit = self.cache.get((self.store.snapshot.generation, req.component,
-                              req.mode, q_bucket))
-        if hit is None:
-            return q_bucket, None
-        pred, version = hit
-        return q_bucket, (Prediction(
-            component=pred.component, mode=pred.mode, q=req.q,
-            q_bucket=q_bucket, mean_us=pred.mean_us, std_us=pred.std_us,
-            model=pred.model, cached=True), version)
+        return q_bucket, self.cache.get((self.store.snapshot.generation,
+                                         req.component, req.mode, q_bucket))
 
     def enqueue(self, req: PredictRequest, q_bucket: float
-                ) -> "asyncio.Future[tuple[Prediction, str]]":
+                ) -> "asyncio.Future[EncodedPrediction]":
         """Queue a cache miss for the next flush; the future resolves to
-        ``(prediction, model_version)`` or to the flush's error."""
+        its prediction or to the flush's error."""
         if len(self._pending) >= self.queue_limit:
             self._shed_total.inc()
             raise LoadShedError(self.queue_limit)
@@ -188,17 +189,17 @@ class MicroBatcher:
                     if not item.future.done():
                         item.future.set_exception(exc)
                 continue
-            qs = np.asarray([item.q_bucket for item in items], dtype=float)
+            q_buckets = [item.q_bucket for item in items]
+            qs = np.asarray(q_buckets, dtype=float)
             means = np.atleast_1d(np.asarray(model.predict_mean(qs), dtype=float))
             stds = np.atleast_1d(np.asarray(model.predict_std(qs), dtype=float))
             if stds.shape != means.shape:
                 stds = np.broadcast_to(stds, means.shape)
-            for i, item in enumerate(items):
-                pred = Prediction(
-                    component=component, mode=mode, q=item.req.q,
-                    q_bucket=item.q_bucket, mean_us=float(means[i]),
-                    std_us=float(stds[i]), model=model.name, cached=False)
+            encoded = encode_predictions(
+                snapshot.version, component, mode, model.name, q_buckets,
+                means.tolist(), stds.tolist())
+            for item, pred in zip(items, encoded):
                 key = (snapshot.generation, component, mode, item.q_bucket)
-                self.cache.put(key, (pred, snapshot.version))
+                self.cache.put(key, pred)
                 if not item.future.done():
-                    item.future.set_result((pred, snapshot.version))
+                    item.future.set_result(pred)

@@ -6,6 +6,11 @@ cached prediction unreachable instead of requiring an explicit flush —
 stale entries age out of the LRU tail on their own, and a cached value can
 never be served with a version stamp it was not computed under.
 
+The serving stack stores one :class:`~repro.serve.schema.EncodedPrediction`
+per key: the reply text the flush encoded, version stamp included, which
+a hit returns as it is for the handler to splice the request's ``q`` into.
+The cache itself is generic over its values and never looks inside them.
+
 The clock is injected (:class:`repro.util.timebase.Clock`) so TTL expiry
 is testable without sleeping; the default is the real wall clock.  Hit,
 miss, eviction and expiry counts feed the serving

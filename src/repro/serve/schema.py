@@ -4,7 +4,14 @@ Every wire payload has a frozen dataclass here with a ``from_obj``
 constructor that validates plain-JSON input (types, ranges, required
 keys) and raises :class:`ValidationError` with a path-qualified message
 — the HTTP layer maps that to a 400 whose body names the offending
-field.  Responses carry ``to_obj`` so handlers never hand-build dicts.
+field.  Catalog and optimize responses carry ``to_obj``.
+
+Predictions are the exception, because they are the hot path: each is
+encoded once, where the micro-batcher computes it, into an
+:class:`EncodedPrediction` - the text of its sorted-key JSON object with
+the ``cached`` flag and the request's ``q`` left open.  Every reply that
+carries it, a cache hit, a miss or a batch, splices those two slots and
+joins; the bytes equal ``json.dumps(obj, sort_keys=True)``'s.
 
 The validators are deliberately hand-rolled: the service is stdlib-only
 (no jsonschema dependency), and the schemas are small enough that
@@ -13,14 +20,16 @@ explicit checks read better than a meta-language.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = [
-    "ValidationError", "PredictRequest", "Prediction", "PredictResponse",
-    "BatchPredictRequest", "BatchPredictResponse", "SlotSpec",
-    "OptimizeRequest", "AssemblyChoice", "OptimizeResponse", "ModelInfo",
+    "ValidationError", "PredictRequest", "BatchPredictRequest",
+    "EncodedPrediction", "encode_predictions", "predict_body",
+    "batch_predict_body", "SlotSpec", "OptimizeRequest", "AssemblyChoice",
+    "OptimizeResponse", "ModelInfo",
 ]
 
 #: refuse unbounded batch bodies before they reach the batching queue
@@ -104,42 +113,6 @@ class PredictRequest:
 
 
 @dataclass(frozen=True)
-class Prediction:
-    """One evaluated prediction (the unit shared by single and batch)."""
-
-    component: str
-    mode: str | None
-    q: float            # requested workload
-    q_bucket: float     # bucket representative the model was evaluated at
-    mean_us: float
-    std_us: float
-    model: str          # implementation name that answered
-    cached: bool
-
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "component": self.component,
-            "mode": self.mode,
-            "q": self.q,
-            "q_bucket": self.q_bucket,
-            "mean_us": self.mean_us,
-            "std_us": self.std_us,
-            "model": self.model,
-            "cached": self.cached,
-        }
-
-
-@dataclass(frozen=True)
-class PredictResponse:
-    prediction: Prediction
-    model_version: str
-
-    def to_obj(self) -> dict[str, Any]:
-        return {"prediction": self.prediction.to_obj(),
-                "model_version": self.model_version}
-
-
-@dataclass(frozen=True)
 class BatchPredictRequest:
     requests: tuple[PredictRequest, ...]
 
@@ -162,14 +135,68 @@ class BatchPredictRequest:
             for i, r in enumerate(raw)))
 
 
-@dataclass(frozen=True)
-class BatchPredictResponse:
-    predictions: tuple[Prediction, ...]
-    model_version: str
+# ------------------------------------------------------ prediction replies
+#: a prediction object opens with its first sorted key, the cache flag
+_CACHED_OPEN = ('{"cached": false', '{"cached": true')
 
-    def to_obj(self) -> dict[str, Any]:
-        return {"predictions": [p.to_obj() for p in self.predictions],
-                "model_version": self.model_version}
+
+class EncodedPrediction(NamedTuple):
+    """One prediction's reply text, encoded once when its flush computed it.
+
+    It is the prediction's sorted-key JSON object with two open slots, the
+    ``cached`` flag and the request's ``q``: :meth:`render` writes
+    ``{"cached": <flag>`` + ``head`` + ``<q>`` + ``tail``.  :mod:`json`
+    wrote every field of ``head``, ``tail`` and ``version``, so escapes and
+    non-finite numbers are exactly ``json.dumps``'s, and the text is ASCII.
+    ``q`` is a finite float (:class:`PredictRequest` validates it), which
+    ``json`` writes as its ``repr``.
+    """
+
+    #: the snapshot's ``model_version`` as a JSON string
+    version: str
+    #: ``, "component": …, "mean_us": …, "mode": …, "model": …, "q": ``
+    head: str
+    #: ``, "q_bucket": …, "std_us": …}``
+    tail: str
+
+    def render(self, q: float, cached: bool) -> str:
+        """The prediction object answering a request for ``q``."""
+        return f"{_CACHED_OPEN[cached]}{self.head}{q!r}{self.tail}"
+
+
+def _json_floats(values: list[float]) -> list[str]:
+    # One encoder call for the lot; no number json writes contains ", ".
+    return json.dumps(values)[1:-1].split(", ")
+
+
+def encode_predictions(version: str, component: str, mode: str | None,
+                       model: str, q_buckets: list[float],
+                       means: list[float], stds: list[float]
+                       ) -> list[EncodedPrediction]:
+    """Encode one evaluated group: ``model`` answered ``(component, mode)``
+    at each ``q_buckets[i]`` with ``means[i]`` and ``stds[i]``."""
+    version_json = json.dumps(version)
+    before_mean = f', "component": {json.dumps(component)}, "mean_us": '
+    after_mean = (f', "mode": {json.dumps(mode)}, '
+                  f'"model": {json.dumps(model)}, "q": ')
+    return [EncodedPrediction(version_json, f"{before_mean}{mean}{after_mean}",
+                              f', "q_bucket": {q_bucket}, "std_us": {std}}}')
+            for q_bucket, mean, std in zip(_json_floats(q_buckets),
+                                           _json_floats(means),
+                                           _json_floats(stds))]
+
+
+def predict_body(entry: EncodedPrediction, q: float, cached: bool) -> bytes:
+    """``POST /v1/predict``'s reply body."""
+    return (f'{{"model_version": {entry.version}, '
+            f'"prediction": {entry.render(q, cached)}}}\n').encode()
+
+
+def batch_predict_body(version: str, predictions: list[str]) -> bytes:
+    """``POST /v1/predict/batch``'s reply body: ``version`` is the shared
+    :attr:`EncodedPrediction.version`, ``predictions`` the rendered objects."""
+    return (f'{{"model_version": {version}, '
+            f'"predictions": [{", ".join(predictions)}]}}\n').encode()
 
 
 # -------------------------------------------------------------- optimize

@@ -46,11 +46,12 @@ from repro.perf.optimizer import AssemblyOptimizer
 from repro.serve.batching import LoadShedError, MicroBatcher
 from repro.serve.cache import PredictionCache, QBucketer
 from repro.serve.schema import (AssemblyChoice, BatchPredictRequest,
-                                BatchPredictResponse, OptimizeRequest,
+                                EncodedPrediction, OptimizeRequest,
                                 OptimizeResponse, PredictRequest,
-                                PredictResponse, ValidationError)
-from repro.serve.store import (ModelUnavailable, ServingModelStore,
-                               UnknownModel)
+                                ValidationError, batch_predict_body,
+                                predict_body)
+from repro.serve.store import (ModelSnapshot, ModelUnavailable,
+                               ServingModelStore, UnknownModel)
 from repro.util.httpd import Response, serve_connection
 from repro.util.timebase import Clock, now_us
 
@@ -99,7 +100,7 @@ class ModelServer:
         self.store = ServingModelStore(models_dir)
         ttl_us = (None if self.config.cache_ttl_s is None
                   else self.config.cache_ttl_s * 1e6)
-        self.cache: PredictionCache = PredictionCache(
+        self.cache: PredictionCache[tuple, EncodedPrediction] = PredictionCache(
             capacity=self.config.cache_capacity, ttl_us=ttl_us,
             clock=clock, metrics=self.metrics)
         self.batcher = MicroBatcher(
@@ -112,6 +113,8 @@ class ModelServer:
         # (and a status's) first request and kept.
         self._latency: dict[str, Histogram] = {}
         self._requests: dict[tuple[str, int], Counter] = {}
+        #: the catalog reply and the snapshot it was encoded from
+        self._models_reply: tuple[ModelSnapshot, Response] | None = None
         self._stop = asyncio.Event()
         self._watcher: asyncio.Task | None = None
         self._routes: dict[tuple[str, str], _Handler] = {
@@ -224,19 +227,21 @@ class ModelServer:
         })
 
     async def _handle_models(self, body: bytes) -> Response:
+        # The catalog is a function of the immutable snapshot: encode it
+        # once per snapshot, and a reload's new snapshot gets a new body.
         snap = self.store.snapshot
-        return Response.json(200, {
-            "model_version": snap.version,
-            "models": [m.to_obj() for m in snap.catalog()],
-        })
+        if self._models_reply is None or self._models_reply[0] is not snap:
+            self._models_reply = (snap, Response.json(200, {
+                "model_version": snap.version,
+                "models": [m.to_obj() for m in snap.catalog()],
+            }))
+        return self._models_reply[1]
 
     async def _handle_predict(self, body: bytes) -> Response:
         req = PredictRequest.from_obj(
             self._parse_json(body, "predict request"))
-        pred, version = await self.batcher.predict(req)
-        return Response.json(
-            200, PredictResponse(prediction=pred,
-                                 model_version=version).to_obj())
+        pred, cached = await self.batcher.predict(req)
+        return Response(status=200, body=predict_body(pred, req.q, cached))
 
     async def _handle_predict_batch(self, body: bytes) -> Response:
         batch = BatchPredictRequest.from_obj(
@@ -260,14 +265,15 @@ class ModelServer:
                 results[i] = answer
         # All sub-requests of one batch must answer from one model set;
         # a reload races the flushes only at the boundary between them.
-        versions = {version for _pred, version in results}
+        versions = {pred.version for pred in results}
         if len(versions) > 1:
             return Response.error(
                 503, "model reload raced this batch; retry",
                 headers=(("Retry-After", "1"),))
-        return Response.json(200, BatchPredictResponse(
-            predictions=tuple(pred for pred, _v in results),
-            model_version=versions.pop()).to_obj())
+        return Response(status=200, body=batch_predict_body(
+            versions.pop(),
+            [pred.render(req.q, i not in misses) for i, (pred, req)
+             in enumerate(zip(results, batch.requests))]))
 
     async def _handle_optimize(self, body: bytes) -> Response:
         req = OptimizeRequest.from_obj(

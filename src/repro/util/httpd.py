@@ -7,8 +7,8 @@ endpoints without depending on the model-serving stack.  Four pieces:
 * :class:`Response` — the application-layer response value (status, body,
   content type, extra headers) with ``json``/``error`` constructors;
 * :func:`read_request` / :func:`render_response` — one-request parse and
-  serialize over ``asyncio`` streams (request line + headers +
-  Content-Length body, keep-alive);
+  serialize over ``asyncio`` streams (request line + headers under a
+  deadline + Content-Length body, keep-alive);
 * :func:`sse_preamble` / :func:`sse_event` — Server-Sent Events framing
   for streaming endpoints (``/live``): a response header block that
   disables buffering, then one ``data:`` frame per event;
@@ -24,12 +24,18 @@ import json
 from dataclasses import dataclass
 from typing import Any, Awaitable, Callable
 
-__all__ = ["Response", "RequestError", "STATUS_TEXT", "read_request",
-           "render_response", "sse_preamble", "sse_event", "serve_connection"]
+__all__ = ["Response", "RequestError", "STATUS_TEXT", "HEADER_TIMEOUT_S",
+           "read_request", "render_response", "sse_preamble", "sse_event",
+           "serve_connection"]
 
 STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
-               405: "Method Not Allowed", 413: "Payload Too Large",
-               503: "Service Unavailable"}
+               405: "Method Not Allowed", 408: "Request Timeout",
+               413: "Payload Too Large", 503: "Service Unavailable"}
+
+#: seconds a client has to deliver a request line and its headers, the
+#: wait for the first byte included, so an idle keep-alive connection
+#: ends under the same rule; past it the answer is 408 and a close
+HEADER_TIMEOUT_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -70,17 +76,9 @@ async def _readline(reader: asyncio.StreamReader) -> bytes:
         raise RequestError(400, "request line or header too long") from None
 
 
-async def read_request(reader: asyncio.StreamReader, max_body: int
-                       ) -> tuple[str, str, bytes, bool] | None:
-    """Parse one HTTP/1.1 request; None on clean EOF before a request.
-
-    Returns ``(method, path, body, keep_alive)``; the query string is
-    split off the target and discarded by the caller's router (handlers
-    that need it re-parse the raw target themselves).  Raises
-    :class:`RequestError` - 400 for a line longer than the reader's limit
-    or a Content-Length that is not a decimal number, 413 for a body
-    above ``max_body``.
-    """
+async def _read_head(reader: asyncio.StreamReader
+                     ) -> tuple[str, str, dict[str, str]] | None:
+    """``(method, path, headers)`` of the next request; None on clean EOF."""
     try:
         line = await _readline(reader)
     except ConnectionError:
@@ -99,6 +97,28 @@ async def read_request(reader: asyncio.StreamReader, max_body: int
             break
         name, _, value = hline.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
+    return method, path, headers
+
+
+async def read_request(reader: asyncio.StreamReader, max_body: int
+                       ) -> tuple[str, str, bytes, bool] | None:
+    """Parse one HTTP/1.1 request; None on clean EOF before a request.
+
+    Returns ``(method, path, body, keep_alive)``; the query string is
+    split off the target and discarded by the caller's router (handlers
+    that need it re-parse the raw target themselves).  Raises
+    :class:`RequestError` - 400 for a line longer than the reader's limit
+    or a Content-Length that is not a decimal number, 408 for a request
+    line and headers not in within :data:`HEADER_TIMEOUT_S`, 413 for a
+    body above ``max_body``.
+    """
+    try:
+        head = await asyncio.wait_for(_read_head(reader), HEADER_TIMEOUT_S)
+    except asyncio.TimeoutError:
+        raise RequestError(408, "request header timeout") from None
+    if head is None:
+        return None
+    method, path, headers = head
     keep_alive = headers.get("connection", "keep-alive").lower() != "close"
     raw_length = headers.get("content-length") or "0"
     if not (raw_length.isascii() and raw_length.isdigit()):
@@ -145,8 +165,8 @@ async def serve_connection(
     Each request is answered by ``handle(method, path, body)`` and the
     connection kept alive when the client asks for it; a request
     :func:`read_request` rejects (oversized body, overlong line, bad
-    Content-Length) is answered with its status and the connection
-    closed.  ``GET /live`` turns the connection into a one-way
+    Content-Length, headers too slow) is answered with its status and the
+    connection closed.  ``GET /live`` turns the connection into a one-way
     Server-Sent Events stream - one ``live_frame()`` every
     ``live_interval_s`` until ``stop`` is set or the client leaves - and
     never returns to request parsing.

@@ -1,6 +1,7 @@
 """Micro-batcher: coalescing, cache integration, load shedding."""
 
 import asyncio
+import json
 
 import numpy as np
 import pytest
@@ -33,6 +34,12 @@ def make_batcher(store, **kw) -> MicroBatcher:
                         QBucketer(per_decade=None), **kw)
 
 
+def decoded(result, q):
+    """A ``predict`` result as the prediction object its reply carries."""
+    pred, cached = result
+    return json.loads(pred.render(q, cached))
+
+
 async def _with_batcher(batcher, coro):
     batcher.start()
     try:
@@ -53,10 +60,11 @@ def test_concurrent_requests_coalesce_into_one_flush(tmp_path):
 
     results = asyncio.run(_with_batcher(batcher, main()))
     assert len(results) == 6
-    for (pred, version), expect_q in zip(results, (1e3, 2e3, 4e3, 8e3, 1.6e4, 3.2e4)):
-        assert pred.q == expect_q
-        assert pred.mean_us == pytest.approx(2.0 * expect_q, rel=1e-9)
-        assert version == store.snapshot.version
+    for result, expect_q in zip(results, (1e3, 2e3, 4e3, 8e3, 1.6e4, 3.2e4)):
+        pred = decoded(result, expect_q)
+        assert pred["q"] == expect_q
+        assert pred["mean_us"] == pytest.approx(2.0 * expect_q, rel=1e-9)
+        assert json.loads(result[0].version) == store.snapshot.version
     hist = metrics.histogram("serve_batch_size")
     assert hist.count >= 1
     # All six arrived before the dispatcher ran: one vectorized flush.
@@ -75,8 +83,8 @@ def test_batched_bitwise_equals_single_at_batcher_level(tmp_path):
         async def main():
             out = []
             for q in qs:  # awaited sequentially: each is a batch of one
-                pred, _ = await batcher.predict(PredictRequest("F", q))
-                out.append(pred.mean_us)
+                result = await batcher.predict(PredictRequest("F", q))
+                out.append(decoded(result, q)["mean_us"])
             return out
         return asyncio.run(_with_batcher(batcher, main()))
 
@@ -86,7 +94,7 @@ def test_batched_bitwise_equals_single_at_batcher_level(tmp_path):
         async def main():
             results = await asyncio.gather(
                 *(batcher.predict(PredictRequest("F", q)) for q in qs))
-            return [pred.mean_us for pred, _ in results]
+            return [decoded(r, q)["mean_us"] for r, q in zip(results, qs)]
         return asyncio.run(_with_batcher(batcher, main()))
 
     singles, batched = run_one_by_one(), run_together()
@@ -98,15 +106,16 @@ def test_cache_hit_skips_queue_and_marks_cached(tmp_path):
     batcher = make_batcher(store)
 
     async def main():
-        first, _ = await batcher.predict(PredictRequest("F", 1e3))
-        again, version = await batcher.predict(PredictRequest("F", 1e3))
-        return first, again, version
+        first = await batcher.predict(PredictRequest("F", 1e3))
+        again = await batcher.predict(PredictRequest("F", 1e3))
+        return first, again
 
-    first, again, version = asyncio.run(_with_batcher(batcher, main()))
-    assert not first.cached
-    assert again.cached
-    assert again.mean_us == first.mean_us
-    assert version == store.snapshot.version
+    first, again = asyncio.run(_with_batcher(batcher, main()))
+    assert first[1] is False and again[1] is True
+    # the hit hands back the entry the flush encoded, not a rebuilt one
+    assert again[0] is first[0]
+    assert decoded(again, 1e3)["mean_us"] == decoded(first, 1e3)["mean_us"]
+    assert json.loads(again[0].version) == store.snapshot.version
     assert batcher.cache.hits == 1
 
 

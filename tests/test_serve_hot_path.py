@@ -1,10 +1,12 @@
 """Count gates on the serving hot path: what a cache hit costs.
 
 A hot-cache block of the default load mix must do only each request's own
-work - parse, cache lookup, JSON reply.  These gates count the per-request
-overheads that depend on neither the request nor the models: instrument
-lookups in the metrics registry and asyncio tasks.  The proxied-invocation
-gate holds the Mastermind to the same bound-instrument rule.
+work - parse, cache lookup, splicing the request's ``q`` into the reply the
+flush encoded.  These gates count the per-request overheads that depend on
+neither the request nor the models: instrument lookups in the metrics
+registry, asyncio tasks, prediction objects and JSON encoder calls.  The
+proxied-invocation gate holds the Mastermind to the same bound-instrument
+rule.
 """
 
 import asyncio
@@ -22,6 +24,7 @@ from repro.obs.runtime import ObsConfig, RankObs
 from repro.perf import Mastermind, make_proxy_port, perf_params
 from repro.serve import ModelServer, ServeConfig
 from repro.serve.loadgen import LoadMix, generate_requests
+from repro.serve.schema import EncodedPrediction
 from repro.tau.component import TauMeasurementComponent
 
 Q = np.array([1e3, 1e4, 1e5])
@@ -72,18 +75,35 @@ async def run_block(server, streams) -> list:
 
 
 class Counts:
-    """Registry lookups and task creations while armed."""
+    """Registry lookups, task creations, encoded predictions built and JSON
+    encoder calls while armed."""
 
     def __init__(self, monkeypatch):
         self.lookups = 0
         self.tasks = 0
+        self.predictions = 0
+        self.encodes = 0
         real_get = MetricsRegistry._get
+        real_new = EncodedPrediction.__new__
+        real_encode = json.JSONEncoder.encode
 
         def counting_get(registry, *args, **kwargs):
             self.lookups += 1
             return real_get(registry, *args, **kwargs)
 
+        def counting_new(cls, *args, **kwargs):
+            self.predictions += 1
+            return real_new(cls, *args, **kwargs)
+
+        def counting_encode(encoder, obj):
+            self.encodes += 1
+            return real_encode(encoder, obj)
+
         monkeypatch.setattr(MetricsRegistry, "_get", counting_get)
+        monkeypatch.setattr(EncodedPrediction, "__new__",
+                            staticmethod(counting_new))
+        # json.dumps, with or without options, ends in JSONEncoder.encode
+        monkeypatch.setattr(json.JSONEncoder, "encode", counting_encode)
 
     def task_factory(self, loop, coro, **kwargs):
         self.tasks += 1
@@ -120,6 +140,16 @@ def test_hot_block_makes_no_registry_lookup(models_dir, monkeypatch):
 def test_hot_block_creates_only_the_callers_tasks(models_dir, monkeypatch):
     _, (_, _, counts, _) = drive(models_dir, monkeypatch)
     assert counts.tasks == CLIENTS
+
+
+def test_hot_block_builds_and_encodes_nothing(models_dir, monkeypatch):
+    """A hit splices the stored reply text: no prediction object is built
+    and no JSON encoder runs, and the catalog is encoded once per snapshot."""
+    _, (streams, _, counts, replies) = drive(models_dir, monkeypatch)
+    assert all(r.status == 200 for rs in replies for r in rs)
+    paths = {path for stream in streams for _m, path, _b in stream}
+    assert {"/v1/predict", "/v1/predict/batch", "/v1/models"} <= paths
+    assert (counts.predictions, counts.encodes) == (0, 0)
 
 
 def test_each_prediction_is_looked_up_once(models_dir, monkeypatch):

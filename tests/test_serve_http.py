@@ -69,6 +69,27 @@ def test_models_catalog(models_dir):
                for m in doc["models"])
 
 
+def test_models_catalog_is_encoded_once_per_snapshot(models_dir):
+    server = ModelServer(models_dir)
+
+    async def main():
+        async with server:
+            first = await server.handle("GET", "/v1/models")
+            again = await server.handle("GET", "/v1/models")
+            ModelRepository(models_dir).store("flux", PerformanceModel(
+                "Newer", fit_linear(Q, 0.5 * Q)))
+            assert server.store.refresh()
+            reloaded = await server.handle("GET", "/v1/models")
+            return first, again, reloaded
+
+    first, again, reloaded = asyncio.run(main())
+    assert again.body is first.body
+    doc = body_of(reloaded)
+    assert doc["model_version"] == server.store.snapshot.version
+    assert doc["model_version"] != body_of(first)["model_version"]
+    assert "Newer" in {m["component"] for m in doc["models"]}
+
+
 def test_predict_roundtrip(models_dir):
     req = json.dumps({"component": "Cheap", "q": 1e4}).encode()
     server, (resp,) = drive(models_dir, ("POST", "/v1/predict", req))

@@ -1,10 +1,18 @@
-"""Request/response schema validation: every 400 path, plus round-trips."""
+"""Request/response schemas: every 400 path, round-trips, and the
+prediction encoder against ``json.dumps`` byte for byte."""
+
+import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.schema import (MAX_BATCH_REQUESTS, BatchPredictRequest,
-                                OptimizeRequest, Prediction, PredictRequest,
-                                SlotSpec, ValidationError)
+                                EncodedPrediction, OptimizeRequest,
+                                PredictRequest, SlotSpec, ValidationError,
+                                batch_predict_body, encode_predictions,
+                                predict_body)
 
 
 class TestPredictRequest:
@@ -123,12 +131,81 @@ class TestOptimizeRequest:
         assert fragment in str(exc.value)
 
 
-def test_prediction_to_obj_is_json_plain():
-    pred = Prediction(component="F", mode=None, q=1.5, q_bucket=1.5,
-                      mean_us=10.0, std_us=1.0, model="F", cached=False)
-    obj = pred.to_obj()
-    assert obj["component"] == "F"
-    assert obj["mode"] is None
-    assert obj["cached"] is False
-    assert set(obj) == {"component", "mode", "q", "q_bucket", "mean_us",
-                        "std_us", "model", "cached"}
+def oracle_body(obj) -> bytes:
+    """The reply bytes a handler owes: ``json.dumps`` with sorted keys."""
+    return json.dumps(obj, sort_keys=True).encode() + b"\n"
+
+
+def prediction_obj(pred, q, cached) -> dict:
+    component, mode, model, q_bucket, mean_us, std_us = pred
+    return {"component": component, "mode": mode, "q": q,
+            "q_bucket": q_bucket, "mean_us": mean_us, "std_us": std_us,
+            "model": model, "cached": cached}
+
+
+def encode_one(version, pred) -> EncodedPrediction:
+    component, mode, model, q_bucket, mean_us, std_us = pred
+    [entry] = encode_predictions(version, component, mode, model,
+                                 [q_bucket], [mean_us], [std_us])
+    return entry
+
+
+def test_encoded_prediction_is_json_plain():
+    entry = encode_one("v1", ("F", None, "F", 1.5, 10.0, 1.0))
+    obj = json.loads(predict_body(entry, 1.5, False))
+    assert obj["model_version"] == "v1"
+    pred = obj["prediction"]
+    assert pred["component"] == "F"
+    assert pred["mode"] is None
+    assert pred["cached"] is False
+    assert set(pred) == {"component", "mode", "q", "q_bucket", "mean_us",
+                         "std_us", "model", "cached"}
+
+
+# Strings as they may arrive from a model repository: quotes, backslashes,
+# control characters and non-ASCII all need json's escapes.
+names = st.text(st.sampled_from('"\\\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600') | st.characters(),
+                min_size=1, max_size=12)
+# Evaluated numbers: everything a fit can return, non-finite included.
+TINY, HUGE = 5e-324, sys.float_info.max
+numbers = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, TINY, sys.float_info.min, HUGE, 1e16, 1e-7,
+                     float("nan"), float("inf"), float("-inf")]))
+# Request workloads: validated finite and positive, integral or extreme.
+workloads = st.one_of(
+    st.floats(min_value=TINY, max_value=HUGE),
+    st.integers(min_value=1, max_value=10**17).map(float),
+    st.sampled_from([1.0, 1e16, 1e22, 1e-7, TINY, HUGE]))
+predictions = st.tuples(names, st.none() | names, names,
+                        st.floats(min_value=1e-300, max_value=1e300),
+                        numbers, numbers)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(version=names, pred=predictions, q=workloads, cached=st.booleans())
+def test_predict_body_matches_json_dumps(version, pred, q, cached):
+    entry = encode_one(version, pred)
+    assert predict_body(entry, q, cached) == oracle_body(
+        {"model_version": version,
+         "prediction": prediction_obj(pred, q, cached)})
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(version=names, component=names, mode=st.none() | names, model=names,
+       rows=st.lists(st.tuples(st.floats(min_value=1e-300, max_value=1e300),
+                               numbers, numbers, workloads, st.booleans()),
+                     min_size=1, max_size=8))
+def test_batch_body_matches_json_dumps(version, component, mode, model, rows):
+    q_buckets, means, stds, qs, flags = (list(c) for c in zip(*rows))
+    entries = encode_predictions(version, component, mode, model,
+                                 q_buckets, means, stds)
+    assert len(entries) == len(rows)
+    body = batch_predict_body(
+        entries[0].version,
+        [e.render(q, cached) for e, q, cached in zip(entries, qs, flags)])
+    assert body == oracle_body({
+        "model_version": version,
+        "predictions": [
+            prediction_obj((component, mode, model, qb, m, s), q, cached)
+            for qb, m, s, q, cached in rows]})
