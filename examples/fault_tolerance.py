@@ -3,9 +3,11 @@
 Part 1 runs the case study under the canned ``dropped-messages`` fault
 plan with the resilient MPI layer enabled: each dropped ghost-exchange
 message is recovered by retransmission, received in send order, and the
-run completes cleanly.  The recovery statistics and the injected
-fault schedule are printed, and the rank-0 timeline (faults and
-recoveries as instant spans) is dumped as a Chrome/Perfetto trace.
+run completes cleanly.  The run is traced: the recovery statistics and
+the injected fault schedule are printed, and rank 0's own trace (its
+proxied calls, MPI operations and steps, with each fault and recovery
+an instant inside the span it interrupted) is dumped as a
+Chrome/Perfetto trace.
 
 Part 2 demonstrates checkpoint/restart: the same application is killed
 mid-run by a ``kill_at_step`` crash point, then resumed from the latest
@@ -24,6 +26,7 @@ from repro.faults.plan import FaultPlan, canned_plans
 from repro.faults.policy import ResiliencePolicy
 from repro.harness.casestudy import CaseStudyConfig, run_case_study
 from repro.mpi.runner import RankFailure
+from repro.obs import ObsConfig
 from repro.obs.export import dump_chrome_trace_spans
 
 
@@ -54,13 +57,16 @@ def main() -> None:
     print(f"({plan.n_faults} faults, seed {plan.seed}; "
           f"{params.steps} steps on {base.nranks} simulated processors)\n")
 
-    result = run_case_study(dataclasses.replace(base, fault_plan=plan))
+    result = run_case_study(dataclasses.replace(base, fault_plan=plan,
+                                                observe=ObsConfig()))
     print(f"run completed: rank results {result.results}")
     print(f"injected faults: {result.world.injector.total_counts()}")
     print(f"recovery stats:  {merged_resilience(result)}")
 
-    dump_chrome_trace_spans(result.world.injector.tracers[0].spans(), [],
-                            args.trace_out)
+    # Rank 0's own trace: the faults and recoveries are instants (category
+    # "fault") inside the spans they interrupted.
+    tracer = result.world.obs[0].tracer
+    dump_chrome_trace_spans(tracer.spans(), tracer.flows(), args.trace_out)
     print(f"rank-0 fault/recovery timeline written to {args.trace_out} "
           "(load in chrome://tracing or ui.perfetto.dev)")
 

@@ -12,21 +12,24 @@ performance proxies consult it at well-defined boundaries:
 
 All mutable state is partitioned by rank and touched only from that rank's
 thread, so no locking is needed and the schedule cannot depend on thread
-interleaving.  Every injected fault is also recorded as an instant span
-(``value`` in its attributes) in the rank's own
-:class:`~repro.obs.span.SpanTracer`, which the one trace exporter
-(:func:`repro.obs.export.dump_chrome_trace_spans`) renders on a timeline.
+interleaving.  Every injected fault and resilience event is one
+``(name, value)`` entry in the rank's ordered ``events`` list, which
+``counts``, :meth:`total_counts` and :meth:`schedule_signature` fold.
+When the world traces, it is also an instant in category
+:data:`~repro.obs.span.CAT_FAULT` on the rank's own
+:class:`~repro.obs.span.SpanTracer`, under whatever span is open there.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.faults.plan import (COMPONENT_DELAY, DELAY, DROP, DUPLICATE,
                                RAISE, FaultPlan)
-from repro.obs.span import SpanTracer
+from repro.obs.span import CAT_FAULT
 from repro.util.rng import rng_from_key
 
 
@@ -90,12 +93,13 @@ class FaultInjector:
             raise ValueError(f"nranks must be positive, got {nranks}")
         self.plan = plan
         self.nranks = int(nranks)
-        self.tracers = [SpanTracer(rank=r) for r in range(self.nranks)]
+        #: per-rank fault record: ``(name, value)`` in program order
+        self.events: list[list[tuple[str, float]]] = [[] for _ in range(nranks)]
+        #: the world's per-rank ``RankObs``, bound by ``SimWorld`` (or None)
+        self.obs: list | None = None
         self._message = [self._matchers(plan.messages, "m", r) for r in range(nranks)]
         self._stall = [self._matchers(plan.stalls, "s", r) for r in range(nranks)]
         self._component = [self._matchers(plan.components, "c", r) for r in range(nranks)]
-        #: per-rank counts of injected faults by kind (deterministic)
-        self.counts: list[dict[str, int]] = [{} for _ in range(self.nranks)]
 
     def _matchers(self, faults, tag: str, rank: int) -> list[_Matcher]:
         out = []
@@ -109,10 +113,12 @@ class FaultInjector:
         return out
 
     # ------------------------------------------------------------- hooks
-    def _record(self, rank: int, name: str, value: float = 0.0) -> None:
-        self.tracers[rank].instant(name, value=value)
-        counts = self.counts[rank]
-        counts[name] = counts.get(name, 0) + 1
+    def note(self, rank: int, name: str, value: float = 0.0) -> None:
+        """Record an injected fault or a resilience event (retry, recovery,
+        failure, checkpoint) on ``rank``, from that rank's thread."""
+        self.events[rank].append((name, value))
+        if self.obs is not None:
+            self.obs[rank].tracer.instant(name, CAT_FAULT, value=value)
 
     def on_send(self, source: int, dest: int, tag: int) -> MessageAction:
         """Consult message faults for one envelope (sender's thread)."""
@@ -122,7 +128,7 @@ class FaultInjector:
                 continue
             if not m.fires():
                 continue
-            self._record(source, f"fault.{f.kind}")
+            self.note(source, f"fault.{f.kind}")
             if f.kind == DROP:
                 return MessageAction(kind=DROP, recoverable=f.recoverable)
             if f.kind == DUPLICATE:
@@ -142,7 +148,7 @@ class FaultInjector:
                 continue
             if m.fires():
                 extra += f.extra_us
-                self._record(rank, "fault.stall", f.extra_us)
+                self.note(rank, "fault.stall", f.extra_us)
         return extra
 
     def on_component_call(self, rank: int, label: str, method: str) -> ComponentAction | None:
@@ -154,9 +160,9 @@ class FaultInjector:
             if not m.fires():
                 continue
             if f.kind == RAISE:
-                self._record(rank, "fault.raise")
+                self.note(rank, "fault.raise")
                 return ComponentAction(kind=RAISE)
-            self._record(rank, "fault.component_delay", f.delay_us)
+            self.note(rank, "fault.component_delay", f.delay_us)
             return ComponentAction(kind=COMPONENT_DELAY, delay_us=f.delay_us)
         return None
 
@@ -168,13 +174,14 @@ class FaultInjector:
         return p.kill_ranks is None or rank in p.kill_ranks
 
     # ----------------------------------------------------------- queries
-    def note(self, rank: int, name: str, value: float = 0.0) -> None:
-        """Record a resilience event (retry, recovery, failure, checkpoint)
-        on the rank's fault timeline."""
-        self._record(rank, name, value)
+    @property
+    def counts(self) -> list[dict[str, int]]:
+        """Per-rank event counts by name, in first-occurrence order."""
+        return [dict(Counter(name for name, _ in events))
+                for events in self.events]
 
     def schedule_signature(self) -> list[list[str]]:
-        """Per-rank ordered *injected-fault* event names (timestamps
+        """Per-rank ordered *injected-fault* event names (values
         stripped) — the object determinism tests compare.
 
         Only ``fault.*`` events count: injection points are visited in each
@@ -182,15 +189,10 @@ class FaultInjector:
         events (``mpi.*``, ``component.*``, ``checkpoint.*``) are excluded:
         the signature is what the plan injected, not how the run handled it.
         """
-        return [
-            [sp.name for sp in tr.spans() if sp.name.startswith("fault.")]
-            for tr in self.tracers
-        ]
+        return [[name for name, _ in events if name.startswith("fault.")]
+                for events in self.events]
 
     def total_counts(self) -> dict[str, int]:
-        """Injected-fault totals across ranks, by event name."""
-        out: dict[str, int] = {}
-        for counts in self.counts:
-            for name, n in counts.items():
-                out[name] = out.get(name, 0) + n
-        return out
+        """Event totals across ranks, by name."""
+        return dict(Counter(name for events in self.events
+                            for name, _ in events))

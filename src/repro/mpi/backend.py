@@ -183,6 +183,7 @@ class ThreadBackend(CommBackend):
             with token:
                 try:
                     results[rank] = fn(comm, *args, **kwargs)
+                    world.discard_trailing_duplicates(rank)
                 except BaseException:  # ra: noqa[RA005] — rank isolation barrier
                     failures[rank] = traceback.format_exc()
                     world.abort(f"rank {rank} raised")
@@ -221,7 +222,7 @@ class WorldView:
     Process backends cannot hand back their (per-process, shared-memory
     laced) worlds, so they ship each rank's durable state — accounting
     ledger, observability bundle, resilience stats, sanitizer findings,
-    injected-fault timeline — through the result pipe and the parent
+    fault-event list — through the result pipe and the parent
     assembles this view.  It exposes exactly the attributes post-run
     consumers read off a :class:`SimWorld`; launch-time machinery
     (mailboxes, rendezvous slots, condition variables) is intentionally

@@ -312,18 +312,18 @@ def _worker_main(rank: int, spec: JobSpec, rings: list[ShmRing],
         # so the receiver can be stopped and the mailboxes are complete.
         coll.tree_allgather(world, _FINAL_CONTEXT, rank, spec.nranks, 0, None)
         world.shutdown_receiver()
+        world.discard_trailing_duplicates(rank)
         world.export_transport_metrics()
         if world.sanitizer is not None:
             world.sanitizer.finalize(world)
-        inj = world.injector
         payload = ("ok", result, {
             "accounting": world.accounting[rank],
             "obs": world.obs[rank] if world.obs is not None else None,
             "resilience": world.resilience[rank],
             "findings": (list(world.sanitizer.findings)
                          if world.sanitizer is not None else []),
-            "fault_counts": inj.counts[rank] if inj is not None else None,
-            "fault_tracer": inj.tracers[rank] if inj is not None else None,
+            "fault_events": (world.injector.events[rank]
+                             if world.injector is not None else None),
         })
     except BaseException:  # ra: noqa[RA005] — rank isolation barrier
         world.abort(f"rank {rank} raised")
@@ -434,9 +434,7 @@ class MpShmBackend(CommBackend):
         if injector is not None:
             # Adopt each worker's authoritative slice of the fault record.
             for r, st in enumerate(states):
-                if st["fault_counts"] is not None:
-                    injector.counts[r] = st["fault_counts"]
-                    injector.tracers[r] = st["fault_tracer"]
+                injector.events[r] = st["fault_events"]
         obs = None
         if spec.obs_config is not None:
             obs = [st["obs"] for st in states]

@@ -36,8 +36,8 @@ from repro.util.timebase import now_us
 
 WORLD_CONTEXT = "world"
 
-#: resilience event -> (the ResilienceStats fields it counts, its mark on
-#: the fault injector's timeline, its obs counter and the counter's help)
+#: resilience event -> (the ResilienceStats fields it counts, its entry in
+#: the fault injector's record, its obs counter and the counter's help)
 _EVENTS: dict[str, tuple[tuple[str, ...], str, str, str]] = {
     "recovered": (("recovered", "retry_rounds"), "mpi.recovered",
                   "mpi_recovered_total",
@@ -97,6 +97,9 @@ class SimWorld:
         # injector without a policy reproduces failures un-handled; a
         # policy without an injector only types a collective's deadline).
         self.injector = spec.injector
+        if self.injector is not None:
+            # Fault marks go on each rank's own tracer.
+            self.injector.obs = self.obs
         self.policy: ResiliencePolicy | None = spec.policy
         self.resilience = [ResilienceStats() for _ in range(self.nranks)]
 
@@ -341,6 +344,21 @@ class SimWorld:
                 consumed.add(env.seq)
             return env
 
+    def discard_trailing_duplicates(self, rank: int) -> None:
+        """End of ``rank``'s run, on its own thread, before the sanitizer's
+        leak check: discard and book ``deduplicated`` each injected
+        duplicate that arrived after its original was consumed (no later
+        receive pops it).  Seqs are remembered only where receivers
+        deduplicate; anything else left over is still a leak."""
+        with self._mail_conds[rank]:
+            for (context, dest), consumed in list(self._consumed.items()):
+                if dest == rank:
+                    box = self._mailboxes[context, rank]
+                    keep = [env for env in box if env.seq not in consumed]
+                    for _ in range(len(box) - len(keep)):
+                        self.book(rank, "deduplicated")
+                    box[:] = keep
+
     def unmark_consumed(self, context: str, rank: int, seq: int) -> None:
         """Forget that ``seq`` was consumed (probe paths re-deliver the
         envelope they popped, which must stay receivable)."""
@@ -369,7 +387,7 @@ class SimWorld:
     def book(self, rank: int, event: str, **labels: str) -> None:
         """Count one resilience event (a key of ``_EVENTS``) everywhere it
         is counted: the rank's :class:`ResilienceStats`, the fault
-        injector's timeline and the rank's obs counter, labelled with
+        injector's record and the rank's obs counter, labelled with
         ``labels``.  Every recovery, dedup, failure and component-retry
         site books through here."""
         fields, mark, metric, help_ = _EVENTS[event]

@@ -55,6 +55,7 @@ from repro.obs.runtime import ObsConfig, RankObs, build_obs
 from repro.obs.span import (
     CAT_CHECKPOINT,
     CAT_COMPUTE,
+    CAT_FAULT,
     CAT_MPI,
     CAT_MPI_WAIT,
     CAT_STEP,
@@ -66,6 +67,7 @@ from repro.obs.span import (
 __all__ = [
     "CAT_CHECKPOINT",
     "CAT_COMPUTE",
+    "CAT_FAULT",
     "CAT_MPI",
     "CAT_MPI_WAIT",
     "CAT_STEP",

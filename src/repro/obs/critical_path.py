@@ -37,8 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from repro.obs.span import (CAT_COMPUTE, CAT_STEP, FLOW_COLL, FLOW_IN,
-                            FLOW_OUT, FlowPoint, Span)
+from repro.obs.span import (CAT_COMPUTE, CAT_FAULT, CAT_STEP, FLOW_COLL,
+                            FLOW_IN, FLOW_OUT, FlowPoint, Span)
 
 #: breakdown bucket for time not inside any categorized leaf span
 UNTRACED = "untraced"
@@ -182,7 +182,10 @@ def critical_path(spans: Sequence[Span], flows: Sequence[FlowPoint],
     outside the window are clipped; the chain always ends at the
     last-finishing leaf inside it.
     """
-    spans = [s for s in spans if s.t_end_us >= s.t_start_us]
+    # Fault marks are instants inside the spans they interrupted, not
+    # work: as leaves they would hide their enclosing span from the walk.
+    spans = [s for s in spans
+             if s.t_end_us >= s.t_start_us and s.category != CAT_FAULT]
     if not spans:
         return CriticalPathReport(0.0, 0.0)
     if window is None:
@@ -292,12 +295,12 @@ def crosscheck_records(spans: Sequence[Span],
     with ``sample_every=1`` (sampled-out invocations have records but no
     spans).
 
-    Both sides are *real* wall clock: record walls are the TAU frame's
-    clock interval (``end_us - start_us``, not its inclusive time), not
-    ``now_us()`` snapshot deltas, and span durations are real
-    timestamps.  The modeled MPI cost charged inside a region lives
-    separately, in the record's ``mpi_us`` and the span's ``virtual_us``
-    attribute — neither enters this comparison.
+    Both sides read one interval: a record's wall is its TAU frame's
+    clock interval (``t_end_us - t_start_us``, not its inclusive time),
+    and a traced frame *is* its span, so the two totals agree up to
+    float summation order.  The modeled MPI cost charged inside a region
+    lives separately, in the record's ``mpi_us`` and the span's
+    ``virtual_us`` attribute — neither enters this comparison.
     """
     span_us: dict[str, float] = {}
     for s in spans:

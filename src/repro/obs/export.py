@@ -11,8 +11,9 @@ round-trips the JSON and checks the invariants a viewer relies on
 
 This is the only module that knows the Chrome/Perfetto trace-event
 format: :func:`chrome_trace_from_spans` / :func:`dump_chrome_trace_spans`
-render any span list (a run's merged trace, a flight-recorder window, a
-fault injector's timeline) and the validator reads the same format back.
+render any span list (a run's merged trace, a flight-recorder window,
+one rank's trace with its fault marks) and the validator reads the same
+format back.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Distributed span tracing: nested spans with causal cross-rank links.
 
-This is the repo's one timeline recorder: the TAU component's tracing
-measurement option (paper Section 4.1; :class:`~repro.tau.profiler.Profiler`
-brackets become spans), the MPI layer's operation trace and the fault
-injector's timeline all record into a :class:`SpanTracer`.  A flat
+This is the repo's one interval store: per rank, one :class:`SpanTracer`
+holds every interval and mark.  A traced TAU frame *is* its span (paper
+Section 4.1's tracing option), the MPI layer's operations are spans and
+the fault injector's events are instants in :data:`CAT_FAULT`.  A flat
 ENTER/EXIT stream would answer "what ran when on rank r" but not "what
 *unblocked* what": a send on rank 0 and the receive it satisfies on rank 3
 would be unrelated records.  Hence the span model (ScALPEL-style always-on
@@ -15,7 +15,8 @@ monitoring over Cactus-style hierarchical timer trees):
 * a :class:`FlowPoint` is one endpoint of a causal cross-rank edge —
   a matched send/recv pair shares a flow id (the envelope's send sequence
   number), collective participants share a ``c:<context>:<seq>`` id;
-* the :class:`SpanTracer` opens/closes spans per rank, records flow
+* the :class:`SpanTracer` opens (:meth:`SpanTracer.open` names a span
+  its caller stamped) and closes spans per rank, records flow
   points, samples 1-in-N invocations when asked to, bounds its buffer
   (``dropped_count`` says how much history was lost) and measures its own
   cost (``self_overhead_us``) so a full case-study run can report the
@@ -41,11 +42,16 @@ CAT_MPI_WAIT = "mpi_wait"  # blocking ops (recv/wait*/collectives)
 CAT_CHECKPOINT = "checkpoint"
 CAT_STEP = "step"
 CAT_OTHER = "other"
+CAT_FAULT = "fault"  # fault-injector marks (instants; not work)
 
 #: flow-point kinds
 FLOW_OUT = "out"    # source endpoint of a p2p edge (the send span)
 FLOW_IN = "in"      # sink endpoint of a p2p edge (the receive span)
 FLOW_COLL = "coll"  # one participant of a collective rendezvous
+
+#: ``span_id`` of a span no tracer kept (not yet opened, or a frame that
+#: was untraced, suppressed or sampled out)
+UNKEPT = -1
 
 #: span-id space per rank (rank << _RANK_SHIFT | local counter): unique
 #: across ranks and deterministic per rank regardless of interleaving.
@@ -163,35 +169,31 @@ class SpanTracer:
         return self._open[-1] if self._open else None
 
     # ------------------------------------------------------------- spans
-    def start(self, name: str, category: str = CAT_OTHER, *,
-              sampled: bool = False, **attrs: Any) -> Span | None:
-        """Open a span; returns None when sampled out (pass it to :meth:`end`)."""
+    def open(self, span: Span, *, sampled: bool = False) -> Span | None:
+        """Name (id, parent) and push a span the caller built and stamps;
+        returns None when ``sampled`` and the 1-in-N rule drops it."""
         self._ops += 1
         t_probe = self._clock() if self._ops % self._OVERHEAD_STRIDE == 0 else None
         if sampled and self.sample_every > 1:
-            k = self._sample_counters.get(name, 0)
-            self._sample_counters[name] = k + 1
+            k = self._sample_counters.get(span.name, 0)
+            self._sample_counters[span.name] = k + 1
             if k % self.sample_every != 0:
                 self.sampled_out += 1
                 if t_probe is not None:
                     self.self_overhead_us += (
                         (self._clock() - t_probe) * self._OVERHEAD_STRIDE)
                 return None
-        parent = self._open[-1].span_id if self._open else None
-        span = Span(self._new_id(), parent, self.rank, name, category,
-                    self._clock(), 0.0, attrs)
+        span.parent_id = self._open[-1].span_id if self._open else None
+        span.span_id = self._new_id()
         self._open.append(span)
         if t_probe is not None:
             self.self_overhead_us += (self._clock() - t_probe) * self._OVERHEAD_STRIDE
         return span
 
-    def end(self, span: Span | None) -> None:
-        """Close a span returned by :meth:`start` (no-op for sampled-out None)."""
-        if span is None:
-            return
+    def close(self, span: Span) -> None:
+        """Pop and keep an opened span; the caller stamped its end."""
         self._ops += 1
         t_probe = self._clock() if self._ops % self._OVERHEAD_STRIDE == 0 else None
-        span.t_end_us = self._clock()
         # The span model permits out-of-order closes only for the innermost
         # stack discipline the profiler already enforces; tolerate a missing
         # frame (e.g. the tracer was swapped mid-run) rather than corrupting
@@ -203,6 +205,18 @@ class SpanTracer:
         self._append(span)
         if t_probe is not None:
             self.self_overhead_us += (self._clock() - t_probe) * self._OVERHEAD_STRIDE
+
+    def start(self, name: str, category: str = CAT_OTHER, *,
+              sampled: bool = False, **attrs: Any) -> Span | None:
+        """Open a span stamped now (None when sampled out)."""
+        return self.open(Span(UNKEPT, None, self.rank, name, category,
+                              self._clock(), 0.0, attrs), sampled=sampled)
+
+    def end(self, span: Span | None) -> None:
+        """Stamp and close a span from :meth:`start` (None: no-op)."""
+        if span is not None:
+            span.t_end_us = self._clock()
+            self.close(span)
 
     def _append(self, span: Span) -> None:
         # Eviction keeps the newest max_spans // 2 spans: the flight

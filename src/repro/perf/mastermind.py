@@ -122,7 +122,7 @@ class Mastermind(Component, MonitorPort):
         frame = self._measurement().stop_timer(act.timer_name)
         start = frame.start_counters
         measurement = InvocationMeasurement(
-            wall_us=frame.end_us - frame.start_us,
+            wall_us=frame.t_end_us - frame.t_start_us,
             mpi_us=frame.charged_us,
             counters={k: v - start.get(k, 0) for k, v in frame.end_counters.items()},
         )

@@ -15,8 +15,9 @@ MeasurementPort:
   (:class:`MeasurementSnapshot`).
 
 The tracing measurement option is a :class:`~repro.obs.span.SpanTracer`
-handed to the :class:`Profiler` (``Profiler(tracer=...)``); it exports
-through :mod:`repro.obs.export` like every other timeline.
+handed to the :class:`Profiler` (``Profiler(tracer=...)``), which keeps
+each traced frame itself as a span; it exports through
+:mod:`repro.obs.export` like every other interval of the rank.
 
 Hardware metrics come from :mod:`repro.tau.hardware`, a PAPI-like layer
 backed by an explicit cache model (see DESIGN.md substitutions).  Profiles

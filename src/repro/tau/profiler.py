@@ -13,7 +13,8 @@ the ledger's per-routine rows, and a frame's MPI time is the ledger total
 at ``stop`` minus the total at ``start`` (the paper's cumulative
 difference).  That modeled time extends the frame's inclusive time; its
 exclusive time is its clock interval minus its children's (Figure 3
-semantics).  An unbound profiler sees no MPI time.
+semantics).  An unbound profiler sees no MPI time.  Each boundary reads
+the clock once; with a tracer, the frame itself is the traced span.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import contextlib
 from typing import TYPE_CHECKING, Callable, Iterator
 
-from repro.obs.span import CAT_COMPUTE, SpanTracer
+from repro.obs.span import CAT_COMPUTE, UNKEPT, SpanTracer
 from repro.tau.events import EventRegistry
 from repro.tau.hardware import CacheModel, HardwareCounters
 from repro.tau.timer import Frame, TimerStats
@@ -38,11 +39,11 @@ class Profiler:
     """Timing + events + hardware counters for one rank.
 
     Pass a :class:`~repro.obs.span.SpanTracer` to additionally record the
-    timeline (TAU's tracing option): every start/stop bracketing opens and
-    closes a compute-category span (subject to the tracer's 1-in-N
-    sampling), so proxied component invocations are traced for free via
-    the Mastermind's existing timer path.  Profiling aggregates are always
-    collected.
+    timeline (TAU's tracing option): every live bracketing's frame is
+    opened and closed on it as a compute-category span (subject to the
+    tracer's 1-in-N sampling, decided at start), so proxied component
+    invocations are traced for free via the Mastermind's existing timer
+    path.  Profiling aggregates are always collected.
     """
 
     def __init__(
@@ -106,15 +107,18 @@ class Profiler:
         """
         self._get_timer(name, group)
         suppressed = not self.group_enabled(group)
-        span = None
-        if self.tracer is not None and not suppressed:
-            span = self.tracer.start(name, CAT_COMPUTE, sampled=True)
         reentrant = not suppressed and any(
             f.name == name and not f.suppressed for f in self._frames())
-        self._top = Frame(name=name, group=group, start_us=self.clock(),
-                          start_counters=self.counters.read(),
-                          start_mpi_us=self._mpi_us(), parent=self._top,
-                          reentrant=reentrant, suppressed=suppressed, span=span)
+        self._top = frame = Frame(
+            UNKEPT, None, self.rank, name, CAT_COMPUTE, 0.0, group=group,
+            parent=self._top, start_counters=self.counters.read(),
+            start_mpi_us=self._mpi_us(), reentrant=reentrant,
+            suppressed=suppressed)
+        if self.tracer is not None and not suppressed:
+            # Sampled when it starts, so a kept span never names a parent
+            # the tracer dropped.
+            self.tracer.open(frame, sampled=True)
+        frame.t_start_us = self.clock()
 
     def stop(self, name: str) -> Frame:
         """Stop the named timer (must be the innermost started one).
@@ -131,7 +135,7 @@ class Profiler:
             raise RuntimeError(
                 f"stop({name!r}) does not match innermost running timer {frame.name!r}"
             )
-        frame.end_us = self.clock()
+        frame.t_end_us = self.clock()
         frame.end_counters = self.counters.read()
         frame.charged_us = charged = self._mpi_us() - frame.start_mpi_us
         self._top = parent = frame.parent
@@ -141,14 +145,14 @@ class Profiler:
             if parent is not None:
                 parent.child_us += frame.child_us
             return frame
-        if self.tracer is not None:
-            if charged and frame.span is not None:
-                # Span timestamps stay real wall clock (cross-rank
-                # ordering depends on it); the attribute makes the modeled
-                # MPI cost visible per region in the exported trace.
-                frame.span.attrs["virtual_us"] = charged
-            self.tracer.end(frame.span)
-        interval = frame.end_us - frame.start_us
+        if charged:
+            # The timestamps stay real wall clock (cross-rank ordering
+            # depends on it); the attribute makes the modeled MPI cost
+            # visible per region in the exported trace.
+            frame.attrs["virtual_us"] = charged
+        if self.tracer is not None and frame.span_id != UNKEPT:
+            self.tracer.close(frame)
+        interval = frame.t_end_us - frame.t_start_us
         timer = self._timers[name]
         timer.calls += 1
         timer.exclusive_us += interval - frame.child_us

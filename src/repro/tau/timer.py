@@ -8,6 +8,9 @@ TAU profiling semantics (paper Section 4.1 / Figure 3):
   regions' clock intervals;
 * **calls** — number of start/stop bracketings (for an MPI routine, the
   ledger's call count).
+
+One bracketing is one :class:`Frame`, which a tracing profiler's tracer
+keeps as its span.
 """
 
 from __future__ import annotations
@@ -44,27 +47,27 @@ class TimerStats:
         self.calls += other.calls
 
 
-@dataclass(slots=True)
-class Frame:
-    """One started timer; ``Profiler.stop`` hands it back stopped.
+@dataclass(slots=True, eq=False, kw_only=True)
+class Frame(Span):
+    """One started timer, and its span; ``Profiler.stop`` hands it back
+    stopped.
 
     A stopped frame is the interval of one bracketing: its clock start and
-    end, the MPI time the rank's ledger gained inside it and the hardware
-    counters read at either end.  The Mastermind builds an invocation
-    record from it.
+    end (``t_start_us``/``t_end_us``), the MPI time the rank's ledger
+    gained inside it and the hardware counters read at either end.  The
+    Mastermind builds an invocation record from it, and a tracing
+    profiler's tracer keeps the very same object as a compute span.
+    ``parent`` is the enclosing TAU frame, kept or not (the Mastermind's
+    caller walk follows it); ``parent_id`` is the enclosing *kept* span.
     """
 
-    name: str
     group: str
-    start_us: float
-    #: hardware counter values read at start
-    start_counters: dict[str, int]
-    #: the MPI ledger's running total read at start
-    start_mpi_us: float = 0.0
     #: the enclosing frame (None at the bottom of the stack)
-    parent: Frame | None = None
-    #: clock reading at stop, and the counter values read then
-    end_us: float = 0.0
+    parent: Frame | None
+    #: the MPI ledger's running total read at start
+    start_mpi_us: float
+    #: hardware counter values read at start, and at stop
+    start_counters: dict[str, int]
     end_counters: dict[str, int] = field(default_factory=dict)
     #: clock intervals of the nearest live frames nested in it
     child_us: float = 0.0
@@ -73,6 +76,3 @@ class Frame:
     reentrant: bool = False
     #: started while its group was disabled: stop pops it, records nothing
     suppressed: bool = False
-    #: the span opened for this frame (None when tracing is off or the
-    #: span was sampled out)
-    span: Span | None = None

@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+from repro.analysis.sanitize import SanitizerConfig
 from repro.faults.checkpoint import CheckpointConfig, hierarchy_states_equal
 from repro.faults.plan import FaultPlan, canned_plans
 from repro.faults.policy import ResiliencePolicy
@@ -28,9 +29,21 @@ def config(**kwargs) -> CaseStudyConfig:
 
 
 # --------------------------------------------------------- canned scenarios
-@pytest.mark.parametrize("name", sorted(canned_plans()))
-def test_case_study_completes_under_canned_plan(name):
-    res = run_case_study(config(fault_plan=canned_plans()[name]))
+#: (plan, backend, sanitizers on): every plan on threads with and without
+#: sanitizers, and the duplicating plan through the mp-shm transport
+CANNED_CASES = [
+    pytest.param(name, "thread", sanitize,
+                 id=name + ("-sanitized" if sanitize else ""))
+    for name in sorted(canned_plans()) for sanitize in (False, True)
+] + [pytest.param("straggler-stalls", "mp-shm", True,
+                  id="straggler-stalls-mp-shm-sanitized")]
+
+
+@pytest.mark.parametrize("name,backend,sanitize", CANNED_CASES)
+def test_case_study_completes_under_canned_plan(name, backend, sanitize):
+    res = run_case_study(config(
+        fault_plan=canned_plans()[name], backend=backend,
+        sanitize=SanitizerConfig() if sanitize else None))
     assert res.results == [0, 0, 0]
     counts = res.world.injector.total_counts()
     merged = {}
@@ -38,6 +51,12 @@ def test_case_study_completes_under_canned_plan(name):
         for key, val in harvest.resilience.items():
             merged[key] = merged.get(key, 0) + val
     assert merged["failures"] == 0
+    # Every injected duplicate is discarded, also one that arrives after
+    # its original was consumed (booked at the end of the rank's run).
+    assert (sum(st.deduplicated for st in res.world.resilience)
+            == counts.get("fault.duplicate", 0))
+    if sanitize:
+        assert res.world.sanitizer.findings == []
     if name == "dropped-messages":
         assert counts["fault.drop"] == 3
         assert merged["recovered"] == 3

@@ -21,7 +21,8 @@ from repro.mpi import create_world
 from repro.obs.export import (chrome_trace_from_spans,
                               dump_chrome_trace_spans,
                               validate_chrome_payload, validate_trace_file)
-from repro.obs.span import SpanTracer
+from repro.obs.runtime import ObsConfig
+from repro.obs.span import CAT_FAULT, SpanTracer
 from repro.perf.records import InvocationRecord, MethodRecord
 from repro.tau.query import InvocationMeasurement
 from repro.util.atomicio import (atomic_pickle, atomic_write_bytes,
@@ -229,9 +230,10 @@ def test_dump_chrome_trace_is_loadable_json(tmp_path):
 
 
 def test_mpshm_fault_timeline_comes_home_and_exports(tmp_path):
-    """The injector's per-rank tracers ride back from the mp-shm workers:
-    same ``fault.*`` marks in the same per-rank order as on the thread
-    backend, and the merged timeline is a valid trace."""
+    """The injector's per-rank event lists ride back from the mp-shm
+    workers, and each rank's own tracer holds the same events as fault
+    instants: same ``fault.*`` marks in the same per-rank order as on the
+    thread backend, and the merged timeline is a valid trace."""
     plan = FaultPlan(name="ring-drops", seed=3, messages=(
         MessageFault(kind="drop", source=0, index=1, count=2),
         MessageFault(kind="delay", source=1, index=0, delay_us=50.0),
@@ -248,12 +250,16 @@ def test_mpshm_fault_timeline_comes_home_and_exports(tmp_path):
     for backend in ("thread", "mp-shm"):
         world = create_world(backend, nranks=3, seed=5,
                              injector=FaultInjector(plan, 3),
-                             policy=ResiliencePolicy())
+                             policy=ResiliencePolicy(),
+                             obs_config=ObsConfig())
         world.run(ring)
-        tracers = world.last_world.injector.tracers
+        injector = world.last_world.injector
+        tracers = [ro.tracer for ro in world.last_world.obs]
         assert [tr.rank for tr in tracers] == [0, 1, 2]
-        marks[backend] = [[s.name for s in tr.spans()
-                           if s.name.startswith("fault.")] for tr in tracers]
+        assert [[(s.name, s.attrs["value"]) for s in tr.spans()
+                 if s.category == CAT_FAULT] for tr in tracers] == [
+            list(events) for events in injector.events]
+        marks[backend] = injector.schedule_signature()
         spans = sorted((s for tr in tracers for s in tr.spans()),
                        key=lambda s: (s.t_start_us, s.rank, s.span_id))
         assert {s.name for s in spans} >= {"fault.drop", "mpi.recovered"}

@@ -3,7 +3,7 @@
 A 4-rank traced run must produce: a causal cross-rank edge for every
 matched p2p pair, a critical path bounded by the wall-clock window with a
 compute/MPI-wait decomposition, span/record and span/ledger crosschecks
-that agree, per-step spans and checkpoint spans, and self-reported
+that agree exactly, per-step spans and checkpoint spans, and self-reported
 tracing overhead.
 """
 
@@ -22,12 +22,6 @@ from repro.obs import (ObsConfig, collect, critical_path, crosscheck_ledger,
 
 NET = NetworkModel(latency_us=800.0, bandwidth_bytes_per_us=16.0,
                    jitter_sigma=0.1)
-
-
-#: allowance for the bracketing skew between a record's window
-#: (query-to-query) and its span's (start-to-stop): a fixed 7-10 us per
-#: invocation whatever the invocation does, measured on this config
-SKEW_US_PER_CALL = 25.0
 
 
 def small_config(**kw):
@@ -79,24 +73,16 @@ def test_per_step_paths_cover_every_step(traced_run):
         assert 0.0 < rep.path_us <= rep.total_wall_us + 1e-6
 
 
-def test_crosscheck_records_within_5_percent(traced_run):
+def test_crosscheck_records_exact(traced_run):
+    # A traced frame is its span: each record's wall is its span's
+    # interval, so the totals differ by float summation order alone.
     res, dump = traced_run
     recs = [h.records for h in res.extras if h is not None]
     out = crosscheck_records(dump.spans, recs)
     assert out, "instrumented run must produce records"
-    calls: dict[str, int] = {}
-    for records in recs:
-        for rec in records.values():
-            calls[rec.timer_name] = (calls.get(rec.timer_name, 0)
-                                     + len(rec.wall_series()))
     for name, (s_us, r_us, _err) in out.items():
-        # 5% of the recorded time, or the fixed per-call skew where that
-        # is larger: short invocations must not turn the check into a
-        # test of how fast the run was.
-        tol_us = max(0.05 * r_us, SKEW_US_PER_CALL * calls[name])
-        assert abs(s_us - r_us) <= tol_us, (
-            f"{name}: span={s_us:.1f} rec={r_us:.1f} over {calls[name]} "
-            f"calls, tolerance {tol_us:.1f} us")
+        assert s_us == pytest.approx(r_us, rel=1e-9), (
+            f"{name}: span={s_us:.3f} rec={r_us:.3f}")
 
 
 def test_crosscheck_ledger_exact_on_fault_free_run(traced_run):

@@ -1,8 +1,9 @@
 """Cross-cutting property-based invariants (hypothesis).
 
 These pin down conservation-style guarantees that unit tests only sample:
-time accounting closure in the profiler, TVD bounds in the reconstruction,
-kinetic flux split positivity, and workload-cost linearity.
+time accounting closure in the profiler, a traced frame being its span,
+TVD bounds in the reconstruction, kinetic flux split positivity, and
+workload-cost linearity.
 """
 
 import numpy as np
@@ -15,6 +16,8 @@ from repro.euler.kernels import reconstruct_line
 from repro.models.composite import Workload
 from repro.models.fits import fit_linear
 from repro.models.performance import PerformanceModel
+from repro.mpi.accounting import MPIAccounting
+from repro.obs.span import CAT_COMPUTE, SpanTracer
 from repro.tau.profiler import Profiler
 
 
@@ -144,3 +147,74 @@ def test_event_count_matches_timer_calls(n):
         assert p.get("op").calls == n
         assert p.events.event("op_size").count == n
         assert p.get("op").inclusive_us == pytest.approx(float(n))
+
+
+# --------------------------------------------------------------------- #
+# A traced frame is its span
+# --------------------------------------------------------------------- #
+_GROUP_OF = {"a": "g0", "b": "g0", "c": "g1"}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_traced_frame_is_its_span(data):
+    """Well-nested brackets with ledger charges, a group switched off and
+    on, and 1-in-N sampling: every kept compute span *is* a frame ``stop``
+    returned, with the profiler's interval, nested under the nearest kept
+    enclosing frame, and tracing changes no timer statistic."""
+    sample_every = data.draw(st.sampled_from([1, 2, 3]))
+    clock = TickClock()
+    tracer = SpanTracer(sample_every=sample_every, clock=clock)
+    traced = Profiler(clock=clock, tracer=tracer)
+    plain = Profiler(clock=clock)
+    for p in (traced, plain):
+        p.ledger = MPIAccounting()
+    # The model: one entry per start, whether the tracer should keep it
+    # and the start it should nest under.
+    stack: list[tuple[str, int, float]] = []  # (name, start index, t0)
+    kept: dict[int, int | None] = {}          # start index -> kept parent
+    frames = {}                               # start index -> stopped frame
+    seen: dict[str, int] = {}
+
+    def stop_top():
+        name, i, t0 = stack.pop()
+        frame = traced.stop(name)
+        plain.stop(name)
+        assert (frame.t_start_us, frame.t_end_us) == (t0, clock.t)
+        frames[i] = frame
+
+    for i in range(data.draw(st.integers(0, 40))):
+        clock.t += data.draw(st.floats(0.0, 10.0))
+        op = data.draw(st.sampled_from(["start", "stop", "charge", "toggle"]))
+        if op == "stop" and stack:
+            stop_top()
+        elif op == "charge":
+            cost = data.draw(st.floats(0.0, 50.0))
+            for p in (traced, plain):
+                p.ledger.record("MPI_Send", cost)
+        elif op == "toggle":
+            live = traced.group_enabled("g1")
+            for p in (traced, plain):
+                (p.disable_group if live else p.enable_group)("g1")
+        else:
+            name = data.draw(st.sampled_from(sorted(_GROUP_OF)))
+            if traced.group_enabled(_GROUP_OF[name]):
+                k = seen.get(name, 0)
+                seen[name] = k + 1
+                if k % sample_every == 0:
+                    enclosing = [j for _n, j, _t in stack if j in kept]
+                    kept[i] = enclosing[-1] if enclosing else None
+            for p in (traced, plain):
+                p.start(name, _GROUP_OF[name])
+            stack.append((name, i, clock.t))
+    while stack:
+        clock.t += 1.0
+        stop_top()
+
+    spans = [s for s in tracer.spans() if s.category == CAT_COMPUTE]
+    assert sorted(map(id, spans)) == sorted(id(frames[i]) for i in kept)
+    for i, parent in kept.items():
+        want = frames[parent].span_id if parent is not None else None
+        assert frames[i].parent_id == want
+    assert tracer.ops == 2 * len(spans) + tracer.sampled_out
+    assert traced.timers_snapshot() == plain.timers_snapshot()

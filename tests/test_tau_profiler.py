@@ -40,7 +40,7 @@ def test_simple_timer(clocked):
     p.start("a")
     clock.tick(100.0)
     frame = p.stop("a")
-    assert frame.end_us - frame.start_us == 100.0
+    assert frame.t_end_us - frame.t_start_us == 100.0
     stats = p.get("a")
     assert stats.inclusive_us == 100.0
     assert stats.exclusive_us == 100.0

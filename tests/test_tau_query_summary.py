@@ -29,7 +29,7 @@ class TestSnapshots:
         p.start("t")
         frame = p.stop("t")
         after = MeasurementSnapshot.capture(p)
-        assert (before.wall_us, frame.start_us, frame.end_us, after.wall_us) == (
+        assert (before.wall_us, frame.t_start_us, frame.t_end_us, after.wall_us) == (
             0.0, 10.0, 20.0, 30.0)
 
     def test_compute_floor_at_zero(self):
