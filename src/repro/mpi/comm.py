@@ -70,10 +70,10 @@ class SimComm:
         self._dup_count = 0
         self._obs = world.obs[self.rank] if world.obs is not None else None
         self._san = world.sanitizer
-        # At thousands of MPI ops per step a ledger or registry lookup per
-        # charge shows up, so the hot path resolves each routine's ledger
-        # row and instruments once and reuses the references.
-        self._routines: dict[str, tuple] = {}
+        # At thousands of MPI ops per step a ledger lookup per charge
+        # shows up, so the hot path resolves each routine's ledger row
+        # once and reuses its charger.
+        self._routines: dict[str, Callable[[float], None]] = {}
         self._bytes_counter = (
             self._obs.metrics.counter(
                 "mpi_bytes_sent_total", "payload bytes posted for send")
@@ -128,24 +128,10 @@ class SimComm:
         injector = self.world.injector
         if injector is not None:
             cost_us += injector.on_mpi_op(self.rank, routine)
-        entry = self._routines.get(routine)
-        if entry is None:
-            calls = hist = None
-            if self._obs is not None:
-                m = self._obs.metrics
-                calls = m.counter("mpi_calls_total", "MPI calls by routine",
-                                  routine=routine)
-                hist = m.histogram("mpi_cost_us", "modeled MPI cost by routine",
-                                   routine=routine)
-            entry = self._routines[routine] = (
-                self.accounting.charger(routine), calls, hist)
-        record, calls, hist = entry
+        record = self._routines.get(routine)
+        if record is None:
+            record = self._routines[routine] = self.accounting.charger(routine)
         record(cost_us)
-        if calls is not None:
-            calls.inc()
-            hist.observe(cost_us)
-            if self._obs.recorder is not None:
-                self._obs.recorder.on_mpi(routine, cost_us)
 
     # ---------------------------------------------------- point-to-point
     def _post_send(self, obj: Any, dest: int, tag: int,

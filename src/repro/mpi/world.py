@@ -88,6 +88,8 @@ class SimWorld:
         # Per-rank observability state (span tracer + metrics registry),
         # or None when tracing is off.
         self.obs = build_obs(self.nranks, spec.obs_config)
+        for ro, ledger in zip(self.obs or (), self.accounting):
+            ro.ledger = ledger
         # Runtime correctness checkers (collective ordering, p2p hygiene,
         # deadlock and ghost-race detection), or None when off.
         self.sanitizer = (Sanitizer(self.nranks, spec.sanitize, obs=self.obs)

@@ -4,7 +4,8 @@
 run (a :class:`~repro.cca.scmd.ScmdResult`'s world, or a bare list of
 :class:`~repro.obs.runtime.RankObs`) into one :class:`ObsDump`;
 :func:`write_trace` / :func:`write_metrics` produce the CI artifacts
-(Perfetto JSON, metrics JSON + Prometheus text); and
+(Perfetto JSON, metrics JSON + Prometheus text), every metrics view
+folded by :func:`rank_metrics` from the stores that hold its facts; and
 :func:`validate_chrome_payload` is the schema gate CI fails on — it
 round-trips the JSON and checks the invariants a viewer relies on
 (monotone timestamps, balanced B/E per track, resolvable flow ids).
@@ -48,6 +49,7 @@ class ObsDump:
     dropped_by_rank: dict[int, int] = field(default_factory=dict)
     sampled_out_by_rank: dict[int, int] = field(default_factory=dict)
     overhead_by_rank: dict[int, dict[str, float]] = field(default_factory=dict)
+    #: each rank's :func:`rank_metrics` view at collect time
     registries: list[MetricsRegistry] = field(default_factory=list)
 
     @property
@@ -109,7 +111,7 @@ def collect(source: Any) -> ObsDump:
         if tracer.sampled_out:
             dump.sampled_out_by_rank[ro.rank] = tracer.sampled_out
         dump.overhead_by_rank[ro.rank] = tracer.overhead_report()
-        dump.registries.append(ro.metrics)
+        dump.registries.append(rank_metrics(ro))
     dump.spans.sort(key=lambda s: (s.t_start_us, s.rank, s.span_id))
     _warn_drops_once(dump.dropped_by_rank)
     return dump
@@ -244,26 +246,47 @@ def write_trace(source: Any, path: str, process_name: str = "repro") -> ObsDump:
     return dump
 
 
-def _fold_tracer_accounting(merged: MetricsRegistry, rank: int,
-                            rep: Mapping[str, float]) -> None:
-    """Fold one rank's tracer self-accounting in.
+def rank_metrics(ro: RankObs) -> MetricsRegistry:
+    """One rank's metrics view, the one fold behind every metrics view.
 
-    The tracers' own accounting rides along as metrics so a snapshot is
-    self-describing about truncation and tracing cost.
+    The registry holds only what no other store holds; the rest is read
+    at view time: the tracer's self-accounting, the ledger's rows and the
+    Mastermind's records, whose wall times are observed in stored order
+    so the histogram's buckets are exact.  The Mastermind is read itself:
+    ``restore_records`` replaces its record dict.
     """
-    merged.counter("tracer_spans_total",
-                   "spans recorded by the tracer").inc(rep["spans"])
-    merged.counter("tracer_dropped_total",
-                   "spans dropped by the bounded buffer").inc(rep["dropped"])
-    merged.counter("tracer_sampled_out_total",
-                   "spans skipped by 1-in-N sampling").inc(rep["sampled_out"])
-    merged.counter("tracer_self_overhead_us_total",
-                   "tracer-measured cost of tracing itself").inc(
-                       rep["self_overhead_us"])
+    view = MetricsRegistry(rank=ro.rank)
+    view.merge_from(ro.metrics)
+    rep = ro.tracer.overhead_report()
+    view.counter("tracer_spans_total",
+                 "spans recorded by the tracer").inc(rep["spans"])
+    view.counter("tracer_dropped_total",
+                 "spans dropped by the bounded buffer").inc(rep["dropped"])
+    view.counter("tracer_sampled_out_total",
+                 "spans skipped by 1-in-N sampling").inc(rep["sampled_out"])
+    view.counter("tracer_self_overhead_us_total",
+                 "tracer-measured cost of tracing itself").inc(
+                     rep["self_overhead_us"])
     if rep["dropped"]:
-        merged.gauge("tracer_dropped_spans",
-                     "spans lost to buffer overflow on one rank",
-                     dropped_rank=str(rank)).set(rep["dropped"])
+        view.gauge("tracer_dropped_spans",
+                   "spans lost to buffer overflow on one rank",
+                   dropped_rank=str(ro.rank)).set(rep["dropped"])
+    if ro.ledger is not None:
+        for routine, st in ro.ledger.routine_totals().items():
+            view.counter("mpi_calls_total", "MPI calls by routine",
+                         routine=routine).inc(st.calls)
+            view.counter("mpi_cost_us_total", "modeled MPI cost by routine",
+                         routine=routine).inc(st.total_us)
+    if ro.mastermind is not None:
+        for rec in ro.mastermind.all_records():
+            view.counter("invocations_total", "proxied invocations recorded",
+                         routine=rec.timer_name).inc(len(rec))
+            wall = view.histogram("invocation_wall_us",
+                                  "per-invocation wall time",
+                                  routine=rec.timer_name)
+            for inv in rec.invocations:
+                wall.observe(inv.wall_us)
+    return view
 
 
 def write_metrics(source: Any, json_path: str | None = None,
@@ -271,8 +294,6 @@ def write_metrics(source: Any, json_path: str | None = None,
     """Write the cross-rank merged metrics snapshot(s); returns the merge."""
     dump = source if isinstance(source, ObsDump) else collect(source)
     merged = dump.merged_metrics()
-    for rank, rep in sorted(dump.overhead_by_rank.items()):
-        _fold_tracer_accounting(merged, rank, rep)
     if json_path is not None:
         atomic_write_text(json_path, merged.to_json())
     if prometheus_path is not None:
@@ -281,23 +302,20 @@ def write_metrics(source: Any, json_path: str | None = None,
 
 
 def live_metrics(obs: Sequence[RankObs]) -> MetricsRegistry:
-    """Merged registry + tracer accounting from *live* rank state.
+    """The merged metrics view of *live* rank state.
 
     Unlike :func:`write_metrics` this never copies span buffers, so a
     scrape endpoint can call it on every request while ranks are still
-    running.  Rank threads may create instruments concurrently; the
-    merge retries a few times if a registry dict grows mid-iteration.
+    running.  Rank threads may create instruments or records
+    concurrently; the fold retries a few times if a dict grows
+    mid-iteration.
     """
-    for attempt in range(3):
+    for _ in range(2):
         try:
-            merged = merge_registries([ro.metrics for ro in obs])
-            break
-        except RuntimeError:  # dict grew during iteration; scrape again
-            if attempt == 2:
-                raise
-    for ro in obs:
-        _fold_tracer_accounting(merged, ro.rank, ro.tracer.overhead_report())
-    return merged
+            return merge_registries([rank_metrics(ro) for ro in obs])
+        except RuntimeError:  # a dict grew during iteration; scrape again
+            continue
+    return merge_registries([rank_metrics(ro) for ro in obs])
 
 
 # --------------------------------------------------------------- validation

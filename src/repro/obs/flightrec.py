@@ -6,11 +6,10 @@ bounded tracer has usually already evicted by the time anything goes
 wrong.  The :class:`FlightRecorder` is the black box for that moment: a
 window on the rank's own :class:`~repro.obs.span.SpanTracer` (its newest
 ``depth`` closed spans, which the tracer's eviction always keeps) plus
-two small rings of its own, MPI charges (in ledger order, fed by
-:meth:`~repro.mpi.comm.SimComm.charge`) and per-step counter deltas.
-When a crash fault fires, the deadlock detector raises, or a fatal
-sanitizer finding aborts the job, the backend dumps each rank's box
-to ``out/flightrec/rank<k>.json``; :func:`merge_flight_recordings` then
+one small ring of per-step counter deltas; a dump adds the rank's MPI
+ledger rows.  When a crash fault fires, the deadlock detector raises, or
+a fatal sanitizer finding aborts the job, the backend dumps each rank's
+box to ``out/flightrec/rank<k>.json``; :func:`merge_flight_recordings` then
 reassembles the last-N-steps cross-rank timeline as a Perfetto-compatible
 trace for triage.
 
@@ -28,14 +27,14 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.obs.export import dump_chrome_trace_spans, validate_chrome_payload
+from repro.obs.export import (dump_chrome_trace_spans, rank_metrics,
+                              validate_chrome_payload)
 from repro.obs.span import Span
 from repro.util.atomicio import atomic_write_text
 from repro.util.timebase import now_us
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.span import SpanTracer
+    from repro.obs.runtime import RankObs
 
 #: file-name pattern of one rank's dump inside the flightrec directory
 RANK_FILE = "rank{rank}.json"
@@ -48,31 +47,28 @@ MERGED_SUMMARY = "postmortem.json"
 
 
 class FlightRecorder:
-    """One rank's black box: a window on its tracer plus two rings.
+    """One rank's black box: a window on its tracer plus one ring.
 
     Keeps no spans of its own: :meth:`dump` reads the newest ``depth``
-    closed spans from the rank's tracer.  It rings MPI charges (the
-    communicator calls :meth:`on_mpi` right after each ledger write) and
-    per-step counter deltas (:meth:`capture_step`,
-    called by :meth:`~repro.obs.runtime.RankObs.step` as each step ends).
-    It never references the tracer or the world, so a worker process can
-    pickle it home inside its :class:`~repro.obs.runtime.RankObs`.
+    closed spans from the rank's tracer, and the rank's ledger rows.  It
+    rings per-step counter deltas (:meth:`capture_step`, called by
+    :meth:`~repro.obs.runtime.RankObs.step` as each step ends), taken
+    from the rank's one metrics view.  It never references the tracer or
+    the world, so a worker process can pickle it home inside its
+    :class:`~repro.obs.runtime.RankObs`.
     """
 
-    __slots__ = ("rank", "depth", "directory", "ledger", "step_deltas",
-                 "metrics", "_counter_base", "dumped_to")
+    __slots__ = ("rank", "depth", "directory", "step_deltas",
+                 "_counter_base", "dumped_to")
 
-    def __init__(self, rank: int, metrics: "MetricsRegistry", *,
-                 depth: int = 512,
+    def __init__(self, rank: int, *, depth: int = 512,
                  directory: str = os.path.join("out", "flightrec")) -> None:
         if depth < 1:
             raise ValueError(f"depth must be >= 1, got {depth}")
         self.rank = int(rank)
         self.depth = int(depth)
         self.directory = directory
-        self.ledger: deque[tuple[float, str, float]] = deque(maxlen=depth)
         self.step_deltas: deque[dict[str, Any]] = deque(maxlen=depth)
-        self.metrics = metrics
         self._counter_base: dict[str, float] = {}
         #: path of the dump file once written (dump-once guard: the first
         #: cause wins; a cascade of abort-induced failures must not
@@ -80,14 +76,10 @@ class FlightRecorder:
         self.dumped_to: str | None = None
 
     # ------------------------------------------------------------- feeds
-    def on_mpi(self, routine: str, cost_us: float) -> None:
-        """One modeled MPI charge, just written to the rank's ledger."""
-        self.ledger.append((now_us(), routine, float(cost_us)))
-
-    def capture_step(self, step: int, span: Span) -> None:
+    def capture_step(self, ro: "RankObs", step: int, span: Span) -> None:
         """Counter deltas over the step whose (closed) span is ``span``."""
         totals: dict[str, float] = {}
-        for name, lk, inst in self.metrics.series():
+        for name, lk, inst in rank_metrics(ro).series():
             if type(inst).__name__ != "Counter":
                 continue
             key = name + json.dumps(dict(lk), sort_keys=True)
@@ -104,20 +96,21 @@ class FlightRecorder:
         })
 
     # ------------------------------------------------------------- dumps
-    def dump(self, tracer: "SpanTracer", reason: str,
+    def dump(self, ro: "RankObs", reason: str,
              directory: str | None = None) -> str:
-        """Write the tracer window and both rings (first cause wins;
-        idempotent)."""
+        """Write the tracer window, the ledger rows and the step ring
+        (first cause wins; idempotent)."""
         if self.dumped_to is not None:
             return self.dumped_to
         outdir = directory or self.directory
         os.makedirs(outdir, exist_ok=True)
+        rows = ro.ledger.routine_totals() if ro.ledger is not None else {}
         payload = {
             "rank": self.rank,
             "depth": self.depth,
-            "spans": [s.to_dict() for s in tracer.recent_spans(self.depth)],
-            "ledger": [{"t_us": t, "routine": r, "cost_us": c}
-                       for t, r, c in self.ledger],
+            "spans": [s.to_dict() for s in ro.tracer.recent_spans(self.depth)],
+            "ledger": {r: {"calls": st.calls, "total_us": st.total_us}
+                       for r, st in rows.items()},
             "step_deltas": list(self.step_deltas),
             "reason": reason,
             "t_dump_us": now_us(),
@@ -137,7 +130,7 @@ def dump_flight_recorders(obs: list | None, reason: str,
     raising :class:`~repro.mpi.runner.RankFailure`, so the black boxes
     exist even though the exception unwinds the whole launcher.
     """
-    return [ro.recorder.dump(ro.tracer, reason, directory)
+    return [ro.recorder.dump(ro, reason, directory)
             for ro in obs or [] if ro.recorder is not None]
 
 

@@ -3,10 +3,11 @@
 One :class:`RankObs` (a span tracer + a metrics registry, optionally a
 crash flight recorder) is attached to each rank of a
 :class:`~repro.mpi.world.SimWorld` when an :class:`ObsConfig` is passed
-to the runner; the MPI layer, the TAU profiler, the proxies/Mastermind,
-the fault paths and the checkpoint writer all find it there and record
-into it.  ``None`` everywhere means observability is off and every hook
-is a cheap attribute check.
+to the runner; the MPI layer, the TAU profiler, the proxies, the fault
+paths and the checkpoint writer all find it there and record into it,
+and its metrics views read the rank's ledger and Mastermind.  ``None``
+everywhere means observability is off and every hook is a cheap
+attribute check.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ class ObsConfig:
 
     ``sample_every=N`` traces 1-in-N proxied component invocations (MPI
     spans are always traced — a sampled-out send would orphan its
-    receive edge); metrics are always on, they are constant-memory.
+    receive edge); metrics are always on, they are constant-memory (the
+    MPI and invocation series are read from the ledger and the records).
 
     ``flight_recorder=True`` keeps a per-rank black box
     (:mod:`repro.obs.flightrec`): a window on the tracer's last
-    ``flightrec_depth`` spans plus rings of ledger charges and step
-    deltas, auto-dumped to ``flightrec_dir`` when the job dies.  The
+    ``flightrec_depth`` spans plus a ring of step deltas, auto-dumped
+    (with the ledger's rows) to ``flightrec_dir`` when the job dies.  The
     window must fit in what the tracer keeps after an eviction, so
     ``flightrec_depth`` is at most ``max_spans // 2``.
     """
@@ -56,7 +58,8 @@ class ObsConfig:
 class RankObs:
     """One rank's observability state (used only from that rank's thread)."""
 
-    __slots__ = ("rank", "tracer", "metrics", "recorder", "last_step")
+    __slots__ = ("rank", "tracer", "metrics", "recorder", "last_step",
+                 "ledger", "mastermind")
 
     def __init__(self, rank: int, config: ObsConfig) -> None:
         self.rank = int(rank)
@@ -65,12 +68,15 @@ class RankObs:
         self.metrics = MetricsRegistry(rank=rank)
         #: the step whose :meth:`step` bracket ended last (None before any)
         self.last_step: int | None = None
+        #: the stores the metrics views fold, bound by the rank's world and
+        #: by ``Mastermind.set_services`` (None while unbound)
+        self.ledger: Any = None
+        self.mastermind: Any = None
         self.recorder: Any = None
         if config.flight_recorder:
             from repro.obs.flightrec import FlightRecorder
 
-            self.recorder = FlightRecorder(rank, self.metrics,
-                                           depth=config.flightrec_depth,
+            self.recorder = FlightRecorder(rank, depth=config.flightrec_depth,
                                            directory=config.flightrec_dir)
 
     @contextlib.contextmanager
@@ -89,7 +95,7 @@ class RankObs:
             self.tracer.end(span)
             self.last_step = step
             if self.recorder is not None:
-                self.recorder.capture_step(step, span)
+                self.recorder.capture_step(self, step, span)
 
 
 def build_obs(nranks: int, config: ObsConfig | None) -> list[RankObs] | None:

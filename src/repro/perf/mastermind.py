@@ -15,6 +15,11 @@ measurement discipline:
    frame is the invocation's caller.  The measurement is filed in the
    record; no whole-profile snapshot is taken.
 
+The records are the one store of what was invoked: with observability
+on, the rank's metrics views read the invocation series from them
+(:func:`repro.obs.export.rank_metrics`), so an invocation writes no
+metric and a restored run's metrics count the restored calls too.
+
 Beyond measurement it offers the Section 6 machinery: per-method
 performance-model construction, the call path (a fold over the records'
 callers), and an online model-drift check ("dynamic performance
@@ -35,7 +40,6 @@ from repro.cca.component import Component
 from repro.cca.services import PortNotConnectedError, Services
 from repro.models.composite import Workload
 from repro.models.performance import PerformanceModel, build_model
-from repro.obs.metrics import Counter, Histogram
 from repro.perf.monitor import MonitorPort
 from repro.perf.records import ROOT, InvocationRecord, MethodRecord
 from repro.tau.component import MeasurementPort
@@ -63,27 +67,25 @@ class Mastermind(Component, MonitorPort):
         self._records: dict[tuple[str, str], MethodRecord] = {}
         self._active: dict[int, _ActiveInvocation] = {}
         self._next_token = 0
-        #: routine -> its (calls counter, wall histogram) in the framework's
-        #: metrics registry, fetched on the routine's first invocation
-        self._instruments: dict[str, tuple[Counter, Histogram]] = {}
 
     def __getstate__(self) -> dict:
         """Pickle the measurement database without the framework wiring.
 
         ``_services`` links back into the live framework (ports, comm,
-        locks) and is meaningless in another process, and so are the
-        instruments bound in its registry; a rehydrated Mastermind is a
-        read-only record store until ``set_services`` is called again.
+        locks) and is meaningless in another process; a rehydrated
+        Mastermind is a read-only record store until ``set_services`` is
+        called again.
         """
         state = self.__dict__.copy()
         state["_services"] = None
-        state["_instruments"] = {}
         return state
 
     # --------------------------------------------------------------- CCA
     def set_services(self, services: Services) -> None:
         self._services = services
-        self._instruments = {}
+        obs = services.framework.obs
+        if obs is not None:
+            obs.mastermind = self  # the rank's metrics views read the records
         services.add_provides_port(self, self.MONITOR_PROVIDES, MonitorPort)
         services.register_uses_port(self.MEASUREMENT_USES, MeasurementPort)
 
@@ -132,19 +134,6 @@ class Mastermind(Component, MonitorPort):
         self._records[act.key].add(InvocationRecord(
             params=act.params, measurement=measurement,
             caller=caller.name if caller is not None else ROOT))
-        obs = self._services.framework.obs if self._services is not None else None
-        if obs is not None:
-            bound = self._instruments.get(act.timer_name)
-            if bound is None:
-                m = obs.metrics
-                bound = self._instruments[act.timer_name] = (
-                    m.counter("invocations_total", "proxied invocations recorded",
-                              routine=act.timer_name),
-                    m.histogram("invocation_wall_us", "per-invocation wall time",
-                                routine=act.timer_name))
-            calls, wall = bound
-            calls.inc()
-            wall.observe(measurement.wall_us)
 
     # ----------------------------------------------------------- queries
     def record(self, label: str, method: str) -> MethodRecord:

@@ -44,9 +44,10 @@ def test_sanitized_run_with_observability_reports_zero_findings():
     res = run_case_study(cfg)
     world = res.world
     assert world.sanitizer.findings_by_kind() == {}
-    # The metrics counter family exists but never incremented.
+    # No finding was recorded, so no rank has a findings series.
     for rank in range(cfg.nranks):
-        snap = world.obs[rank].metrics.snapshot()
-        for name, payload in snap.items():
-            if name.startswith("sanitizer_findings_total"):
-                pytest.fail(f"unexpected sanitizer metric: {name}={payload}")
+        entries = world.obs[rank].metrics.snapshot()["metrics"]
+        assert entries, "an observed rank records metrics"
+        for entry in entries:
+            if entry["name"] == "sanitizer_findings_total":
+                pytest.fail(f"unexpected sanitizer metric: {entry}")

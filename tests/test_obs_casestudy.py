@@ -115,7 +115,7 @@ def test_metrics_cover_all_subsystems(traced_run):
     merged = dump.merged_metrics()
     snap = merged.snapshot()
     names = {m["name"] for m in snap["metrics"]}
-    assert {"mpi_calls_total", "mpi_cost_us", "mpi_bytes_sent_total",
+    assert {"mpi_calls_total", "mpi_cost_us_total", "mpi_bytes_sent_total",
             "invocations_total", "invocation_wall_us"} <= names
     nvoc = merged.counter("invocations_total",
                           routine="sc_proxy::compute()").value

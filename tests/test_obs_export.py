@@ -106,23 +106,25 @@ def test_metrics_files(ring_run, tmp_path):
     merged = write_metrics(world, json_path=jpath, prometheus_path=ppath)
     snap = json.loads(open(jpath, encoding="utf-8").read())
     names = {m["name"] for m in snap["metrics"]}
-    assert {"mpi_calls_total", "mpi_cost_us", "mpi_bytes_sent_total",
+    assert {"mpi_calls_total", "mpi_cost_us_total", "mpi_bytes_sent_total",
             "tracer_spans_total", "tracer_dropped_total"} <= names
     text = open(ppath, encoding="utf-8").read()
     assert 'mpi_calls_total{routine="MPI_Send"} 3' in text
     assert merged.counter("mpi_calls_total", routine="MPI_Barrier").value == 3.0
+    # The MPI series are the ledgers' rows, summed over ranks in rank order.
+    cost = 0.0
+    for ledger in world.accounting:
+        cost += ledger.routine_totals()["MPI_Send"].total_us
+    assert merged.counter("mpi_cost_us_total", routine="MPI_Send").value == cost
 
 
 # ------------------------------------------------- loud truncation markers
 def test_dropped_spans_surface_loudly(tmp_path):
-    tr = SpanTracer(rank=0, max_spans=8)
+    ro = RankObs(0, ObsConfig(max_spans=8, flightrec_depth=4))
+    tr = ro.tracer
     for i in range(30):
         tr.end(tr.start(f"w{i}", CAT_COMPUTE))
     assert tr.dropped_count > 0
-    ro = RankObs.__new__(RankObs)
-    ro.rank, ro.tracer = 0, tr
-    from repro.obs.metrics import MetricsRegistry
-    ro.metrics = MetricsRegistry(rank=0)
     # The drop alert fires once per run as a dedicated warning category.
     import pytest
     from repro.obs.export import SpanDropWarning, reset_drop_warning

@@ -10,9 +10,10 @@ from repro.analysis import SanitizerConfig
 from repro.euler.ports import DriverParams
 from repro.faults.plan import FaultPlan
 from repro.harness.casestudy import CaseStudyConfig, run_case_study
+from repro.mpi.accounting import MPIAccounting
 from repro.mpi.network import NetworkModel
 from repro.mpi.runner import ParallelRunner, RankFailure
-from repro.obs import (FlightRecorder, MetricsRegistry, ObsConfig, RankObs,
+from repro.obs import (FlightRecorder, ObsConfig, RankObs,
                        dump_flight_recorders, merge_flight_recordings)
 from repro.obs.flightrec import MERGED_SUMMARY, MERGED_TRACE
 from repro.obs.span import CAT_COMPUTE, CAT_STEP, SpanTracer
@@ -21,7 +22,7 @@ from repro.obs.span import CAT_COMPUTE, CAT_STEP, SpanTracer
 # ------------------------------------------------------------------- rings
 def test_validation():
     with pytest.raises(ValueError, match="depth"):
-        FlightRecorder(0, MetricsRegistry(rank=0), depth=0)
+        FlightRecorder(0, depth=0)
     with pytest.raises(ValueError, match="flightrec_depth"):
         ObsConfig(flightrec_depth=0)
     # The window must fit in what the tracer keeps after an eviction.
@@ -42,33 +43,48 @@ def test_span_ring_is_bounded_and_keeps_newest(tmp_path):
     assert names == [f"w{i}" for i in range(22, 30)]  # ... the window did not
 
 
-def test_ledger_ring_is_bounded():
-    rec = FlightRecorder(1, MetricsRegistry(rank=1), depth=4)
+def test_dump_ledger_is_the_rank_ledger_rows(tmp_path):
+    # The recorder keeps no ring of charges: a dump reads the ledger's
+    # rows as they stand at dump time, however many charges there were.
+    ro = RankObs(1, ObsConfig(flight_recorder=True, flightrec_depth=4))
+    ro.ledger = MPIAccounting()
     for i in range(9):
-        rec.on_mpi("MPI_Send", float(i))
-    assert len(rec.ledger) == 4
-    assert [c for _, _, c in rec.ledger] == [5.0, 6.0, 7.0, 8.0]
+        ro.ledger.record("MPI_Send", float(i))
+    ro.ledger.record("MPI_Barrier", 0.5)
+    payload = json.load(open(ro.recorder.dump(ro, "test", str(tmp_path))))
+    assert payload["ledger"] == {
+        "MPI_Send": {"calls": 9, "total_us": 36.0},
+        "MPI_Barrier": {"calls": 1, "total_us": 0.5}}
+    assert not hasattr(ro.recorder, "ledger")
 
 
 def test_step_deltas_diff_counters():
+    # MPI calls per step are read from the rank's ledger, not counted twice.
     ro = RankObs(0, ObsConfig(flight_recorder=True))
-    reg = ro.metrics
+    ro.ledger = MPIAccounting()
 
-    reg.counter("mpi_calls_total", routine="MPI_Send").inc(3)
+    for _ in range(3):
+        ro.ledger.record("MPI_Send", 1.0)
     with ro.step(0):
-        reg.counter("mpi_calls_total", routine="MPI_Send").inc(2)
+        ro.ledger.record("MPI_Send", 1.0)
+        ro.ledger.record("MPI_Send", 1.0)
     with ro.step(1):
-        reg.counter("mpi_calls_total", routine="MPI_Recv").inc(1)
+        ro.ledger.record("MPI_Recv", 1.0)
+
+    def mpi_calls(deltas):
+        return {k: v for k, v in deltas["counter_deltas"].items()
+                if k.startswith("mpi_calls_total")}
 
     d0, d1 = ro.recorder.step_deltas
     assert d0["step"] == 0 and d1["step"] == 1
     # First capture charges everything since the run began (base = 0)...
-    (key0, val0), = d0["counter_deltas"].items()
-    assert key0.startswith("mpi_calls_total") and "MPI_Send" in key0
-    assert val0 == 5.0
+    (key0, val0), = mpi_calls(d0).items()
+    assert "MPI_Send" in key0 and val0 == 5.0
     # ...later captures only what moved during that step.
-    (key1, val1), = d1["counter_deltas"].items()
+    (key1, val1), = mpi_calls(d1).items()
     assert "MPI_Recv" in key1 and val1 == 1.0
+    # The step's own span is in the tracer's accounting, folded alike.
+    assert d1["counter_deltas"]["tracer_spans_total{}"] == 1.0
 
 
 def test_step_seam_records_the_step_on_unwind():
@@ -110,21 +126,21 @@ def _loaded_rank(rank=0):
     for i in range(5):
         with ro.tracer.span(f"r{rank}w{i}", CAT_COMPUTE):
             pass
-    ro.recorder.on_mpi("MPI_Send", 12.5)
+    ro.ledger = MPIAccounting()
+    ro.ledger.record("MPI_Send", 12.5)
     return ro
 
 
 def test_dump_writes_once_first_cause_wins(tmp_path):
     ro = _loaded_rank()
-    p1 = ro.recorder.dump(ro.tracer, "simulated crash", str(tmp_path))
-    p2 = ro.recorder.dump(ro.tracer, "cascading abort", str(tmp_path))
+    p1 = ro.recorder.dump(ro, "simulated crash", str(tmp_path))
+    p2 = ro.recorder.dump(ro, "cascading abort", str(tmp_path))
     assert p1 == p2 == os.path.join(str(tmp_path), "rank0.json")
     payload = json.load(open(p1))
     assert payload["reason"] == "simulated crash"
     assert payload["rank"] == 0
     assert len(payload["spans"]) == 5
-    assert payload["ledger"] == [{"t_us": pytest.approx(payload["ledger"][0]["t_us"]),
-                                  "routine": "MPI_Send", "cost_us": 12.5}]
+    assert payload["ledger"] == {"MPI_Send": {"calls": 1, "total_us": 12.5}}
     assert payload["t_dump_us"] > 0
 
 

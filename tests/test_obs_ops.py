@@ -12,6 +12,7 @@ from repro.harness.casestudy import CaseStudyConfig, run_case_study
 from repro.models.fits import fit_linear
 from repro.models.performance import PerformanceModel
 from repro.models.serialize import ModelRepository
+from repro.mpi.accounting import MPIAccounting
 from repro.obs import ObsConfig, ObsSidecar, RankObs
 from repro.obs.ops import fetch, parse_sse
 from repro.obs.span import CAT_COMPUTE
@@ -27,7 +28,9 @@ def obs(tmp_path):
         for i in range(5):
             with ro.tracer.span(f"work{i}", CAT_COMPUTE):
                 pass
-        ro.metrics.counter("mpi_calls_total", routine="MPI_Send").inc(3)
+        ro.ledger = MPIAccounting()
+        for _ in range(3):
+            ro.ledger.record("MPI_Send", 1.5)
         with ro.step(7):
             pass
     return ranks

@@ -1,12 +1,16 @@
-"""MPI time has one store, the rank's ledger: TAU's ``MPI`` rows and the
-flight recorder's MPI ring are reads of the charges it took, on both the
-thread and the mp-shm backend."""
+"""MPI time has one store, the rank's ledger: TAU's ``MPI`` rows, the
+MPI metrics series and the flight recorder's dump are reads of it, on
+both the thread and the mp-shm backend."""
+
+import json
 
 import pytest
 
 from repro.cca import Component, Framework, run_scmd
 from repro.cca.ports import GoPort
 from repro.mpi.request import waitall
+from repro.obs.export import rank_metrics
+from repro.obs.flightrec import dump_flight_recorders
 from repro.obs.runtime import ObsConfig
 from repro.tau.component import TauMeasurementComponent
 from repro.tau.profiler import MPI_GROUP
@@ -56,23 +60,26 @@ def test_tau_mpi_rows_are_the_ledger_rows(backend):
 
 
 @pytest.mark.parametrize("backend", ["thread", "mp-shm"])
-def test_flight_recorder_ring_holds_the_charges_in_ledger_order(backend, tmp_path):
+def test_flight_recorder_dump_holds_the_ledger_rows(backend, tmp_path):
     res = run_scmd(NRANKS, compose, go_instance="driver", backend=backend,
                    seed=0, timeout_s=60.0,
                    observe=ObsConfig(flight_recorder=True,
                                      flightrec_dir=str(tmp_path)))
     for r, ro in enumerate(res.world.obs):
-        ring = list(ro.recorder.ledger)
         ledger = res.world.accounting[r]
+        # mp-shm ships a rank's obs and its ledger home in one pickle, so
+        # the launcher's RankObs still reads that very ledger.
+        assert ro.ledger is ledger
         rows = ledger.routine_totals()
-        assert 0 < len(ring) < ro.recorder.depth  # nothing evicted
-        assert [t for t, _, _ in ring] == sorted(t for t, _, _ in ring)
-        # The ring's costs, summed in ring order, repeat the ledger's own
-        # float additions bit for bit: per routine and in total.
-        running, per_routine = 0.0, {}
-        for _, routine, cost in ring:
-            running += cost
-            calls, total = per_routine.get(routine, (0, 0.0))
-            per_routine[routine] = (calls + 1, total + cost)
-        assert running == ledger.total_us()
-        assert per_routine == {n: (st.calls, st.total_us) for n, st in rows.items()}
+        (path,) = dump_flight_recorders([ro], "test", str(tmp_path))
+        with open(path) as fh:
+            payload = json.load(fh)
+        assert payload["ledger"] == {
+            n: {"calls": st.calls, "total_us": st.total_us}
+            for n, st in rows.items()}
+        # The metrics view reads the same rows: one store, no copy.
+        view = rank_metrics(ro)
+        for n, st in rows.items():
+            assert view.counter("mpi_calls_total", routine=n).value == st.calls
+            assert view.counter("mpi_cost_us_total",
+                                routine=n).value == st.total_us
