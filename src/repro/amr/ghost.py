@@ -27,7 +27,7 @@ import numpy as np
 from repro.amr.box import Box, box_array, pairwise_overlaps
 from repro.amr.patch import Patch
 from repro.mpi.comm import SimComm
-from repro.mpi.request import RecvRequest, waitsome
+from repro.mpi.request import waitsome
 
 #: signature of a source-side data transform (e.g. prolong/restrict) of
 #: an ``(nfields, ni, nj)`` block; it acts on the last two axes
@@ -43,7 +43,7 @@ class Transfer:
     destination region's shape.  The storage slices of both regions are
     resolved once, here (``src_slices``/``dst_slices``, each an index
     into its patch's whole ``(nfields, ni, nj)`` block), so executing the
-    transfer is one slice copy and guarding it hashes one slice.
+    transfer is one slice copy.
     ``dst_shape`` is the destination region's ``(ni, nj)``.
     """
 
@@ -79,7 +79,6 @@ class Transfer:
     def insert(self, data: np.ndarray, fields: Sequence[str]) -> None:
         """Write a received block into the destination patch."""
         self.dst_patch.whole_block(fields)[self.dst_slices] = data
-        self.dst_patch.mark_written()
 
 
 def plan_same_level_exchange(patches: Sequence[Patch]) -> list[Transfer]:
@@ -134,10 +133,10 @@ class Bundle:
         self.size = size
 
     def views(self, buf: np.ndarray,
-              nfields: int) -> Iterator[tuple[int, Transfer, np.ndarray]]:
-        """``(plan index, transfer, its block's view of buf)`` in plan order."""
-        for idx, t, lo, hi in self.items:
-            yield idx, t, buf[nfields * lo:nfields * hi].reshape(
+              nfields: int) -> Iterator[tuple[Transfer, np.ndarray]]:
+        """``(transfer, its block's view of buf)`` in plan order."""
+        for _, t, lo, hi in self.items:
+            yield t, buf[nfields * lo:nfields * hi].reshape(
                 nfields, *t.dst_shape)
 
 
@@ -160,12 +159,13 @@ class ExchangePlan:
     one rank does with it - local copies, and one message to or from each
     peer it shares transfers with - is compiled once per rank
     (:meth:`layout`), so executing the plan walks only the transfers that
-    rank takes part in.
+    rank takes part in; so are its overlapping inserts (:meth:`overlaps`).
     """
 
     def __init__(self, transfers: Sequence[Transfer]) -> None:
         self.transfers = list(transfers)
         self._layouts: dict[int, RankLayout] = {}
+        self._overlaps: dict[int, list[tuple[int, int, Box]]] = {}
 
     def __len__(self) -> int:
         return len(self.transfers)
@@ -193,6 +193,21 @@ class ExchangePlan:
                 [Bundle(p, ts) for p, ts in recvs.items()])
         return layout
 
+    def overlaps(self, rank: int) -> list[tuple[int, int, Box]]:
+        """``(i, j, region)`` for every two transfers ``i < j`` that
+        ``rank`` inserts into one patch over a shared ``region`` (cached)."""
+        found = self._overlaps.get(rank)
+        if found is None:
+            mine = [(i, t) for i, t in enumerate(self.transfers)
+                    if t.dst_patch.owner == rank]
+            regions = box_array(t.dst_region for _, t in mine)
+            ia, ib, shared = pairwise_overlaps(regions, regions)
+            found = self._overlaps[rank] = [
+                (mine[a][0], mine[b][0], Box(*box))
+                for a, b, box in zip(ia.tolist(), ib.tolist(), shared.tolist())
+                if a < b and mine[a][1].dst_patch is mine[b][1].dst_patch]
+        return found
+
 
 def execute_transfers(
     transfers: Sequence[Transfer] | ExchangePlan,
@@ -210,7 +225,8 @@ def execute_transfers(
     paper's AMRMesh communication pattern; an arrived bundle is unpacked
     transfer by transfer, in plan order.  Transfer ``idx``'s tag is
     ``tag_base + idx``, a bundle's that of its first transfer.  With
-    ``comm=None`` the plan must be entirely local (serial runs).
+    ``comm=None`` the plan must be entirely local (serial runs).  An
+    attached sanitizer checks the plan before anything is copied or posted.
     """
     fields = tuple(fields)
     if comm is None:
@@ -223,30 +239,21 @@ def execute_transfers(
     nfields = len(fields)
     before_us = comm.accounting.total_us()
     san = comm.world.sanitizer
-    guard = san.ghost_guard(rank) if san is not None else None
+    if san is not None:
+        san.check_exchange(plan, rank, fields, tag_base)
     for t in layout.local:
         t.insert(t.extract(fields), fields)
     for b in layout.sends:
         buf = np.empty(nfields * b.size)
-        for idx, t, view in b.views(buf, nfields):
+        for t, view in b.views(buf, nfields):
             view[...] = t.extract(fields)
-            if guard is not None:
-                guard.watch_send(t.src_patch, t.src_slices, fields, tag_base + idx)
         comm.isend(buf, dest=b.peer, tag=tag_base + b.first)
-    pending: list[RecvRequest] = []
-    for b in layout.recvs:
-        pending.append(comm.irecv(source=b.peer, tag=tag_base + b.first))
-        if guard is not None:
-            for idx, t, _lo, _hi in b.items:
-                guard.watch_recv(t.dst_patch, t.dst_slices, fields, tag_base + idx)
+    pending = [comm.irecv(source=b.peer, tag=tag_base + b.first)
+               for b in layout.recvs]
     while any(not r.complete for r in pending):
         for i in waitsome(pending):
-            for idx, t, view in layout.recvs[i].views(pending[i].payload, nfields):
-                if guard is not None:
-                    guard.check_recv(tag_base + idx)
+            for t, view in layout.recvs[i].views(pending[i].payload, nfields):
                 t.insert(view, fields)
-    if guard is not None:
-        guard.check_sends()
     return comm.accounting.total_us() - before_us
 
 
@@ -263,13 +270,9 @@ class GhostExchanger:
         self.rank = rank if comm is None else comm.rank
         self._tag = 0
 
-    def next_tag_base(self, plan_len: int) -> int:
-        base = self._tag
-        self._tag += max(plan_len, 1)
-        return base
-
     def run(self, transfers: Sequence[Transfer] | ExchangePlan,
             fields: Sequence[str]) -> float:
         """Execute a plan under fresh tags; returns modeled MPI time (us)."""
-        base = self.next_tag_base(len(transfers))
+        base = self._tag
+        self._tag += max(len(transfers), 1)
         return execute_transfers(transfers, fields, self.comm, self.rank, tag_base=base)

@@ -31,9 +31,6 @@ class Patch:
     owner: int = 0
     nghost: int = 2
     uid: int = field(default_factory=lambda: next(_patch_ids))
-    #: write-generation stamp; the ghost-race sanitizer compares it across
-    #: a nonblocking exchange to localize which writer dirtied a region
-    version: int = 0
     #: field names in block order (empty until :meth:`allocate`)
     names: tuple[str, ...] = field(default=(), init=False)
     #: all field data, ``(len(names), ni, nj)``; None on non-owning ranks
@@ -108,10 +105,6 @@ class Patch:
         si, sj = region.slices(self.ghost_box)
         return self.data(name)[si, sj]
 
-    def mark_written(self) -> None:
-        """Bump the write-generation stamp (call after mutating field data)."""
-        self.version += 1
-
     # ------------------------------------------------------------- misc
     def field_names(self) -> list[str]:
         return sorted(self.fields)
@@ -119,7 +112,7 @@ class Patch:
     def copy(self) -> "Patch":
         """Deep copy (fresh uid is *not* assigned; identity is preserved)."""
         twin = Patch(box=self.box, level=self.level, owner=self.owner,
-                     nghost=self.nghost, uid=self.uid, version=self.version)
+                     nghost=self.nghost, uid=self.uid)
         if self.block is not None:
             twin._bind(self.names, self.block.copy())
         return twin

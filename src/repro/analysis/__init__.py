@@ -27,9 +27,9 @@ from repro.analysis.lint import Finding, iter_python_files, lint_file, lint_path
 from repro.analysis.report import human_report, json_report
 from repro.analysis.rules import RULES
 from repro.analysis.sanitize import (CollectiveMismatchError, DeadlockError,
-                                     GhostGuard, GhostRaceError, LeakError,
-                                     Sanitizer, SanitizerConfig,
-                                     SanitizerError, SanitizerFinding)
+                                     GhostRaceError, LeakError, Sanitizer,
+                                     SanitizerConfig, SanitizerError,
+                                     SanitizerFinding)
 from repro.analysis.sarif import render_sarif, to_sarif, validate_sarif
 
 __all__ = [
@@ -39,5 +39,5 @@ __all__ = [
     "to_sarif", "render_sarif", "validate_sarif",
     "Sanitizer", "SanitizerConfig", "SanitizerError", "SanitizerFinding",
     "DeadlockError", "CollectiveMismatchError", "GhostRaceError",
-    "LeakError", "GhostGuard",
+    "LeakError",
 ]

@@ -22,10 +22,16 @@ families of checks:
   member waits only on other stuck members and raises
   :class:`DeadlockError` naming the cycle of ranks and pending ops instead
   of hanging until the world timeout;
-* **ghost-region races** — :class:`GhostGuard` version-stamps and
-  checksums the block region behind every outstanding nonblocking
-  send/recv (one CRC over all fields, through the transfer plan's
-  precomputed slices) and flags any write that lands mid-exchange.
+* **ghost-region races** — inside one ghost exchange the only writer
+  of a destination region is another insert of the same plan, and each
+  send is packed into a fresh buffer before it is posted, so a race is a
+  property of the compiled plan: two of a rank's inserts (local copies
+  and received blocks alike) that write one region.
+  :meth:`~repro.amr.ghost.ExchangePlan.overlaps` finds those pairs once
+  per plan and rank, and :func:`~repro.amr.ghost.execute_transfers`
+  reports each (:meth:`Sanitizer.check_exchange`) before it copies or
+  posts anything.  An exchange with no overlap costs one cached lookup;
+  nothing is hashed.
 
 Findings are recorded (:attr:`Sanitizer.findings`), emitted through the
 per-rank :class:`~repro.obs.metrics.MetricsRegistry` when observability is
@@ -45,8 +51,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.amr.box import Box
-    from repro.amr.patch import Patch
+    from repro.amr.ghost import ExchangePlan
     from repro.mpi.message import Envelope
     from repro.mpi.request import RecvRequest
 
@@ -64,7 +69,7 @@ class CollectiveMismatchError(SanitizerError):
 
 
 class GhostRaceError(SanitizerError):
-    """A buffer with an outstanding nonblocking transfer was written."""
+    """Two inserts of one ghost exchange write the same region."""
 
 
 class LeakError(SanitizerError):
@@ -407,98 +412,19 @@ class Sanitizer:
             raise LeakError("; ".join(problems))
 
     # ---------------------------------------------------------- ghost race
-    def ghost_guard(self, rank: int) -> "GhostGuard":
-        """A fresh per-exchange guard."""
-        return GhostGuard(self, rank)
-
-
-class _Watch:
-    """One guarded block region with an outstanding transfer."""
-
-    __slots__ = ("patch", "slices", "tag", "version", "checksum")
-
-    def __init__(self, patch: "Patch", slices: tuple, tag: int) -> None:
-        self.patch = patch
-        #: index of the region in ``patch.block``: every field, then i, j
-        self.slices = slices
-        self.tag = tag
-        self.version = patch.version
-        self.checksum = self.current()
-
-    def current(self) -> int:
-        """CRC of the region's bytes now, all fields in block order."""
-        return zlib.crc32(self.patch.block[self.slices].tobytes())
-
-    def region(self) -> "Box":
-        """The watched region in level index space (for the report)."""
-        from repro.amr.box import Box
-
-        origin = self.patch.ghost_box
-        _, si, sj = self.slices
-        return Box(origin.ilo + si.start, origin.jlo + sj.start,
-                   origin.ilo + si.stop - 1, origin.jlo + sj.stop - 1)
-
-
-class GhostGuard:
-    """Race detector for one ghost-exchange drain.
-
-    ``watch_send``/``watch_recv`` stamp (version, checksum) of a patch
-    region when the nonblocking operation is posted;
-    ``check_recv``/``check_sends`` re-hash at completion and flag any
-    mid-exchange write.  One guard instance covers one
-    :func:`~repro.amr.ghost.execute_transfers` call.
-
-    What is hashed is the region of the patch's whole ``(nfields, ni,
-    nj)`` block - a transfer moves every field, so ``fields`` must be the
-    patch's own field list - in one CRC per checksum.  ``region`` is
-    either the block index a compiled :class:`~repro.amr.ghost.Transfer`
-    already holds (``src_slices``/``dst_slices``: nothing is resolved
-    here) or a :class:`~repro.amr.box.Box` in level index space, resolved
-    once when the watch is made.
-    """
-
-    __slots__ = ("sanitizer", "rank", "_sends", "_recvs")
-
-    def __init__(self, sanitizer: Sanitizer, rank: int) -> None:
-        self.sanitizer = sanitizer
-        self.rank = rank
-        self._sends: list[_Watch] = []
-        self._recvs: dict[int, _Watch] = {}
-
-    @staticmethod
-    def _watch(patch: "Patch", region: "Box | tuple",
-               fields: Sequence[str], tag: int) -> _Watch:
-        patch.whole_block(fields)
-        if not isinstance(region, tuple):
-            region = (slice(None), *region.slices(patch.ghost_box))
-        return _Watch(patch, region, tag)
-
-    def watch_send(self, patch: "Patch", region: "Box | tuple",
-                   fields: Sequence[str], tag: int) -> None:
-        self._sends.append(self._watch(patch, region, fields, tag))
-
-    def watch_recv(self, patch: "Patch", region: "Box | tuple",
-                   fields: Sequence[str], tag: int) -> None:
-        self._recvs[tag] = self._watch(patch, region, fields, tag)
-
-    def _flag(self, w: _Watch, op: str) -> None:
-        self.sanitizer.record(
-            "ghost-race", self.rank,
-            f"ghost-region race: patch uid={w.patch.uid} region={w.region()} "
-            f"fields={list(w.patch.names)} written while nonblocking {op} "
-            f"tag={w.tag} was outstanding (patch version "
-            f"{w.version} -> {w.patch.version})", GhostRaceError)
-
-    def check_recv(self, tag: int) -> None:
-        """Verify the destination region was untouched, then release it
-        (the matched insert is about to write it legitimately)."""
-        w = self._recvs.pop(tag, None)
-        if w is not None and w.current() != w.checksum:
-            self._flag(w, "receive")
-
-    def check_sends(self) -> None:
-        """Verify every posted send's source region at drain completion."""
-        for w in self._sends:
-            if w.current() != w.checksum:
-                self._flag(w, "send")
-        self._sends.clear()
+    def check_exchange(self, plan: "ExchangePlan", rank: int,
+                       fields: Sequence[str], tag_base: int) -> None:
+        """Report every two of ``rank``'s inserts in ``plan`` that write
+        one region (the plan's cached
+        :meth:`~repro.amr.ghost.ExchangePlan.overlaps`)."""
+        for i, j, region in plan.overlaps(rank):
+            named = " and ".join(
+                ("local copy" if plan.transfers[k].src_patch.owner == rank
+                 else "nonblocking receive") + f" tag={tag_base + k}"
+                for k in (i, j))
+            self.record(
+                "ghost-race", rank,
+                f"ghost-region race: patch uid={plan.transfers[i].dst_patch.uid}"
+                f" region={region} fields={list(fields)} is written by both "
+                f"{named} of one exchange: whichever lands last wins",
+                GhostRaceError)

@@ -246,14 +246,14 @@ def write_trace(source: Any, path: str, process_name: str = "repro") -> ObsDump:
     return dump
 
 
-def rank_metrics(ro: RankObs) -> MetricsRegistry:
-    """One rank's metrics view, the one fold behind every metrics view.
+def rank_counters(ro: RankObs) -> MetricsRegistry:
+    """One rank's metrics view without the per-invocation histogram.
 
     The registry holds only what no other store holds; the rest is read
     at view time: the tracer's self-accounting, the ledger's rows and the
-    Mastermind's records, whose wall times are observed in stored order
-    so the histogram's buckets are exact.  The Mastermind is read itself:
-    ``restore_records`` replaces its record dict.
+    Mastermind's invocation counts.  It walks one entry per routine,
+    never one per invocation, so the flight recorder reads it at every
+    step end.
     """
     view = MetricsRegistry(rank=ro.rank)
     view.merge_from(ro.metrics)
@@ -281,6 +281,20 @@ def rank_metrics(ro: RankObs) -> MetricsRegistry:
         for rec in ro.mastermind.all_records():
             view.counter("invocations_total", "proxied invocations recorded",
                          routine=rec.timer_name).inc(len(rec))
+    return view
+
+
+def rank_metrics(ro: RankObs) -> MetricsRegistry:
+    """One rank's metrics view, the one fold behind every metrics view.
+
+    :func:`rank_counters` plus the ``invocation_wall_us`` histogram, read
+    from the Mastermind's records: their wall times are observed in
+    stored order, so the buckets are exact.  The Mastermind is read
+    itself: ``restore_records`` replaces its record dict.
+    """
+    view = rank_counters(ro)
+    if ro.mastermind is not None:
+        for rec in ro.mastermind.all_records():
             wall = view.histogram("invocation_wall_us",
                                   "per-invocation wall time",
                                   routine=rec.timer_name)

@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.obs.export import (dump_chrome_trace_spans, rank_metrics,
+from repro.obs.export import (dump_chrome_trace_spans, rank_counters,
                               validate_chrome_payload)
 from repro.obs.span import Span
 from repro.util.atomicio import atomic_write_text
@@ -53,9 +53,10 @@ class FlightRecorder:
     closed spans from the rank's tracer, and the rank's ledger rows.  It
     rings per-step counter deltas (:meth:`capture_step`, called by
     :meth:`~repro.obs.runtime.RankObs.step` as each step ends), taken
-    from the rank's one metrics view.  It never references the tracer or
-    the world, so a worker process can pickle it home inside its
-    :class:`~repro.obs.runtime.RankObs`.
+    from the counter half of the rank's one metrics view
+    (:func:`~repro.obs.export.rank_counters`).  It never references the
+    tracer or the world, so a worker process can pickle it home inside
+    its :class:`~repro.obs.runtime.RankObs`.
     """
 
     __slots__ = ("rank", "depth", "directory", "step_deltas",
@@ -79,7 +80,7 @@ class FlightRecorder:
     def capture_step(self, ro: "RankObs", step: int, span: Span) -> None:
         """Counter deltas over the step whose (closed) span is ``span``."""
         totals: dict[str, float] = {}
-        for name, lk, inst in rank_metrics(ro).series():
+        for name, lk, inst in rank_counters(ro).series():
             if type(inst).__name__ != "Counter":
                 continue
             key = name + json.dumps(dict(lk), sort_keys=True)

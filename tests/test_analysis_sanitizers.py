@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.amr.box import Box
-from repro.amr.ghost import Transfer, execute_transfers
+from repro.amr.ghost import Transfer, execute_transfers, plan_same_level_exchange
 from repro.amr.patch import Patch
 from repro.analysis import (GhostRaceError, Sanitizer, SanitizerConfig)
 from repro.mpi.runner import ParallelRunner, RankFailure
@@ -213,50 +213,10 @@ def _patch(box, owner, fill, nghost=0):
     return p
 
 
-def test_ghost_guard_flags_write_under_outstanding_recv():
-    san = Sanitizer(1, SanitizerConfig())
-    guard = san.ghost_guard(0)
-    patch = _patch(Box(0, 0, 7, 7), owner=0, fill=1.0)
-    region = Box(0, 0, 3, 3)
-    guard.watch_recv(patch, region, ["rho"], tag=9)
-    patch.view("rho", region)[...] = 99.0  # the race
-    patch.mark_written()
-    with pytest.raises(GhostRaceError) as exc:
-        guard.check_recv(9)
-    msg = str(exc.value)
-    assert f"patch uid={patch.uid}" in msg
-    assert "nonblocking receive tag=9" in msg
-    assert "version 0 -> 1" in msg
-
-
-def test_ghost_guard_flags_write_under_outstanding_send():
-    san = Sanitizer(1, SanitizerConfig())
-    guard = san.ghost_guard(0)
-    patch = _patch(Box(0, 0, 7, 7), owner=0, fill=1.0)
-    region = Box(4, 4, 7, 7)
-    guard.watch_send(patch, region, ["rho"], tag=2)
-    patch.view("rho", region)[...] = -1.0
-    patch.mark_written()
-    with pytest.raises(GhostRaceError) as exc:
-        guard.check_sends()
-    assert "nonblocking send tag=2" in str(exc.value)
-
-
-def test_ghost_guard_clean_exchange_passes():
-    san = Sanitizer(1, SanitizerConfig())
-    guard = san.ghost_guard(0)
-    patch = _patch(Box(0, 0, 7, 7), owner=0, fill=1.0)
-    guard.watch_send(patch, Box(0, 0, 3, 3), ["rho"], tag=0)
-    guard.watch_recv(patch, Box(4, 4, 7, 7), ["rho"], tag=1)
-    guard.check_recv(1)
-    guard.check_sends()
-    assert san.findings == []
-
-
 def test_overlapping_transfer_plan_races_through_execute_transfers():
     """Two transfers landing on overlapping regions of one destination
-    patch: the first insert dirties the second's watched region mid-drain,
-    which is exactly the write-after-write the phased exchanges avoid."""
+    patch leave the overlap to whichever arrives last: exactly the
+    write-after-write the phased exchanges avoid."""
     def fn(comm):
         src1 = _patch(Box(0, 0, 3, 3), owner=0, fill=1.0)
         src2 = _patch(Box(2, 0, 5, 3), owner=0, fill=2.0)
@@ -291,6 +251,112 @@ def test_disjoint_transfer_plan_is_clean():
     runner = _runner(2)
     runner.run(fn)
     assert runner.last_world.sanitizer.findings == []
+
+
+def _overlap_plan(local):
+    """Rank 1 inserts transfers 0 and 1 into ``dst`` over ``[2:3,0:3]``;
+    transfer 1 is a local copy when ``local``, else a second receive.
+    Transfer 2 sends a block of ``dst`` back to rank 0, so rank 1 also has
+    a message to post.  Returns ``(transfers, dst)``."""
+    src1 = _patch(Box(0, 0, 3, 3), owner=0, fill=1.0)
+    src2 = _patch(Box(2, 0, 5, 3), owner=1 if local else 0, fill=2.0)
+    dst = _patch(Box(0, 0, 7, 7), owner=1, fill=0.0)
+    back = _patch(Box(0, 0, 7, 7), owner=0, fill=0.0)
+    return [
+        Transfer(src_patch=src1, dst_patch=dst,
+                 src_region=Box(0, 0, 3, 3), dst_region=Box(0, 0, 3, 3)),
+        Transfer(src_patch=src2, dst_patch=dst,
+                 src_region=Box(2, 0, 5, 3), dst_region=Box(2, 0, 5, 3)),
+        Transfer(src_patch=dst, dst_patch=back,
+                 src_region=Box(4, 4, 7, 7), dst_region=Box(4, 4, 7, 7)),
+    ], dst
+
+
+def _raise_on_rank_1(comm, transfers, dst):
+    """Run the plan; rank 1 must raise before it copies or posts anything.
+    It then stands in for its half by hand (receive rank 0's bundle, send
+    transfer 2's block), so rank 0's exchange completes and nothing leaks.
+    Rank 1 returns ``(message, isends posted, dst untouched, dst uid)``."""
+    posted = []
+    isend = comm.isend
+
+    def counted(*args, **kwargs):
+        posted.append(kwargs.get("tag"))
+        return isend(*args, **kwargs)
+
+    comm.isend = counted
+    if comm.rank == 0:
+        execute_transfers(transfers, ["rho"], comm, comm.rank, tag_base=0)
+        return None
+    with pytest.raises(GhostRaceError) as exc:
+        execute_transfers(transfers, ["rho"], comm, comm.rank, tag_base=0)
+    untouched = not dst.block.any()
+    comm.recv(source=0, tag=0)
+    comm.send(np.zeros(16), dest=0, tag=2)
+    return str(exc.value), posted, untouched, dst.uid
+
+
+@pytest.mark.parametrize("backend", ["thread", "mp-shm"])
+def test_overlapping_receives_are_reported_before_any_isend(backend):
+    def fn(comm):
+        return _raise_on_rank_1(comm, *_overlap_plan(local=False))
+
+    runner = _runner(2, backend=backend)
+    message, posted, untouched, uid = runner.run(fn)[1]
+    assert posted == [] and untouched
+    assert message == (
+        f"ghost-region race: patch uid={uid} region=[2:3,0:3] "
+        "fields=['rho'] is written by both nonblocking receive tag=0 and "
+        "nonblocking receive tag=1 of one exchange: whichever lands last wins")
+    assert runner.last_world.sanitizer.findings_by_kind() == {"ghost-race": 1}
+
+
+def test_local_copy_overlapping_a_receive_is_reported():
+    """The local copy runs before any receive is posted, so a watch on
+    the receive's region could never see it: only the plan can."""
+    def fn(comm):
+        return _raise_on_rank_1(comm, *_overlap_plan(local=True))
+
+    message, posted, untouched, uid = _runner(2).run(fn)[1]
+    assert posted == [] and untouched
+    assert message.startswith(
+        f"ghost-region race: patch uid={uid} region=[2:3,0:3] fields=['rho'] "
+        "is written by both nonblocking receive tag=0 and local copy tag=1")
+
+
+def test_write_to_a_sent_region_after_isend_does_not_reach_the_receiver():
+    """What a peer receives is a snapshot taken when the send is posted
+    (the bundle is packed into a fresh buffer, and ``isend`` copies its
+    payload besides), so a later write to the source region changes
+    nothing the peer sees: nothing is left to guard on the send side."""
+    names = ["rho", "E"]
+
+    def fn(comm, perturb):
+        patches = [Patch(box=Box(0, 0, 7, 7), level=0, owner=0),
+                   Patch(box=Box(0, 8, 7, 15), level=0, owner=1)]
+        block = patches[comm.rank].allocate(names)
+        block[...] = np.arange(block.size).reshape(block.shape) + 1000 * comm.rank
+        plan = plan_same_level_exchange(patches)
+        isend = comm.isend
+
+        def write_after(buf, dest, tag):
+            req = isend(buf, dest=dest, tag=tag)
+            if perturb:
+                for t in plan:
+                    if t.src_patch.owner == comm.rank:
+                        t.src_patch.block[t.src_slices] = -1.0
+            return req
+
+        comm.isend = write_after
+        execute_transfers(plan, names, comm, comm.rank, tag_base=0)
+        return [t.dst_patch.block[t.dst_slices].copy() for t in plan
+                if t.dst_patch.owner == comm.rank]
+
+    clean = _runner(2).run(fn, False)
+    written = _runner(2).run(fn, True)
+    for before, after in zip(clean, written):
+        assert len(before) == len(after) == 1
+        np.testing.assert_array_equal(before[0], after[0])
 
 
 # ------------------------------------------------------------- observability

@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import types
 
 import pytest
 
@@ -15,8 +16,12 @@ from repro.mpi.network import NetworkModel
 from repro.mpi.runner import ParallelRunner, RankFailure
 from repro.obs import (FlightRecorder, ObsConfig, RankObs,
                        dump_flight_recorders, merge_flight_recordings)
+from repro.obs.export import rank_metrics
 from repro.obs.flightrec import MERGED_SUMMARY, MERGED_TRACE
+from repro.obs.metrics import Histogram
 from repro.obs.span import CAT_COMPUTE, CAT_STEP, SpanTracer
+from repro.perf.records import InvocationRecord, MethodRecord
+from repro.tau.query import InvocationMeasurement
 
 
 # ------------------------------------------------------------------- rings
@@ -85,6 +90,35 @@ def test_step_deltas_diff_counters():
     assert "MPI_Recv" in key1 and val1 == 1.0
     # The step's own span is in the tracer's accounting, folded alike.
     assert d1["counter_deltas"]["tracer_spans_total{}"] == 1.0
+
+
+def test_step_end_observes_nothing(monkeypatch):
+    """``step_end_observes_nothing``: a step end reads counters only, so
+    it re-observes no recorded invocation however many there are; the
+    full metrics view still folds every one into its histogram."""
+    ro = RankObs(0, ObsConfig(flight_recorder=True))
+    rec = MethodRecord("sc_proxy", "compute")
+    ro.mastermind = types.SimpleNamespace(all_records=lambda: [rec])
+    observed = []
+    observe = Histogram.observe
+
+    def counting(self, value):
+        observed.append(value)
+        observe(self, value)
+
+    monkeypatch.setattr(Histogram, "observe", counting)
+    for step in range(3):
+        for _ in range(100):
+            rec.add(InvocationRecord(
+                params={}, measurement=InvocationMeasurement(5.0, 1.0)))
+        with ro.step(step):
+            pass
+    assert observed == []
+    key = 'invocations_total{"routine": "sc_proxy::compute()"}'
+    assert [d["counter_deltas"][key] for d in ro.recorder.step_deltas] == [100.0] * 3
+    assert rank_metrics(ro).histogram(
+        "invocation_wall_us", routine="sc_proxy::compute()").count == 300
+    assert len(observed) == 300
 
 
 def test_step_seam_records_the_step_on_unwind():
