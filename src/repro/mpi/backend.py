@@ -5,8 +5,9 @@ sharing a :class:`~repro.mpi.world.SimWorld` inside one process.  That is
 the right default — tests want determinism and cheap startup — but the
 ranks share one interpreter: they run one at a time (handing a run
 token over where they block, rather than fighting for the GIL
-mid-kernel), which caps the scaling study at a handful of ranks.  This
-module factors the execution model out behind a
+mid-kernel) on one core (the launcher's, so a hand-off never moves a
+rank to another CPU), which caps the scaling study at a handful of
+ranks.  This module factors the execution model out behind a
 named-backend registry (the ``create_communicator(name, ...)`` pattern of
 ChainerMN and friends):
 
@@ -25,6 +26,7 @@ where the ranks actually ran.
 
 from __future__ import annotations
 
+import os
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -125,6 +127,23 @@ def raise_rank_failures(failures: dict[int, str], stuck: list[int]) -> None:
         raise RankFailure(primary or failures)
 
 
+def launcher_cpu() -> int:
+    """The CPU the calling thread is running on now, if its mask allows it.
+
+    Read from field 39 (``processor``) of ``/proc/thread-self/stat``,
+    counted after the last ``)`` so a thread name holding spaces or
+    parentheses cannot shift it; where that read fails, or names a CPU
+    outside the caller's mask, the lowest CPU of the mask.
+    """
+    allowed = os.sched_getaffinity(0)
+    try:
+        with open("/proc/thread-self/stat") as f:
+            cpu = int(f.read().rpartition(")")[2].split()[36])
+    except (OSError, ValueError, IndexError):
+        return min(allowed)
+    return cpu if cpu in allowed else min(allowed)
+
+
 class BackendRun:
     """Outcome of one backend launch: per-rank results + the world view."""
 
@@ -161,6 +180,16 @@ class ThreadBackend(CommBackend):
     thread holds it while it executes and releases it only where it blocks
     (:meth:`SimWorld.off_token`), so a kernel timer holds kernel time, not
     GIL hand-offs (DESIGN section 17).
+
+    Since only the token holder runs, the cohort needs one core, not one
+    each: every rank thread binds itself to the CPU the launching thread
+    is on (:func:`launcher_cpu`) before it first queues for the token, so
+    a hand-off never migrates a rank to an idle core with cold caches
+    (MPI's ``--bind-to core``).  The launcher's own mask is left alone.
+    A thread a rank starts inherits that core too; it shares the GIL
+    with a cohort that runs one rank at a time, so a second core would
+    buy it little.  Where
+    ``os.sched_setaffinity`` does not exist the ranks run unbound.
     """
 
     name = "thread"
@@ -177,8 +206,11 @@ class ThreadBackend(CommBackend):
         token = world.run_token = threading.Lock()
         results: list[Any] = [None] * spec.nranks
         failures: dict[int, str] = {}
+        cpu = launcher_cpu() if hasattr(os, "sched_setaffinity") else None
 
         def target(rank: int) -> None:
+            if cpu is not None:
+                os.sched_setaffinity(0, {cpu})
             comm = SimComm(world, rank)
             with token:
                 try:

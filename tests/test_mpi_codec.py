@@ -20,6 +20,7 @@ from repro.faults.policy import ResiliencePolicy
 from repro.mpi import codec, create_world
 from repro.mpi.message import DELIVERED, RETRANSMITTED, Envelope
 from repro.mpi.shm import ShmFlag, ShmRing
+from repro.util.rng import make_rng
 
 
 def _env(payload, **kw):
@@ -146,7 +147,7 @@ def test_oversize_array_frame_streams_through_ring():
     ctx = mp.get_context("fork")
     ring, flag = ShmRing(4096, ctx), ShmFlag()
     try:
-        arr = np.random.default_rng(7).integers(
+        arr = make_rng(7).integers(
             0, 1 << 30, size=3 * ring.capacity // 8, dtype=np.int64)
         segments = codec.encode(DELIVERED, "world", _env(arr))
         assert isinstance(segments[-1], memoryview)

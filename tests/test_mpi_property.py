@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.mpi import ParallelRunner
 from repro.mpi.network import LOOPBACK, NetworkModel
+from repro.util.rng import make_rng
 
 
 def run(nranks, fn):
@@ -70,6 +71,6 @@ def test_network_cost_positive_and_finite(latency, bw, nbytes):
 @given(seed=st.integers(0, 2**31 - 1))
 def test_jitter_deterministic_given_seed(seed):
     net = NetworkModel(jitter_sigma=0.4)
-    a = net.sample_jitter(np.random.default_rng(seed))
-    b = net.sample_jitter(np.random.default_rng(seed))
+    a = net.sample_jitter(make_rng(seed))
+    b = net.sample_jitter(make_rng(seed))
     assert a == b

@@ -3,13 +3,17 @@
 ``ThreadBackend.launch`` gives its world one lock; a rank thread holds it
 whenever it executes and releases it only inside ``SimWorld.off_token``
 (the park seam under both blocking waits, a failed non-blocking poll, and
-rank code that sleeps through the helper).  These tests pin what that
-buys (no GIL hand-off convoy, one rank running at a time) and what it
-must not cost (prompt failure, the hard deadline, progress of poll loops).
+rank code that sleeps through the helper).  Every rank thread of a launch
+is bound to the launcher's CPU.  These tests pin what that buys (no GIL
+hand-off convoy, one rank running at a time, no migration at a hand-off)
+and what it must not cost (prompt failure, the hard deadline, progress of
+poll loops, the launcher's own CPU mask).
 """
 
+import os
 import resource
 import sys
+import threading
 import time
 
 import numpy as np
@@ -21,6 +25,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import ComponentFault, FaultPlan
 from repro.harness.casestudy import CaseStudyConfig, run_case_study
 from repro.mpi import JobSpec, ParallelRunner, SimWorld
+from repro.mpi.backend import ThreadBackend
 from repro.mpi.network import LOOPBACK
 from repro.mpi.runner import RankFailure
 from repro.obs import ObsConfig
@@ -52,6 +57,120 @@ def test_steady_state_amr_run_does_not_convoy():
         switches = resource.getrusage(resource.RUSAGE_SELF).ru_nvcsw - before
         assert res.results == [0, 0, 0]
         assert switches < 6000, switches
+
+
+# ---------------------------------------------------------- one core, bound
+needs_binding = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity")
+    or not os.path.exists("/proc/thread-self/sched"),
+    reason="needs os.sched_setaffinity and /proc/thread-self")
+
+
+def _migrations():
+    """The calling thread's ``se.nr_migrations``."""
+    with open("/proc/thread-self/sched") as f:
+        for line in f:
+            if line.startswith("se.nr_migrations"):
+                return int(line.split(":")[1])
+    raise AssertionError("no se.nr_migrations in /proc/thread-self/sched")
+
+
+def _mask(_comm=None):
+    return frozenset(os.sched_getaffinity(0))
+
+
+def _ring(comm):
+    """A little deterministic traffic: a ring shift, then a reduction."""
+    right, left = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
+    req = comm.irecv(source=left, tag=3)
+    comm.isend(comm.rank * 10, right, tag=3)
+    got = req.wait()
+    return got, comm.allreduce(got + comm.rank)
+
+
+@needs_binding
+def test_every_rank_is_bound_to_one_cpu_of_the_launcher():
+    launcher = _mask()
+    masks, _ = run(_mask, nranks=3)
+    cpu, = masks[0]
+    assert masks == [frozenset({cpu})] * 3
+    assert cpu in launcher
+
+
+@needs_binding
+def test_binding_leaves_the_launcher_mask_alone():
+    launcher = _mask()
+    run(_mask, nranks=3)
+    assert _mask() == launcher
+
+    def boom(comm):
+        if comm.rank == 1:
+            raise ValueError("boom on rank 1")
+        return comm.recv(source=1, tag=1)
+
+    with pytest.raises(RankFailure, match="boom on rank 1"):
+        run(boom, nranks=3)
+    assert _mask() == launcher
+
+
+@needs_binding
+def test_steady_state_amr_ranks_do_not_migrate(monkeypatch):
+    """From the 4th run in a process on, a rank thread's migrations between
+    its first token acquisition and its exit: ~250 per run unbound on a
+    2-core host, none bound."""
+    moved = []
+    launch = ThreadBackend.launch
+
+    def probed_launch(self, spec, fn, args, kwargs):
+        def probed(comm, *a, **kw):
+            before = _migrations()  # the rank function runs holding the token
+            try:
+                return fn(comm, *a, **kw)
+            finally:
+                moved.append(_migrations() - before)
+        return launch(self, spec, probed, args, kwargs)
+
+    monkeypatch.setattr(ThreadBackend, "launch", probed_launch)
+    for _ in range(3):
+        run_case_study(AMR)
+    moved.clear()
+    for _ in range(2):
+        assert run_case_study(AMR).results == [0, 0, 0]
+    assert moved == [0] * 6
+
+
+@needs_binding
+def test_launch_from_a_bound_helper_thread_uses_its_cpu():
+    main_mask = _mask()
+    c = max(main_mask)
+    seen = {}
+
+    def helper():
+        os.sched_setaffinity(0, {c})
+        seen["ranks"], _ = run(_mask, nranks=3)
+        seen["helper"] = _mask()
+
+    t = threading.Thread(target=helper)
+    t.start()
+    t.join(30.0)
+    assert seen["ranks"] == [frozenset({c})] * 3
+    assert seen["helper"] == frozenset({c})
+    assert _mask() == main_mask
+
+
+@needs_binding
+def test_launch_without_sched_setaffinity_runs_unbound(monkeypatch):
+    bound, _ = run(_ring, nranks=3)
+    monkeypatch.delattr(os, "sched_setaffinity")
+    unbound, _ = run(_ring, nranks=3)
+    assert unbound == bound
+    assert run(_mask, nranks=3)[0] == [_mask()] * 3
+
+
+@needs_binding
+def test_mpshm_ranks_keep_the_launcher_mask():
+    masks, _ = run(_mask, nranks=2, backend="mp-shm")
+    assert masks == [_mask()] * 2
 
 
 # --------------------------------------------------------------- exclusivity

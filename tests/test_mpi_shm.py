@@ -34,6 +34,7 @@ from repro.mpi.mpshm import ShmWorld
 from repro.mpi.shm import (_DATA_WAITER, _ROOM_WAITER, WAIT_TABLE_MAX_RANKS,
                            RingAborted, ShmFlag, ShmRing, ShmWaitTable)
 from repro.obs import ObsConfig
+from repro.util.rng import make_rng
 
 
 @pytest.fixture()
@@ -92,7 +93,7 @@ class TestShmRing:
         # A frame larger than the whole ring trickles through on the room
         # bell: the writer fills the ring and sleeps, and each time the
         # reader frees space it rings the writer back in.
-        big = np.random.default_rng(0).integers(
+        big = make_rng(0).integers(
             0, 256, size=3 * ring.capacity, dtype=np.uint8).tobytes()
         t = threading.Thread(target=ring.send, args=(big, flag))
         t.start()
