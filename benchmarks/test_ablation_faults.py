@@ -8,7 +8,6 @@ A final pair of runs prices the checkpoint subsystem.
 """
 
 import dataclasses
-import time
 
 from conftest import write_out
 
@@ -18,15 +17,16 @@ from repro.faults.policy import ResiliencePolicy
 from repro.harness.casestudy import run_case_study
 from repro.mpi.runner import RankFailure
 from repro.util.tabular import format_table
+from repro.util.timebase import now_us
 
 
 def timed_run(cfg):
-    t0 = time.perf_counter()
+    t0 = now_us()
     try:
         res = run_case_study(cfg)
-        return time.perf_counter() - t0, res, None
+        return (now_us() - t0) / 1e6, res, None
     except RankFailure as exc:
-        return time.perf_counter() - t0, None, exc
+        return (now_us() - t0) / 1e6, None, exc
 
 
 def test_ablation_faults(benchmark, bench_config, out_dir, tmp_path):

@@ -1,12 +1,13 @@
 """Flat vs hierarchical collective cost at scale (8..64 ranks).
 
 The paper's cluster ran MPICH collectives, which are tree-based; the
-simulator's legacy rendezvous model charged every collective a generic
-log-tree cost regardless of what the algorithm really moves.  The
-``collectives="flat"`` family charges the honest linear-in-P cost of a
-naive root-loops-over-peers implementation, and ``collectives="hier"``
-implements binomial-tree / recursive-doubling / ring algorithms whose
-modeled cost (and data movement) scales like real MPI.
+simulator's legacy cost model charges every collective a generic
+log-tree cost regardless of the algorithm.  The ``collectives="flat"``
+family charges the honest linear-in-P cost of a naive
+root-loops-over-peers implementation, and ``collectives="hier"`` the
+cost of binomial-tree / recursive-doubling / ring algorithms, which
+scales like real MPI.  (The family picks only the cost: the values move
+by the same tree under every family.)
 
 This bench sweeps P over 8, 16, 32, 64 on the thread backend, records
 per-rank modeled Allreduce/Bcast cost under both families into the

@@ -7,18 +7,18 @@ passed to the runner / ``run_scmd`` / ``CaseStudyConfig`` and performs four
 families of checks:
 
 * **collective ordering** — every collective piggybacks a token (routine
-  name, per-rank op index, rolling op-sequence hash) through the exchange
-  slot; ranks compare all P tokens after the rendezvous and report the
-  first divergent operation instead of silently combining a ``bcast`` with
-  a ``reduce``;
+  name, per-rank op index, rolling op-sequence hash) inside the value its
+  tree moves; ranks compare all P tokens once the tree completes and
+  report the first divergent operation instead of silently combining a
+  ``bcast`` with a ``reduce``;
 * **point-to-point hygiene** — payload type stability per (context, source,
   dest, tag) channel among each sender's most recent channels (warning),
   plus finalize-time detection of leaked
   :class:`~repro.mpi.request.RecvRequest` objects and unconsumed
   :class:`~repro.mpi.message.Envelope` s;
 * **deadlock detection** — blocked ranks register a wait-for edge set
-  (specific source, ANY_SOURCE fan-in, or the missing ranks of a
-  collective); a fixpoint over the wait-for graph finds groups whose every
+  (specific source, ANY_SOURCE fan-in, or the tree peer a collective's
+  hop waits on, reported under the collective's routine); a fixpoint over the wait-for graph finds groups whose every
   member waits only on other stuck members and raises
   :class:`DeadlockError` naming the cycle of ranks and pending ops instead
   of hanging until the world timeout;
@@ -65,7 +65,8 @@ class DeadlockError(SanitizerError):
 
 
 class CollectiveMismatchError(SanitizerError):
-    """Ranks issued different collective operations at the same slot."""
+    """Ranks issued different collective operations at the same sequence
+    number."""
 
 
 class GhostRaceError(SanitizerError):
@@ -120,7 +121,7 @@ class SanitizerFinding:
 
 @dataclass(frozen=True)
 class _CollToken:
-    """Per-rank metadata piggybacked through one collective exchange."""
+    """Per-rank metadata piggybacked through one collective's tree."""
 
     rank: int
     routine: str
@@ -218,7 +219,7 @@ class Sanitizer:
     # ------------------------------------------------ collective ordering
     def collective_token(self, rank: int, context: str, seq: int,
                          routine: str) -> _CollToken:
-        """Advance this rank's op sequence; returns the exchange token."""
+        """Advance this rank's op sequence; returns the collective's token."""
         key = (rank, context)
         index = self._coll_count.get(key, 0)
         self._coll_count[key] = index + 1
@@ -230,7 +231,7 @@ class Sanitizer:
 
     def collective_check(self, rank: int, context: str, seq: int,
                          tokens: Sequence[_CollToken]) -> None:
-        """Compare all ranks' tokens for one rendezvous; report divergence."""
+        """Compare all ranks' tokens for one collective; report divergence."""
         mine = next(t for t in tokens if t.rank == rank)
         for other in tokens:
             if other.routine != mine.routine:
@@ -302,16 +303,10 @@ class Sanitizer:
 
     # ------------------------------------------------------------ deadlock
     def notify_progress(self, rank: int) -> None:
-        """A message/deposit arrived for ``rank``: its registered wait is
+        """A message arrived for ``rank``: its registered wait is
         stale and must not count as stuck until it re-checks its mailbox."""
         with self._dlock:
             self._gen[rank] += 1
-
-    def notify_progress_all(self) -> None:
-        """Collective deposit: any waiter may be unblocked by it."""
-        with self._dlock:
-            for r in range(self.nranks):
-                self._gen[r] += 1
 
     def enter_wait(self, rank: int, op: str, detail: str,
                    waits_on: Iterable[int]) -> None:

@@ -111,10 +111,11 @@ def run_scmd(
         (default) runs ranks as threads, ``"mp-shm"`` as real processes
         over shared-memory rings — same modeled results, real parallelism.
     collectives:
-        Collective-algorithm family: None keeps the legacy rendezvous cost
-        model, ``"flat"`` charges its honest linear-in-P cost, ``"hier"``
-        uses tree algorithms (binomial/recursive-doubling/ring) in both
-        data movement and modeled cost.
+        Collective cost family (values move by one tree over the mailbox
+        under every family): None keeps the legacy generic log-tree cost
+        model, ``"flat"`` charges a flat rendezvous's linear-in-P cost,
+        ``"hier"`` the tree algorithms' (binomial/recursive-doubling/ring)
+        modeled cost.
     """
     injector = None
     if fault_plan is not None:

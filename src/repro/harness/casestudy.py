@@ -81,7 +81,7 @@ class CaseStudyConfig:
     #: communicator backend: "thread" (default, deterministic in-process)
     #: or "mp-shm" (one forked process per rank over shared-memory rings)
     backend: str = "thread"
-    #: collective-algorithm family (None legacy, "flat", "hier")
+    #: collective cost family (None legacy, "flat", "hier")
     collectives: str | None = None
 
 

@@ -257,7 +257,7 @@ class WorldView:
     fault-event list — through the result pipe and the parent
     assembles this view.  It exposes exactly the attributes post-run
     consumers read off a :class:`SimWorld`; launch-time machinery
-    (mailboxes, rendezvous slots, condition variables) is intentionally
+    (mailboxes, condition variables, the run token) is intentionally
     absent.
     """
 

@@ -299,8 +299,8 @@ def pickled_size(obj: Any) -> int:
 def transport_nbytes(obj: Any) -> int:
     """Cheap informational size for zero-cost transport envelopes.
 
-    Transport frames (collective tree hops, rendezvous emulation,
-    sanitizer tokens) bypass accounting, fault injection and the
+    Transport frames (collective tree hops, sanitizer tokens riding in
+    them, the final barrier) bypass accounting, fault injection and the
     sanitizers; their ``nbytes`` is never charged or compared, so an
     exact pickled size would be pure overhead — gather payloads grow to
     whole per-rank dicts.  Buffers report their real size, rich objects

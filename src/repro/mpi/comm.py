@@ -35,22 +35,6 @@ _OPS: dict[str, Callable[[Any, Any], Any]] = {
 }
 
 
-#: MPI routine -> the tree movement ``collectives="hier"`` runs for it, as
-#: ``move(world, ctx, rank, size, tag, value, root)`` returning the values
-#: by rank (a list, or a dict holding the entries the routine reads; None
-#: where it reads none).  Every other routine keeps the rendezvous movement
-#: (charged the tree cost model).
-_TREE_MOVES: dict[str, Callable[..., Any]] = {
-    "MPI_Barrier": coll.tree_allgather,
-    # a broadcast moves one value: file it under its root
-    "MPI_Bcast": lambda *move: {move[-1]: coll.binomial_bcast(*move)},
-    "MPI_Reduce": coll.binomial_gather,
-    "MPI_Allreduce": coll.recursive_doubling_allgather,
-    "MPI_Gather": coll.binomial_gather,
-    "MPI_Allgather": coll.ring_allgather,
-}
-
-
 class SimComm:
     """A communicator bound to one rank of a :class:`SimWorld`.
 
@@ -289,55 +273,44 @@ class SimComm:
             return env.payload
 
     # ------------------------------------------------------- collectives
-    def _collective(self, routine: str, value: Any = None,
-                    root: int = 0) -> Any:
-        """Move one collective's values; returns them indexable by rank.
+    def _collective(self, routine: str, value: Any = None) -> list[Any]:
+        """Move one collective's values; returns them by rank.
 
-        The one body every collective runs: the per-communicator sequence
-        number (so the ``(context, seq)`` identity of the n-th collective
-        is algorithm- and backend-independent), the span, the sanitizer's
-        order check, the movement and the flow event all participants
-        share.  The movement is the routine's entry in ``_TREE_MOVES``
-        under ``collectives="hier"`` and the world's rendezvous otherwise.
+        The one body every collective runs, on every backend and under
+        every cost family: the per-communicator sequence number (so the
+        ``(context, seq)`` identity of the n-th collective is backend- and
+        family-independent), the span, the sanitizer's order check, the
+        movement and the flow event all participants share.
 
-        The sanitizer's token (routine, op index, rolling op-sequence
-        hash) rides through the rendezvous with the value; a tree movement
-        is preceded by a token round of its own - before, never after:
-        ranks that issued different routines would run different trees
-        against each other and hang to the deadline instead of raising.
-        Each collective owns the 64-tag block ``[seq*64, seq*64+63)`` of
-        the reserved transport context (data movement uses the low tags,
-        the token round tag 48), so stages never collide.
+        The movement is one :func:`~repro.mpi.collectives.tree_allgather`
+        over the mailbox in the reserved transport context, on the
+        collective's two tags ``[2*seq, 2*seq+1]``: a rank blocked in it
+        blocks in the world's wait engine, under ``routine``.  ``value`` is
+        copied once on entry (MPI value semantics) and every hop copies
+        again, so nothing a rank gets back is its argument or aliases a
+        peer's result.  The sanitizer's token (routine, op index, rolling
+        op-sequence hash) rides inside the value as ``(token, value)``, so
+        ranks that issued different routines still meet and raise instead
+        of hanging to the deadline.
         """
         world, rank, san = self.world, self.rank, self._san
         seq = self._coll_seq
         self._coll_seq += 1
-        move = (_TREE_MOVES.get(routine)
-                if world.collectives == "hier" and self.size > 1 else None)
         with self._span_ctx(routine, CAT_MPI_WAIT, coll_seq=seq) as sp:
-            token = (san.collective_token(rank, self.context, seq, routine)
-                     if san is not None else None)
-            if move is not None:
-                ctx = coll.coll_context(self.context)
-                if san is not None:
-                    tokens = coll.tree_allgather(
-                        world, ctx, rank, self.size, (seq << 6) + 48, token)
-                    san.collective_check(rank, self.context, seq, tokens)
-                # The hops copy: nothing a rank holds aliases a peer's.
-                vals = move(world, ctx, rank, self.size, seq << 6, value, root)
-            else:
-                # MPI value semantics: what is deposited is a snapshot.
-                value = copy_payload(value)
-                vals = world.exchange(
-                    self.context, seq, rank,
-                    value if san is None else (token, value), routine=routine)
-                if san is not None:
-                    san.collective_check(rank, self.context, seq,
-                                         [v[0] for v in vals])
-                    vals = [v[1] for v in vals]
+            value = copy_payload(value)
+            if san is not None:
+                value = (san.collective_token(rank, self.context, seq,
+                                              routine), value)
+            vals = coll.tree_allgather(
+                world, coll.coll_context(self.context), rank, self.size,
+                seq << 1, value, op=routine)
+            if san is not None:
+                san.collective_check(rank, self.context, seq,
+                                     [v[0] for v in vals])
+                vals = [v[1] for v in vals]
             if self._obs is not None:
                 # All participants share one flow id; the analyzer draws
-                # edges from the last arriver (who unblocked the slot) to
+                # edges from the last arriver (who unblocked the tree) to
                 # every other rank.
                 self._obs.tracer.flow_collective(f"c:{self.context}:{seq}", sp)
         return vals
@@ -345,9 +318,10 @@ class SimComm:
     def _charge_collective(self, routine: str, nbytes: int) -> None:
         """Charge one collective's modeled cost under its routine name.
 
-        The formula follows the selected algorithm family: the default
-        (``collectives=None``) keeps the legacy generic log-tree model
-        bit-for-bit; ``"flat"`` charges the rendezvous its honest
+        The formula is the selected cost family's, and the family picks
+        nothing else (every family moves values by the same tree): the
+        default (``collectives=None``) keeps the legacy generic log-tree
+        model bit-for-bit; ``"flat"`` charges a flat rendezvous's
         linear-in-P cost; ``"hier"`` charges the specific algorithm (the
         ring for allgather, binomial/recursive-doubling trees otherwise).
         Exactly one jitter draw is consumed per collective in every mode,
@@ -374,18 +348,16 @@ class SimComm:
         """Broadcast ``obj`` from ``root``; every rank returns the value."""
         self._check_root(root)
         result = self._collective(
-            "MPI_Bcast", obj if self.rank == root else None, root)[root]
+            "MPI_Bcast", obj if self.rank == root else None)[root]
         self._charge_collective("MPI_Bcast", payload_nbytes(result))
-        # Rendezvous readers all hold the root's one deposit: a copy each.
-        return obj if self.rank == root else copy_payload(result)
+        return obj if self.rank == root else result
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         """Gather one value per rank at ``root`` (None elsewhere)."""
         self._check_root(root)
-        vals = self._collective("MPI_Gather", obj, root)
+        vals = self._collective("MPI_Gather", obj)
         self._charge_collective("MPI_Gather", payload_nbytes(obj))
-        return ([vals[r] for r in range(self.size)]
-                if self.rank == root else None)
+        return vals if self.rank == root else None
 
     def allgather(self, obj: Any) -> list[Any]:
         """Gather one value per rank, everywhere."""
@@ -396,14 +368,10 @@ class SimComm:
     def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
         """Scatter a length-P sequence from ``root``; each rank gets one item."""
         self._check_root(root)
-        items = None
-        if self.rank == root:
-            if objs is None or len(objs) != self.size:
-                raise ValueError(f"scatter at root needs a length-{self.size} sequence")
-            # One copy per destination: copying the sequence as one value
-            # would hand ``[a, a]`` to two ranks as one object.
-            items = [copy_payload(o) for o in objs]
-        item = self._collective("MPI_Scatter", items)[root][self.rank]
+        if self.rank == root and (objs is None or len(objs) != self.size):
+            raise ValueError(f"scatter at root needs a length-{self.size} sequence")
+        item = self._collective(
+            "MPI_Scatter", objs if self.rank == root else None)[root][self.rank]
         self._charge_collective("MPI_Scatter", payload_nbytes(item))
         return item
 
@@ -411,14 +379,14 @@ class SimComm:
         """Each rank sends item j to rank j; returns the column addressed to it."""
         if len(objs) != self.size:
             raise ValueError(f"alltoall needs a length-{self.size} sequence")
-        vals = self._collective("MPI_Alltoall", [copy_payload(o) for o in objs])
+        vals = self._collective("MPI_Alltoall", objs)
         self._charge_collective("MPI_Alltoall", sum(payload_nbytes(o) for o in objs))
         return [vals[src][self.rank] for src in range(self.size)]
 
     def _reduce_values(self, vals: Any, op: str | Callable[[Any, Any], Any],
                        n: int) -> Any:
-        """Combine ``vals[0] .. vals[n-1]`` in rank order, whatever moved
-        them, so every family associates floating point alike."""
+        """Combine ``vals[0] .. vals[n-1]`` in rank order, so every rank
+        and every family associates floating point alike."""
         fn = _OPS[op] if isinstance(op, str) else op
         acc = vals[0]
         for r in range(1, n):
@@ -429,7 +397,7 @@ class SimComm:
                root: int = 0) -> Any | None:
         """Reduce to ``root`` (None elsewhere)."""
         self._check_root(root)
-        vals = self._collective("MPI_Reduce", obj, root)
+        vals = self._collective("MPI_Reduce", obj)
         self._charge_collective("MPI_Reduce", payload_nbytes(obj))
         return (self._reduce_values(vals, op, self.size)
                 if self.rank == root else None)

@@ -26,15 +26,12 @@ has no unsent frame by construction.  A ``stop`` frame (end-of-job
 marker a worker writes into its *own* ring after the final barrier)
 releases the receiver thread.
 
-Collectives: the rendezvous-slot exchange of the thread world cannot span
-processes, so :meth:`ShmWorld.exchange` reuses the tree machinery of
-:mod:`repro.mpi.collectives` (binomial gather + broadcast over transport
-frames).  Sanitizer tokens piggyback through the exchanged values exactly
-as on the thread backend.  The tree's hops are transport receives bounded
-by the one hard deadline, which they report as the simulator's plain
-timeout even under a resilience policy (documented limitation).  Injected
-drops need nothing of their own: a drop travels as a frame whose record
-kind is its fate and lands in the destination's mailbox at its seq.
+Collectives need nothing of their own: on every backend they move by
+:func:`~repro.mpi.collectives.tree_allgather` over the mailbox, so here
+their hops are frames like any other, and their deadline, deadlock
+reports and sanitizer tokens are the base class's.  Injected drops need
+nothing of their own either: a drop travels as a frame whose record kind
+is its fate and lands in the destination's mailbox at its seq.
 
 Failure handling: any rank's exception raises the shared abort flag and
 rings both doorbells of every ring, so each blocked ring read or write
@@ -89,10 +86,6 @@ class SharedSanitizer(Sanitizer):
     def notify_progress(self, rank: int) -> None:
         if self._table is not None:
             self._table.bump(rank)
-
-    def notify_progress_all(self) -> None:
-        if self._table is not None:
-            self._table.bump_all()
 
     def enter_wait(self, rank, op, detail, waits_on) -> None:
         if self._table is not None:
@@ -162,19 +155,18 @@ class SharedSanitizer(Sanitizer):
 class ShmWorld(SimWorld):
     """A :class:`SimWorld` whose remote ranks live in other processes.
 
-    Exactly four behaviours change relative to the base class:
+    Exactly three behaviours change relative to the base class:
 
     * :meth:`deliver` writes an envelope addressed to a remote rank
-      (injected drops included) into the destination's ring, one frame
-      per envelope, before it returns;
-    * :meth:`exchange` replaces the shared-slot rendezvous with tree
-      transport;
+      (injected drops included, collective hops alike) into the
+      destination's ring, one frame per envelope, before it returns;
     * :meth:`abort` raises the cross-process abort flag and rings every
       ring's doorbells;
     * the sanitizer (when on) is the shared-wait-table variant.
 
-    Everything else — matching, dedup, recovery, accounting, RNG
-    streams — is the base class operating on this process's local state.
+    Everything else — matching, dedup, recovery, the wait engine,
+    accounting, RNG streams — is the base class operating on this
+    process's local state.
     """
 
     def __init__(self, spec: JobSpec, myrank: int, rings: list[ShmRing],
@@ -210,14 +202,6 @@ class ShmWorld(SimWorld):
             self._check_abort()
             raise
         self._tx_frames += 1
-
-    # --------------------------------------------------------- collectives
-    def exchange(self, context: str, seq: int, rank: int, value: Any,
-                 routine: str = "MPI_Exchange") -> list[Any]:
-        ctx = "__xchg__:" + context
-        # Stride 4: tree_allgather consumes two tags per call.
-        return coll.tree_allgather(
-            self, ctx, self.myrank, self.nranks, seq * 4, value)
 
     # -------------------------------------------------------------- abort
     def abort(self, reason: str) -> None:
@@ -310,7 +294,8 @@ def _worker_main(rank: int, spec: JobSpec, rings: list[ShmRing],
         # Final barrier: after it, no peer will write to our ring again
         # (every pre-barrier send completed before its sender entered),
         # so the receiver can be stopped and the mailboxes are complete.
-        coll.tree_allgather(world, _FINAL_CONTEXT, rank, spec.nranks, 0, None)
+        coll.tree_allgather(world, _FINAL_CONTEXT, rank, spec.nranks, 0, None,
+                            op="MPI_Finalize")
         world.shutdown_receiver()
         world.discard_trailing_duplicates(rank)
         world.export_transport_metrics()

@@ -345,12 +345,6 @@ class ShmWaitTable(ShmSegment):
             gen, active, wait_gen, mask, op, detail = self._unpack(rank)
             self._pack(rank, gen + 1, active, wait_gen, mask, op, detail)
 
-    def bump_all(self) -> None:
-        with self._lock:
-            for r in range(self.nranks):
-                gen, active, wait_gen, mask, op, detail = self._unpack(r)
-                self._pack(r, gen + 1, active, wait_gen, mask, op, detail)
-
     def enter_wait(self, rank: int, op: str, detail: str,
                    waits_on: frozenset[int]) -> None:
         mask = 0

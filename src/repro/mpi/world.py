@@ -2,10 +2,11 @@
 
 A :class:`SimWorld` holds, for a job of P ranks:
 
-* per-rank mailboxes (point-to-point message queues) with condition
-  variables for blocking receives,
-* a slot table implementing the collective exchange primitive on which all
-  collectives (barrier/bcast/reduce/allgather/...) are built,
+* per-rank mailboxes (message queues) with condition variables, and the
+  one wait engine a rank blocks in (:meth:`SimWorld.wait_recvs`): every
+  blocking receive, probe and wait, and every collective, whose values
+  move by :func:`~repro.mpi.collectives.tree_allgather` over the same
+  mailboxes,
 * per-rank :class:`~repro.mpi.accounting.MPIAccounting` ledgers and jitter
   RNG streams,
 * an abort flag so that when one rank fails, ranks blocked in communication
@@ -23,12 +24,13 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.analysis.sanitize import Sanitizer
 from repro.faults.policy import CommFailure, ResiliencePolicy, ResilienceStats
 from repro.mpi.accounting import MPIAccounting
 from repro.mpi.backend import JobSpec
+from repro.mpi.collectives import COLL_CONTEXT_PREFIX
 from repro.mpi.message import ANY_SOURCE, LOST, RETRANSMITTED, Envelope
 from repro.obs.runtime import build_obs
 from repro.util.rng import spawn_rngs
@@ -60,18 +62,6 @@ class SimMPIError(RuntimeError):
     """Raised on simulator-level failures (deadlock timeout, abort)."""
 
 
-class _CollectiveSlot:
-    """Rendezvous slot for one collective call instance."""
-
-    __slots__ = ("values", "deposited", "readers", "ready")
-
-    def __init__(self) -> None:
-        self.values: dict[int, Any] = {}
-        self.deposited = 0
-        self.readers = 0
-        self.ready = False
-
-
 class SimWorld:
     """All cross-rank shared state for one simulated job, built from the
     job's one declaration (:class:`~repro.mpi.backend.JobSpec`)."""
@@ -79,8 +69,8 @@ class SimWorld:
     def __init__(self, spec: JobSpec) -> None:
         self.nranks = spec.nranks
         self.network = spec.network
-        #: collective-algorithm family: None (legacy rendezvous model),
-        #: "flat" (rendezvous, honest linear cost), "hier" (tree algorithms)
+        #: collective cost family (``collectives.ALGORITHMS``): picks the
+        #: formula a collective is charged, not how its values move
         self.collectives = spec.collectives
         self.timeout_s = spec.timeout_s
         self.rngs = spawn_rngs(spec.seed, self.nranks)
@@ -97,7 +87,8 @@ class SimWorld:
 
         # Fault injection and recovery (both optional and independent: an
         # injector without a policy reproduces failures un-handled; a
-        # policy without an injector only types a collective's deadline).
+        # policy without an injector only types a collective's deadline,
+        # on every backend: see wait_recvs).
         self.injector = spec.injector
         if self.injector is not None:
             # Fault marks go on each rank's own tracer.
@@ -112,11 +103,6 @@ class SimWorld:
         # The consumed-seq sets receivers deduplicate against, keyed like
         # mailboxes and guarded by the destination's condition.
         self._consumed: dict[tuple[str, int], set[int]] = {}
-
-        # Collectives: one lock/condition for the whole slot table (P is
-        # small; contention is negligible).
-        self._coll_cond = threading.Condition()
-        self._coll_slots: dict[tuple[str, int], _CollectiveSlot] = {}
 
         self._aborted = False
         self._abort_reason: str | None = None
@@ -184,8 +170,6 @@ class SimWorld:
         for cond in self._mail_conds:
             with cond:
                 cond.notify_all()
-        with self._coll_cond:
-            self._coll_cond.notify_all()
 
     def _check_abort(self) -> None:
         if self._aborted:
@@ -242,17 +226,22 @@ class SimWorld:
                    ) -> dict[int, Envelope]:
         """Block ``rank`` until some (or all) of its posted receives match.
 
-        The one place that knows how a rank blocks on its mailbox; every
-        blocking receive, probe, wait and collective transport hop comes
-        through here.  ``wants`` are ``(context, source, tag)`` triples;
-        returns ``{index: envelope}`` in completion order — every want when
+        The one place that knows how a rank blocks; every blocking receive,
+        probe, wait and collective transport hop comes through here.
+        ``wants`` are ``(context, source, tag)`` triples; returns
+        ``{index: envelope}`` in completion order — every want when
         ``want_all``, else at least one.  ``op`` names the blocked routine
-        in deadlock reports.  ``charge`` is the rank's
+        (a collective's, for its hops) in deadlock reports and deadline
+        errors.  ``charge`` is the rank's
         :meth:`~repro.mpi.comm.SimComm.charge`, passed by a caller that
         consumes what it matches (probes and transport hops pass none).
 
         An aborted job raises, and the whole call is capped by the one hard
-        deadline, ``timeout_s`` from entry.  Nothing else here reads the
+        deadline, ``timeout_s`` from entry.  Reaching it is the simulator's
+        plain timeout, except for a collective's hop under a resilience
+        policy: that is a typed :class:`CommFailure`, booked like every
+        other failure (a peer that never joins a collective is a failed
+        communication, not a simulator error).  Nothing else here reads the
         clock: an injected drop under a resilience policy sits in the
         mailbox at its seq, so a matched entry is settled on the evidence
         it carries (:meth:`_settle`) the moment it is popped.  Each sleep
@@ -277,10 +266,17 @@ class SimWorld:
                         return got
                     wait_s = deadline - time.monotonic()
                     if wait_s <= 0.0:
+                        what = f"{op} waiting for {self._describe(pending)}"
+                        if self.policy is not None and any(
+                                c.startswith(COLL_CONTEXT_PREFIX)
+                                for c, _, _ in pending.values()):
+                            self.book(rank, "comm_failure")
+                            raise CommFailure(
+                                f"rank {rank}: {what} incomplete after "
+                                f"{self.timeout_s}s")
                         raise SimMPIError(
                             f"rank {rank} timed out after {self.timeout_s}s in "
-                            f"{op} waiting for {self._describe(pending)} — "
-                            "likely deadlock")
+                            f"{what} — likely deadlock")
                     if san is not None:
                         waits_on: set[int] = set()
                         for _, source, _ in pending.values():
@@ -296,6 +292,14 @@ class SimWorld:
 
     @staticmethod
     def _describe(pending: dict[int, tuple[str, int, int]]) -> str:
+        """What a blocked rank waits for, in the caller's terms: a
+        collective's hop (one want, on its collective's tags ``2*seq`` and
+        ``2*seq+1``) is named by its collective and the user's context."""
+        context, source, tag = next(iter(pending.values()))
+        if context.startswith(COLL_CONTEXT_PREFIX):
+            return (f"(collective #{tag >> 1}, context="
+                    f"{context[len(COLL_CONTEXT_PREFIX):]!r}, "
+                    f"from rank {source})")
         recvs = ", ".join(f"(source={s}, tag={t}, context={c!r})"
                           for c, s, t in pending.values())
         return f"({len(pending)} pending recv(s): {recvs})"
@@ -400,75 +404,3 @@ class SimWorld:
             self.injector.note(rank, mark)
         if self.obs is not None:
             self.obs[rank].metrics.counter(metric, help_, **labels).inc()
-
-    # ---------------------------------------------------------- collective
-    def exchange(self, context: str, seq: int, rank: int, value: Any,
-                 routine: str = "MPI_Exchange") -> list[Any]:
-        """All-to-all rendezvous: every rank deposits, all read all values.
-
-        ``seq`` is the per-communicator collective call counter; because MPI
-        requires all ranks to issue collectives in the same order, equal
-        ``(context, seq)`` identifies the same logical collective on every
-        rank.  Returns values ordered by rank.  The last reader frees the
-        slot so the table stays bounded.  ``routine`` is diagnostic only
-        (deadlock reports name the blocked operation).
-
-        The wait is capped by the one hard deadline, ``timeout_s`` from
-        entry.  Reaching it under a resilience policy is a typed
-        :class:`~repro.faults.policy.CommFailure` (booked like every
-        other failure), without one the simulator's plain timeout.
-        """
-        key = (context, seq)
-        deadline = time.monotonic() + self.timeout_s
-        san = self.sanitizer
-        try:
-            with self._coll_cond:
-                slot = self._coll_slots.get(key)
-                if slot is None:
-                    slot = _CollectiveSlot()
-                    self._coll_slots[key] = slot
-                if rank in slot.values:
-                    raise SimMPIError(
-                        f"rank {rank} deposited twice into collective {key}; "
-                        "collectives must be called in the same order on all ranks"
-                    )
-                slot.values[rank] = value
-                slot.deposited += 1
-                if self.sanitizer is not None:
-                    # A deposit can unblock any waiter: registered waits on
-                    # this rank are stale until re-checked.
-                    self.sanitizer.notify_progress_all()
-                if slot.deposited == self.nranks:
-                    slot.ready = True
-                    self._coll_cond.notify_all()
-                while not slot.ready:
-                    self._check_abort()
-                    wait_s = deadline - time.monotonic()
-                    if wait_s <= 0.0:
-                        arrived = f"{slot.deposited}/{self.nranks} ranks arrived"
-                        if self.policy is None:
-                            raise SimMPIError(
-                                f"rank {rank} timed out in collective {key}: "
-                                f"only {arrived} — likely mismatched "
-                                "collective calls")
-                        self.book(rank, "comm_failure")
-                        raise CommFailure(
-                            f"rank {rank}: collective {key} incomplete after "
-                            f"{self.timeout_s}s ({arrived})")
-                    if san is not None:
-                        missing = set(range(self.nranks)) - set(slot.values)
-                        san.enter_wait(
-                            rank, routine,
-                            f"(collective #{seq}, context={context!r}, "
-                            f"waiting on ranks {sorted(missing)})", missing)
-                        san.check_deadlock(rank)
-                        wait_s = min(wait_s, san.config.deadlock_poll_s)
-                    self._park(rank, self._coll_cond, wait_s)
-                result = [slot.values[r] for r in range(self.nranks)]
-                slot.readers += 1
-                if slot.readers == self.nranks:
-                    del self._coll_slots[key]
-                return result
-        finally:
-            if san is not None:
-                san.exit_wait(rank)

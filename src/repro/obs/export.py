@@ -157,7 +157,7 @@ def chrome_trace_from_spans(spans: Sequence[Span],
     Perfetto flow events: each matched p2p pair is an ``"s"``(send span)
     → ``"f"``(recv span) arrow, and each collective draws arrows from the
     last-arriving participant (the rank whose arrival unblocked the
-    rendezvous) to every other participant.  Events are sorted so
+    collective) to every other participant.  Events are sorted so
     timestamps are globally monotone and same-timestamp events close
     inner-before-outer and open outer-before-inner, keeping every
     track's B/E stream balanced.

@@ -47,7 +47,7 @@ CAT_FAULT = "fault"  # fault-injector marks (instants; not work)
 #: flow-point kinds
 FLOW_OUT = "out"    # source endpoint of a p2p edge (the send span)
 FLOW_IN = "in"      # sink endpoint of a p2p edge (the receive span)
-FLOW_COLL = "coll"  # one participant of a collective rendezvous
+FLOW_COLL = "coll"  # one participant of a collective
 
 #: ``span_id`` of a span no tracer kept (not yet opened, or a frame that
 #: was untraced, suppressed or sampled out)

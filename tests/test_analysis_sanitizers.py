@@ -91,10 +91,9 @@ def test_healthy_pingpong_is_clean():
 
 # ------------------------------------------------- collective order checking
 #: Every collective family runs the order check through the one
-#: ``SimComm._collective`` body: piggybacked through the rendezvous (None,
-#: "flat") or as a token round before the tree movement ("hier").  The
-#: family is a loop variable, not a pytest parameter, so the tests keep
-#: their names.
+#: ``SimComm._collective`` body: the token rides inside the value the
+#: collective's tree moves, whatever the family.  The family is a loop
+#: variable, not a pytest parameter, so the tests keep their names.
 FAMILIES = (None, "flat", "hier")
 
 
@@ -106,8 +105,8 @@ def test_mismatched_collectives_are_reported_by_name():
             comm.allreduce(comm.rank)
 
     for family in FAMILIES:
-        # A mismatch that got past the token round would run two different
-        # trees against each other and hang to the deadline: keep it short.
+        # A mismatch the token check missed would leave the ranks waiting
+        # on each other to the deadline: keep it short.
         with pytest.raises(RankFailure) as exc:
             _runner(2, collectives=family, timeout_s=5.0).run(fn)
         text = str(exc.value)
@@ -129,7 +128,7 @@ def test_collective_drift_after_divergent_branch():
     with pytest.raises(RankFailure) as exc:
         _runner(2).run(fn)
     text = str(exc.value)
-    # Rank 0's barrier #0 rendezvouses with rank 1's allreduce #0.
+    # Rank 0's barrier #0 meets rank 1's allreduce #0 in one tree.
     assert "MPI_Barrier" in text and "MPI_Allreduce" in text
 
 

@@ -360,14 +360,26 @@ def test_collectives_complete_under_policy():
 
 def test_collective_abandonment_raises_comm_failure():
     """A rank that never joins a collective: under a policy the others
-    fail at the hard deadline with a typed failure."""
+    fail at the one hard deadline with a typed, booked failure, on every
+    backend, while a point-to-point receive's deadline stays the plain
+    timeout.  Both ranks catch their failure, so an mp-shm job still meets
+    in its final barrier and reports what each rank booked."""
     def fn(comm):
-        if comm.rank == 0:
-            return "defected"
-        return comm.allreduce(1)
+        world = comm.world
+        if comm.rank == 0:  # ra: noqa[RA009] — the peer abandons the collective on purpose
+            with pytest.raises(SimMPIError, match="timed out after 0.5s"):
+                comm.recv(source=1, tag=7)
+        else:
+            with pytest.raises(CommFailure, match=(
+                    r"MPI_Allreduce waiting for \(collective #0, "
+                    r"context='world', from rank 0\) incomplete after 0.5s")):
+                comm.allreduce(1)
+        return (world.resilience[comm.rank].failures,
+                world.injector.counts[comm.rank].get("mpi.failure", 0))
 
-    with pytest.raises(RankFailure, match="CommFailure"):
-        run_with(FaultPlan(), fn, timeout_s=0.5)
+    for backend in BACKENDS:  # one test id, kept across both backends
+        results, _ = run_with(FaultPlan(), fn, timeout_s=0.5, backend=backend)
+        assert results == [(0, 0), (1, 1)], backend
 
 
 def test_collective_retry_rounds_reach_observability():

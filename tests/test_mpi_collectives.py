@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.mpi import NetworkModel, ParallelRunner
+from repro.analysis import SanitizerConfig
+from repro.mpi import NetworkModel, ParallelRunner, RankFailure, SimMPIError
+from repro.mpi.collectives import COLL_CONTEXT_PREFIX
 from repro.mpi.network import LOOPBACK
 
 
@@ -247,3 +249,108 @@ def test_every_collective_under_every_family(family, nranks):
             assert calls == 1, routine
             assert total_us == pytest.approx(
                 _modeled_us(family, routine, nbytes[routine], p)), routine
+
+
+# ------------------------------------------------------- value semantics
+BACKENDS = ["thread", "mp-shm"]
+FAMILIES = [None, "flat", "hier"]
+
+
+def _leaves(obj):
+    """The objects a collective handed back (None contributes none)."""
+    if obj is None:
+        return []
+    return [leaf for item in obj for leaf in _leaves(item)] \
+        if isinstance(obj, list) else [obj]
+
+
+def _every_collective(comm):
+    """Run each value-moving collective once on 3 ranks; returns, per
+    routine, the result and whether any of its objects is the caller's own
+    argument.  Sequences share one object on purpose: a copy of ``[a, a]``
+    must still hand two ranks two objects."""
+    r = comm.rank
+    x = np.full(2, float(r))
+    shared = np.full(2, 10.0 + r)
+    calls = {
+        "allgather": ([x], lambda: comm.allgather(x)),
+        "bcast": ([x], lambda: comm.bcast(x, root=1)),
+        "gather": ([x], lambda: comm.gather(x, root=1)),
+        "scatter": ([shared], lambda: comm.scatter(
+            [shared] * comm.size if r == 1 else None, root=1)),
+        "alltoall": ([shared], lambda: comm.alltoall([shared] * comm.size)),
+        "reduce": ([x], lambda: comm.reduce(x, root=1)),
+        "allreduce": ([x], lambda: comm.allreduce(x)),
+        "scan": ([x], lambda: comm.scan(x)),
+    }
+    out = {}
+    for name, (args, call) in calls.items():
+        result = call()
+        out[name] = (result, any(leaf is arg for leaf in _leaves(result)
+                                 for arg in args))
+    return out
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_no_result_aliases_an_argument_or_a_peer(family, backend):
+    results = run(3, _every_collective, backend=backend, collectives=family)
+    for r, out in enumerate(results):
+        for name, (_, is_argument) in out.items():
+            # MPI's one exception: the bcast root keeps its own buffer.
+            assert is_argument == (name == "bcast" and r == 1), (r, name)
+    if backend == "thread":  # the results are the ranks' own objects
+        for name in results[0]:
+            ids = [id(leaf) for out in results
+                   for leaf in _leaves(out[name][0])]
+            assert len(ids) == len(set(ids)), name
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_write_to_a_gathered_value_stays_on_its_rank(family, backend):
+    def job(comm):
+        got = comm.allgather(np.full(2, float(comm.rank)))
+        comm.barrier()
+        if comm.rank == 0:
+            got[2][:] = -1.0
+        comm.barrier()
+        return got[2].tolist()
+
+    assert run(3, job, backend=backend, collectives=family) == [
+        [-1.0, -1.0], [2.0, 2.0], [2.0, 2.0]]
+
+
+# ---------------------------------------------------------------- reports
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_deadlock_report_names_the_collective(backend):
+    def job(comm):
+        if comm.rank == 0:  # ra: noqa[RA009] — a deadlock on purpose
+            comm.recv(source=1, tag=9)
+        else:
+            comm.allreduce(1)
+
+    with pytest.raises(RankFailure) as exc:
+        run(2, job, backend=backend, sanitize=SanitizerConfig())
+    text = str(exc.value)
+    assert "DeadlockError" in text
+    assert ("rank 1 blocked in MPI_Allreduce (collective #0, "
+            "context='world', from rank 0)") in text
+    assert COLL_CONTEXT_PREFIX not in text
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_deadline_names_the_collective(backend):
+    def job(comm):
+        with pytest.raises(SimMPIError) as exc:
+            if comm.rank == 0:  # ra: noqa[RA009] — a deadline on purpose
+                comm.recv(source=1, tag=9)
+            else:
+                comm.allreduce(1)
+        return str(exc.value)
+
+    texts = ParallelRunner(2, backend=backend, network=LOOPBACK,
+                           timeout_s=0.5).run(job)
+    assert ("rank 1 timed out after 0.5s in MPI_Allreduce waiting for "
+            "(collective #0, context='world', from rank 0)") in texts[1]
+    assert "(source=1, tag=9, context='world')" in texts[0]

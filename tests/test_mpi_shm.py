@@ -208,9 +208,6 @@ class TestShmWaitTable:
             table.bump(0)
             waits, gens = table.snapshot()
             assert waits[0][3] != gens[0]  # wait is stale: progress happened
-            table.bump_all()
-            _, gens2 = table.snapshot()
-            assert gens2 == [g + 1 for g in gens]
         finally:
             table.close()
             table.unlink()

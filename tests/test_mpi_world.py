@@ -2,9 +2,10 @@
 
 import threading
 
+import numpy as np
 import pytest
 
-from repro.mpi import JobSpec, SimComm, SimMPIError, SimWorld
+from repro.mpi import JobSpec, ParallelRunner, SimComm, SimMPIError, SimWorld
 from repro.mpi.message import Envelope
 from repro.mpi.network import LOOPBACK
 
@@ -13,26 +14,52 @@ def make_world(nranks=2, timeout_s=2.0):
     return SimWorld(JobSpec(nranks, network=LOOPBACK, timeout_s=timeout_s))
 
 
+@pytest.fixture
+def parked(monkeypatch):
+    """Set the first time a rank parks on the world: the announce bit that
+    orders an abort after the rank it must wake is asleep."""
+    event = threading.Event()
+    park = SimWorld._park
+
+    def announcing_park(self, rank, cond, wait_s):
+        event.set()
+        park(self, rank, cond, wait_s)
+
+    monkeypatch.setattr(SimWorld, "_park", announcing_park)
+    return event
+
+
+def _abort_wakes(parked, blocking):
+    """Park rank 0 in ``blocking(comm)``, abort, and return what it raised.
+
+    The abort takes the parked rank's condition to notify it, which the
+    rank releases only inside its wait, so the wake-up cannot be lost."""
+    world = make_world(timeout_s=30.0)
+    comm = SimComm(world, 0)
+    errors = []
+
+    def blocked():
+        try:
+            blocking(comm)
+        except SimMPIError as exc:
+            errors.append(str(exc))
+
+    t = threading.Thread(target=blocked, daemon=True)
+    t.start()
+    assert parked.wait(timeout=5.0)
+    world.abort("test abort")
+    t.join(timeout=5.0)
+    assert not t.is_alive()
+    return errors
+
+
 class TestAbort:
-    def test_abort_wakes_blocked_receiver(self):
-        world = make_world(timeout_s=30.0)
-        comm = SimComm(world, 0)
-        errors = []
+    def test_abort_wakes_blocked_receiver(self, parked):
+        errors = _abort_wakes(parked, lambda comm: comm.recv(source=1))
+        assert errors and "aborted" in errors[0]
 
-        def blocked():
-            try:
-                comm.recv(source=1)
-            except SimMPIError as exc:
-                errors.append(str(exc))
-
-        t = threading.Thread(target=blocked, daemon=True)
-        t.start()
-        import time
-
-        time.sleep(0.05)
-        world.abort("test abort")
-        t.join(timeout=5.0)
-        assert not t.is_alive()
+    def test_abort_wakes_rank_parked_in_collective(self, parked):
+        errors = _abort_wakes(parked, lambda comm: comm.allreduce(1))
         assert errors and "aborted" in errors[0]
 
     def test_operations_after_abort_raise(self):
@@ -71,45 +98,25 @@ class TestMailbox:
 
 
 class TestCollectiveSlots:
-    def test_double_deposit_detected(self):
-        import time
+    """A collective's slots are its two tags in the mailbox's transport
+    context: every hop addressed to a rank is consumed inside the
+    collective, so nothing stays behind."""
 
-        world = make_world(timeout_s=5.0)
-        # Rank 0 deposits into slot seq=0 on a thread (blocks waiting for
-        # rank 1); a second rank-0 deposit into the same slot is the sign
-        # of mismatched collective ordering and must be rejected.
-        t = threading.Thread(
-            target=lambda: world.exchange("world", 0, 0, "first"), daemon=True
-        )
-        t.start()
-        time.sleep(0.05)
-        with pytest.raises(SimMPIError, match="deposited twice"):
-            world.exchange("world", 0, 0, "second")
-        # release the blocked thread by completing the collective
-        world.exchange("world", 0, 1, "peer")
-        t.join(timeout=5.0)
-        assert not t.is_alive()
+    @pytest.mark.parametrize("backend", ["thread", "mp-shm"])
+    def test_no_envelope_left_after_mixed_collectives(self, backend):
+        def fn(comm):
+            for k in range(4):
+                comm.barrier()
+                comm.bcast(np.full(2, float(k)), root=k % comm.size)
+                comm.allreduce(np.ones(2))
+                comm.allgather([comm.rank, k])
+                comm.scatter(list(range(comm.size))
+                             if comm.rank == 1 else None, root=1)
+            return comm.world.leftover_envelopes(comm.rank)
 
-    def test_slot_freed_after_all_read(self):
-        world = make_world()
-        results = {}
-
-        def participant(rank):
-            results[rank] = world.exchange("world", 0, rank, rank * 10)
-
-        threads = [threading.Thread(target=participant, args=(r,), daemon=True)
-                   for r in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=5.0)
-        assert results == {0: [0, 10], 1: [0, 10]}
-        assert world._coll_slots == {}
-
-    def test_collective_timeout_reports_arrivals(self):
-        world = make_world(timeout_s=0.3)
-        with pytest.raises(SimMPIError, match="1/2 ranks arrived"):
-            world.exchange("world", 0, 0, None)
+        # 4 rounds x 5 collectives = 20
+        assert ParallelRunner(3, backend=backend, timeout_s=20.0).run(fn) \
+            == [[], [], []]
 
     def test_validation(self):
         with pytest.raises(ValueError):
