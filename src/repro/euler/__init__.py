@@ -28,7 +28,6 @@ from repro.euler.eos import (
 )
 from repro.euler.ports import StatesPort, FluxPort, MeshPort, IntegratorPort, DriverParams
 from repro.euler.states import StatesComponent, StatesKernel
-from repro.euler.efm import EFMFluxComponent, EFMKernel
 from repro.euler.godunov import GodunovFluxComponent, GodunovKernel
 from repro.euler.inviscid import InviscidFluxComponent
 from repro.euler.rk2 import RK2Component
@@ -66,3 +65,13 @@ __all__ = [
     "SOD_LEFT",
     "SOD_RIGHT",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: EFM's module imports scipy, which a run that never names
+    # the EFM flux should not load.
+    if name in ("EFMFluxComponent", "EFMKernel"):
+        from repro.euler import efm
+
+        return getattr(efm, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

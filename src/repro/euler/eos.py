@@ -61,7 +61,29 @@ def flux_x(W: np.ndarray, gamma: float = GAMMA_DEFAULT) -> np.ndarray:
 
 
 def max_wavespeed(U: np.ndarray, gamma: float = GAMMA_DEFAULT) -> float:
-    """``max(|u|+c, |v|+c)`` over the stack — the CFL signal speed."""
-    W = primitive_from_conserved(U, gamma)
-    c = sound_speed(W[0], W[3], gamma)
-    return float(np.maximum(np.abs(W[1]) + c, np.abs(W[2]) + c).max())
+    """``max(|u|+c, |v|+c)`` over the stack — the CFL signal speed.
+
+    The per-element arithmetic of :func:`primitive_from_conserved` and
+    :func:`sound_speed`, in three block-sized temporaries; their repeated
+    floors are idempotent and left out, so the result is bitwise equal.
+    """
+    rho = np.maximum(U[0], RHO_FLOOR)
+    c = np.square(U[1])
+    a = np.square(U[2])
+    c += a
+    c *= 0.5
+    c /= rho  # kinetic energy
+    np.subtract(U[3], c, out=c)
+    c *= gamma - 1.0
+    np.maximum(c, P_FLOOR, out=c)  # pressure
+    c *= gamma
+    c /= rho
+    np.sqrt(c, out=c)
+    np.divide(U[1], rho, out=a)
+    np.abs(a, out=a)
+    a += c
+    np.divide(U[2], rho, out=rho)
+    np.abs(rho, out=rho)
+    rho += c
+    np.maximum(a, rho, out=a)
+    return float(a.max())

@@ -81,15 +81,11 @@ class InviscidFluxComponent(Component, RhsPort):
         states: StatesPort = self._port(self.STATES_USES)
         flux: FluxPort = self._port(self.FLUX_USES)
 
-        # X sweep: sequential access mode.
+        # X sweep: sequential access mode.  Its half of dU is finished
+        # and its arrays dropped before the y sweep allocates its own.
         WLx, WRx = states.compute(U, "x")
         Fx = flux.compute(WLx, WRx, "x")  # (4, Ni-2g, nfx)
         self._capture_iter_counts(flux, "x")
-        # Y sweep: strided access mode.
-        WLy, WRy = states.compute(U, "y")
-        Fy = flux.compute(WLy, WRy, "y")  # (4, nfy, Nj-2g)
-        self._capture_iter_counts(flux, "y")
-
         _, ni, nj = Fx.shape
         nj -= 1
         if self._dU.size < 4 * ni * nj:
@@ -98,6 +94,11 @@ class InviscidFluxComponent(Component, RhsPort):
         np.subtract(Fx[:, :, 1:], Fx[:, :, :-1], out=dU)
         np.negative(dU, out=dU)
         dU /= dx
+        del WLx, WRx, Fx
+        # Y sweep: strided access mode.
+        WLy, WRy = states.compute(U, "y")
+        Fy = flux.compute(WLy, WRy, "y")  # (4, nfy, Nj-2g)
+        self._capture_iter_counts(flux, "y")
         ws = self._workspace
         ws.reserve(ni * nj)
         for lines, along in sweep_tiles(ni, nj):

@@ -8,19 +8,18 @@ plus the PMM infrastructure — TauMeasurement, Mastermind and three proxies
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.cca.framework import Framework
 from repro.cca.scmd import ScmdResult, run_scmd
-from repro.euler.efm import EFMFluxComponent
 from repro.faults.checkpoint import (CheckpointConfig, Checkpointer,
                                      hierarchy_state, latest_step,
                                      load_rank_state)
 from repro.faults.injector import SimulatedCrash
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import ResiliencePolicy
-from repro.euler.godunov import GodunovFluxComponent
 from repro.euler.inviscid import InviscidFluxComponent
 from repro.euler.mesh_component import AMRMeshComponent
 from repro.euler.ports import DriverParams
@@ -32,7 +31,24 @@ from repro.perf.mastermind import Mastermind
 from repro.perf.proxy import insert_proxy
 from repro.tau.component import TauMeasurementComponent
 
-FLUX_CLASSES = {"efm": EFMFluxComponent, "godunov": GodunovFluxComponent}
+#: flux name -> (module, class).  A flux's module is imported only by
+#: :func:`flux_class`, so a run loads the flux its config names and no
+#: other (EFM's module brings scipy with it).
+FLUX_MODULES = {
+    "efm": ("repro.euler.efm", "EFMFluxComponent"),
+    "godunov": ("repro.euler.godunov", "GodunovFluxComponent"),
+}
+
+
+def flux_class(name: str) -> type:
+    """The flux component class named ``name``, importing its module."""
+    try:
+        module, cls = FLUX_MODULES[name]
+    except KeyError:
+        raise ValueError(
+            f"flux must be one of {sorted(FLUX_MODULES)}, got {name!r}"
+        ) from None
+    return getattr(importlib.import_module(module), cls)
 
 #: proxy labels following the paper's profile (Figure 3): sc_proxy wraps
 #: States, g_proxy wraps the flux component, amr_proxy wraps AMRMesh.
@@ -84,6 +100,12 @@ class CaseStudyConfig:
     #: collective cost family (None legacy, "flat", "hier")
     collectives: str | None = None
 
+    def __post_init__(self) -> None:
+        # Resolved here, in the process that builds the config: a bad
+        # name fails before launch, and the flux's module is loaded
+        # before any rank starts, so forked ranks inherit it.
+        flux_class(self.flux)
+
 
 @dataclass
 class RankHarvest:
@@ -107,14 +129,8 @@ class RankHarvest:
 
 def compose_case_study(fw: Framework, config: CaseStudyConfig) -> None:
     """Create and wire the full application inside one rank's framework."""
-    try:
-        flux_cls = FLUX_CLASSES[config.flux]
-    except KeyError:
-        raise ValueError(
-            f"flux must be one of {sorted(FLUX_CLASSES)}, got {config.flux!r}"
-        ) from None
     fw.create("states", StatesComponent, batch=config.params.batch)
-    fw.create("flux", flux_cls, batch=config.params.batch)
+    fw.create("flux", flux_class(config.flux), batch=config.params.batch)
     fw.create("inviscid", InviscidFluxComponent)
     fw.create("rk2", RK2Component)
     mesh = fw.create("mesh", AMRMeshComponent, params=config.params,

@@ -13,7 +13,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.cca.scmd import MAIN_TIMER, ScmdResult
-from repro.euler.efm import EFMFluxComponent, EFMKernel
 from repro.euler.godunov import GodunovFluxComponent, GodunovKernel
 from repro.euler.states import StatesKernel
 from repro.harness.casestudy import (FLUX_PROXY, MESH_PROXY, STATES_PROXY,
@@ -236,6 +235,8 @@ def fig7_godunov_model(qs=None, nprocs: int = 3, repeats: int = 3,
 def fig8_efm_model(qs=None, nprocs: int = 3, repeats: int = 3,
                    seed: int = 0) -> ModelFigResult:
     """EFMFlux mean/std vs Q with a linear mean fit (Figure 8, Eq. 1)."""
+    from repro.euler.efm import EFMFluxComponent, EFMKernel
+
     return _model_fig(
         "EFMFlux", _flux_invoke(EFMKernel()), qs, nprocs, repeats, seed,
         mean_families=("linear", "power"), quality=EFMFluxComponent.QUALITY,
@@ -360,6 +361,8 @@ def fig10_dual_graph(
     cost, GodunovFlux under a sufficient accuracy weight (the paper's
     Section 5 trade-off).
     """
+    from repro.euler.efm import EFMFluxComponent
+
     config_efm = config_efm or CaseStudyConfig(flux="efm")
     config_godunov = config_godunov or CaseStudyConfig(flux="godunov")
     if config_efm.flux != "efm" or config_godunov.flux != "godunov":

@@ -108,6 +108,7 @@ def test_instrumentation_off_produces_no_extras():
 
 
 def test_invalid_flux_name_rejected():
-    # The ValueError surfaces wrapped in the runner's RankFailure.
-    with pytest.raises(Exception, match="flux must be one of"):
-        run_case_study(CaseStudyConfig(flux="superflux", nranks=1))
+    """The config resolves its flux when built: the caller gets the
+    ValueError itself, before any rank is launched."""
+    with pytest.raises(ValueError, match="flux must be one of .* got 'bogus'"):
+        CaseStudyConfig(flux="bogus")

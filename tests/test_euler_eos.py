@@ -1,5 +1,7 @@
 """Equation of state and flux algebra."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from repro.euler.eos import (conserved_from_primitive, flux_x,
                              max_wavespeed, pressure,
                              primitive_from_conserved, sound_speed)
+from repro.util.rng import make_rng
 
 
 def prim_stacks():
@@ -73,3 +76,51 @@ def test_floors_protect_degenerate_states():
     assert p[0] > 0
     W = primitive_from_conserved(U)
     assert np.isfinite(W).all()
+
+
+def _max_wavespeed_reference(U, gamma=1.4):
+    """The formula through the full primitive stack (the oracle)."""
+    W = primitive_from_conserved(U, gamma)
+    c = sound_speed(W[0], W[3], gamma)
+    return float(np.maximum(np.abs(W[1]) + c, np.abs(W[2]) + c).max())
+
+
+def _seeded_stack(seed, shape=(4, 37, 41)):
+    rng = make_rng(seed)
+    W = np.stack([rng.uniform(0.05, 50.0, shape[1:]),
+                  rng.uniform(-10.0, 10.0, shape[1:]),
+                  rng.uniform(-10.0, 10.0, shape[1:]),
+                  rng.uniform(0.05, 50.0, shape[1:])])
+    return conserved_from_primitive(W)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("gamma", [1.4, 5.0 / 3.0])
+def test_max_wavespeed_bitwise_equals_primitive_formula(seed, gamma):
+    U = _seeded_stack(seed)
+    assert max_wavespeed(U, gamma) == _max_wavespeed_reference(U, gamma)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_max_wavespeed_bitwise_on_floor_level_stacks(seed):
+    """Densities and pressures at and below the floors take the same
+    floored path as the primitive formula."""
+    rng = make_rng(100 + seed)
+    U = _seeded_stack(seed, (4, 16, 16))
+    U[0, ::3] = rng.uniform(-1.0, 1e-10, U[0, ::3].shape)
+    U[0, 1::5] = 1e-10
+    U[3, ::2] = rng.uniform(-5.0, 0.0, U[3, ::2].shape)
+    assert max_wavespeed(U) == _max_wavespeed_reference(U)
+
+
+def test_max_wavespeed_uses_at_most_three_block_temporaries():
+    U = _seeded_stack(0, (4, 260, 260))
+    max_wavespeed(U)  # warm any one-time allocations
+    tracemalloc.start()
+    try:
+        max_wavespeed(U)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = U[0].nbytes
+    assert peak <= 3 * block + 4096, peak / block

@@ -1,13 +1,19 @@
 """InviscidFlux, RK2, ShockDriver: solver-level behaviour."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.cca import Framework
+from repro.cca.component import Component
 from repro.euler import (AMRMeshComponent, DriverParams, EFMFluxComponent,
                          GodunovFluxComponent, InviscidFluxComponent,
                          RK2Component, ShockDriver, StatesComponent)
 from repro.euler.eos import conserved_from_primitive
+from repro.euler.godunov import GodunovKernel
+from repro.euler.ports import FluxPort, StatesPort
+from repro.euler.states import StatesKernel
 from repro.euler.setup import post_shock_state, shock_interface_ic
 
 
@@ -95,6 +101,51 @@ class TestInviscidFlux:
         inviscid = fw.component("inviscid")
         with pytest.raises(ValueError):
             inviscid.flux_divergence(np.ones((4, 8, 8)), 0.0, 0.1)
+
+    def test_x_sweep_arrays_are_dead_before_the_y_sweep(self):
+        """The x sweep's states and flux are dropped before the y sweep
+        allocates its own, so one sweep's arrays are live at a time."""
+        x_refs: list[weakref.ref] = []
+        alive_at_y: list[bool] = []
+
+        class WatchedStates(Component, StatesPort):
+            kernel = StatesKernel()
+
+            def set_services(self, services):
+                services.add_provides_port(self, "states", StatesPort)
+
+            def compute(self, U, mode="x"):
+                if mode == "y":
+                    alive_at_y.extend(r() is not None for r in x_refs)
+                WL, WR = self.kernel.compute(U, mode)
+                if mode == "x":
+                    x_refs.extend([weakref.ref(WL), weakref.ref(WR)])
+                return WL, WR
+
+        class WatchedFlux(Component, FluxPort):
+            kernel = GodunovKernel()
+
+            def set_services(self, services):
+                services.add_provides_port(self, "flux", FluxPort)
+
+            def compute(self, WL, WR, mode="x"):
+                F = self.kernel.compute(WL, WR, mode)
+                if mode == "x":
+                    x_refs.append(weakref.ref(F))
+                return F
+
+        fw = Framework()
+        fw.create("states", WatchedStates)
+        fw.create("flux", WatchedFlux)
+        fw.create("inviscid", InviscidFluxComponent)
+        fw.connect("inviscid", "states", "states", "states")
+        fw.connect("inviscid", "flux", "flux", "flux")
+        W = np.empty((4, 12, 14))
+        W[0], W[1], W[2], W[3] = 1.0, 0.3, -0.2, 2.0
+        fw.component("inviscid").flux_divergence(
+            conserved_from_primitive(W), 0.1, 0.1)
+        assert len(x_refs) == 3
+        assert alive_at_y == [False, False, False]
 
 
 class TestRK2:
