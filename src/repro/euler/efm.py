@@ -138,7 +138,7 @@ class EFMKernel:
         F = np.empty(WL.shape, dtype=np.float64)
         if self.batch:
             ws = self.workspace
-            for _at, wl, wr, f in flux_tiles(WL, WR, F, mode, ws):
+            for _at, wl, wr, f, _runs in flux_tiles(WL, WR, F, mode, ws):
                 rows = ws.floats[IO_ROWS:, : f.shape[1]]
                 _half_flux_into(wl, +1.0, self.gamma, f, rows[:7])
                 _half_flux_into(wr, -1.0, self.gamma, rows[7:], rows[:7])

@@ -1,10 +1,11 @@
 """GodunovFlux: exact-Riemann-solver fluxes.
 
 "a component that involves an internal iterative solution for every
-element of the data array" (paper Section 5).  Each interface solves the
-exact Riemann problem for the 1-D Euler equations (Toro's formulation):
-Newton iteration on the star-region pressure with a two-rarefaction
-initial guess, then sampling of the self-similar solution at x/t = 0.
+element of the data array" (paper Section 5).  Each distinct interface
+solves the exact Riemann problem for the 1-D Euler equations (Toro's
+formulation): Newton iteration on the star-region pressure with a
+two-rarefaction initial guess, then sampling of the self-similar solution
+at x/t = 0.
 
 The iteration count depends on the data, which is why the paper observes
 GodunovFlux's timing variability *growing* with Q (Eq. 2's
@@ -29,7 +30,7 @@ from repro.cca.component import Component
 from repro.cca.services import Services
 from repro.euler.eos import GAMMA_DEFAULT, P_FLOOR, RHO_FLOOR
 from repro.euler.kernels import (IO_ROWS, TileWorkspace, check_mode,
-                                 flux_tiles, out_line, sweep_view)
+                                 flux_tiles, out_line, sweep_view, unsweep)
 from repro.euler.ports import FluxPort
 from repro.tau.hardware import AccessPattern, HardwareCounters
 
@@ -487,7 +488,8 @@ class GodunovKernel:
         #: observable data-dependent work)
         self.total_iterations = 0
         #: per-interface Newton counts of the most recent compute(), in
-        #: patch orientation (same shape as ``F[0]``)
+        #: patch orientation (same shape as ``F[0]``; a transposed view in
+        #: mode "y")
         self.last_iter_counts: np.ndarray | None = None
         self.workspace = TileWorkspace(nfloat=IO_ROWS + _NFLOAT, nbool=_NBOOL,
                                        nint=1)
@@ -517,22 +519,27 @@ class GodunovKernel:
         if WL.shape != WR.shape or WL.ndim != 3 or WL.shape[0] != 4:
             raise ValueError(f"bad state stacks: {WL.shape} vs {WR.shape}")
         F = np.empty(WL.shape, dtype=np.float64)
-        counts = np.empty(WL.shape[1:], dtype=np.int64)
+        # in sweep orientation, so a tile's counts are one contiguous run
+        counts = np.empty(sweep_view(WL, mode).shape[1:], dtype=np.int64)
         if self.batch:
-            tile_counts = sweep_view(counts, mode)
-            for at, wl, wr, f in flux_tiles(WL, WR, F, mode, self.workspace):
-                iters = _star_state_tile(self.workspace, wl, wr, self.gamma)
-                _sample_flux_tile(self.workspace, wl, wr, self.gamma, f)
-                dst = tile_counts[at]
-                dst[...] = iters.reshape(dst.shape)
+            ws = self.workspace
+            for at, wl, wr, f, runs in flux_tiles(WL, WR, F, mode, ws):
+                iters = _star_state_tile(ws, wl, wr, self.gamma)
+                _sample_flux_tile(ws, wl, wr, self.gamma, f)
+                dst = counts[at].reshape(-1)
+                assert np.shares_memory(dst, counts)
+                if runs is None:
+                    dst[...] = iters
+                else:
+                    np.take(ws.ints[0], runs, out=dst, mode="clip")
         else:
-            nlines = WL.shape[1] if mode == "x" else WL.shape[2]
-            for ell in range(nlines):
+            for ell in range(counts.shape[0]):
                 flux, iters = self._flux_states(
                     out_line(WL, mode, ell), out_line(WR, mode, ell)
                 )
                 out_line(F, mode, ell)[...] = flux
-                sweep_view(counts, mode)[ell] = iters
+                counts[ell] = iters
+        counts = unsweep(counts, mode)
         total = int(counts.sum())
         self.total_iterations += total
         self.last_iter_counts = counts

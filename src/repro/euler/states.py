@@ -17,7 +17,7 @@ from repro.cca.component import Component
 from repro.cca.services import Services
 from repro.euler.eos import GAMMA_DEFAULT, P_FLOOR, RHO_FLOOR
 from repro.euler.kernels import (check_mode, get_line, out_array, out_line,
-                                 reconstruct_line, sweep_layout, sweep_view)
+                                 reconstruct_into, sweep_layout, sweep_view)
 from repro.euler.ports import StatesPort
 from repro.tau.hardware import AccessPattern, HardwareCounters
 
@@ -97,9 +97,7 @@ class StatesKernel:
                 np.divide(mt, r, out=W[2])
                 np.maximum(gm1 * (E - 0.5 * (mn * mn + mt * mt) / r), P_FLOOR,
                            out=W[3])
-                wl, wr = reconstruct_line(W, g)
-                WLs[:, i0:i1] = wl
-                WRs[:, i0:i1] = wr
+                reconstruct_into(W, g, WLs[:, i0:i1], WRs[:, i0:i1])
         else:
             n_along = U.shape[2] if mode == "x" else U.shape[1]
             W = np.empty((4, n_along), dtype=np.float64)
@@ -114,9 +112,8 @@ class StatesKernel:
                 np.divide(mn, r, out=W[1])
                 np.divide(mt, r, out=W[2])
                 np.maximum(gm1 * (E - 0.5 * (mn * mn + mt * mt) / r), P_FLOOR, out=W[3])
-                wl, wr = reconstruct_line(W, g)
-                out_line(WL, mode, ell)[...] = wl
-                out_line(WR, mode, ell)[...] = wr
+                reconstruct_into(W, g, out_line(WL, mode, ell),
+                                 out_line(WR, mode, ell))
         if self.counters is not None:
             q = int(U.shape[1] * U.shape[2])
             pattern = AccessPattern.SEQUENTIAL if mode == "x" else AccessPattern.STRIDED

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from repro.euler.eos import conserved_from_primitive
 from repro.euler.kernels import (check_mode, get_line, interface_count,
-                                 minmod, out_array, out_line,
-                                 reconstruct_line, sweep_layout)
+                                 out_array, out_line, reconstruct_line,
+                                 sweep_layout)
 from repro.euler.states import StatesComponent, StatesKernel
 from repro.tau.hardware import HardwareCounters, PAPI_FP_OPS, PAPI_L2_DCM
 
@@ -52,10 +52,16 @@ class TestKernelHelpers:
         assert out_line(b, "y", 2).shape == (4, 9)
 
     def test_minmod_properties(self):
-        assert minmod(np.array(2.0), np.array(3.0)) == 2.0
-        assert minmod(np.array(-2.0), np.array(-1.0)) == -1.0
-        assert minmod(np.array(2.0), np.array(-3.0)) == 0.0
-        assert minmod(np.array(0.0), np.array(5.0)) == 0.0
+        def slope(a, b):
+            """The limited slope of the cell between differences a and b."""
+            w = np.array([0.0, a, a + b, a + b, a + b])
+            wl, _ = reconstruct_line(w, 2)
+            return 2.0 * (wl[0] - a)
+
+        assert slope(2.0, 3.0) == 2.0
+        assert slope(-2.0, -1.0) == -1.0
+        assert slope(2.0, -3.0) == 0.0
+        assert slope(0.0, 5.0) == 0.0
 
     def test_reconstruct_constant_line(self):
         w = np.full(16, 3.5)
@@ -75,6 +81,72 @@ class TestKernelHelpers:
         wl, wr = reconstruct_line(w, 2)
         assert wl.shape == (2, 13)
         assert np.all(wl[1] == 2.0)
+
+
+def _where_reconstruct(w, g):
+    """The reconstruction as it was written before the shared difference:
+    a zeroed slope array and the ``where`` form of the limiter."""
+    a, b = w[..., 1:-1] - w[..., :-2], w[..., 2:] - w[..., 1:-1]
+    slope = np.zeros_like(w)
+    slope[..., 1:-1] = np.where(
+        a * b > 0.0, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
+    nf = interface_count(w.shape[-1], g)
+    return (w[..., g - 1 : g - 1 + nf] + 0.5 * slope[..., g - 1 : g - 1 + nf],
+            w[..., g : g + nf] - 0.5 * slope[..., g : g + nf])
+
+
+#: finite values whose neighbouring differences cannot multiply to an
+#: underflow (see test_a_product_that_underflows_keeps_its_slope), with
+#: signed zeros and repeats drawn often
+LIMITER_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e300, -1e300]),
+    st.floats(-1e6, 1e6).filter(lambda x: x == 0.0 or abs(x) >= 1e-100),
+)
+
+
+class TestSharedDifferenceLimiter:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(values=st.lists(LIMITER_VALUES, min_size=5, max_size=40),
+           g=st.integers(2, 3))
+    def test_bitwise_equal_to_the_where_form_on_finite_data(self, values, g):
+        w = np.asarray(values)
+        if w.size < 2 * g + 1:
+            return
+        with np.errstate(over="ignore", invalid="ignore"):
+            wl, wr = reconstruct_line(w, g)
+            ref_l, ref_r = _where_reconstruct(w, g)
+        assert wl.tobytes() == ref_l.tobytes()
+        assert wr.tobytes() == ref_r.tobytes()
+
+    def test_signed_zero_differences_give_a_positive_zero_slope(self):
+        # -0.0 - +0.0 = -0.0 on the left, +0.0 - -0.0 = +0.0 on the right
+        w = np.array([0.0, -0.0, 0.0, -0.0, 0.0, -0.0])
+        wl, wr = reconstruct_line(w, 2)
+        ref_l, ref_r = _where_reconstruct(w, 2)
+        assert wl.tobytes() == ref_l.tobytes()
+        assert wr.tobytes() == ref_r.tobytes()
+
+    def test_a_product_that_underflows_keeps_its_slope(self):
+        """The one finite difference: ``a * b`` of two tiny differences of
+        one sign rounds to 0, so the ``where`` form flattened the cell."""
+        w = np.array([0.0, 1e-170, 2e-170, 3e-170, 4e-170])
+        wl, _ = reconstruct_line(w, 2)
+        ref_l, _ = _where_reconstruct(w, 2)
+        assert ref_l[0] == w[1]
+        assert wl[0] == w[1] + 0.5e-170
+
+    def test_a_nan_cell_poisons_its_neighbours_states(self):
+        """min/max propagate NaN: the where form limited a NaN neighbour
+        to a flat slope, which hid a broken cell one interface away."""
+        U = uniform_stack()
+        U[0, 6, 8] = np.nan
+        for batch in (True, False):
+            WL, WR = StatesKernel(batch=batch).compute(U, "x")
+            # line 4 (row 6); interface k lies between cells k+1 and k+2
+            bad_l = np.isnan(WL).any(axis=0)
+            bad_r = np.isnan(WR).any(axis=0)
+            assert np.isnan(WL[:, 4, 6:9]).all() and np.isnan(WR[:, 4, 5:8]).all()
+            assert bad_l.sum() == 3 and bad_r.sum() == 3
 
 
 class TestStatesKernel:

@@ -24,11 +24,12 @@ from repro.euler import kernels
 from repro.euler.efm import EFMKernel
 from repro.euler.eos import P_FLOOR, RHO_FLOOR
 from repro.euler.godunov import MAX_ITER, GodunovKernel, solve_star_pressure
-from repro.euler.kernels import (IO_ROWS, TILE, TileWorkspace, flux_tiles,
-                                 sweep_tiles)
+from repro.euler.kernels import (IO_ROWS, RUN_MIN, TILE, TileWorkspace,
+                                 flux_tiles, sweep_tiles)
 from repro.euler.setup import shock_interface_ic
 from repro.euler.states import StatesKernel
 from repro.harness.sweeps import q_grid, synthetic_patch_stack
+from repro.tau.hardware import HardwareCounters
 from repro.util.rng import make_rng
 from .test_godunov_batch import TORO_TESTS
 
@@ -41,14 +42,14 @@ EFM_KINDS = ("smooth", "shock", "transonic")
 
 
 @contextmanager
-def tile_size(n):
-    """Run with another ``kernels.TILE`` (kernels built inside see it)."""
-    old = kernels.TILE
-    kernels.TILE = n
+def tile_size(n, run_min=RUN_MIN):
+    """Run with another ``kernels.TILE`` and ``kernels.RUN_MIN``."""
+    old = kernels.TILE, kernels.RUN_MIN
+    kernels.TILE, kernels.RUN_MIN = n, run_min
     try:
         yield
     finally:
-        kernels.TILE = old
+        kernels.TILE, kernels.RUN_MIN = old
 
 
 def sweep_states(nlines, nf, kind="smooth", seed=0):
@@ -96,22 +97,33 @@ def oriented(W, mode):
     return W if mode == "x" else np.ascontiguousarray(W.transpose(0, 2, 1))
 
 
-def assert_tiled_equals_per_line(name, WL, WR, mode, gamma=1.4):
-    """Batched and per-line results agree bit for bit."""
-    tiled = KERNELS[name](gamma=gamma, batch=True)
-    oracle = KERNELS[name](gamma=gamma, batch=False)
-    assert (tiled.compute(WL, WR, mode).tobytes()
-            == oracle.compute(WL, WR, mode).tobytes())
+def assert_tiled_equals_per_line(name, WL, WR, mode, gamma=1.4,
+                                 key=np.ndarray.tobytes):
+    """Batched and per-line results agree bit for bit, and so do the
+    counters they report (the flops follow Godunov's iteration counts)."""
+    tiled = KERNELS[name](gamma=gamma, counters=HardwareCounters(), batch=True)
+    oracle = KERNELS[name](gamma=gamma, counters=HardwareCounters(),
+                           batch=False)
+    assert (key(tiled.compute(WL, WR, mode))
+            == key(oracle.compute(WL, WR, mode)))
+    assert tiled.counters.read() == oracle.counters.read()
     if name == "godunov":
         assert (tiled.last_iter_counts.tobytes()
                 == oracle.last_iter_counts.tobytes())
         assert tiled.total_iterations == oracle.total_iterations
 
 
-def both_modes(name, WL, WR, gamma=1.4):
+def both_modes(name, WL, WR, gamma=1.4, **kw):
     for mode in ("x", "y"):
         assert_tiled_equals_per_line(name, oriented(WL, mode),
-                                     oriented(WR, mode), mode, gamma)
+                                     oriented(WR, mode), mode, gamma, **kw)
+
+
+def nan_blind(F):
+    """``F``'s bytes with every NaN the same NaN: which NaN a ufunc
+    returns depends on the loop that ran it (a one-element array takes
+    another one), so a NaN's sign bit is not part of the contract."""
+    return np.where(np.isnan(F), np.nan, F).tobytes()
 
 
 # ------------------------------------------------------------- the tile walk
@@ -138,7 +150,7 @@ class TestTileWalk:
                 wl_p, wr_p = oriented(WL, mode), oriented(WR, mode)
                 F = np.empty_like(wl_p)
                 ws = TileWorkspace(nfloat=IO_ROWS)
-                for _at, wl, wr, f in flux_tiles(wl_p, wr_p, F, mode, ws):
+                for _at, wl, wr, f, _runs in flux_tiles(wl_p, wr_p, F, mode, ws):
                     if mode == "x":
                         assert np.shares_memory(wl, wl_p)
                         assert np.shares_memory(f, F)
@@ -242,6 +254,107 @@ class TestGodunovAcrossTileEdges:
         assert left_fans("vacuum") > 1000
 
 
+# ------------------------------------------------- repeated interfaces
+#: the 8 words ``(wl, wr)`` of two Riemann problems of :func:`sweep_states`'
+#: shock kind, one per column, every word apart
+PROBLEMS = np.concatenate([W[:, 0] for W in sweep_states(1, 2, "shock", seed=12)])
+
+
+def striped_states(nlines, nf, run, words=None):
+    """``(WL, WR)`` in sweep orientation whose interfaces, in flat order
+    across lines, come in runs of ``run`` identical problems alternating
+    between two; ``words`` (indices into the 8 words of ``(wl, wr)``)
+    limits where the two differ."""
+    a, b = PROBLEMS[:, 0], PROBLEMS[:, 1].copy()
+    if words is not None:
+        keep = np.setdiff1d(np.arange(8), words)
+        b[keep] = a[keep]
+    W = np.where((np.arange(nlines * nf) // run) % 2 == 0, a[:, None], b[:, None])
+    return W[:4].reshape(4, nlines, nf).copy(), W[4:].reshape(4, nlines, nf).copy()
+
+
+def solved(WL, WR, mode):
+    """How many Riemann problems a flux sweep hands its kernel."""
+    F = np.empty_like(WL)
+    walk = flux_tiles(WL, WR, F, mode, TileWorkspace(nfloat=IO_ROWS))
+    return sum(wl.shape[1] for _at, wl, _wr, _f, _runs in walk)
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+class TestRepeatedInterfaces:
+    """The walk solves one interface per run of bitwise-equal ones."""
+
+    def test_a_uniform_stack_solves_one_problem_per_tile(self, name):
+        WL, WR = striped_states(40, 300, run=40 * 300)
+        tiles = len(list(sweep_tiles(40, 300)))
+        assert tiles == 2
+        for mode in ("x", "y"):
+            assert solved(oriented(WL, mode), oriented(WR, mode), mode) == tiles
+        both_modes(name, WL, WR)
+
+    @pytest.mark.parametrize("nlines,nf,run,tile", [
+        (40, 300, 37, TILE),         # runs across line ends
+        (30, 100, 450, 1000),        # ... and across tile ends
+        (1, 20_000, 1000, TILE),     # one line longer than a tile: chunks
+        (2, 9_000, 700, TILE),       # chunks, and a run across the line end
+    ])
+    def test_runs_across_line_and_tile_ends(self, name, nlines, nf, run, tile):
+        WL, WR = striped_states(nlines, nf, run)
+        with tile_size(tile, run_min=64):   # the short last chunks too
+            tiles = list(sweep_tiles(nlines, nf))
+            for mode in ("x", "y"):
+                # one problem per run, plus one wherever a tile cuts a run
+                k = solved(oriented(WL, mode), oriented(WR, mode), mode)
+                assert -(-nlines * nf // run) <= k < -(-nlines * nf // run) + len(tiles)
+            both_modes(name, WL, WR)
+
+    @pytest.mark.parametrize("word", range(8))
+    def test_a_run_ends_where_any_one_word_changes(self, name, word):
+        WL, WR = striped_states(20, 512, run=256, words=[word])
+        for mode in ("x", "y"):
+            assert solved(oriented(WL, mode), oriented(WR, mode), mode) == 40
+        both_modes(name, WL, WR)
+
+    def test_signed_zeros_are_two_problems(self, name):
+        """``+0.0 == -0.0``, but the sign reaches the tangential momentum
+        flux: a walk that compared with ``==`` would merge them here."""
+        WL, WR = np.empty((2, 4, 30, 200))
+        for i, (left, right) in enumerate(zip((1.0, 0.3, 0.0, 1.0),
+                                              (0.8, 0.3, 0.0, 0.9))):
+            WL[i], WR[i] = left, right
+        # the left tangential velocity flips its sign bit every 600
+        WL[2].reshape(-1)[(np.arange(30 * 200) // 600) % 2 == 1] = -0.0
+        F = KERNELS[name](batch=False).compute(WL, WR, "x")
+        assert F[2, 0, 0].tobytes() != F[2, 3, 0].tobytes()    # runs 0 and 1
+        for mode in ("x", "y"):
+            assert solved(oriented(WL, mode), oriented(WR, mode), mode) == 10
+        both_modes(name, WL, WR)
+
+    def test_nan_runs(self, name):
+        """Equal NaN words repeat like any others; ``-nan`` is another word.
+        The NaNs land where the oracle's do, every other bit is its bit."""
+        WL, WR = striped_states(32, 256, run=32 * 256)    # one tile
+        WL[0, 5:20] = np.nan
+        WR[3, 10:25] = -np.nan
+        for mode in ("x", "y"):
+            assert solved(oriented(WL, mode), oriented(WR, mode), mode) == 5
+        with np.errstate(all="ignore"):
+            both_modes(name, WL, WR, key=nan_blind)
+
+    def test_the_spread_flux_is_the_flux_of_every_interface(self, name):
+        """The walk alone: each member of a run gets its head's flux."""
+        WL, WR = striped_states(24, 340, run=90)
+        with tile_size(3000, run_min=64):
+            for mode in ("x", "y"):
+                wl_p, wr_p = oriented(WL, mode), oriented(WR, mode)
+                F = np.empty_like(wl_p)
+                ws = TileWorkspace(nfloat=IO_ROWS)
+                for _at, wl, wr, f, runs in flux_tiles(wl_p, wr_p, F, mode, ws):
+                    assert runs is not None
+                    np.add(wl, wr, out=f)
+                assert F.tobytes() == (wl_p + wr_p).tobytes()
+
+
 # ----------------------------------------------- reuse of one kernel's rows
 @pytest.mark.parametrize("name", sorted(KERNELS))
 class TestWorkspaceReuse:
@@ -309,6 +422,40 @@ def test_steady_state_compute_allocates_little_beyond_its_results(name):
     if name == "godunov":
         kept += kern.last_iter_counts.nbytes
     assert peak - before - kept < 1_000_000
+
+
+def _uniform_x_sweep_256():
+    W = np.empty((2, 4, 256, 257))
+    for i, (left, right) in enumerate(zip((1.0, 0.3, -0.2, 1.0),
+                                          (0.8, 0.3, -0.2, 0.9))):
+        W[0, i], W[1, i] = left, right
+    return W[0], W[1]
+
+
+@pytest.mark.parametrize("mode", ["x", "y"])
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_steady_state_compute_on_a_uniform_stack_keeps_no_run_scratch(name,
+                                                                      mode):
+    """The compressed walk keeps its run masks and indices in workspace
+    rows: a warm 256x256 uniform sweep needs under 32 kB it does not hand
+    back (one index of a full tile alone is 64 kB)."""
+    WL, WR = (oriented(W, mode) for W in _uniform_x_sweep_256())
+    kern = KERNELS[name]()
+    assert solved(WL, WR, mode) == len(list(sweep_tiles(256, 257)))
+    kern.compute(WL, WR, mode)
+    kern.compute(WL, WR, mode)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        F = kern.compute(WL, WR, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = F.nbytes
+    if name == "godunov":
+        kept += kern.last_iter_counts.nbytes
+    assert peak - before - kept < 32_000
 
 
 def _wired_inviscid():
