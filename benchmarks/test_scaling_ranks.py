@@ -10,9 +10,8 @@ Three benches:
 
 * the paper-scale fixed-size run at P = 1, 2, 3 (the original Figure 3
   shape check);
-* strong- and weak-scaling curves to P = 64 on the thread backend with
-  hierarchical collectives, whose modeled (virtual-microsecond) MPI
-  costs land in the ``BENCH_scaling.json`` trajectory as gated cells —
+* strong- and weak-scaling curves to P = 64 on the thread backend,
+  whose modeled (virtual-microsecond) MPI costs land in the ``BENCH_scaling.json`` trajectory as gated cells —
   deterministic given the seed, so CI can hold them to a tight
   regression tolerance;
 * a thread vs mp-shm backend comparison at P up to 64: same modeled
@@ -53,8 +52,7 @@ def scaled_config(nranks: int, nx: int, backend: str = "thread",
     return CaseStudyConfig(
         params=DriverParams(nx=nx, ny=nx, max_levels=2, steps=steps,
                             regrid_every=2, max_patch_cells=1024),
-        nranks=nranks, seed=0, network=NETWORK, backend=backend,
-        collectives="hier")
+        nranks=nranks, seed=0, network=NETWORK, backend=backend)
 
 
 def mpi_fraction(result) -> float:
@@ -125,11 +123,11 @@ def test_scaling_curves_to_64(benchmark, out_dir):
                          f"{frac:.1%}"))
             record_cell(
                 TRAJECTORY, f"scmd_{label}_p{p}_modeled_mpi_us", us,
-                meta={"ranks": p, "nx": nx, "collectives": "hier",
+                meta={"ranks": p, "nx": nx,
                       "mpi_fraction": round(frac, 4)})
     write_out(out_dir, "scaling_curves.txt", format_table(
         ["curve", "ranks", "grid", "modeled MPI (ms)", "MPI fraction"], rows,
-        title="Strong and weak scaling to 64 ranks (thread backend, hier)",
+        title="Strong and weak scaling to 64 ranks (thread backend)",
     ))
 
     # Fixed problem + more ranks = more boundary traffic: the strong curve

@@ -66,7 +66,6 @@ def run_scmd(
     observe=None,
     sanitize=None,
     backend: str = "thread",
-    collectives: str | None = None,
 ) -> ScmdResult:
     """Run a component application on ``nranks`` simulated processors.
 
@@ -110,12 +109,6 @@ def run_scmd(
         Communicator backend name (:mod:`repro.mpi.backend`): ``"thread"``
         (default) runs ranks as threads, ``"mp-shm"`` as real processes
         over shared-memory rings — same modeled results, real parallelism.
-    collectives:
-        Collective cost family (values move by one tree over the mailbox
-        under every family): None keeps the legacy generic log-tree cost
-        model, ``"flat"`` charges a flat rendezvous's linear-in-P cost,
-        ``"hier"`` the tree algorithms' (binomial/recursive-doubling/ring)
-        modeled cost.
     """
     injector = None
     if fault_plan is not None:
@@ -124,8 +117,7 @@ def run_scmd(
     runner = ParallelRunner(nranks, network=network, seed=seed,
                             timeout_s=timeout_s, injector=injector,
                             policy=resilience, obs_config=observe,
-                            sanitize=sanitize, backend=backend,
-                            collectives=collectives)
+                            sanitize=sanitize, backend=backend)
 
     def rank_main(comm) -> tuple[Any, dict, dict, dict, Any]:
         obs = comm.obs

@@ -97,8 +97,6 @@ class CaseStudyConfig:
     #: communicator backend: "thread" (default, deterministic in-process)
     #: or "mp-shm" (one forked process per rank over shared-memory rings)
     backend: str = "thread"
-    #: collective cost family (None legacy, "flat", "hier")
-    collectives: str | None = None
 
     def __post_init__(self) -> None:
         # Resolved here, in the process that builds the config: a bad
@@ -265,5 +263,4 @@ def run_case_study(config: CaseStudyConfig | None = None) -> ScmdResult:
         observe=config.observe,
         sanitize=config.sanitize,
         backend=config.backend,
-        collectives=config.collectives,
     )

@@ -32,7 +32,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable, ClassVar
 
-from repro.mpi.collectives import ALGORITHMS
 from repro.mpi.network import NetworkModel
 from repro.util.validation import check_positive
 
@@ -66,15 +65,10 @@ class JobSpec:
     obs_config: Any = None
     #: optional SanitizerConfig enabling runtime MPI correctness checks
     sanitize: Any = None
-    #: collective-algorithm family (None, "flat", "hier")
-    collectives: str | None = None
 
     def __post_init__(self) -> None:
         check_positive("nranks", self.nranks)
         check_positive("timeout_s", self.timeout_s)
-        if self.collectives not in ALGORITHMS:
-            raise ValueError(f"collectives must be one of {ALGORITHMS}, "
-                             f"got {self.collectives!r}")
         if self.network is None:
             object.__setattr__(self, "network", NetworkModel())
 
@@ -271,7 +265,6 @@ class WorldView:
     ) -> None:
         self.nranks = spec.nranks
         self.network = spec.network
-        self.collectives = spec.collectives
         self.timeout_s = spec.timeout_s
         self.injector = spec.injector
         self.policy = spec.policy

@@ -14,9 +14,8 @@ registration.
 Transport envelopes move in a reserved ``__coll__:``-prefixed context with
 zero modeled cost: they are *mechanism*, not *model*.  The modeled cost of
 a collective is charged once, under the collective's MPI routine name,
-from the :class:`~repro.mpi.network.NetworkModel` formula of the selected
-algorithm family (``collectives=``) - so ledgers stay per-routine exactly
-as the paper's Figure 3 expects, whatever moved the values.
+from :meth:`~repro.mpi.network.NetworkModel.collective_cost` - so ledgers
+stay per-routine exactly as the paper's Figure 3 expects.
 """
 
 from __future__ import annotations
@@ -110,11 +109,3 @@ def tree_allgather(world, context: str, rank: int, nranks: int, tag: int,
                if acc is not None else None)
     return binomial_bcast(world, context, rank, nranks, tag + 1, ordered, op)
 
-
-#: collective cost families selectable via ``collectives=...`` (they pick
-#: the formula :meth:`~repro.mpi.comm.SimComm._charge_collective` charges,
-#: never how values move): ``None`` keeps the legacy generic log-tree cost
-#: model (bitwise-identical to all prior releases); ``"flat"`` charges a
-#: flat rendezvous's linear-in-P cost; ``"hier"`` the per-algorithm cost
-#: (the ring for allgather, binomial/recursive-doubling trees otherwise).
-ALGORITHMS = (None, "flat", "hier")

@@ -276,10 +276,9 @@ class SimComm:
     def _collective(self, routine: str, value: Any = None) -> list[Any]:
         """Move one collective's values; returns them by rank.
 
-        The one body every collective runs, on every backend and under
-        every cost family: the per-communicator sequence number (so the
-        ``(context, seq)`` identity of the n-th collective is backend- and
-        family-independent), the span, the sanitizer's order check, the
+        The one body every collective runs, on every backend: the
+        per-communicator sequence number (so the ``(context, seq)``
+        identity of the n-th collective is backend-independent), the span, the sanitizer's order check, the
         movement and the flow event all participants share.
 
         The movement is one :func:`~repro.mpi.collectives.tree_allgather`
@@ -316,28 +315,10 @@ class SimComm:
         return vals
 
     def _charge_collective(self, routine: str, nbytes: int) -> None:
-        """Charge one collective's modeled cost under its routine name.
-
-        The formula is the selected cost family's, and the family picks
-        nothing else (every family moves values by the same tree): the
-        default (``collectives=None``) keeps the legacy generic log-tree
-        model bit-for-bit; ``"flat"`` charges a flat rendezvous's
-        linear-in-P cost; ``"hier"`` charges the specific algorithm (the
-        ring for allgather, binomial/recursive-doubling trees otherwise).
-        Exactly one jitter draw is consumed per collective in every mode,
-        so per-rank RNG streams stay aligned across algorithm choices.
-        """
-        net = self.world.network
-        mode = self.world.collectives
-        if mode is None or self.size <= 1:
-            cost = net.collective_cost(nbytes, self.size, self.rng)
-        elif mode == "flat":
-            cost = net.flat_collective_cost(nbytes, self.size, self.rng)
-        elif routine == "MPI_Allgather":
-            cost = net.ring_collective_cost(nbytes, self.size, self.rng)
-        else:
-            cost = net.tree_collective_cost(nbytes, self.size, self.rng)
-        self.charge(routine, cost)
+        """Charge one collective's modeled cost under its routine name (one
+        jitter draw per call, so per-rank RNG streams stay aligned)."""
+        self.charge(routine, self.world.network.collective_cost(
+            nbytes, self.size, self.rng))
 
     def barrier(self) -> None:
         """Synchronize all ranks."""
@@ -386,7 +367,7 @@ class SimComm:
     def _reduce_values(self, vals: Any, op: str | Callable[[Any, Any], Any],
                        n: int) -> Any:
         """Combine ``vals[0] .. vals[n-1]`` in rank order, so every rank
-        and every family associates floating point alike."""
+        and every backend associates floating point alike."""
         fn = _OPS[op] if isinstance(op, str) else op
         acc = vals[0]
         for r in range(1, n):

@@ -72,44 +72,11 @@ class NetworkModel:
         return self.base_p2p_cost(nbytes) * self.sample_jitter(rng)
 
     def collective_cost(self, nbytes: int, nranks: int, rng: np.random.Generator) -> float:
-        """Jittered tree-based collective cost for ``nranks`` participants."""
+        """Jittered cost of one collective among ``nranks`` participants:
+        ``ceil(log2 P)`` binomial-tree stages each moving the full payload
+        (none for one rank), one jitter draw, floored at ``min_cost_us``."""
         check_positive("nranks", nranks)
-        stages = max(1, math.ceil(math.log2(nranks))) if nranks > 1 else 0
-        base = stages * self.base_p2p_cost(nbytes)
-        return max(self.min_cost_us, base * self.sample_jitter(rng))
-
-    # ------------------------------------------- algorithmic collective models
-    def flat_collective_cost(self, nbytes: int, nranks: int,
-                             rng: np.random.Generator) -> float:
-        """Honest cost of the flat rendezvous: a central coordinator absorbs
-        one deposit per peer and re-emits the combined result, serializing
-        ``2(P-1)`` transfers on its link — linear in P, the reason flat
-        collectives stop scaling past a handful of ranks."""
-        check_positive("nranks", nranks)
-        if nranks <= 1:
-            return self.min_cost_us
-        base = 2 * (nranks - 1) * self.base_p2p_cost(nbytes)
-        return max(self.min_cost_us, base * self.sample_jitter(rng))
-
-    def tree_collective_cost(self, nbytes: int, nranks: int,
-                             rng: np.random.Generator) -> float:
-        """Binomial-tree bcast/reduce and recursive-doubling allreduce:
-        ``ceil(log2 P)`` stages each moving the full payload."""
-        check_positive("nranks", nranks)
-        if nranks <= 1:
-            return self.min_cost_us
-        stages = math.ceil(math.log2(nranks))
-        base = stages * self.base_p2p_cost(nbytes)
-        return max(self.min_cost_us, base * self.sample_jitter(rng))
-
-    def ring_collective_cost(self, nbytes: int, nranks: int,
-                             rng: np.random.Generator) -> float:
-        """Ring allgather: ``P-1`` stages each moving one rank's ``1/P``
-        share — bandwidth-optimal, latency-bound for small payloads."""
-        check_positive("nranks", nranks)
-        if nranks <= 1:
-            return self.min_cost_us
-        base = (nranks - 1) * self.base_p2p_cost(max(1, nbytes // nranks))
+        base = math.ceil(math.log2(nranks)) * self.base_p2p_cost(nbytes)
         return max(self.min_cost_us, base * self.sample_jitter(rng))
 
 

@@ -69,9 +69,6 @@ class SimWorld:
     def __init__(self, spec: JobSpec) -> None:
         self.nranks = spec.nranks
         self.network = spec.network
-        #: collective cost family (``collectives.ALGORITHMS``): picks the
-        #: formula a collective is charged, not how its values move
-        self.collectives = spec.collectives
         self.timeout_s = spec.timeout_s
         self.rngs = spawn_rngs(spec.seed, self.nranks)
         self.accounting = [MPIAccounting() for _ in range(self.nranks)]

@@ -90,11 +90,11 @@ def test_healthy_pingpong_is_clean():
 
 
 # ------------------------------------------------- collective order checking
-#: Every collective family runs the order check through the one
+#: Every backend runs the order check through the one
 #: ``SimComm._collective`` body: the token rides inside the value the
-#: collective's tree moves, whatever the family.  The family is a loop
-#: variable, not a pytest parameter, so the tests keep their names.
-FAMILIES = (None, "flat", "hier")
+#: collective's tree moves.  The backend is a loop variable, not a pytest
+#: parameter, so the tests keep their names.
+BACKENDS = ("thread", "mp-shm")
 
 
 def test_mismatched_collectives_are_reported_by_name():
@@ -104,16 +104,16 @@ def test_mismatched_collectives_are_reported_by_name():
         else:
             comm.allreduce(comm.rank)
 
-    for family in FAMILIES:
+    for backend in BACKENDS:
         # A mismatch the token check missed would leave the ranks waiting
         # on each other to the deadline: keep it short.
         with pytest.raises(RankFailure) as exc:
-            _runner(2, collectives=family, timeout_s=5.0).run(fn)
+            _runner(2, backend=backend, timeout_s=5.0).run(fn)
         text = str(exc.value)
-        assert "CollectiveMismatchError" in text, family
-        assert "rank 0 issued MPI_Barrier" in text, family
-        assert "rank 1 issued MPI_Allreduce" in text, family
-        assert "collective #0 on context 'world'" in text, family
+        assert "CollectiveMismatchError" in text, backend
+        assert "rank 0 issued MPI_Barrier" in text, backend
+        assert "rank 1 issued MPI_Allreduce" in text, backend
+        assert "collective #0 on context 'world'" in text, backend
 
 
 def test_collective_drift_after_divergent_branch():
@@ -139,10 +139,10 @@ def test_matched_collectives_are_clean():
         comm.barrier()
         return total, comm.bcast(comm.rank, root=2)
 
-    for family in FAMILIES:
-        runner = _runner(3, collectives=family)
-        assert runner.run(fn) == [(6, 2)] * 3, family
-        assert runner.last_world.sanitizer.findings == [], family
+    for backend in BACKENDS:
+        runner = _runner(3, backend=backend)
+        assert runner.run(fn) == [(6, 2)] * 3, backend
+        assert runner.last_world.sanitizer.findings == [], backend
 
 
 # ------------------------------------------------------- finalize-time leaks

@@ -37,7 +37,7 @@ def ledger(world, rank, exclude=("MPI_Waitsome",)):
 
 
 def mixed_traffic(comm):
-    """P2p ring + every collective family, with NumPy and object payloads."""
+    """P2p ring + collectives, with NumPy and object payloads."""
     nxt, prv = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
     comm.send(np.arange(64, dtype=np.float64) * comm.rank, dest=nxt, tag=1)
     arr = comm.recv(source=prv, tag=1)
@@ -52,17 +52,15 @@ def mixed_traffic(comm):
             tuple(gathered), reduced)
 
 
-def run_job(backend, fn, nranks=4, collectives=None, **kw):
-    world = create_world(backend, nranks=nranks, seed=11,
-                         collectives=collectives, **kw)
+def run_job(backend, fn, nranks=4, **kw):
+    world = create_world(backend, nranks=nranks, seed=11, **kw)
     results = world.run(fn)
     return results, world.last_world
 
 
-@pytest.mark.parametrize("collectives", [None, "flat", "hier"])
-def test_mixed_traffic_identical(collectives):
-    res_t, world_t = run_job("thread", mixed_traffic, collectives=collectives)
-    res_p, world_p = run_job("mp-shm", mixed_traffic, collectives=collectives)
+def test_mixed_traffic_identical():
+    res_t, world_t = run_job("thread", mixed_traffic)
+    res_p, world_p = run_job("mp-shm", mixed_traffic)
     assert res_t == res_p
     for r in range(4):
         assert ledger(world_t, r) == ledger(world_p, r), f"rank {r} ledger"
@@ -70,10 +68,8 @@ def test_mixed_traffic_identical(collectives):
 
 def test_sanitized_run_identical_and_clean():
     san = SanitizerConfig()
-    res_t, world_t = run_job("thread", mixed_traffic, sanitize=san,
-                             collectives="hier")
-    res_p, world_p = run_job("mp-shm", mixed_traffic, sanitize=san,
-                             collectives="hier")
+    res_t, world_t = run_job("thread", mixed_traffic, sanitize=san)
+    res_p, world_p = run_job("mp-shm", mixed_traffic, sanitize=san)
     assert res_t == res_p
     assert world_t.sanitizer.findings == []
     assert world_p.sanitizer.findings == []
@@ -202,7 +198,6 @@ def test_worldview_surface():
     _, world = run_job("mp-shm", mixed_traffic, nranks=3)
     assert world.nranks == 3
     assert world.leftover_envelopes(0) == []
-    assert world.collectives is None
     assert len(world.accounting) == 3
 
 

@@ -173,26 +173,17 @@ def test_collective_charges_accounting(runner3):
     assert all(runner3.run(job))
 
 
-# ------------------------------------- every collective, family and size
-#: no jitter: a ledger row is then exactly the family's closed form
+# -------------------------------------------- every collective and size
+#: no jitter: a ledger row is then exactly the log-tree closed form
 NET = NetworkModel(latency_us=7.0, bandwidth_bytes_per_us=4.0,
                    jitter_sigma=0.0)
 
 
-def _modeled_us(family, routine, nbytes, p):
-    """The cost formula ``family`` charges ``routine`` on ``p`` ranks."""
-    def p2p(n):
-        return max(NET.min_cost_us, NET.latency_us + n / NET.bandwidth_bytes_per_us)
-
-    if family is None or p == 1:
-        hops, per_hop = (math.ceil(math.log2(p)) if p > 1 else 0), p2p(nbytes)
-    elif family == "flat":
-        hops, per_hop = 2 * (p - 1), p2p(nbytes)
-    elif routine == "MPI_Allgather":  # the ring: P-1 hops of a 1/P share
-        hops, per_hop = p - 1, p2p(max(1, nbytes // p))
-    else:
-        hops, per_hop = math.ceil(math.log2(p)), p2p(nbytes)
-    return max(NET.min_cost_us, hops * per_hop)
+def _modeled_us(nbytes, p):
+    """The cost one collective moving ``nbytes`` charges on ``p`` ranks:
+    ``ceil(log2 P)`` stages of one full-payload hop."""
+    hop = max(NET.min_cost_us, NET.latency_us + nbytes / NET.bandwidth_bytes_per_us)
+    return max(NET.min_cost_us, math.ceil(math.log2(p)) * hop)
 
 
 def _all_ten(comm):
@@ -218,16 +209,17 @@ def _all_ten(comm):
     return values, ledger
 
 
-@pytest.mark.parametrize("nranks", [1, 2, 3, 5])
-@pytest.mark.parametrize("family", [None, "flat", "hier"])
-def test_every_collective_under_every_family(family, nranks):
+@pytest.mark.parametrize("backend, nranks", [
+    *[(b, p) for b in ("thread", "mp-shm") for p in (1, 2, 3, 5)],
+    ("thread", 64)])
+def test_every_collective(backend, nranks):
     p = nranks
     xs = [np.full(4, float(r + 1)) for r in range(p)]
     nbytes = {"MPI_Barrier": 0, "MPI_Bcast": 32, "MPI_Gather": 32,
               "MPI_Allgather": 32, "MPI_Scatter": 24, "MPI_Alltoall": 16 * p,
               "MPI_Reduce": 32, "MPI_Allreduce": 32, "MPI_Scan": 32,
               "MPI_Comm_dup": 0}
-    runner = ParallelRunner(p, network=NET, timeout_s=20.0, collectives=family)
+    runner = ParallelRunner(p, network=NET, timeout_s=60.0, backend=backend)
     for r, (got, ledger) in enumerate(runner.run(_all_ten)):
         want = {
             "barrier": None,
@@ -248,12 +240,11 @@ def test_every_collective_under_every_family(family, nranks):
         for routine, (calls, total_us) in ledger.items():
             assert calls == 1, routine
             assert total_us == pytest.approx(
-                _modeled_us(family, routine, nbytes[routine], p)), routine
+                _modeled_us(nbytes[routine], p)), routine
 
 
 # ------------------------------------------------------- value semantics
 BACKENDS = ["thread", "mp-shm"]
-FAMILIES = [None, "flat", "hier"]
 
 
 def _leaves(obj):
@@ -292,9 +283,8 @@ def _every_collective(comm):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("family", FAMILIES)
-def test_no_result_aliases_an_argument_or_a_peer(family, backend):
-    results = run(3, _every_collective, backend=backend, collectives=family)
+def test_no_result_aliases_an_argument_or_a_peer(backend):
+    results = run(3, _every_collective, backend=backend)
     for r, out in enumerate(results):
         for name, (_, is_argument) in out.items():
             # MPI's one exception: the bcast root keeps its own buffer.
@@ -307,8 +297,7 @@ def test_no_result_aliases_an_argument_or_a_peer(family, backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("family", FAMILIES)
-def test_write_to_a_gathered_value_stays_on_its_rank(family, backend):
+def test_write_to_a_gathered_value_stays_on_its_rank(backend):
     def job(comm):
         got = comm.allgather(np.full(2, float(comm.rank)))
         comm.barrier()
@@ -317,7 +306,7 @@ def test_write_to_a_gathered_value_stays_on_its_rank(family, backend):
         comm.barrier()
         return got[2].tolist()
 
-    assert run(3, job, backend=backend, collectives=family) == [
+    assert run(3, job, backend=backend) == [
         [-1.0, -1.0], [2.0, 2.0], [2.0, 2.0]]
 
 

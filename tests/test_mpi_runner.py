@@ -71,8 +71,10 @@ def test_invalid_nranks():
 
 
 def test_unknown_keyword_is_a_type_error_naming_it():
-    with pytest.raises(TypeError, match="colectives"):
-        ParallelRunner(2, colectives="hier")
+    # "collectives" chose a cost family; there is one collective cost now.
+    for keyword in ("colectives", "collectives"):
+        with pytest.raises(TypeError, match=keyword):
+            ParallelRunner(2, **{keyword: "hier"})
 
 
 def test_network_none_means_the_default_model():
@@ -85,7 +87,7 @@ def test_launch_path_declares_none_of_the_job_options():
     the runner to the world."""
     options = {f.name for f in dataclasses.fields(JobSpec)} - {"nranks"}
     assert options >= {"injector", "policy", "obs_config", "sanitize",
-                       "collectives", "seed", "network", "timeout_s"}
+                       "seed", "network", "timeout_s"}
     for fn in (ParallelRunner.__init__, SimWorld.__init__,
                mpshm.ShmWorld.__init__, launcher.ThreadBackend.launch,
                mpshm.MpShmBackend.launch, mpshm._worker_main):

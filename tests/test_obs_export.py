@@ -49,12 +49,11 @@ def test_collect_merges_and_orders(ring_run):
     assert dump.dropped_total == 0
 
 
-@pytest.mark.parametrize("family", [None, "flat", "hier"])
-def test_one_collective_flow_point_per_rank_under_every_family(family):
-    """Whatever moves a collective's values, each participant anchors the
-    one flow id all of them share exactly once; the tree hops of
-    ``"hier"`` are transport, not edges."""
-    runner = ParallelRunner(3, obs_config=ObsConfig(), collectives=family)
+@pytest.mark.parametrize("backend", ["thread", "mp-shm"])
+def test_one_collective_flow_point_per_rank(backend):
+    """Each participant anchors the one flow id all of a collective's
+    ranks share exactly once; the tree's hops are transport, not edges."""
+    runner = ParallelRunner(3, obs_config=ObsConfig(), backend=backend)
 
     def main(comm):
         comm.barrier()
