@@ -150,9 +150,9 @@ def write_experiments_md(path: str = "EXPERIMENTS.md",
         "Note on the message model (DESIGN.md section 19): a ghost exchange",
         "sends one message per peer, so a level's update pays the latency",
         "once per peer plus every byte it moves over the bandwidth.",
-        "`MPI_Waitsome` charges the largest cost among the messages it",
-        "completes together; with one message per transfer that credited",
-        "k messages from one peer, which share a link, as fully overlapped.",
+        "Messages in flight together overlap: `MPI_Waitsome` charges a",
+        "drain the largest cost among its messages once, however the",
+        "scheduler splits its completions into calls.",
         f"Per-level means ({means}) therefore follow the bytes each level",
         "moves, while each (level, decomposition) still forms its own",
         "jittered cluster, as in the paper.",

@@ -10,7 +10,9 @@ from AMRMesh's ghost-cell updates.
 
 When several messages complete in one wait call their transfer costs are
 assumed to overlap on the network, so the call is charged the *maximum* of
-the individual costs, not the sum.
+the individual costs, not the sum.  A ``waitsome`` drain of one request
+list is charged that maximum once, however its completions split into
+calls.
 """
 
 from __future__ import annotations
@@ -144,16 +146,20 @@ def _wait(requests: Sequence[Request], want_all: bool, op: str) -> list[int]:
 def waitsome(requests: Sequence[Request]) -> list[int]:
     """Complete at least one pending request; return indices completed now.
 
-    Charged to ``MPI_Waitsome`` (the max transfer cost among completions —
-    concurrent arrivals overlap).  Returns ``[]`` if every request was
-    already complete (MPI's ``MPI_UNDEFINED`` case).
+    Charged to ``MPI_Waitsome``: the rise of the list's highest completed
+    transfer cost.  Concurrent arrivals overlap, so a drain costs the
+    largest cost among its requests - what ``waitall`` charges - however
+    the scheduler splits its completions into calls.  Returns ``[]`` if
+    every request was already complete (MPI's ``MPI_UNDEFINED`` case).
     """
     if not any(not r.complete for r in requests):
         return _wait(requests, False, "MPI_Waitsome")
     comm = requests[0]._comm
+    high = max((r.cost_us for r in requests if r.complete), default=0.0)
     with comm._span_ctx("MPI_Waitsome", CAT_MPI_WAIT, n=len(requests)):
         done = _wait(requests, False, "MPI_Waitsome")
-        comm.charge("MPI_Waitsome", max(requests[i].cost_us for i in done))
+        top = max(requests[i].cost_us for i in done)
+        comm.charge("MPI_Waitsome", max(0.0, top - high))
     return done
 
 

@@ -2,10 +2,10 @@
 thread backend bit-for-bit on everything the modeled world determines.
 
 The contract (DESIGN.md section 11): identical results, identical
-per-rank MPI ledgers (excluding ``MPI_Waitsome``, whose completion
-*grouping* depends on wall-clock arrival order), identical resilience
-counters, identical sanitizer findings, and identical fault-injection
-schedules.
+per-rank MPI ledgers (``MPI_Waitsome``'s total included; only its call
+count, the *grouping* of completions, follows wall-clock arrival order),
+identical resilience counters, identical sanitizer findings, and
+identical fault-injection schedules.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ from repro.obs import ObsConfig
 BACKENDS = ("thread", "mp-shm")
 
 
-def ledger(world, rank, exclude=("MPI_Waitsome",)):
-    """(total_us, calls) per routine, rounded; the wall-clock-grouped row
-    out."""
-    return {k: (round(v.total_us, 3), v.calls)
-            for k, v in world.accounting[rank].routine_totals().items()
-            if k not in exclude}
+def ledger(world, rank):
+    """(total_us, calls) per routine, rounded; ``MPI_Waitsome``'s calls
+    follow arrival order, so only its total is kept."""
+    return {k: (round(v.total_us, 3),
+                None if k == "MPI_Waitsome" else v.calls)
+            for k, v in world.accounting[rank].routine_totals().items()}
 
 
 def mixed_traffic(comm):

@@ -119,12 +119,7 @@ class TestFig9Shape:
         assert all(t > 0 for _r, _l, _d, t in fig9.samples)
 
     def test_no_jitter_collapses_per_message_scatter(self):
-        """DESIGN.md ablation: jitter off -> per-message costs deterministic.
-
-        (The run-level waitsome charge still varies with completion
-        batching, so the deterministic claim is made where it holds: on
-        the modeled per-message transfer costs.)
-        """
+        """DESIGN.md ablation: jitter off -> per-message costs deterministic."""
         rng = np.random.default_rng(0)
         quiet = NetworkModel(latency_us=500.0, bandwidth_bytes_per_us=20.0,
                              jitter_sigma=0.0)
