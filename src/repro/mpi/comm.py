@@ -278,8 +278,9 @@ class SimComm:
 
         The one body every collective runs, on every backend: the
         per-communicator sequence number (so the ``(context, seq)``
-        identity of the n-th collective is backend-independent), the span, the sanitizer's order check, the
-        movement and the flow event all participants share.
+        identity of the n-th collective is backend-independent), the span,
+        the sanitizer's order check, the movement and the flow event all
+        participants share.
 
         The movement is one :func:`~repro.mpi.collectives.tree_allgather`
         over the mailbox in the reserved transport context, on the

@@ -71,7 +71,7 @@ def test_invalid_nranks():
 
 
 def test_unknown_keyword_is_a_type_error_naming_it():
-    # "collectives" chose a cost family; there is one collective cost now.
+    # A removed option ("collectives") must fail loudly, not be ignored.
     for keyword in ("colectives", "collectives"):
         with pytest.raises(TypeError, match=keyword):
             ParallelRunner(2, **{keyword: "hier"})
