@@ -11,9 +11,9 @@ Three benches:
 * the paper-scale fixed-size run at P = 1, 2, 3 (the original Figure 3
   shape check);
 * strong- and weak-scaling curves to P = 64 on the thread backend,
-  whose modeled (virtual-microsecond) MPI costs land in the ``BENCH_scaling.json`` trajectory as gated cells —
-  deterministic given the seed, so CI can hold them to a tight
-  regression tolerance;
+  whose modeled (virtual-microsecond) MPI costs land in the
+  ``BENCH_scaling.json`` trajectory as gated cells — deterministic given
+  the seed, so CI can hold them to a tight regression tolerance;
 * a thread vs mp-shm backend comparison at P up to 64: same modeled
   world, real processes — wall-clock recorded ungated (noise), modeled
   results asserted identical, and the parallel speedup asserted only on

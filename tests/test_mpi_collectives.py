@@ -10,6 +10,8 @@ from repro.mpi import NetworkModel, ParallelRunner, RankFailure, SimMPIError
 from repro.mpi.collectives import COLL_CONTEXT_PREFIX
 from repro.mpi.network import LOOPBACK
 
+BACKENDS = ["thread", "mp-shm"]
+
 
 def run(nranks, fn, **kw):
     return ParallelRunner(nranks, network=LOOPBACK, timeout_s=20.0, **kw).run(fn)
@@ -210,8 +212,7 @@ def _all_ten(comm):
 
 
 @pytest.mark.parametrize("backend, nranks", [
-    *[(b, p) for b in ("thread", "mp-shm") for p in (1, 2, 3, 5)],
-    ("thread", 64)])
+    (b, p) for b in BACKENDS for p in (1, 2, 3, 5)] + [("thread", 64)])
 def test_every_collective(backend, nranks):
     p = nranks
     xs = [np.full(4, float(r + 1)) for r in range(p)]
@@ -244,9 +245,6 @@ def test_every_collective(backend, nranks):
 
 
 # ------------------------------------------------------- value semantics
-BACKENDS = ["thread", "mp-shm"]
-
-
 def _leaves(obj):
     """The objects a collective handed back (None contributes none)."""
     if obj is None:
