@@ -28,6 +28,20 @@ def runner3(loopback) -> ParallelRunner:
 
 
 @pytest.fixture
+def refuse_family():
+    """``refuse_family(family)`` checks that a job naming a former
+    ``collectives=`` family (``"flat"`` or ``"hier"``) is refused with the
+    TypeError that names the keyword: no family can price a collective
+    other than ``NetworkModel.collective_cost`` any more.  ``None``, the
+    one value every job still gets, passes."""
+    def check(family):
+        if family is not None:
+            with pytest.raises(TypeError, match="collectives"):
+                ParallelRunner(2, collectives=family)
+    return check
+
+
+@pytest.fixture
 def tiny_params() -> DriverParams:
     """A case-study configuration small enough for unit tests."""
     return DriverParams(nx=32, ny=32, max_levels=2, steps=2, regrid_every=2,

@@ -58,7 +58,9 @@ def run_job(backend, fn, nranks=4, **kw):
     return results, world.last_world
 
 
-def test_mixed_traffic_identical():
+@pytest.mark.parametrize("family", [None, "flat", "hier"])
+def test_mixed_traffic_identical(family, refuse_family):
+    refuse_family(family)
     res_t, world_t = run_job("thread", mixed_traffic)
     res_p, world_p = run_job("mp-shm", mixed_traffic)
     assert res_t == res_p

@@ -211,10 +211,9 @@ def _all_ten(comm):
     return values, ledger
 
 
-@pytest.mark.parametrize("backend, nranks", [
-    (b, p) for b in BACKENDS for p in (1, 2, 3, 5)] + [("thread", 64)])
-def test_every_collective(backend, nranks):
-    p = nranks
+def _check_every_collective(backend, p):
+    """Every collective's values and its one log-tree ledger row on ``p``
+    ranks of ``backend``."""
     xs = [np.full(4, float(r + 1)) for r in range(p)]
     nbytes = {"MPI_Barrier": 0, "MPI_Bcast": 32, "MPI_Gather": 32,
               "MPI_Allgather": 32, "MPI_Scatter": 24, "MPI_Alltoall": 16 * p,
@@ -242,6 +241,21 @@ def test_every_collective(backend, nranks):
             assert calls == 1, routine
             assert total_us == pytest.approx(
                 _modeled_us(nbytes[routine], p)), routine
+
+
+@pytest.mark.parametrize("nranks", [1, 2, 3, 5])
+@pytest.mark.parametrize("family", [None, "flat", "hier"])
+def test_every_collective_under_every_family(family, nranks, refuse_family):
+    """A former family is refused; the run every job gets instead charges
+    each collective the one log-tree price."""
+    refuse_family(family)
+    _check_every_collective("thread", nranks)
+
+
+@pytest.mark.parametrize("backend, nranks", [
+    ("mp-shm", p) for p in (1, 2, 3, 5)] + [("thread", 64)])
+def test_every_collective(backend, nranks):
+    _check_every_collective(backend, nranks)
 
 
 # ------------------------------------------------------- value semantics
@@ -281,7 +295,9 @@ def _every_collective(comm):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_no_result_aliases_an_argument_or_a_peer(backend):
+@pytest.mark.parametrize("family", [None, "flat", "hier"])
+def test_no_result_aliases_an_argument_or_a_peer(family, backend, refuse_family):
+    refuse_family(family)
     results = run(3, _every_collective, backend=backend)
     for r, out in enumerate(results):
         for name, (_, is_argument) in out.items():
@@ -295,7 +311,9 @@ def test_no_result_aliases_an_argument_or_a_peer(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_write_to_a_gathered_value_stays_on_its_rank(backend):
+@pytest.mark.parametrize("family", [None, "flat", "hier"])
+def test_write_to_a_gathered_value_stays_on_its_rank(family, backend, refuse_family):
+    refuse_family(family)
     def job(comm):
         got = comm.allgather(np.full(2, float(comm.rank)))
         comm.barrier()

@@ -49,8 +49,7 @@ def test_collect_merges_and_orders(ring_run):
     assert dump.dropped_total == 0
 
 
-@pytest.mark.parametrize("backend", ["thread", "mp-shm"])
-def test_one_collective_flow_point_per_rank(backend):
+def _check_one_collective_flow_point_per_rank(backend):
     """Each participant anchors the one flow id all of a collective's
     ranks share exactly once; the tree's hops are transport, not edges."""
     runner = ParallelRunner(3, obs_config=ObsConfig(), backend=backend)
@@ -70,6 +69,17 @@ def test_one_collective_flow_point_per_rank(backend):
     for rank in range(3):
         assert [f.flow_id for f in flows
                 if f.kind == FLOW_COLL and f.rank == rank] == ids
+
+
+@pytest.mark.parametrize("family", [None, "flat", "hier"])
+def test_one_collective_flow_point_per_rank_under_every_family(
+        family, refuse_family):
+    refuse_family(family)
+    _check_one_collective_flow_point_per_rank("thread")
+
+
+def test_one_collective_flow_point_per_rank_on_mp_shm():
+    _check_one_collective_flow_point_per_rank("mp-shm")
 
 
 def test_collect_requires_observability():
