@@ -70,13 +70,12 @@ def test_tracing_overhead(out_dir):
     # Self-reported tax: the tracer's own sampled clock-read accounting,
     # relative to the summed per-rank main-timer walls.
     def self_pct(res):
-        dump = collect(res)
-        tax = sum(rep["self_overhead_us"]
-                  for rep in dump.overhead_by_rank.values())
-        return 100.0 * tax / _main_wall_us(res), dump
+        records = collect(res)
+        tax = sum(r.overhead["self_overhead_us"] for r in records)
+        return 100.0 * tax / _main_wall_us(res), records
 
-    self_sampled, dump_sampled = self_pct(res_sampled)
-    self_full, dump_full = self_pct(res_full)
+    self_sampled, recs_sampled = self_pct(res_sampled)
+    self_full, recs_full = self_pct(res_full)
 
     lines = [
         "Tracing overhead microbench (3-rank case study, median of "
@@ -84,12 +83,13 @@ def test_tracing_overhead(out_dir):
         f"  off:     {t_off:8.3f} s",
         f"  sampled: {t_sampled:8.3f} s  ({pct_sampled:+6.2f}% wall, "
         f"self-reported {self_sampled:.3f}%, "
-        f"{len(dump_sampled.spans)} spans)",
+        f"{sum(len(r.spans) for r in recs_sampled)} spans)",
         f"  full:    {t_full:8.3f} s  ({pct_full:+6.2f}% wall, "
         f"self-reported {self_full:.3f}%, "
-        f"{len(dump_full.spans)} spans)",
+        f"{sum(len(r.spans) for r in recs_full)} spans)",
         f"  sampled_out (1-in-16): "
-        f"{sum(dump_sampled.sampled_out_by_rank.values())} spans skipped",
+        f"{sum(int(r.overhead['sampled_out']) for r in recs_sampled)} "
+        "spans skipped",
     ]
     write_out(out_dir, "microbench_tracing.txt", "\n".join(lines))
     print("\n".join(lines))

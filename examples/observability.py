@@ -11,9 +11,11 @@ edges.  The merged per-rank traces are then analyzed:
    records and of span counts against the MPI accounting ledger;
  * the tracer's self-reported overhead.
 
-The trace is written as a Chrome/Perfetto JSON file (load it in
-ui.perfetto.dev — the cross-rank arrows are flow events) and the metrics
-registry is exported as JSON and Prometheus text.
+The run leaves one record per rank (written to ``--records-out``, then
+loaded back); every view below reads the *loaded* records.  The trace is
+written as a Chrome/Perfetto JSON file (load it in ui.perfetto.dev — the
+cross-rank arrows are flow events) and the metrics as JSON and
+Prometheus text.
 
 Run:  python examples/observability.py [--steps N] [--nranks R]
 """
@@ -24,7 +26,8 @@ from repro.euler.ports import DriverParams
 from repro.harness.casestudy import CaseStudyConfig, run_case_study
 from repro.mpi.network import NetworkModel
 from repro.obs import (ObsConfig, collect, critical_path, crosscheck_ledger,
-                       crosscheck_records, per_step_critical_paths,
+                       crosscheck_records, load_records,
+                       per_step_critical_paths, timeline,
                        validate_trace_file, write_metrics, write_trace)
 
 
@@ -37,6 +40,8 @@ def main() -> None:
                     help="keep 1 in N sampled (compute) spans")
     ap.add_argument("--trace-out", default="obs_trace.json")
     ap.add_argument("--metrics-out", default="obs_metrics")
+    ap.add_argument("--records-out", default="obs_records",
+                    help="directory for the run's per-rank records")
     args = ap.parse_args()
 
     config = CaseStudyConfig(
@@ -50,16 +55,20 @@ def main() -> None:
     print(f"=== Traced case study: {args.nranks} ranks, "
           f"{args.steps} steps, {args.nx}x{args.nx} cells ===\n")
     result = run_case_study(config)
-    dump = collect(result)
-    print(f"collected {len(dump.spans)} spans, {len(dump.flows)} flow "
-          f"endpoints, {dump.dropped_total} dropped\n")
+    for record in collect(result):
+        record.write(args.records_out)
+    records = load_records(args.records_out)
+    spans, flows = timeline(records)
+    dropped = sum(int(r.overhead["dropped"]) for r in records)
+    print(f"wrote and loaded {len(records)} run records "
+          f"({args.records_out}/): {len(spans)} spans, {len(flows)} flow "
+          f"endpoints, {dropped} dropped\n")
 
     # ------------------------------------------------------ critical path
-    report = critical_path(dump.spans, dump.flows)
+    report = critical_path(spans, flows)
     print(report.format())
     print()
-    for step, rep in sorted(per_step_critical_paths(
-            dump.spans, dump.flows).items()):
+    for step, rep in sorted(per_step_critical_paths(spans, flows).items()):
         frac = rep.path_us / rep.total_wall_us if rep.total_wall_us else 0.0
         print(f"  step {step}: path {rep.path_us / 1e3:9.2f} ms of "
               f"{rep.total_wall_us / 1e3:9.2f} ms wall "
@@ -69,28 +78,27 @@ def main() -> None:
     # -------------------------------------------------------- crosschecks
     print("\ncrosscheck: span wall vs Mastermind records (worst timers)")
     recs = [h.records for h in result.extras if h is not None]
-    checks = crosscheck_records(dump.spans, recs)
+    checks = crosscheck_records(spans, recs)
     worst = sorted(checks.items(), key=lambda kv: -kv[1][2])[:4]
     for name, (s_us, r_us, err) in worst:
         print(f"  {name:36s} span {s_us / 1e3:9.2f} ms "
               f"rec {r_us / 1e3:9.2f} ms  err {100.0 * err:5.2f}%")
-    ledger = crosscheck_ledger(dump.spans, result.world.accounting)
+    ledger = crosscheck_ledger(spans, result.world.accounting)
     bad = {r: v for r, v in ledger.items() if v[0] != v[1]}
     print(f"crosscheck: span vs ledger MPI call counts — "
           f"{len(ledger)} routines, {len(bad)} mismatches")
 
     # ----------------------------------------------- self-reported cost
-    tax = sum(rep["self_overhead_us"]
-              for rep in dump.overhead_by_rank.values())
+    tax = sum(r.overhead["self_overhead_us"] for r in records)
     print(f"tracer self-reported overhead: {tax / 1e3:.2f} ms total")
 
     # ------------------------------------------------------------ exports
-    write_trace(dump, args.trace_out)
+    write_trace(records, args.trace_out)
     problems = validate_trace_file(args.trace_out)
     status = "valid" if not problems else f"INVALID: {problems}"
     print(f"\ntrace written to {args.trace_out} ({status}; "
           "load in ui.perfetto.dev)")
-    write_metrics(dump, json_path=args.metrics_out + ".json",
+    write_metrics(records, json_path=args.metrics_out + ".json",
                   prometheus_path=args.metrics_out + ".prom")
     print(f"metrics written to {args.metrics_out}.json and "
           f"{args.metrics_out}.prom")

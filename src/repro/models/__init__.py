@@ -27,7 +27,6 @@ from repro.models.fits import (
 )
 from repro.models.performance import PerformanceModel, build_model
 from repro.models.composite import CompositeModel, Workload, SlotCost
-from repro.models.parametric import CacheScaledModel, fit_miss_penalty
 from repro.models.serialize import ModelRepository, model_to_dict, model_from_dict
 from repro.models.permode import (ModalPerformanceModel, build_modal_model,
                                   variance_explained)
@@ -47,8 +46,6 @@ __all__ = [
     "CompositeModel",
     "Workload",
     "SlotCost",
-    "CacheScaledModel",
-    "fit_miss_penalty",
     "ModelRepository",
     "model_to_dict",
     "model_from_dict",

@@ -233,7 +233,8 @@ class ThreadBackend(CommBackend):
             from repro.obs.flightrec import dump_flight_recorders
 
             dump_flight_recorders(world.obs,
-                                  world.abort_reason or "rank failure")
+                                  world.abort_reason or "rank failure",
+                                  world=world)
             raise_rank_failures(failures, stuck)
         if world.sanitizer is not None:
             # End-of-job hygiene: leaked requests / unconsumed envelopes.
@@ -255,6 +256,9 @@ class WorldView:
     absent.
     """
 
+    #: the one process backend's name (a run record's identity)
+    backend = "mp-shm"
+
     def __init__(
         self,
         spec: JobSpec,
@@ -264,6 +268,7 @@ class WorldView:
         sanitizer: Any,
     ) -> None:
         self.nranks = spec.nranks
+        self.seed = spec.seed
         self.network = spec.network
         self.timeout_s = spec.timeout_s
         self.injector = spec.injector

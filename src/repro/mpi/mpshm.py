@@ -169,6 +169,8 @@ class ShmWorld(SimWorld):
     process's local state.
     """
 
+    backend = "mp-shm"
+
     def __init__(self, spec: JobSpec, myrank: int, rings: list[ShmRing],
                  abort_flag: ShmFlag, wait_table: ShmWaitTable | None) -> None:
         # The base class builds no sanitizer: the cross-process one is
@@ -319,7 +321,8 @@ def _worker_main(rank: int, spec: JobSpec, rings: list[ShmRing],
             # and abort-woken peers flush theirs on their own except path.
             from repro.obs.flightrec import dump_flight_recorders
 
-            dump_flight_recorders([world.obs[rank]], f"rank {rank} raised")
+            dump_flight_recorders([world.obs[rank]], f"rank {rank} raised",
+                                  world=world)
         payload = ("err", traceback.format_exc())
     try:
         conn.send(payload)

@@ -66,8 +66,12 @@ class SimWorld:
     """All cross-rank shared state for one simulated job, built from the
     job's one declaration (:class:`~repro.mpi.backend.JobSpec`)."""
 
+    #: the backend name a run record carries as its identity
+    backend = "thread"
+
     def __init__(self, spec: JobSpec) -> None:
         self.nranks = spec.nranks
+        self.seed = spec.seed
         self.network = spec.network
         self.timeout_s = spec.timeout_s
         self.rngs = spawn_rngs(spec.seed, self.nranks)

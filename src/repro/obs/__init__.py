@@ -8,11 +8,13 @@ happened between ranks* (causally-linked spans rendered as Perfetto flow
 arrows) and *how is the system behaving* in aggregate (typed metrics
 with cross-rank merge and Prometheus/JSON exposition).
 
-The :class:`SpanTracer` is the one span store: :class:`FlightRecorder`
-is a crash black box per rank that windows onto it (dumped and mergeable
-into a post-mortem timeline), and :class:`ObsSidecar` serves live
-``/metrics`` / ``/healthz`` / ``/debug/spans`` / ``/live`` over a
-running simulation.
+The :class:`SpanTracer` is the one span store.  A finished run leaves
+one :class:`RunRecord` per rank (:func:`collect`, written by
+:meth:`RunRecord.write` and read back by :func:`load_records`), and every
+output is a view of records: the trace, the metrics, and the crash black
+box, a record cut to the tracer's window (dumped and mergeable into a
+post-mortem timeline).  :class:`ObsSidecar` serves live ``/metrics`` /
+``/healthz`` / ``/debug/spans`` / ``/live`` over a running simulation.
 """
 
 from repro.obs.critical_path import (
@@ -25,19 +27,17 @@ from repro.obs.critical_path import (
     per_step_critical_paths,
 )
 from repro.obs.export import (
-    ObsDump,
-    SpanDropWarning,
     chrome_trace_from_spans,
-    collect,
     dump_chrome_trace_spans,
     live_metrics,
+    merged_metrics,
+    timeline,
     validate_chrome_payload,
     validate_trace_file,
     write_metrics,
     write_trace,
 )
 from repro.obs.flightrec import (
-    FlightRecorder,
     PostMortem,
     dump_flight_recorders,
     merge_flight_recordings,
@@ -51,6 +51,7 @@ from repro.obs.metrics import (
     merge_registries,
 )
 from repro.obs.ops import ObsSidecar
+from repro.obs.record import RunRecord, SpanDropWarning, collect, load_records
 from repro.obs.runtime import ObsConfig, RankObs, build_obs
 from repro.obs.span import (
     CAT_CHECKPOINT,
@@ -73,17 +74,16 @@ __all__ = [
     "CAT_STEP",
     "Counter",
     "CriticalPathReport",
-    "FlightRecorder",
     "FlowPoint",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "ObsConfig",
-    "ObsDump",
     "ObsSidecar",
     "PathSegment",
     "PostMortem",
     "RankObs",
+    "RunRecord",
     "Span",
     "SpanDropWarning",
     "SpanTracer",
@@ -97,10 +97,13 @@ __all__ = [
     "dump_flight_recorders",
     "flow_edges",
     "live_metrics",
+    "load_records",
     "log_buckets",
     "merge_flight_recordings",
     "merge_registries",
+    "merged_metrics",
     "per_step_critical_paths",
+    "timeline",
     "validate_chrome_payload",
     "validate_trace_file",
     "write_metrics",

@@ -1,14 +1,11 @@
-"""Collecting, validating and writing observability output.
+"""Views of run records: the Chrome trace, the metrics, the validator.
 
-:func:`collect` pulls every rank's spans/flows/metrics out of a finished
-run (a :class:`~repro.cca.scmd.ScmdResult`'s world, or a bare list of
-:class:`~repro.obs.runtime.RankObs`) into one :class:`ObsDump`;
-:func:`write_trace` / :func:`write_metrics` produce the CI artifacts
-(Perfetto JSON, metrics JSON + Prometheus text), every metrics view
-folded by :func:`rank_metrics` from the stores that hold its facts; and
-:func:`validate_chrome_payload` is the schema gate CI fails on — it
-round-trips the JSON and checks the invariants a viewer relies on
-(monotone timestamps, balanced B/E per track, resolvable flow ids).
+:func:`write_trace` / :func:`write_metrics` render the CI artifacts
+(Perfetto JSON, metrics JSON + Prometheus text) from
+:class:`~repro.obs.record.RunRecord` lists, every metrics view folded by
+:func:`rank_metrics`; :func:`validate_chrome_payload` is the schema gate
+CI fails on (monotone timestamps, balanced B/E per track, resolvable
+flow ids).
 
 This is the only module that knows the Chrome/Perfetto trace-event
 format: :func:`chrome_trace_from_spans` / :func:`dump_chrome_trace_spans`
@@ -20,101 +17,14 @@ format back.
 from __future__ import annotations
 
 import json
-import warnings
-from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from repro.obs.critical_path import flow_edges
 from repro.obs.metrics import MetricsRegistry, merge_registries
+from repro.obs.record import RunRecord, rank_record
 from repro.obs.runtime import RankObs
 from repro.obs.span import FlowPoint, Span
 from repro.util.atomicio import atomic_write_text
-
-
-class SpanDropWarning(Warning):
-    """The bounded tracer buffer overflowed and history was lost.
-
-    A dedicated category (not RuntimeWarning — CI escalates those to
-    errors) so callers can filter it; emitted at most once per process
-    per :func:`collect` call site via the standard warning dedup.
-    """
-
-
-@dataclass
-class ObsDump:
-    """Everything the per-rank tracers and registries accumulated."""
-
-    spans: list[Span] = field(default_factory=list)
-    flows: list[FlowPoint] = field(default_factory=list)
-    dropped_by_rank: dict[int, int] = field(default_factory=dict)
-    sampled_out_by_rank: dict[int, int] = field(default_factory=dict)
-    overhead_by_rank: dict[int, dict[str, float]] = field(default_factory=dict)
-    #: each rank's :func:`rank_metrics` view at collect time
-    registries: list[MetricsRegistry] = field(default_factory=list)
-
-    @property
-    def dropped_total(self) -> int:
-        return sum(self.dropped_by_rank.values())
-
-    def merged_metrics(self) -> MetricsRegistry:
-        return merge_registries(self.registries)
-
-
-def _rank_obs_of(source: Any) -> Sequence[RankObs]:
-    """Accept a ScmdResult, a SimWorld or a plain RankObs sequence."""
-    world = getattr(source, "world", source)
-    obs = getattr(world, "obs", world)
-    if obs is None:
-        raise ValueError(
-            "run has no observability state; pass observe=ObsConfig() when "
-            "launching it")
-    return obs
-
-
-#: process-level once-per-run latch for the drop alert
-_drop_warned = False
-
-
-def reset_drop_warning() -> None:
-    """Re-arm the once-per-run span-drop alert (tests and long daemons)."""
-    global _drop_warned
-    _drop_warned = False
-
-
-def _warn_drops_once(dropped_by_rank: dict[int, int]) -> None:
-    global _drop_warned
-    if _drop_warned or not dropped_by_rank:
-        return
-    _drop_warned = True
-    total = sum(dropped_by_rank.values())
-    warnings.warn(
-        f"span tracer dropped {total} span(s) "
-        f"(by rank: {dict(sorted(dropped_by_rank.items()))}); trace history "
-        f"is truncated — raise ObsConfig.max_spans or "
-        f"ObsConfig.sample_every", SpanDropWarning, stacklevel=3)
-
-
-def collect(source: Any) -> ObsDump:
-    """Merge all ranks' observability state, time-ordering the spans.
-
-    Warns (once per run, :class:`SpanDropWarning`) when any rank's
-    bounded buffer dropped history — truncation must be loud, not a
-    field the caller may forget to check.
-    """
-    dump = ObsDump()
-    for ro in _rank_obs_of(source):
-        tracer = ro.tracer
-        dump.spans.extend(tracer.spans())
-        dump.flows.extend(tracer.flows())
-        if tracer.dropped_count:
-            dump.dropped_by_rank[ro.rank] = tracer.dropped_count
-        if tracer.sampled_out:
-            dump.sampled_out_by_rank[ro.rank] = tracer.sampled_out
-        dump.overhead_by_rank[ro.rank] = tracer.overhead_report()
-        dump.registries.append(rank_metrics(ro))
-    dump.spans.sort(key=lambda s: (s.t_start_us, s.rank, s.span_id))
-    _warn_drops_once(dump.dropped_by_rank)
-    return dump
 
 
 # ----------------------------------------------------------------- exporter
@@ -235,29 +145,36 @@ def dump_chrome_trace_spans(spans: Sequence[Span],
     return atomic_write_text(path, json.dumps(payload, indent=1))
 
 
-# ------------------------------------------------------------------ writers
-def write_trace(source: Any, path: str, process_name: str = "repro") -> ObsDump:
-    """Write the merged Perfetto trace; returns the dump it came from."""
-    dump = source if isinstance(source, ObsDump) else collect(source)
-    dump_chrome_trace_spans(
-        dump.spans, dump.flows, path, process_name=process_name,
-        dropped_counts=dump.dropped_by_rank,
-        sampled_out=dump.sampled_out_by_rank)
-    return dump
+# ------------------------------------------------------------------ views
+def timeline(records: Sequence[RunRecord]) -> tuple[list[Span], list[FlowPoint]]:
+    """All ranks' spans, time-ordered, and their flow points."""
+    spans = sorted((s for r in records for s in r.spans),
+                   key=lambda s: (s.t_start_us, s.rank, s.span_id))
+    return spans, [f for r in records for f in r.flows]
 
 
-def rank_counters(ro: RankObs) -> MetricsRegistry:
-    """One rank's metrics view without the per-invocation histogram.
+def write_trace(records: Sequence[RunRecord], path: str,
+                process_name: str = "repro") -> str:
+    """Write the records' merged Perfetto trace."""
+    spans, flows = timeline(records)
+    return dump_chrome_trace_spans(
+        spans, flows, path, process_name=process_name,
+        dropped_counts={r.rank: int(r.overhead["dropped"]) for r in records},
+        sampled_out={r.rank: int(r.overhead["sampled_out"]) for r in records})
 
-    The registry holds only what no other store holds; the rest is read
-    at view time: the tracer's self-accounting, the ledger's rows and the
-    Mastermind's invocation counts.  It walks one entry per routine,
-    never one per invocation, so the flight recorder reads it at every
-    step end.
+
+def rank_metrics(rec: RunRecord) -> MetricsRegistry:
+    """One rank's metrics view, the one fold behind every metrics view.
+
+    The rank's registry holds only what no other store holds; the rest is
+    read from the record: the tracer's self-accounting, the ledger's rows
+    and the Mastermind's invocations, whose wall times are observed in
+    stored order, so the ``invocation_wall_us`` buckets are exact.
     """
-    view = MetricsRegistry(rank=ro.rank)
-    view.merge_from(ro.metrics)
-    rep = ro.tracer.overhead_report()
+    from repro.perf.records import MethodRecord
+
+    view = MetricsRegistry.from_state(rec.metrics)
+    rep = rec.overhead
     view.counter("tracer_spans_total",
                  "spans recorded by the tracer").inc(rep["spans"])
     view.counter("tracer_dropped_total",
@@ -270,44 +187,32 @@ def rank_counters(ro: RankObs) -> MetricsRegistry:
     if rep["dropped"]:
         view.gauge("tracer_dropped_spans",
                    "spans lost to buffer overflow on one rank",
-                   dropped_rank=str(ro.rank)).set(rep["dropped"])
-    if ro.ledger is not None:
-        for routine, st in ro.ledger.routine_totals().items():
-            view.counter("mpi_calls_total", "MPI calls by routine",
-                         routine=routine).inc(st.calls)
-            view.counter("mpi_cost_us_total", "modeled MPI cost by routine",
-                         routine=routine).inc(st.total_us)
-    if ro.mastermind is not None:
-        for rec in ro.mastermind.all_records():
-            view.counter("invocations_total", "proxied invocations recorded",
-                         routine=rec.timer_name).inc(len(rec))
+                   dropped_rank=str(rec.rank)).set(rep["dropped"])
+    for routine, row in rec.ledger.items():
+        view.counter("mpi_calls_total", "MPI calls by routine",
+                     routine=routine).inc(row["calls"])
+        view.counter("mpi_cost_us_total", "modeled MPI cost by routine",
+                     routine=routine).inc(row["total_us"])
+    for state in rec.records:
+        mrec = MethodRecord.from_dict(state)
+        view.counter("invocations_total", "proxied invocations recorded",
+                     routine=mrec.timer_name).inc(len(mrec))
+        wall = view.histogram("invocation_wall_us", "per-invocation wall time",
+                              routine=mrec.timer_name)
+        for inv in mrec.invocations:
+            wall.observe(inv.wall_us)
     return view
 
 
-def rank_metrics(ro: RankObs) -> MetricsRegistry:
-    """One rank's metrics view, the one fold behind every metrics view.
-
-    :func:`rank_counters` plus the ``invocation_wall_us`` histogram, read
-    from the Mastermind's records: their wall times are observed in
-    stored order, so the buckets are exact.  The Mastermind is read
-    itself: ``restore_records`` replaces its record dict.
-    """
-    view = rank_counters(ro)
-    if ro.mastermind is not None:
-        for rec in ro.mastermind.all_records():
-            wall = view.histogram("invocation_wall_us",
-                                  "per-invocation wall time",
-                                  routine=rec.timer_name)
-            for inv in rec.invocations:
-                wall.observe(inv.wall_us)
-    return view
+def merged_metrics(records: Sequence[RunRecord]) -> MetricsRegistry:
+    """The cross-rank merge of the records' metrics views."""
+    return merge_registries(rank_metrics(r) for r in records)
 
 
-def write_metrics(source: Any, json_path: str | None = None,
+def write_metrics(records: Sequence[RunRecord], json_path: str | None = None,
                   prometheus_path: str | None = None) -> MetricsRegistry:
-    """Write the cross-rank merged metrics snapshot(s); returns the merge."""
-    dump = source if isinstance(source, ObsDump) else collect(source)
-    merged = dump.merged_metrics()
+    """Write the records' merged metrics snapshot(s); returns the merge."""
+    merged = merged_metrics(records)
     if json_path is not None:
         atomic_write_text(json_path, merged.to_json())
     if prometheus_path is not None:
@@ -318,18 +223,18 @@ def write_metrics(source: Any, json_path: str | None = None,
 def live_metrics(obs: Sequence[RankObs]) -> MetricsRegistry:
     """The merged metrics view of *live* rank state.
 
-    Unlike :func:`write_metrics` this never copies span buffers, so a
-    scrape endpoint can call it on every request while ranks are still
-    running.  Rank threads may create instruments or records
+    Its records keep no span (``depth=0``), so a scrape endpoint can call
+    it on every request while ranks are still running without copying a
+    span buffer.  Rank threads may create instruments or records
     concurrently; the fold retries a few times if a dict grows
     mid-iteration.
     """
     for _ in range(2):
         try:
-            return merge_registries([rank_metrics(ro) for ro in obs])
+            return merged_metrics([rank_record(ro, depth=0) for ro in obs])
         except RuntimeError:  # a dict grew during iteration; scrape again
             continue
-    return merge_registries([rank_metrics(ro) for ro in obs])
+    return merged_metrics([rank_record(ro, depth=0) for ro in obs])
 
 
 # --------------------------------------------------------------- validation

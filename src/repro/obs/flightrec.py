@@ -3,15 +3,14 @@
 Exascale in-situ diagnostics (PAPERS.md) argue the most valuable trace is
 the one covering the seconds *before* a failure — exactly the data a
 bounded tracer has usually already evicted by the time anything goes
-wrong.  The :class:`FlightRecorder` is the black box for that moment: a
-window on the rank's own :class:`~repro.obs.span.SpanTracer` (its newest
-``depth`` closed spans, which the tracer's eviction always keeps) plus
-one small ring of per-step counter deltas; a dump adds the rank's MPI
-ledger rows.  When a crash fault fires, the deadlock detector raises, or
-a fatal sanitizer finding aborts the job, the backend dumps each rank's
-box to ``out/flightrec/rank<k>.json``; :func:`merge_flight_recordings` then
-reassembles the last-N-steps cross-rank timeline as a Perfetto-compatible
-trace for triage.
+wrong.  A rank's black box is its :class:`~repro.obs.record.RunRecord`
+cut to the tracer's newest ``flightrec_depth`` spans (which the tracer's
+eviction always keeps), plus the reason it was dumped.  When a crash
+fault fires, the deadlock detector raises, or a fatal sanitizer finding
+aborts the job, the backend dumps each rank's box to
+``out/flightrec/rank<k>.json``; :func:`merge_flight_recordings` then
+loads them and reassembles the last-N-steps cross-rank timeline as a
+Perfetto-compatible trace for triage.
 
 Timestamps come exclusively from :func:`repro.util.timebase.now_us` —
 one monotonic clock per machine, so merged cross-rank (and, on Linux,
@@ -20,24 +19,17 @@ cross-process) orderings are valid.
 
 from __future__ import annotations
 
-import glob
 import json
 import os
-from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any, Sequence
 
-from repro.obs.export import (dump_chrome_trace_spans, rank_counters,
-                              validate_chrome_payload)
-from repro.obs.span import Span
+from repro.obs.export import (dump_chrome_trace_spans, timeline,
+                              validate_trace_file)
+from repro.obs.record import load_records, rank_record
+from repro.obs.runtime import RankObs
+from repro.obs.span import CAT_STEP, Span
 from repro.util.atomicio import atomic_write_text
-from repro.util.timebase import now_us
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.runtime import RankObs
-
-#: file-name pattern of one rank's dump inside the flightrec directory
-RANK_FILE = "rank{rank}.json"
 
 #: merged Perfetto-compatible timeline written by the merger
 MERGED_TRACE = "postmortem_trace.json"
@@ -46,93 +38,29 @@ MERGED_TRACE = "postmortem_trace.json"
 MERGED_SUMMARY = "postmortem.json"
 
 
-class FlightRecorder:
-    """One rank's black box: a window on its tracer plus one ring.
+def dump_flight_recorders(obs: Sequence[RankObs] | None, reason: str,
+                          directory: str | None = None,
+                          world: Any = None) -> list[str]:
+    """Dump the black box of every rank that keeps one (the crash path).
 
-    Keeps no spans of its own: :meth:`dump` reads the newest ``depth``
-    closed spans from the rank's tracer, and the rank's ledger rows.  It
-    rings per-step counter deltas (:meth:`capture_step`, called by
-    :meth:`~repro.obs.runtime.RankObs.step` as each step ends), taken
-    from the counter half of the rank's one metrics view
-    (:func:`~repro.obs.export.rank_counters`).  It never references the
-    tracer or the world, so a worker process can pickle it home inside
-    its :class:`~repro.obs.runtime.RankObs`.
+    Each box is the rank's record (identity and fault events read from
+    ``world``) cut to its window, written once: the first cause wins, so a
+    cascade of abort-induced failures cannot overwrite the recording of
+    the primary fault.  Safe to call with observability off; returns the
+    paths.  Backends call this on the failure path *before* raising
+    :class:`~repro.mpi.runner.RankFailure`, so the black boxes exist even
+    though the exception unwinds the whole launcher.
     """
-
-    __slots__ = ("rank", "depth", "directory", "step_deltas",
-                 "_counter_base", "dumped_to")
-
-    def __init__(self, rank: int, *, depth: int = 512,
-                 directory: str = os.path.join("out", "flightrec")) -> None:
-        if depth < 1:
-            raise ValueError(f"depth must be >= 1, got {depth}")
-        self.rank = int(rank)
-        self.depth = int(depth)
-        self.directory = directory
-        self.step_deltas: deque[dict[str, Any]] = deque(maxlen=depth)
-        self._counter_base: dict[str, float] = {}
-        #: path of the dump file once written (dump-once guard: the first
-        #: cause wins; a cascade of abort-induced failures must not
-        #: overwrite the recording of the primary fault)
-        self.dumped_to: str | None = None
-
-    # ------------------------------------------------------------- feeds
-    def capture_step(self, ro: "RankObs", step: int, span: Span) -> None:
-        """Counter deltas over the step whose (closed) span is ``span``."""
-        totals: dict[str, float] = {}
-        for name, lk, inst in rank_counters(ro).series():
-            if type(inst).__name__ != "Counter":
-                continue
-            key = name + json.dumps(dict(lk), sort_keys=True)
-            totals[key] = totals.get(key, 0.0) + inst.value
-        deltas = {k: v - self._counter_base.get(k, 0.0)
-                  for k, v in totals.items()
-                  if v != self._counter_base.get(k, 0.0)}
-        self._counter_base = totals
-        self.step_deltas.append({
-            "step": step,
-            "t_end_us": span.t_end_us,
-            "duration_us": span.duration_us,
-            "counter_deltas": deltas,
-        })
-
-    # ------------------------------------------------------------- dumps
-    def dump(self, ro: "RankObs", reason: str,
-             directory: str | None = None) -> str:
-        """Write the tracer window, the ledger rows and the step ring
-        (first cause wins; idempotent)."""
-        if self.dumped_to is not None:
-            return self.dumped_to
-        outdir = directory or self.directory
-        os.makedirs(outdir, exist_ok=True)
-        rows = ro.ledger.routine_totals() if ro.ledger is not None else {}
-        payload = {
-            "rank": self.rank,
-            "depth": self.depth,
-            "spans": [s.to_dict() for s in ro.tracer.recent_spans(self.depth)],
-            "ledger": {r: {"calls": st.calls, "total_us": st.total_us}
-                       for r, st in rows.items()},
-            "step_deltas": list(self.step_deltas),
-            "reason": reason,
-            "t_dump_us": now_us(),
-        }
-        path = os.path.join(outdir, RANK_FILE.format(rank=self.rank))
-        atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True))
-        self.dumped_to = path
-        return path
-
-
-def dump_flight_recorders(obs: list | None, reason: str,
-                          directory: str | None = None) -> list[str]:
-    """Dump the recorder of every rank that has one (the crash path).
-
-    Safe to call with observability off or recorders absent; returns the
-    paths written.  Backends call this on the failure path *before*
-    raising :class:`~repro.mpi.runner.RankFailure`, so the black boxes
-    exist even though the exception unwinds the whole launcher.
-    """
-    return [ro.recorder.dump(ro, reason, directory)
-            for ro in obs or [] if ro.recorder is not None]
+    paths = []
+    for ro in obs or []:
+        if not ro.config.flight_recorder:
+            continue
+        if ro.dumped_to is None:
+            box = rank_record(ro, world, depth=ro.config.flightrec_depth)
+            box.reason = reason
+            ro.dumped_to = box.write(directory or ro.config.flightrec_dir)
+        paths.append(ro.dumped_to)
+    return paths
 
 
 # ------------------------------------------------------------------ merge
@@ -171,43 +99,30 @@ class PostMortem:
 
 def merge_flight_recordings(directory: str = os.path.join("out", "flightrec"),
                             ) -> PostMortem:
-    """Merge ``rank*.json`` dumps into one Perfetto-compatible timeline.
+    """Merge the ``rank*.json`` boxes into one Perfetto-compatible timeline.
 
-    Spans from all ranks sort onto the shared monotonic clock; the merged
-    trace carries spans only (a black-box window necessarily truncates
+    The boxes load in rank order, the steps covered are those of the
+    windows' ``timestep`` spans, and spans from all ranks sort onto the
+    shared monotonic clock; the merged trace carries spans only (a black-box window necessarily truncates
     flow edges at its boundary, and a half-edge would fail Perfetto's
     flow validation).  The trace is validated before the summary is
     written, so a "timeline exists" check in CI really means "loads in
     ui.perfetto.dev".
     """
-    files = sorted(glob.glob(os.path.join(directory, "rank*.json")))
-    if not files:
+    boxes = load_records(directory)
+    if not boxes:
         raise FileNotFoundError(
             f"no flight-recorder dumps (rank*.json) under {directory!r}")
-    ranks: list[int] = []
-    reasons: dict[int, str] = {}
-    spans: list[Span] = []
-    steps: set[int] = set()
-    for path in files:
-        with open(path) as fh:
-            payload = json.load(fh)
-        rank = int(payload["rank"])
-        ranks.append(rank)
-        reasons[rank] = str(payload.get("reason", "?"))
-        for d in payload.get("spans", []):
-            spans.append(Span.from_dict(d))
-        for sd in payload.get("step_deltas", []):
-            if sd.get("step") is not None:
-                steps.add(int(sd["step"]))
-    spans.sort(key=lambda s: (s.t_start_us, s.rank, s.span_id))
+    ranks = [b.rank for b in boxes]
+    reasons = {b.rank: str(b.reason) for b in boxes}
+    spans, _ = timeline(boxes)
+    steps = {s.attrs["step"] for s in spans if s.category == CAT_STEP}
     trace_path = os.path.join(directory, MERGED_TRACE)
     dump_chrome_trace_spans(spans, [], trace_path,
                             process_name="flight recorder")
-    with open(trace_path) as fh:
-        problems = validate_chrome_payload(json.load(fh))
     pm = PostMortem(directory=directory, ranks=ranks, reasons=reasons,
-                    spans=spans, steps=sorted(steps),
-                    trace_path=trace_path, problems=list(problems))
+                    spans=spans, steps=sorted(steps), trace_path=trace_path,
+                    problems=validate_trace_file(trace_path))
     summary = {
         "ranks": ranks,
         "reasons": {str(r): reasons[r] for r in ranks},

@@ -200,6 +200,24 @@ class MetricsRegistry:
     def to_json(self, indent: int | None = 1) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
+    def state(self) -> dict[str, Any]:
+        """:meth:`snapshot` plus the help texts: what :meth:`from_state`
+        rebuilds the registry from."""
+        return {**self.snapshot(), "help": dict(self._help)}
+
+    @classmethod
+    def from_state(cls, state: Mapping[str, Any]) -> "MetricsRegistry":
+        reg = cls(rank=state["rank"])
+        for e in state["metrics"]:
+            help = state["help"].get(e["name"], "")
+            if e["kind"] == "histogram":
+                h = reg.histogram(e["name"], help, e["bounds"], **e["labels"])
+                h.bucket_counts = list(e["bucket_counts"])
+                h.inf_count, h.total, h.count = e["inf_count"], e["sum"], e["count"]
+            else:
+                reg._get(e["kind"], e["name"], e["labels"], help).value = e["value"]
+        return reg
+
     def to_prometheus(self) -> str:
         """Prometheus text exposition format (v0.0.4)."""
         lines: list[str] = []

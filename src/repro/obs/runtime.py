@@ -1,7 +1,6 @@
 """Per-rank observability state and its configuration.
 
-One :class:`RankObs` (a span tracer + a metrics registry, optionally a
-crash flight recorder) is attached to each rank of a
+One :class:`RankObs` (a span tracer + a metrics registry) is attached to each rank of a
 :class:`~repro.mpi.world.SimWorld` when an :class:`ObsConfig` is passed
 to the runner; the MPI layer, the TAU profiler, the proxies, the fault
 paths and the checkpoint writer all find it there and record into it,
@@ -31,11 +30,11 @@ class ObsConfig:
     MPI and invocation series are read from the ledger and the records).
 
     ``flight_recorder=True`` keeps a per-rank black box
-    (:mod:`repro.obs.flightrec`): a window on the tracer's last
-    ``flightrec_depth`` spans plus a ring of step deltas, auto-dumped
-    (with the ledger's rows) to ``flightrec_dir`` when the job dies.  The
-    window must fit in what the tracer keeps after an eviction, so
-    ``flightrec_depth`` is at most ``max_spans // 2``.
+    (:mod:`repro.obs.flightrec`): when the job dies, the rank's run record
+    cut to the tracer's last ``flightrec_depth`` spans is dumped to
+    ``flightrec_dir``.  The window must fit in what the tracer keeps
+    after an eviction, so ``flightrec_depth`` is at most
+    ``max_spans // 2``.
     """
 
     sample_every: int = 1
@@ -58,11 +57,12 @@ class ObsConfig:
 class RankObs:
     """One rank's observability state (used only from that rank's thread)."""
 
-    __slots__ = ("rank", "tracer", "metrics", "recorder", "last_step",
-                 "ledger", "mastermind")
+    __slots__ = ("rank", "config", "tracer", "metrics", "last_step",
+                 "ledger", "mastermind", "dumped_to")
 
     def __init__(self, rank: int, config: ObsConfig) -> None:
         self.rank = int(rank)
+        self.config = config
         self.tracer = SpanTracer(rank=rank, max_spans=config.max_spans,
                                  sample_every=config.sample_every)
         self.metrics = MetricsRegistry(rank=rank)
@@ -72,20 +72,16 @@ class RankObs:
         #: by ``Mastermind.set_services`` (None while unbound)
         self.ledger: Any = None
         self.mastermind: Any = None
-        self.recorder: Any = None
-        if config.flight_recorder:
-            from repro.obs.flightrec import FlightRecorder
-
-            self.recorder = FlightRecorder(rank, depth=config.flightrec_depth,
-                                           directory=config.flightrec_dir)
+        #: path of the flight-recorder dump once written (the first cause
+        #: wins: see :func:`~repro.obs.flightrec.dump_flight_recorders`)
+        self.dumped_to: str | None = None
 
     @contextlib.contextmanager
     def step(self, step: int) -> Iterator[Span | None]:
         """Bracket one timestep in a ``timestep`` span.
 
-        On every way out, a crash unwinding included, the step becomes
-        :attr:`last_step` and the flight recorder (if any) captures the
-        step's counter deltas.
+        On every way out, a crash unwinding included, the span closes and
+        the step becomes :attr:`last_step`; nothing is folded.
         """
         span = self.tracer.start(  # ra: noqa[RA001] — a span, closed by end()
             "timestep", CAT_STEP, step=step)
@@ -94,8 +90,6 @@ class RankObs:
         finally:
             self.tracer.end(span)
             self.last_step = step
-            if self.recorder is not None:
-                self.recorder.capture_step(self, step, span)
 
 
 def build_obs(nranks: int, config: ObsConfig | None) -> list[RankObs] | None:

@@ -76,6 +76,7 @@ class Span:
         return max(0.0, self.t_end_us - self.t_start_us)
 
     def to_dict(self) -> dict[str, Any]:
+        """The span's fields, attrs copied (``Span(**d)`` rebuilds it)."""
         return {
             "span_id": self.span_id,
             "parent_id": self.parent_id,
@@ -86,18 +87,6 @@ class Span:
             "t_end_us": self.t_end_us,
             "attrs": dict(self.attrs),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "Span":
-        return cls(
-            span_id=int(d["span_id"]),
-            parent_id=None if d.get("parent_id") is None else int(d["parent_id"]),
-            rank=int(d["rank"]), name=str(d["name"]),
-            category=str(d["category"]),
-            t_start_us=float(d["t_start_us"]),
-            t_end_us=float(d.get("t_end_us", 0.0)),
-            attrs=dict(d.get("attrs") or {}),
-        )
 
 
 class FlowPoint(NamedTuple):

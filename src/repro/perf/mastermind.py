@@ -30,7 +30,6 @@ performance expectations are not being met").
 from __future__ import annotations
 
 import collections
-import os
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -286,24 +285,6 @@ class Mastermind(Component, MonitorPort):
         for data in state:
             rec = MethodRecord.from_dict(data)
             self._records[rec.key] = rec
-
-    # -------------------------------------------------------------- dump
-    def dump_all(self, directory: str) -> list[str]:
-        """Write every method record to ``directory``; returns file paths.
-
-        This is the record-destruction output of Section 4.3, invoked
-        explicitly (Python object lifetimes make destructor I/O unreliable).
-        Each file is written atomically (see
-        :meth:`~repro.perf.records.MethodRecord.dump`).
-        """
-        os.makedirs(directory, exist_ok=True)
-        paths = []
-        for rec in self.all_records():
-            fname = f"{rec.label}.{rec.method}.record".replace(os.sep, "_")
-            path = os.path.join(directory, fname)
-            rec.dump(path)
-            paths.append(path)
-        return paths
 
     def release(self) -> None:
         """Framework destruction hook; active invocations must be closed."""

@@ -4,13 +4,16 @@
 by the Mastermind.  The record object stores all the measurement data for
 each of the invocations of a single routine. ... When a record object is
 destroyed, it outputs to a file all of the measurement data for each
-invocation that it stored."
+invocation that it stored."  Here the records are part of the rank's run
+record (:mod:`repro.obs.record`) and :func:`record_files` renders that
+output from it.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
@@ -136,7 +139,7 @@ class MethodRecord:
         rec.invocations = [InvocationRecord.from_dict(d) for d in data["invocations"]]
         return rec
 
-    # -------------------------------------------------------------- dump
+    # -------------------------------------------------------------- text
     def to_text(self) -> str:
         """Render every stored invocation (the record's file output)."""
         param_names = sorted({k for inv in self.invocations for k in inv.params})
@@ -149,12 +152,14 @@ class MethodRecord:
             lines.append("\t".join(cells))
         return "\n".join(lines) + "\n"
 
-    def dump(self, path: str) -> None:
-        """Write all invocation data to ``path`` (record-destruction dump).
 
-        Atomic (temp file + ``os.replace``): a crash mid-dump never leaves
-        a truncated record file behind.
-        """
-        from repro.util.atomicio import atomic_write_text
-
-        atomic_write_text(path, self.to_text())
+def record_files(state: Iterable[Mapping[str, Any]]) -> dict[str, str]:
+    """The record-destruction output of Section 4.3, from a run record's
+    ``records`` (:meth:`~repro.perf.mastermind.Mastermind.records_state`):
+    each method record's text, by file name."""
+    files = {}
+    for data in state:
+        rec = MethodRecord.from_dict(data)
+        fname = f"{rec.label}.{rec.method}.record".replace(os.sep, "_")
+        files[fname] = rec.to_text()
+    return files

@@ -20,8 +20,9 @@ each traced frame itself as a span; it exports through
 :mod:`repro.obs.export` like every other interval of the rank.
 
 Hardware metrics come from :mod:`repro.tau.hardware`, a PAPI-like layer
-backed by an explicit cache model (see DESIGN.md substitutions).  Profiles
-dump to TAU-style ``profile.<rank>`` files, and
+backed by an explicit cache model (see DESIGN.md substitutions).  A
+rank's profile is part of its run record (:mod:`repro.obs.record`), which
+:func:`~repro.tau.profiler.format_profile` renders as TAU-style text, and
 :func:`repro.tau.summary.function_summary` renders the paper's Figure 3
 "FUNCTION SUMMARY (mean)" table.
 """

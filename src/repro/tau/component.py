@@ -43,9 +43,6 @@ class MeasurementPort(Port):
     def query(self) -> MeasurementSnapshot:
         raise NotImplementedError
 
-    def dump(self, path: str) -> None:
-        raise NotImplementedError
-
 
 class _MeasurementImpl(MeasurementPort):
     """MeasurementPort implementation over a Profiler."""
@@ -75,9 +72,6 @@ class _MeasurementImpl(MeasurementPort):
     def query(self) -> MeasurementSnapshot:
         """Current cumulative wall/MPI/counter values (Section 4.3's reads)."""
         return MeasurementSnapshot.capture(self._profiler)
-
-    def dump(self, path: str) -> None:
-        self._profiler.dump(path)
 
 
 class TauMeasurementComponent(Component):

@@ -1,4 +1,4 @@
-"""The per-rank profiler: timers, groups, control, dumping.
+"""The per-rank profiler: timers, groups, control, and its text profile.
 
 One :class:`Profiler` instance lives on each simulated rank (ranks are
 threads; the profiler is used only from its own rank thread, so no locking
@@ -20,13 +20,12 @@ the clock once; with a tracer, the frame itself is the traced span.
 from __future__ import annotations
 
 import contextlib
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 from repro.obs.span import CAT_COMPUTE, UNKEPT, SpanTracer
 from repro.tau.events import EventRegistry
 from repro.tau.hardware import CacheModel, HardwareCounters
 from repro.tau.timer import Frame, TimerStats
-from repro.util.atomicio import atomic_write_text
 from repro.util.timebase import now_us
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -211,21 +210,24 @@ class Profiler:
             return self._mpi_us()
         return sum(t.inclusive_us for t in self._timers.values() if t.group == group)
 
-    # -------------------------------------------------------------- dump
-    def dump(self, path: str) -> None:
-        """Atomically write a TAU-style text profile (one file per rank)."""
-        lines = [f"# TAU-style profile, rank {self.rank}", "# name group calls incl_us excl_us"]
-        for name, t in sorted(self.timers_snapshot().items()):
-            lines.append(
-                f"{name!r} {t.group} {t.calls} {t.inclusive_us:.3f} {t.exclusive_us:.3f}"
-            )
-        lines.append("# atomic events: name min max mean std count")
-        for name, s in sorted(self.events.summaries().items()):
-            lines.append(
-                f"{name!r} {s['min']:.6g} {s['max']:.6g} {s['mean']:.6g} "
-                f"{s['std']:.6g} {int(s['count'])}"
-            )
-        lines.append("# hardware counters")
-        for name, v in sorted(self.counters.read().items()):
-            lines.append(f"{name} {v}")
-        atomic_write_text(path, "\n".join(lines) + "\n")
+
+def format_profile(rank: int, timers: Mapping[str, TimerStats],
+                   events: Mapping[str, Mapping[str, float]],
+                   counters: Mapping[str, int]) -> str:
+    """TAU-style text profile of one rank, from its run record's timers,
+    atomic-event summaries and hardware counters."""
+    lines = [f"# TAU-style profile, rank {rank}", "# name group calls incl_us excl_us"]
+    for name, t in sorted(timers.items()):
+        lines.append(
+            f"{name!r} {t.group} {t.calls} {t.inclusive_us:.3f} {t.exclusive_us:.3f}"
+        )
+    lines.append("# atomic events: name min max mean std count")
+    for name, s in sorted(events.items()):
+        lines.append(
+            f"{name!r} {s['min']:.6g} {s['max']:.6g} {s['mean']:.6g} "
+            f"{s['std']:.6g} {int(s['count'])}"
+        )
+    lines.append("# hardware counters")
+    for name, v in sorted(counters.items()):
+        lines.append(f"{name} {v}")
+    return "\n".join(lines) + "\n"

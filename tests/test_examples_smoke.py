@@ -60,13 +60,17 @@ def test_observability_small(tmp_path):
     out = run_example(
         "observability.py", "--steps", "2", "--nx", "32", "--nranks", "3",
         "--trace-out", str(tmp_path / "trace.json"),
-        "--metrics-out", str(tmp_path / "metrics"))
+        "--metrics-out", str(tmp_path / "metrics"),
+        "--records-out", str(tmp_path / "records"))
+    assert "wrote and loaded 3 run records" in out
     assert "Critical path" in out
     assert "cross-rank hop" in out
     assert "0 mismatches" in out
     assert "valid; load in ui.perfetto.dev" in out
     assert (tmp_path / "trace.json").exists()
     assert (tmp_path / "metrics.prom").exists()
+    assert sorted(os.listdir(tmp_path / "records")) == \
+        ["rank0.json", "rank1.json", "rank2.json"]
 
 
 def test_heat_reuse_is_listed():

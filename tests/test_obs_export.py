@@ -10,9 +10,10 @@ import json
 import pytest
 
 from repro.mpi.runner import ParallelRunner
-from repro.obs.export import (chrome_trace_from_spans, collect,
+from repro.obs.export import (chrome_trace_from_spans, timeline,
                               validate_chrome_payload, validate_trace_file,
                               write_metrics, write_trace)
+from repro.obs.record import SpanDropWarning, collect, reset_drop_warning
 from repro.obs.runtime import ObsConfig, RankObs
 from repro.obs.span import CAT_COMPUTE, CAT_MPI, FLOW_COLL, SpanTracer
 
@@ -37,16 +38,18 @@ def ring_run():
 def test_collect_merges_and_orders(ring_run):
     world, results = ring_run
     assert [r[1] for r in results] == [2, 0, 1]
-    dump = collect(world)
-    assert {s.rank for s in dump.spans} == {0, 1, 2}
-    starts = [s.t_start_us for s in dump.spans]
+    records = collect(world)
+    assert [r.rank for r in records] == [0, 1, 2]
+    spans, _ = timeline(records)
+    assert {s.rank for s in spans} == {0, 1, 2}
+    starts = [s.t_start_us for s in spans]
     assert starts == sorted(starts)
     # 3 sends, 3 recvs, 3 barrier participations.
-    names = [s.name for s in dump.spans]
+    names = [s.name for s in spans]
     assert names.count("MPI_Send") == 3
     assert names.count("MPI_Recv") == 3
     assert names.count("MPI_Barrier") == 3
-    assert dump.dropped_total == 0
+    assert all(r.overhead["dropped"] == 0 for r in records)
 
 
 def _check_one_collective_flow_point_per_rank(backend):
@@ -64,7 +67,7 @@ def _check_one_collective_flow_point_per_rank(backend):
         comm.dup().barrier()
 
     runner.run(main)
-    flows = collect(runner.last_world).flows
+    _, flows = timeline(collect(runner.last_world))
     ids = [f"c:world:{i}" for i in range(7)] + ["c:world/dup1:0"]
     for rank in range(3):
         assert [f.flow_id for f in flows
@@ -92,7 +95,7 @@ def test_collect_requires_observability():
 def test_trace_file_round_trips_and_validates(ring_run, tmp_path):
     world, _ = ring_run
     path = str(tmp_path / "trace.json")
-    write_trace(world, path)
+    write_trace(collect(world), path)
     payload = json.load(open(path, encoding="utf-8"))  # satellite 3: json.loads
     assert validate_trace_file(path) == []
 
@@ -112,7 +115,8 @@ def test_trace_file_round_trips_and_validates(ring_run, tmp_path):
 def test_metrics_files(ring_run, tmp_path):
     world, _ = ring_run
     jpath, ppath = str(tmp_path / "m.json"), str(tmp_path / "m.prom")
-    merged = write_metrics(world, json_path=jpath, prometheus_path=ppath)
+    merged = write_metrics(collect(world), json_path=jpath,
+                           prometheus_path=ppath)
     snap = json.loads(open(jpath, encoding="utf-8").read())
     names = {m["name"] for m in snap["metrics"]}
     assert {"mpi_calls_total", "mpi_cost_us_total", "mpi_bytes_sent_total",
@@ -135,12 +139,10 @@ def test_dropped_spans_surface_loudly(tmp_path):
         tr.end(tr.start(f"w{i}", CAT_COMPUTE))
     assert tr.dropped_count > 0
     # The drop alert fires once per run as a dedicated warning category.
-    import pytest
-    from repro.obs.export import SpanDropWarning, reset_drop_warning
     reset_drop_warning()
     with pytest.warns(SpanDropWarning, match="trace history"):
-        dump = collect([ro])
-    assert dump.dropped_total == tr.dropped_count
+        records = collect([ro])
+    assert records[0].overhead["dropped"] == tr.dropped_count
     # ...and only once: a second collect stays quiet.
     import warnings as _warnings
     with _warnings.catch_warnings():
@@ -149,7 +151,7 @@ def test_dropped_spans_surface_loudly(tmp_path):
     reset_drop_warning()
 
     path = str(tmp_path / "truncated.json")
-    write_trace(dump, path)
+    write_trace(records, path)
     payload = json.load(open(path, encoding="utf-8"))
     # otherData carries the per-rank count...
     assert payload["otherData"]["dropped_spans"] == {"0": tr.dropped_count}
@@ -159,7 +161,7 @@ def test_dropped_spans_surface_loudly(tmp_path):
     assert len(shouts) == 1
     assert shouts[0]["args"]["dropped"] == tr.dropped_count
     # The merged metrics echo the drop count too.
-    merged = write_metrics(dump)
+    merged = write_metrics(records)
     assert merged.counter("tracer_dropped_total").value == float(tr.dropped_count)
 
 

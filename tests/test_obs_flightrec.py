@@ -1,4 +1,5 @@
-"""Flight recorder: bounded rings, crash dumps, cross-rank post-mortems."""
+"""Flight recorder: windowed run records, crash dumps, cross-rank
+post-mortems."""
 
 import importlib
 import json
@@ -14,20 +15,19 @@ from repro.harness.casestudy import CaseStudyConfig, run_case_study
 from repro.mpi.accounting import MPIAccounting
 from repro.mpi.network import NetworkModel
 from repro.mpi.runner import ParallelRunner, RankFailure
-from repro.obs import (FlightRecorder, ObsConfig, RankObs,
-                       dump_flight_recorders, merge_flight_recordings)
+from repro.obs import (ObsConfig, RankObs, dump_flight_recorders,
+                       load_records, merge_flight_recordings)
 from repro.obs.export import rank_metrics
 from repro.obs.flightrec import MERGED_SUMMARY, MERGED_TRACE
 from repro.obs.metrics import Histogram
+from repro.obs.record import rank_record
 from repro.obs.span import CAT_COMPUTE, CAT_STEP, SpanTracer
 from repro.perf.records import InvocationRecord, MethodRecord
 from repro.tau.query import InvocationMeasurement
 
 
-# ------------------------------------------------------------------- rings
+# ------------------------------------------------------------------ window
 def test_validation():
-    with pytest.raises(ValueError, match="depth"):
-        FlightRecorder(0, depth=0)
     with pytest.raises(ValueError, match="flightrec_depth"):
         ObsConfig(flightrec_depth=0)
     # The window must fit in what the tracer keeps after an eviction.
@@ -49,56 +49,29 @@ def test_span_ring_is_bounded_and_keeps_newest(tmp_path):
 
 
 def test_dump_ledger_is_the_rank_ledger_rows(tmp_path):
-    # The recorder keeps no ring of charges: a dump reads the ledger's
-    # rows as they stand at dump time, however many charges there were.
+    # A box keeps no ring of charges: it reads the ledger's rows as they
+    # stand at dump time, however many charges there were.
     ro = RankObs(1, ObsConfig(flight_recorder=True, flightrec_depth=4))
     ro.ledger = MPIAccounting()
     for i in range(9):
         ro.ledger.record("MPI_Send", float(i))
     ro.ledger.record("MPI_Barrier", 0.5)
-    payload = json.load(open(ro.recorder.dump(ro, "test", str(tmp_path))))
+    (path,) = dump_flight_recorders([ro], "test", str(tmp_path))
+    payload = json.load(open(path))
     assert payload["ledger"] == {
         "MPI_Send": {"calls": 9, "total_us": 36.0},
         "MPI_Barrier": {"calls": 1, "total_us": 0.5}}
-    assert not hasattr(ro.recorder, "ledger")
-
-
-def test_step_deltas_diff_counters():
-    # MPI calls per step are read from the rank's ledger, not counted twice.
-    ro = RankObs(0, ObsConfig(flight_recorder=True))
-    ro.ledger = MPIAccounting()
-
-    for _ in range(3):
-        ro.ledger.record("MPI_Send", 1.0)
-    with ro.step(0):
-        ro.ledger.record("MPI_Send", 1.0)
-        ro.ledger.record("MPI_Send", 1.0)
-    with ro.step(1):
-        ro.ledger.record("MPI_Recv", 1.0)
-
-    def mpi_calls(deltas):
-        return {k: v for k, v in deltas["counter_deltas"].items()
-                if k.startswith("mpi_calls_total")}
-
-    d0, d1 = ro.recorder.step_deltas
-    assert d0["step"] == 0 and d1["step"] == 1
-    # First capture charges everything since the run began (base = 0)...
-    (key0, val0), = mpi_calls(d0).items()
-    assert "MPI_Send" in key0 and val0 == 5.0
-    # ...later captures only what moved during that step.
-    (key1, val1), = mpi_calls(d1).items()
-    assert "MPI_Recv" in key1 and val1 == 1.0
-    # The step's own span is in the tracer's accounting, folded alike.
-    assert d1["counter_deltas"]["tracer_spans_total{}"] == 1.0
 
 
 def test_step_end_observes_nothing(monkeypatch):
-    """``step_end_observes_nothing``: a step end reads counters only, so
-    it re-observes no recorded invocation however many there are; the
-    full metrics view still folds every one into its histogram."""
+    """``step_end_observes_nothing``: a step end closes its span, sets
+    ``last_step`` and folds nothing, so it re-observes no recorded
+    invocation however many there are; the full metrics view still folds
+    every one into its histogram."""
     ro = RankObs(0, ObsConfig(flight_recorder=True))
     rec = MethodRecord("sc_proxy", "compute")
-    ro.mastermind = types.SimpleNamespace(all_records=lambda: [rec])
+    ro.mastermind = types.SimpleNamespace(
+        records_state=lambda: [rec.to_dict()])
     observed = []
     observe = Histogram.observe
 
@@ -113,10 +86,11 @@ def test_step_end_observes_nothing(monkeypatch):
                 params={}, measurement=InvocationMeasurement(5.0, 1.0)))
         with ro.step(step):
             pass
+        assert ro.last_step == step
+        assert ro.tracer.open_depth() == 0
     assert observed == []
-    key = 'invocations_total{"routine": "sc_proxy::compute()"}'
-    assert [d["counter_deltas"][key] for d in ro.recorder.step_deltas] == [100.0] * 3
-    assert rank_metrics(ro).histogram(
+    assert [s.attrs["step"] for s in ro.tracer.spans()] == [0, 1, 2]
+    assert rank_metrics(rank_record(ro)).histogram(
         "invocation_wall_us", routine="sc_proxy::compute()").count == 300
     assert len(observed) == 300
 
@@ -131,7 +105,6 @@ def test_step_seam_records_the_step_on_unwind():
     (span,) = ro.tracer.spans()
     assert (span.name, span.category, span.attrs) == \
         ("timestep", CAT_STEP, {"step": 3})
-    assert [d["step"] for d in ro.recorder.step_deltas] == [3]
 
 
 class TestOneSpanStore:
@@ -167,15 +140,18 @@ def _loaded_rank(rank=0):
 
 def test_dump_writes_once_first_cause_wins(tmp_path):
     ro = _loaded_rank()
-    p1 = ro.recorder.dump(ro, "simulated crash", str(tmp_path))
-    p2 = ro.recorder.dump(ro, "cascading abort", str(tmp_path))
-    assert p1 == p2 == os.path.join(str(tmp_path), "rank0.json")
-    payload = json.load(open(p1))
-    assert payload["reason"] == "simulated crash"
-    assert payload["rank"] == 0
-    assert len(payload["spans"]) == 5
-    assert payload["ledger"] == {"MPI_Send": {"calls": 1, "total_us": 12.5}}
-    assert payload["t_dump_us"] > 0
+    (p1,) = dump_flight_recorders([ro], "simulated crash", str(tmp_path))
+    (p2,) = dump_flight_recorders([ro], "cascading abort", str(tmp_path))
+    assert p1 == p2 == ro.dumped_to == os.path.join(str(tmp_path), "rank0.json")
+    # The box is the rank's record cut to its window, plus the reason.
+    (box,) = load_records(str(tmp_path))
+    assert box.reason == "simulated crash"
+    assert box.rank == 0
+    assert len(box.spans) == 5
+    assert box.ledger == {"MPI_Send": {"calls": 1, "total_us": 12.5}}
+    whole = rank_record(ro)
+    whole.reason = "simulated crash"
+    assert box == whole
 
 
 def test_dump_flight_recorders_tolerates_gaps(tmp_path):
@@ -188,22 +164,25 @@ def test_dump_flight_recorders_tolerates_gaps(tmp_path):
 
 
 # ------------------------------------------------------------------- merge
-def test_merge_reconstructs_cross_rank_timeline(tmp_path):
-    for rank in range(3):
+@pytest.mark.parametrize("nranks", [3, 12])
+def test_merge_reconstructs_cross_rank_timeline(tmp_path, nranks):
+    for rank in range(nranks):
         dump_flight_recorders([_loaded_rank(rank)], f"rank {rank} down",
                               str(tmp_path))
     pm = merge_flight_recordings(str(tmp_path))
-    assert pm.ranks == [0, 1, 2]
+    # Ranks in numeric order, not the file names' ("rank10" < "rank2").
+    assert pm.ranks == list(range(nranks))
     assert pm.reasons[2] == "rank 2 down"
-    assert len(pm.spans) == 15
+    assert len(pm.spans) == 5 * nranks
     starts = [s.t_start_us for s in pm.spans]
     assert starts == sorted(starts)
     assert pm.problems == []  # Perfetto-valid
     assert os.path.basename(pm.trace_path) == MERGED_TRACE
     assert os.path.basename(pm.summary_path) == MERGED_SUMMARY
     summary = json.load(open(pm.summary_path))
-    assert summary["valid"] is True and summary["n_spans"] == 15
-    assert "post-mortem over ranks [0, 1, 2]" in pm.format()
+    assert summary["valid"] is True and summary["n_spans"] == 5 * nranks
+    assert summary["ranks"] == list(range(nranks))
+    assert f"post-mortem over ranks {list(range(nranks))}" in pm.format()
     assert pm.window_us > 0
 
 
@@ -225,7 +204,7 @@ def test_black_boxes_dumped_on_simulated_crash(tmp_path):
         fault_plan=FaultPlan(name="kill", kill_at_step=2),
         observe=ObsConfig(flight_recorder=True, flightrec_dir=rec_dir),
     )
-    with pytest.raises(RankFailure, match="SimulatedCrash"):
+    with pytest.raises(RankFailure, match="SimulatedCrash") as failure:
         run_case_study(cfg)
     # Every rank left a black box naming the primary cause...
     dumps = sorted(os.listdir(rec_dir))
@@ -242,6 +221,15 @@ def test_black_boxes_dumped_on_simulated_crash(tmp_path):
     # (the tracer's context manager), so the window ends at the crash step.
     assert pm.steps == [0, 1, 2]
     assert any(s.category == "step" for s in pm.spans)
+    # Each rank the crash took down holds its mark, in its window and in
+    # the injector's events its box carries.
+    boxes = {b.rank: b for b in load_records(rec_dir)}
+    for rank in failure.value.failures:
+        box = boxes[rank]
+        assert any(s.name == "fault.crash" and s.category == "fault"
+                   for s in box.spans), rank
+        assert ("fault.crash", 2.0) in box.faults, box.faults
+        assert (box.nranks, box.seed, box.backend) == (2, 0, "thread")
 
 
 def test_black_boxes_dumped_on_deadlock(tmp_path):

@@ -1,9 +1,9 @@
 """Every metrics view is one fold over the stores the series come from.
 
 The MPI series are the ranks' ledger rows and the invocation series are
-the Mastermind's records, read whenever a view is taken: the dump's merge,
-the written files and the live scrape agree, and a resumed run counts the
-invocations it restored.
+the Mastermind's records, read from the run records whenever a view is
+taken: the records' merge, the written files and the live scrape agree,
+and a resumed run counts the invocations it restored.
 """
 
 import dataclasses
@@ -18,8 +18,10 @@ from repro.faults.policy import ResiliencePolicy
 from repro.harness.casestudy import CaseStudyConfig, run_case_study
 from repro.mpi.network import NetworkModel
 from repro.mpi.runner import RankFailure
-from repro.obs import ObsConfig, RankObs, collect, live_metrics, write_metrics
+from repro.obs import (ObsConfig, RankObs, collect, live_metrics,
+                       merged_metrics, write_metrics)
 from repro.obs.export import rank_metrics
+from repro.obs.record import rank_record
 from repro.obs.metrics import Histogram
 from repro.perf import Mastermind, make_proxy_port, perf_params
 from repro.tau.component import TauMeasurementComponent
@@ -59,8 +61,9 @@ def observed_run():
 
 def test_three_views_give_identical_exposition(observed_run, tmp_path):
     world = observed_run.world
-    dumped = collect(world).merged_metrics().to_prometheus()
-    written = write_metrics(world, prometheus_path=str(tmp_path / "m.prom"))
+    records = collect(world)
+    dumped = merged_metrics(records).to_prometheus()
+    written = write_metrics(records, prometheus_path=str(tmp_path / "m.prom"))
     assert written.to_prometheus() == dumped
     assert (tmp_path / "m.prom").read_text() == dumped
     assert live_metrics(world.obs).to_prometheus() == dumped
@@ -88,7 +91,7 @@ def test_invocation_series_are_the_records(observed_run):
     # The histogram is observed from the records in their stored order:
     # bucket for bucket, and its sum, equal to one built by hand.
     for ro, h in zip(observed_run.world.obs, observed_run.extras):
-        view = rank_metrics(ro)
+        view = rank_metrics(rank_record(ro))
         for rec in h.records.values():
             expect = Histogram()
             for inv in rec.invocations:
@@ -112,7 +115,7 @@ def test_resumed_observed_run_counts_every_invocation(tmp_path):
     assert resumed.results == [0, 0, 0]
     expected = invocations_by_routine(resumed.extras)
     assert expected
-    merged = collect(resumed).merged_metrics()
+    merged = merged_metrics(collect(resumed))
     assert counter_values(merged, "invocations_total") == expected
 
 

@@ -15,7 +15,8 @@ import pytest
 from repro.euler.ports import DriverParams
 from repro.harness.casestudy import CaseStudyConfig, run_case_study
 from repro.mpi.network import NetworkModel
-from repro.obs import ObsConfig, collect, critical_path, per_step_critical_paths
+from repro.obs import (ObsConfig, collect, critical_path,
+                       per_step_critical_paths, timeline)
 
 # High modeled latency on purpose: the deterministic modeled schedule
 # (identical across backends) must dominate the critical path, so the
@@ -32,7 +33,7 @@ def both_backends():
             params=DriverParams(nx=48, ny=48, steps=2, max_patch_cells=4096),
             nranks=3, seed=7, network=NET, backend=backend,
             observe=ObsConfig()))
-        return res, collect(res)
+        return res, timeline(collect(res))
 
     return {b: run(b) for b in ("thread", "mp-shm")}
 
@@ -44,8 +45,8 @@ def _fractions(rep):
 
 
 def test_mpshm_critical_path_well_formed(both_backends):
-    _, dump = both_backends["mp-shm"]
-    rep = critical_path(dump.spans, dump.flows)
+    _, (spans, flows) = both_backends["mp-shm"]
+    rep = critical_path(spans, flows)
     assert 0.0 < rep.path_us <= rep.total_wall_us + 1e-6
     assert rep.cross_rank_hops > 0
     assert rep.breakdown.get("compute", 0.0) > 0.0
@@ -53,8 +54,8 @@ def test_mpshm_critical_path_well_formed(both_backends):
 
 
 def test_breakdown_agrees_across_backends(both_backends):
-    frac = {b: _fractions(critical_path(d.spans, d.flows))
-            for b, (_, d) in both_backends.items()}
+    frac = {b: _fractions(critical_path(*tl))
+            for b, (_, tl) in both_backends.items()}
     # Same modeled schedule => the same categories carry the path on both
     # backends.  Their *shares* are not compared: each is the wall clock
     # of one run, GIL-shared threads against real processes on however
@@ -72,8 +73,8 @@ def test_breakdown_agrees_across_backends(both_backends):
 
 def test_per_step_paths_agree_on_step_keys(both_backends):
     steps = {}
-    for backend, (_, dump) in both_backends.items():
-        out = per_step_critical_paths(dump.spans, dump.flows)
+    for backend, (_, tl) in both_backends.items():
+        out = per_step_critical_paths(*tl)
         steps[backend] = sorted(out)
         for rep in out.values():
             assert 0.0 < rep.path_us <= rep.total_wall_us + 1e-6
@@ -88,9 +89,9 @@ def test_span_multiset_identical(both_backends):
     message arrival order, not the modeled schedule.
     """
     names = {}
-    for backend, (_, dump) in both_backends.items():
+    for backend, (_, (spans, _)) in both_backends.items():
         names[backend] = {
-            r: sorted(s.name for s in dump.spans
+            r: sorted(s.name for s in spans
                       if s.rank == r and s.name != "MPI_Waitsome")
             for r in range(3)}
     assert names["thread"] == names["mp-shm"]

@@ -21,7 +21,8 @@ from repro.serve.server import ModelServer, ServeConfig
 
 @pytest.fixture
 def obs(tmp_path):
-    """Two live ranks with recorders, some history, one completed step."""
+    """Two live ranks with flight recorders, some history, one completed
+    step."""
     cfg = ObsConfig(flight_recorder=True, flightrec_dir=str(tmp_path))
     ranks = [RankObs(r, cfg) for r in range(2)]
     for ro in ranks:
@@ -86,7 +87,7 @@ def test_healthz_reports_last_step_without_a_recorder():
     res = run_case_study(CaseStudyConfig(
         params=DriverParams(nx=16, ny=16, max_levels=1, steps=2),
         nranks=2, observe=ObsConfig()))
-    assert all(ro.recorder is None for ro in res.world.obs)
+    assert not any(ro.config.flight_recorder for ro in res.world.obs)
     sc = ObsSidecar(res.world.obs)
     assert json.loads(ask(sc, "GET", "/healthz").body)["last_step"] == \
         {"0": 1, "1": 1}

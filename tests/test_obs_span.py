@@ -210,7 +210,7 @@ def _two_rank_trace():
 def test_span_round_trips_through_dict():
     a, _b = _two_rank_trace()
     for span in a.spans():
-        twin = Span.from_dict(span.to_dict())
+        twin = Span(**span.to_dict())
         assert twin == span
         assert twin.attrs is not span.attrs
     assert a.spans()[0].to_dict() == {
@@ -250,4 +250,4 @@ def test_chrome_trace_of_the_records_is_unchanged():
     shipped = pickle.loads(pickle.dumps((spans, flows)))
     assert chrome_trace_from_spans(*shipped) == events
     assert chrome_trace_from_spans(
-        [Span.from_dict(s.to_dict()) for s in spans], flows) == events
+        [Span(**s.to_dict()) for s in spans], flows) == events

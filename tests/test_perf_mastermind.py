@@ -1,5 +1,5 @@
 """Mastermind: records, the call path folded from them, one interval per
-call, model building, drift checks, dumping."""
+call, model building, drift checks, record files."""
 
 import itertools
 
@@ -14,7 +14,7 @@ from repro.mpi.comm import SimComm
 from repro.mpi.world import SimWorld
 from repro.models.performance import PerformanceModel
 from repro.perf import Mastermind
-from repro.perf.records import InvocationRecord, MethodRecord
+from repro.perf.records import InvocationRecord, MethodRecord, record_files
 from repro.tau.component import TauMeasurementComponent
 from repro.tau.hardware import AccessPattern
 from repro.tau.profiler import Profiler
@@ -173,14 +173,16 @@ class TestReport:
 
 
 class TestDump:
-    def test_dump_all_writes_files(self, tmp_path, mastermind):
+    def test_record_files_render_from_records_state(self, mastermind):
         fw, mm = mastermind
         invoke(fw, mm, "comp", "compute", {"Q": 3}, busy_us=10)
-        paths = mm.dump_all(str(tmp_path))
-        assert len(paths) == 1
-        text = open(paths[0]).read()
+        files = record_files(mm.records_state())
+        assert list(files) == ["comp.compute.record"]
+        text = files["comp.compute.record"]
+        assert text == mm.record("comp", "compute").to_text()
         assert "comp::compute()" in text
         assert "Q" in text
+        assert not hasattr(mm, "dump_all")
 
 
 class TestMethodRecord:

@@ -20,6 +20,7 @@ from repro.models.fits import fit_linear, fit_power_law
 from repro.models.performance import PerformanceModel
 from repro.models.serialize import ModelRepository
 from repro.obs.export import rank_metrics
+from repro.obs.record import rank_record
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import ObsConfig, RankObs
 from repro.perf import Mastermind, make_proxy_port, perf_params
@@ -221,7 +222,7 @@ def test_proxied_invocation_makes_no_registry_lookup(monkeypatch):
         proxy.work(q)
     assert counts.lookups == 0
     assert fw.obs.metrics.series() == []
-    view = rank_metrics(fw.obs)
+    view = rank_metrics(rank_record(fw.obs))
     assert view.counter("invocations_total", routine="w::work()").value == 5
     assert view.histogram("invocation_wall_us",
                           routine="w::work()").count == 5

@@ -11,7 +11,7 @@ from repro.mpi.comm import SimComm
 from repro.mpi.world import SimWorld
 from repro.obs.span import CAT_COMPUTE, SpanTracer
 from repro.tau.component import MeasurementPort, TauMeasurementComponent
-from repro.tau.profiler import Profiler
+from repro.tau.profiler import Profiler, format_profile
 
 
 class Inspector(Component):
@@ -67,13 +67,17 @@ class TestMeasurementPort:
         assert snap.mpi_us == 42.0
         assert snap.counters["PAPI_FP_OPS"] == 7
 
-    def test_dump_through_port(self, tmp_path, wired):
+    def test_port_has_no_dump_the_profile_is_a_record_view(self, wired):
+        # The run record is the one writer: the port renders nothing to
+        # disk, and its profiler's data renders as TAU text.
         fw, port = wired
+        assert not hasattr(MeasurementPort, "dump")
         port.start_timer("t")
         port.stop_timer("t")
-        path = tmp_path / "profile.0"
-        port.dump(str(path))
-        assert "t" in path.read_text()
+        p = port.profiler
+        text = format_profile(p.rank, p.timers_snapshot(), p.events.summaries(),
+                              p.counters.read())
+        assert "'t' default 1 " in text
 
     def test_adopts_framework_profiler_by_default(self, wired):
         fw, port = wired

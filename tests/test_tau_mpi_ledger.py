@@ -11,6 +11,7 @@ from repro.cca.ports import GoPort
 from repro.mpi.request import waitall
 from repro.obs.export import rank_metrics
 from repro.obs.flightrec import dump_flight_recorders
+from repro.obs.record import rank_record
 from repro.obs.runtime import ObsConfig
 from repro.tau.component import TauMeasurementComponent
 from repro.tau.profiler import MPI_GROUP
@@ -78,7 +79,7 @@ def test_flight_recorder_dump_holds_the_ledger_rows(backend, tmp_path):
             n: {"calls": st.calls, "total_us": st.total_us}
             for n, st in rows.items()}
         # The metrics view reads the same rows: one store, no copy.
-        view = rank_metrics(ro)
+        view = rank_metrics(rank_record(ro))
         for n, st in rows.items():
             assert view.counter("mpi_calls_total", routine=n).value == st.calls
             assert view.counter("mpi_cost_us_total",

@@ -1,10 +1,10 @@
 """Profiler semantics: nesting, exclusivity, groups, the MPI ledger read,
-dumping."""
+the text profile."""
 
 import pytest
 
 from repro.mpi.accounting import MPIAccounting
-from repro.tau.profiler import MPI_GROUP, Profiler
+from repro.tau.profiler import MPI_GROUP, Profiler, format_profile
 
 
 class FakeClock:
@@ -187,9 +187,9 @@ def test_dump_writes_profile_file(tmp_path, ledgered):
     ledger.record("MPI_Bcast", 1.5)
     p.events.record("ev", 4.5)
     p.counters.record_flops(10)
-    path = tmp_path / "profile.0"
-    p.dump(str(path))
-    text = path.read_text()
+    text = format_profile(p.rank, p.timers_snapshot(), p.events.summaries(),
+                          p.counters.read())
+    assert text.startswith("# TAU-style profile, rank 0\n")
     assert "region" in text
     assert "'MPI_Bcast' MPI 1 1.500 1.500" in text
     assert "ev" in text
