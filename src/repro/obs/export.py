@@ -171,7 +171,7 @@ def rank_metrics(rec: RunRecord) -> MetricsRegistry:
     and the Mastermind's invocations, whose wall times are observed in
     stored order, so the ``invocation_wall_us`` buckets are exact.
     """
-    from repro.perf.records import MethodRecord
+    from repro.perf.records import MethodRecord  # repro.perf imports repro.obs
 
     view = MetricsRegistry.from_state(rec.metrics)
     rep = rec.overhead

@@ -103,11 +103,11 @@ def merge_flight_recordings(directory: str = os.path.join("out", "flightrec"),
 
     The boxes load in rank order, the steps covered are those of the
     windows' ``timestep`` spans, and spans from all ranks sort onto the
-    shared monotonic clock; the merged trace carries spans only (a black-box window necessarily truncates
-    flow edges at its boundary, and a half-edge would fail Perfetto's
-    flow validation).  The trace is validated before the summary is
-    written, so a "timeline exists" check in CI really means "loads in
-    ui.perfetto.dev".
+    shared monotonic clock; the merged trace carries spans only (a
+    black-box window necessarily truncates flow edges at its boundary,
+    and a half-edge would fail Perfetto's flow validation).  The trace is
+    validated before the summary is written, so a "timeline exists"
+    check in CI really means "loads in ui.perfetto.dev".
     """
     boxes = load_records(directory)
     if not boxes:

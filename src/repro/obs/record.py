@@ -34,12 +34,10 @@ RANK_FILE = "rank{rank}.json"
 
 
 class SpanDropWarning(Warning):
-    """The bounded tracer buffer overflowed and history was lost.
-
-    A dedicated category (not RuntimeWarning — CI escalates those to
-    errors) so callers can filter it; emitted at most once per process
-    per :func:`collect` call site via the standard warning dedup.
-    """
+    """The bounded tracer buffer overflowed and history was lost: warned
+    once per process by :func:`collect` (:func:`reset_drop_warning`
+    re-arms it), in a category of its own, since CI escalates
+    RuntimeWarning to an error."""
 
 
 @dataclass
@@ -82,7 +80,7 @@ class RunRecord:
 
 def load_records(directory: str) -> list[RunRecord]:
     """Every record written under ``directory``, in rank order."""
-    from repro.tau.timer import TimerStats
+    from repro.tau.timer import TimerStats  # repro.tau imports repro.obs
 
     records = []
     for path in glob.glob(os.path.join(directory, RANK_FILE.format(rank="*"))):

@@ -1,12 +1,13 @@
 """Per-rank observability state and its configuration.
 
-One :class:`RankObs` (a span tracer + a metrics registry) is attached to each rank of a
-:class:`~repro.mpi.world.SimWorld` when an :class:`ObsConfig` is passed
-to the runner; the MPI layer, the TAU profiler, the proxies, the fault
-paths and the checkpoint writer all find it there and record into it,
-and its metrics views read the rank's ledger and Mastermind.  ``None``
-everywhere means observability is off and every hook is a cheap
-attribute check.
+One :class:`RankObs` (a span tracer + a metrics registry) is attached
+to each rank of a :class:`~repro.mpi.world.SimWorld` when an
+:class:`ObsConfig` is passed to the runner; the MPI layer, the TAU
+profiler, the proxies, the fault paths and the checkpoint writer all
+find it there and record into it, and the rank's run record
+(:mod:`repro.obs.record`) reads it with the ledger and Mastermind it is
+bound to.  ``None`` everywhere means observability is off and every
+hook is a cheap attribute check.
 """
 
 from __future__ import annotations
